@@ -63,6 +63,17 @@ def _check_nonneg_omega(om: np.ndarray, label: str):
         raise ValueError(f"{label} must be finite and >= 0")
 
 
+def _check_mu(mu) -> np.ndarray:
+    """mu_prime as a float array; raises unless every cosine is finite and in [-1, 1].
+
+    The 1e-12 slack admits cosines computed from unit vectors.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu)) or np.any(np.abs(mu) > 1.0 + 1e-12):
+        raise ValueError("mu_prime must be finite and lie in [-1, 1]")
+    return mu
+
+
 def _planck_density(om, z_of_om, t, component, units):
     """Assemble prefactor * om^3 * {1, occupation, coth} from the z map.
 
@@ -122,9 +133,7 @@ def rho_moving_mu(
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
-    mu = np.asarray(mu_prime, dtype=float)
-    if np.any(np.abs(mu) > 1.0 + 1e-12):
-        raise ValueError("mu_prime must lie in [-1, 1]")
+    mu = _check_mu(mu_prime)
     t = temperature_value(T)
     d = inverse_doppler_factor(mu, v)
     om_b, d_b = np.broadcast_arrays(om, d)
@@ -163,9 +172,7 @@ def rho_moving_pullback_mu(
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
-    mu = np.asarray(mu_prime, dtype=float)
-    if np.any(np.abs(mu) > 1.0 + 1e-12):
-        raise ValueError("mu_prime must lie in [-1, 1]")
+    mu = _check_mu(mu_prime)
     d = inverse_doppler_factor(mu, v)
     out = rho_rest(d * om, T, component, units) / d**3
     return _maybe_scalar(out, omega_prime, mu_prime)
@@ -195,9 +202,11 @@ def _cosine_along_boost(khat_prime, v: BoostVelocity) -> float:
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     """T / (gamma (1 + |beta| mu')): the rest-frame temperature whose Planck law
-    equals the moving-frame thermal spectrum at cosine mu'.  Vectorized."""
+    equals the moving-frame thermal spectrum at cosine mu'.  Vectorized;
+    raises ValueError unless mu' is finite and in [-1, 1]."""
+    mu = _check_mu(mu_prime)
     t = temperature_value(T)
-    out = t / inverse_doppler_factor(mu_prime, v)
+    out = t / inverse_doppler_factor(mu, v)
     return _maybe_scalar(out, mu_prime)
 
 

@@ -323,3 +323,17 @@ def test_help_exits_cleanly():
     )
     assert proc.returncode == 0
     assert "usage:" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing scipy.special would
+    # add about 0.3 s to the start-up of every command
+    code = (
+        "import sys, relplanck.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,11 @@
 """Thermal-mode sampler quality and the Monte Carlo spectrum identity check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from relplanck import (
     PLANCK_ENERGY_MEAN_X,
@@ -17,6 +18,7 @@ from relplanck import (
     sample_rest_mode,
     sample_rest_modes,
 )
+from relplanck.montecarlo import _P4_SERIES_MAX, _regularized_gamma4
 
 # second moment of the dimensionless energy spectrum:
 # Gamma(6) zeta(6) / (Gamma(4) zeta(4)) = 40 pi^2 / 21
@@ -124,6 +126,30 @@ class TestEnergyCdf:
         # batched evaluation may differ by an ulp from the scalar path
         assert arr[0] == pytest.approx(val, rel=1e-14)
         assert planck_energy_cdf(-1.0) == 0.0
+
+    def test_infinite_and_nan_arguments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = planck_energy_cdf(np.inf)
+            arr = planck_energy_cdf(np.array([np.inf, np.nan, -3.0]))
+        # the 200-term truncation: sum_{k<=200} k^-4 / zeta(4)
+        truncated = math.fsum(k**-4.0 for k in range(1, 201)) / (math.pi**4 / 90.0)
+        assert top == pytest.approx(truncated, rel=1e-15)
+        assert 1.0 - 4e-8 <= top < 1.0
+        assert arr[0] == pytest.approx(top, rel=1e-14)
+        assert math.isnan(arr[1])
+        assert arr[2] == 0.0
+
+    def test_regularized_gamma4_matches_scipy(self):
+        edge = _P4_SERIES_MAX
+        y = np.concatenate([
+            np.logspace(-12, 3, 3001),
+            [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0 * edge)],
+        ])
+        got = _regularized_gamma4(y)
+        want = special.gammainc(4.0, y)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        assert np.array_equal(_regularized_gamma4(np.array([0.0, np.inf])), [0.0, 1.0])
 
 
 class TestConfigValidation:

@@ -236,6 +236,27 @@ class TestEffectiveTemperature:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+class TestCosineValidation:
+    FUNCTIONS = {
+        "rho_moving_mu": lambda mu: rho_moving_mu(1.0, mu, V06, 1.0),
+        "rho_moving_pullback_mu": lambda mu: rho_moving_pullback_mu(1.0, mu, V06, 1.0),
+        "effective_temperature_mu": lambda mu: effective_temperature_mu(mu, V06, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    @pytest.mark.parametrize("mu", [2.0, -1.5, math.nan, math.inf])
+    def test_bad_cosine_rejected(self, name, mu):
+        with pytest.raises(ValueError):
+            self.FUNCTIONS[name](mu)
+        with pytest.raises(ValueError):
+            self.FUNCTIONS[name](np.array([0.0, mu]))
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_boundary_cosines_accepted(self, name):
+        out = self.FUNCTIONS[name](np.array([-1.0, 1.0]))
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+
+
 class TestMultipoles:
     def test_monopole_at_beta06(self):
         # closed form (4/3) ln 2, frozen from a 30-digit evaluation

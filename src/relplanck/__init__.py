@@ -30,7 +30,6 @@ from .kinematics import (
     boost_mode,
     boost_mu,
     direction_with_cosine,
-    doppler,
     doppler_factor,
     field_boost,
     inverse_boost_mode,
@@ -43,7 +42,6 @@ from .montecarlo import (
     McReport,
     planck_energy_cdf,
     run_identity_check,
-    sample_rest_mode,
     sample_rest_modes,
 )
 from .radiometry import (
@@ -63,11 +61,8 @@ from .radiometry import (
 from .selfcheck import CheckResult, run_selfcheck
 from .spectrum import (
     MultipoleCoefficients,
-    effective_temperature,
     effective_temperature_mu,
-    rho_moving,
     rho_moving_mu,
-    rho_moving_pullback,
     rho_moving_pullback_mu,
     rho_rest,
     spectral_prefactor,

@@ -26,7 +26,6 @@ __all__ = [
     "FieldPair",
     "doppler_factor",
     "inverse_doppler_factor",
-    "doppler",
     "aberrate_mu",
     "aberrate",
     "boost_mode",
@@ -51,7 +50,8 @@ class ModeTransformResult:
 
 @dataclass(frozen=True, eq=False)
 class FieldPair:
-    """An (E, B) amplitude pair at a point; no normalization implied."""
+    """An (E, B) amplitude pair at a point, or a stack of n pairs as (n, 3)
+    arrays of the same shape; no normalization implied."""
 
     E: np.ndarray
     B: np.ndarray
@@ -59,12 +59,14 @@ class FieldPair:
     def __post_init__(self):
         for name in ("E", "B"):
             v = np.array(getattr(self, name), dtype=float, copy=True)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+            if v.ndim not in (1, 2) or v.shape[-1] != 3:
+                raise ValueError(f"{name} must have shape (3,) or (n, 3), got {v.shape}")
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} components must be finite")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        if self.E.shape != self.B.shape:
+            raise ValueError(f"E and B shapes differ: {self.E.shape} vs {self.B.shape}")
 
 
 def doppler_factor(mu, v: BoostVelocity):
@@ -75,12 +77,6 @@ def doppler_factor(mu, v: BoostVelocity):
 def inverse_doppler_factor(mu_prime, v: BoostVelocity):
     """gamma (1 + |beta| mu') = omega/omega' at moving-frame cosine mu'.  Vectorized."""
     return v.gamma * (1.0 + v.beta_mag * np.asarray(mu_prime, dtype=float))
-
-
-def doppler(mode: PhotonMode, v: BoostVelocity) -> float:
-    """Boosted frequency of a mode; identity at beta = 0."""
-    mu = float(mode.khat @ v.vhat)
-    return mode.omega * float(doppler_factor(mu, v))
 
 
 def aberrate_mu(mu, v: BoostVelocity):
@@ -152,15 +148,15 @@ def field_boost(f: FieldPair, v: BoostVelocity) -> FieldPair:
         E' = (vhat.E) vhat + gamma [E - (vhat.E) vhat + beta x B]
         B' = (vhat.B) vhat + gamma [B - (vhat.B) vhat - beta x E]
 
-    Identity at beta = 0.
+    Row by row for a stacked pair; identity at beta = 0.
     """
     if v.is_rest:
         return f
     vh = v.vhat
     g = v.gamma
     E, B = f.E, f.B
-    E_par = (E @ vh) * vh
-    B_par = (B @ vh) * vh
+    E_par = (E @ vh)[..., None] * vh
+    B_par = (B @ vh)[..., None] * vh
     E_p = E_par + g * (E - E_par + np.cross(v.beta, B))
     B_p = B_par + g * (B - B_par - np.cross(v.beta, E))
     return FieldPair(E_p, B_p)

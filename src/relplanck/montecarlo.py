@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import NATURAL, BoostVelocity, Component, PhotonMode, UnitSystem, temperature_value
+from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value
 from .kinematics import boost_mu, doppler_factor, inverse_doppler_factor
 from .radiometry import expected_energy_ratio, thermal_energy_density_closed_form
 from .spectrum import rho_moving_mu
@@ -35,7 +35,6 @@ __all__ = [
     "PLANCK_ENERGY_MEDIAN_X",
     "planck_energy_cdf",
     "sample_rest_modes",
-    "sample_rest_mode",
     "McConfig",
     "McReport",
     "run_identity_check",
@@ -121,6 +120,14 @@ def _sample_planck_x(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_gamma(4.0, n) / k
 
 
+def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n directions uniform on the sphere as (n, 3); draws the z cosine, then the azimuth."""
+    mu = 2.0 * rng.random(n) - 1.0
+    phi = 2.0 * np.pi * rng.random(n)
+    s = np.sqrt(1.0 - mu**2)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=1)
+
+
 def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = NATURAL):
     """Draw n modes from the rest-frame thermal spectrum.
 
@@ -134,17 +141,7 @@ def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = N
         raise ValueError(f"n must be >= 1, got {n}")
     x = _sample_planck_x(rng, n)
     omega = x * (units.k_B * t / units.hbar)
-    mu = 2.0 * rng.random(n) - 1.0
-    phi = 2.0 * np.pi * rng.random(n)
-    s = np.sqrt(1.0 - mu**2)
-    khat = np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=1)
-    return omega, khat
-
-
-def sample_rest_mode(T, rng: np.random.Generator, units: UnitSystem = NATURAL) -> PhotonMode:
-    """Single-mode convenience wrapper around sample_rest_modes."""
-    omega, khat = sample_rest_modes(T, 1, rng, units)
-    return PhotonMode(float(omega[0]), khat[0])
+    return omega, _isotropic_directions(rng, n)
 
 
 @dataclass(frozen=True)

@@ -294,18 +294,20 @@ class CorrelationCoincidence:
             object.__setattr__(self, name, arr)
 
 
+_CORRELATION_NODES = 16  # per angular axis: Gauss-Legendre in mu, uniform in phi
+
+
 def correlation_coincidence(
     T,
     cfg: QuadratureConfig | None = None,
     units: UnitSystem = NATURAL,
-    n_mu: int = 16,
-    n_phi: int = 16,
 ) -> CorrelationCoincidence:
     """Coincidence-limit correlation tensors of the rest-frame thermal field.
 
     The frequency integral is the adaptive thermal quadrature; the angular
     average over propagation directions is a Gauss-Legendre x uniform-phi
-    product rule, exact for the low-order angular polynomials involved.
+    product rule with _CORRELATION_NODES nodes per axis, exact for the
+    low-order angular polynomials involved.
     """
     cfg = cfg or QuadratureConfig()
     t = temperature_value(T)
@@ -314,19 +316,20 @@ def correlation_coincidence(
     freq = _thermal_frequency_integral(t, cfg, units)
     const = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3)
 
-    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
+    n = _CORRELATION_NODES
+    mu, wmu = np.polynomial.legendre.leggauss(n)
+    phi = 2.0 * np.pi * np.arange(n) / n
+    wphi = 2.0 * np.pi / n
     smu = np.sqrt(1.0 - mu**2)
     khat = np.stack(
         [
             np.outer(smu, np.cos(phi)).ravel(),
             np.outer(smu, np.sin(phi)).ravel(),
-            np.outer(mu, np.ones(n_phi)).ravel(),
+            np.outer(mu, np.ones(n)).ravel(),
         ],
         axis=1,
     )
-    wts = np.repeat(wmu, n_phi) * wphi
+    wts = np.repeat(wmu, n) * wphi
 
     # angular average of (delta_jm - khat_j khat_m); isotropy gives (8 pi / 3) delta
     transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)

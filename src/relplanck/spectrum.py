@@ -31,11 +31,8 @@ __all__ = [
     "spectral_prefactor",
     "thermal_occupation",
     "rho_rest",
-    "rho_moving",
     "rho_moving_mu",
-    "rho_moving_pullback",
     "rho_moving_pullback_mu",
-    "effective_temperature",
     "effective_temperature_mu",
     "MultipoleCoefficients",
     "temperature_multipoles",
@@ -142,19 +139,6 @@ def rho_moving_mu(
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
-def rho_moving(
-    omega_prime,
-    khat_prime,
-    v: BoostVelocity,
-    T,
-    component: Component = Component.TOTAL,
-    units: UnitSystem = NATURAL,
-):
-    """rho_moving_mu with the cosine taken from an explicit direction vector."""
-    mu = _cosine_along_boost(khat_prime, v)
-    return rho_moving_mu(omega_prime, mu, v, T, component, units)
-
-
 def rho_moving_pullback_mu(
     omega_prime,
     mu_prime,
@@ -178,28 +162,6 @@ def rho_moving_pullback_mu(
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
-def rho_moving_pullback(
-    omega_prime,
-    khat_prime,
-    v: BoostVelocity,
-    T,
-    component: Component = Component.TOTAL,
-    units: UnitSystem = NATURAL,
-):
-    mu = _cosine_along_boost(khat_prime, v)
-    return rho_moving_pullback_mu(omega_prime, mu, v, T, component, units)
-
-
-def _cosine_along_boost(khat_prime, v: BoostVelocity) -> float:
-    k = np.asarray(khat_prime, dtype=float)
-    if k.shape != (3,):
-        raise ValueError(f"khat_prime must be a 3-vector, got shape {k.shape}")
-    norm = float(np.linalg.norm(k))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"khat_prime must be a unit vector, |khat_prime| = {norm}")
-    return float(k @ v.vhat) / norm
-
-
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     """T / (gamma (1 + |beta| mu')): the rest-frame temperature whose Planck law
     equals the moving-frame thermal spectrum at cosine mu'.  Vectorized;
@@ -208,10 +170,6 @@ def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     t = temperature_value(T)
     out = t / inverse_doppler_factor(mu, v)
     return _maybe_scalar(out, mu_prime)
-
-
-def effective_temperature(khat_prime, v: BoostVelocity, T) -> float:
-    return effective_temperature_mu(_cosine_along_boost(khat_prime, v), v, T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,13 +3,7 @@
 import numpy as np
 
 from relplanck import PhotonMode, make_boost
-
-
-def random_unit_vectors(rng, n):
-    mu = 2.0 * rng.random(n) - 1.0
-    phi = 2.0 * np.pi * rng.random(n)
-    s = np.sqrt(1.0 - mu**2)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=1)
+from relplanck.montecarlo import _isotropic_directions as random_unit_vectors
 
 
 def random_boosts(rng, n, beta_max=0.99):

@@ -11,11 +11,9 @@ from relplanck import (
     PLANCK_ENERGY_MEAN_X,
     PLANCK_ENERGY_MEDIAN_X,
     McConfig,
-    PhotonMode,
     make_boost,
     planck_energy_cdf,
     run_identity_check,
-    sample_rest_mode,
     sample_rest_modes,
 )
 from relplanck.montecarlo import _P4_SERIES_MAX, _regularized_gamma4
@@ -79,12 +77,6 @@ class TestSampler:
         b, kb = sample_rest_modes(1.0, 1_000, _rng(11))
         assert np.array_equal(a, b)
         assert np.array_equal(ka, kb)
-
-    def test_single_mode_wrapper(self):
-        mode = sample_rest_mode(1.0, _rng(4))
-        assert isinstance(mode, PhotonMode)
-        assert mode.omega > 0.0
-        assert np.linalg.norm(mode.khat) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_requests(self):
         with pytest.raises(ValueError):

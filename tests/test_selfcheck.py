@@ -1,0 +1,55 @@
+"""The selftest battery: it runs on the array mode map and still catches faults."""
+
+from relplanck import kinematics
+from relplanck.cli import main
+from relplanck.core import PhotonMode
+from relplanck.selfcheck import run_selfcheck
+
+QUICK_NAMES = [
+    "gamma-identity", "component-additivity", "mode-roundtrip", "jacobian-freq",
+    "jacobian-solid-angle", "lightcone", "field-invariants", "aberration-bounds",
+    "zero-T-invariance", "pullback-identity", "occupation-invariance",
+    "teff-factorization", "multipoles", "stefan-boltzmann", "cutoff-scaling",
+    "route-agreement", "quadrature-honesty", "mc-determinism",
+]
+
+# checks whose identity a wrong kinematics.aberrate_mu breaks, directly or
+# through boost_mu; occupation-invariance evaluates it too, but both of its
+# sides use the same mu', so it cannot see the fault
+ABERRATION_DEPENDENT = ["mode-roundtrip", "jacobian-freq", "aberration-bounds"]
+
+
+def test_quick_battery_runs_on_arrays(monkeypatch):
+    # every mode-map check runs on arrays; none goes through PhotonMode objects
+    counts = {"PhotonMode": 0, "boost_mode": 0}
+    post_init = PhotonMode.__post_init__
+    boost_mode = kinematics.boost_mode
+
+    def counted_post_init(self):
+        counts["PhotonMode"] += 1
+        post_init(self)
+
+    def counted_boost_mode(*args, **kwargs):
+        counts["boost_mode"] += 1
+        return boost_mode(*args, **kwargs)
+
+    monkeypatch.setattr(PhotonMode, "__post_init__", counted_post_init)
+    monkeypatch.setattr(kinematics, "boost_mode", counted_boost_mode)
+    results = run_selfcheck(quick=True)
+    assert [r.name for r in results] == QUICK_NAMES
+    assert all(r.passed for r in results)
+    assert counts == {"PhotonMode": 0, "boost_mode": 0}
+
+
+def test_injected_aberration_error_fails_the_battery(monkeypatch, capsys):
+    exact = kinematics.aberrate_mu
+    monkeypatch.setattr(kinematics, "aberrate_mu", lambda mu, v: exact(mu, v) * (1.0 + 1e-9))
+    results = {r.name: r for r in run_selfcheck(quick=True)}
+    for name in ABERRATION_DEPENDENT:
+        assert not results[name].passed, name
+        assert results[name].residual > results[name].tolerance, name
+    assert results["component-additivity"].passed
+    assert results["lightcone"].passed  # raw wavevector boost, no aberrate_mu
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL  mode-roundtrip") for line in out.splitlines())

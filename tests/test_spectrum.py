@@ -11,13 +11,10 @@ from relplanck import (
     Component,
     UnitSystem,
     boost_mode,
-    effective_temperature,
     effective_temperature_mu,
     inverse_boost_mode,
     make_boost,
-    rho_moving,
     rho_moving_mu,
-    rho_moving_pullback,
     rho_moving_pullback_mu,
     rho_rest,
     spectral_prefactor,
@@ -137,7 +134,8 @@ class TestRhoMoving:
         rng = np.random.default_rng(21)
         for v, m in zip(random_boosts(rng, 100), random_modes(rng, 100)):
             r = boost_mode(m, v)
-            assert rho_moving(r.mode_prime.omega, r.mode_prime.khat, v, 0.0) == rho_rest(
+            mu_p = float(r.mode_prime.khat @ v.vhat)
+            assert rho_moving_mu(r.mode_prime.omega, mu_p, v, 0.0) == rho_rest(
                 r.mode_prime.omega, 0.0
             )
 
@@ -153,17 +151,9 @@ class TestRhoMoving:
         out = rho_moving_mu(omega, mu, V06, 1.0)
         assert out.shape == (7, 5)
 
-    def test_direction_vector_wrapper(self):
-        khat = np.array([0.0, 0.0, -1.0])
-        assert rho_moving(2.0, khat, V06, 1.0) == rho_moving_mu(2.0, -1.0, V06, 1.0)
-
     def test_mu_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             rho_moving_mu(1.0, 1.5, V06, 1.0)
-
-    def test_bad_khat_rejected(self):
-        with pytest.raises(ValueError):
-            rho_moving(1.0, np.array([0.0, 0.0, 0.5]), V06, 1.0)
 
 
 class TestPullbackRoute:
@@ -185,12 +175,6 @@ class TestPullbackRoute:
         b = rho_rest(omega, 0.0)
         assert np.max(np.abs(a - b) / b) <= 1e-14
 
-    def test_vector_wrapper(self):
-        khat = np.array([1.0, 0.0, 0.0])
-        assert rho_moving_pullback(1.0, khat, V06, 1.0) == (
-            rho_moving_pullback_mu(1.0, 0.0, V06, 1.0)
-        )
-
 
 class TestEffectiveTemperature:
     def test_head_on_and_receding(self):
@@ -199,10 +183,6 @@ class TestEffectiveTemperature:
 
     def test_rest_identity(self):
         assert effective_temperature_mu(0.3, make_boost([0, 0, 0]), 1.7) == 1.7
-
-    def test_vector_wrapper(self):
-        khat = np.array([0.0, 0.0, -1.0])
-        assert effective_temperature(khat, V06, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_factorization_identity(self):
         omega = np.exp(np.random.default_rng(23).uniform(-2, 2, 200))
@@ -231,7 +211,8 @@ class TestEffectiveTemperature:
         for v, m in zip(random_boosts(rng, 100), random_modes(rng, 100)):
             r = boost_mode(m, v)
             back = inverse_boost_mode(r.mode_prime, v)
-            lhs = rho_moving(r.mode_prime.omega, r.mode_prime.khat, v, 1.0) / r.mode_prime.omega**3
+            mu_p = float(r.mode_prime.khat @ v.vhat)
+            lhs = rho_moving_mu(r.mode_prime.omega, mu_p, v, 1.0) / r.mode_prime.omega**3
             rhs = rho_rest(back.omega, 1.0) / back.omega**3
             assert lhs == pytest.approx(rhs, rel=1e-12)
 

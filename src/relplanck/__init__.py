@@ -68,6 +68,7 @@ from .spectrum import (
     spectral_prefactor,
     temperature_multipoles,
     thermal_occupation,
+    u_moving,
 )
 
 __version__ = "0.1.0"

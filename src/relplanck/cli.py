@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands mirror the library: `spectrum` evaluates spectral densities on
-a frequency grid, `boost-mode` transforms a single photon mode,
-`energy-density` compares the two moving-frame energy routes, `anisotropy`
-expands the effective temperature in Legendre multipoles, `mc-verify` runs
-the Monte Carlo identity check, and `selftest` runs the built-in battery.
+a frequency grid (per direction, or integrated over directions in the
+moving frame when no cosine is given), `boost-mode` transforms a single
+photon mode, `energy-density` compares the two moving-frame energy routes,
+`anisotropy` expands the effective temperature in Legendre multipoles,
+`mc-verify` runs the Monte Carlo identity check, and `selftest` runs the
+built-in battery.
 
 Results go to stdout, either as CSV (17 significant digits, LF endings) or
 as one JSON envelope per run; progress and input echoes go to stderr, so
@@ -37,6 +39,7 @@ from .spectrum import (
     rho_moving_mu,
     rho_rest,
     temperature_multipoles,
+    u_moving,
 )
 
 __all__ = ["main", "OutputEnvelope", "UsageError"]
@@ -158,47 +161,36 @@ def _cmd_spectrum(args) -> int:
     else:
         omega = np.linspace(args.omega_min, args.omega_max, args.points)
 
+    inputs = {"frame": args.frame, "temperature": t, "component": args.component}
     if args.frame == "rest":
         if args.mu is not None:
             raise UsageError("--mu only applies to --frame moving")
         if args.beta is not None or args.beta_vec is not None:
             raise UsageError("a boost only applies to --frame moving")
-        rho = np.atleast_1d(rho_rest(omega, t, component, units))
-        inputs = {
-            "frame": "rest", "temperature": t, "component": args.component,
-            "omega_min": args.omega_min, "omega_max": args.omega_max,
-            "points": args.points, "grid": args.grid, "units": args.units,
-        }
-        if args.format == "json":
-            _emit_envelope("spectrum", inputs,
-                           {"omega": omega.tolist(), "rho": rho.tolist()}, [])
+        columns = {"omega": omega, "rho": rho_rest(omega, t, component, units)}
+    else:
+        v = _boost_from(args)
+        if args.mu is None:
+            columns = {"omega_prime": omega, "u_prime": u_moving(omega, v, t, component, units)}
         else:
-            _echo_inputs(inputs)
-            _emit_csv(["omega", "rho"],
-                      ([_g17(w), _g17(r)] for w, r in zip(omega, rho)))
-        return 0
-
-    if args.mu is None:
-        raise UsageError("--frame moving requires --mu (propagation cosine vs the boost axis)")
-    if not -1.0 <= args.mu <= 1.0:
-        raise UsageError(f"--mu must lie in [-1, 1], got {args.mu}")
-    v = _boost_from(args)
-    rho = np.atleast_1d(rho_moving_mu(omega, args.mu, v, t, component, units))
-    teff = effective_temperature_mu(args.mu, v, t)
-    inputs = {
-        "frame": "moving", "temperature": t, "component": args.component,
-        "mu": args.mu, "beta": _beta_list(v),
-        "omega_min": args.omega_min, "omega_max": args.omega_max,
-        "points": args.points, "grid": args.grid, "units": args.units,
-    }
+            if not -1.0 <= args.mu <= 1.0:
+                raise UsageError(f"--mu must lie in [-1, 1], got {args.mu}")
+            inputs["mu"] = args.mu
+            columns = {
+                "omega_prime": omega,
+                "rho_prime": rho_moving_mu(omega, args.mu, v, t, component, units),
+                "t_eff": np.full(len(omega), effective_temperature_mu(args.mu, v, t)),
+            }
+        inputs["beta"] = _beta_list(v)
+    inputs.update(omega_min=args.omega_min, omega_max=args.omega_max,
+                  points=args.points, grid=args.grid, units=args.units)
+    columns = {name: np.atleast_1d(col) for name, col in columns.items()}
     if args.format == "json":
         _emit_envelope("spectrum", inputs,
-                       {"omega_prime": omega.tolist(), "rho_prime": rho.tolist(),
-                        "t_eff": [float(teff)] * len(omega)}, [])
+                       {name: col.tolist() for name, col in columns.items()}, [])
     else:
         _echo_inputs(inputs)
-        _emit_csv(["omega_prime", "rho_prime", "t_eff"],
-                  ([_g17(w), _g17(r), _g17(teff)] for w, r in zip(omega, rho)))
+        _emit_csv(list(columns), ([_g17(x) for x in row] for row in zip(*columns.values())))
     return 0
 
 
@@ -410,7 +402,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", choices=["rest", "moving"], default="rest")
     p.add_argument("--component", choices=sorted(_COMPONENTS), default="total")
     p.add_argument("--mu", type=float, default=None,
-                   help="propagation cosine vs the boost axis (moving frame only)")
+                   help="propagation cosine vs the boost axis (moving frame only); "
+                        "without it the moving frame prints the direction-integrated "
+                        "spectral density u'(omega')")
     p.add_argument("--omega-min", type=float, default=0.0)
     p.add_argument("--omega-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=64)

@@ -5,13 +5,17 @@ omega = s t / (1 - t) (s a characteristic scale of the integrand), then a
 globally adaptive bisection on t: each panel is valued with 15-node
 Gauss-Legendre and its error estimated from the difference against a 7-node
 rule.  The estimate is deliberately conservative; tests hold the integrator
-to |value - exact| <= reported error on known integrals.
+to |value - exact| <= reported error on known integrals.  Thermal integrals
+run in x = hbar omega / (k_B T) and are scaled by (k_B T / hbar)^4 after, so
+the integrator's absolute tolerance is relative to the integrand at any
+temperature and in any unit system.
 
 The moving-frame energy density is computed by two genuinely different
 routes that must agree:
 
-  * spectral: integrate the boosted thermal spectral density over
-    frequency and direction;
+  * spectral: integrate the boosted thermal spectral density, analytically
+    over direction (the closed-form u'(omega') of spectrum.u_moving) and by
+    one adaptive quadrature over frequency;
   * correlation: build the equal-point field correlation tensors in the
     rest frame and assemble the boosted energy density from their traces,
 
@@ -27,12 +31,16 @@ Both must land on the closed form W'/W = gamma^2 (1 + beta^2 / 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value, thermal_frequency_scale
-from .spectrum import spectral_prefactor, thermal_occupation
+from .spectrum import (
+    _direction_integrated_occupation,
+    spectral_prefactor,
+    thermal_occupation,
+)
 
 __all__ = [
     "QuadratureConfig",
@@ -189,16 +197,24 @@ def expected_energy_ratio(v: BoostVelocity) -> float:
     return v.gamma**2 * (1.0 + v.beta_mag**2 / 3.0)
 
 
-def _thermal_kernel(t: float, units: UnitSystem):
-    """omega^3 * 2/(e^{hbar omega/k_B t} - 1); the prefactor is applied outside
-    the quadrature so the integral stays O(scale^4) in any unit system."""
-    inv = units.hbar / (units.k_B * t)
-    return lambda om: om**3 * thermal_occupation(inv * om)
+def _thermal_x_integral(
+    kernel, t: float, cfg: QuadratureConfig, units: UnitSystem, scale: float = 1.0
+) -> float:
+    """(k_B t / hbar)^4 times the integral of kernel(x) over x = hbar omega / (k_B t).
+
+    Thermal kernels are O(1) in x at any temperature and in any unit
+    system, so cfg.abs_tol means the same thing at T = 1e-3 as at T = 1e3;
+    cfg.omega_cutoff is mapped to x.  The prefactor is applied outside.
+    """
+    omega_scale = thermal_frequency_scale(t, units)
+    if cfg.omega_cutoff is not None:
+        cfg = replace(cfg, omega_cutoff=cfg.omega_cutoff / omega_scale)
+    return omega_scale**4 * integrate_semi_infinite(kernel, cfg, scale=scale).value
 
 
 def _thermal_frequency_integral(t: float, cfg: QuadratureConfig, units: UnitSystem) -> float:
-    scale = thermal_frequency_scale(t, units)
-    return integrate_semi_infinite(_thermal_kernel(t, units), cfg, scale=scale).value
+    """integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega."""
+    return _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, cfg, units)
 
 
 def energy_density_rest(
@@ -239,13 +255,12 @@ def energy_density_moving_spectral(
     cfg: QuadratureConfig | None = None,
     units: UnitSystem = NATURAL,
     component: Component = Component.THERMAL,
-    n_mu: int = 64,
 ) -> EnergyDensityReport:
-    """W' by direct integration of the boosted thermal spectral density.
+    """W' by integrating the boosted thermal spectral density.
 
-    The azimuth is analytic (2 pi); the polar direction uses n_mu-node
-    Gauss-Legendre, and each node integrates the rest-frame thermal kernel
-    at that direction's effective temperature.
+    The direction integral is analytic (the thermal part of
+    spectrum.u_moving); one adaptive quadrature over frequency remains, on
+    the scale of the hottest direction, k_B T / (hbar gamma (1 - |beta|)).
     """
     if component is not Component.THERMAL:
         raise ValueError("only the thermal component is frame-comparable without a cutoff")
@@ -254,12 +269,11 @@ def energy_density_moving_spectral(
     if t == 0.0:
         raise ValueError("thermal energy comparison requires T > 0")
     pref = spectral_prefactor(units)
-    mu, w = np.polynomial.legendre.leggauss(n_mu)
-    d = v.gamma * (1.0 + v.beta_mag * mu)
-    per_steradian = np.empty(n_mu)
-    for i in range(n_mu):
-        per_steradian[i] = _thermal_frequency_integral(t / d[i], cfg, units)
-    w_moving = 2.0 * np.pi * pref * float(w @ per_steradian)
+    hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
+    moving = _thermal_x_integral(
+        lambda x: x**3 * _direction_integrated_occupation(x, v), t, cfg, units, hottest
+    )
+    w_moving = 2.0 * np.pi * pref * moving
     w_rest = 4.0 * np.pi * pref * _thermal_frequency_integral(t, cfg, units)
     return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, "spectral")
 

@@ -52,6 +52,16 @@ def _mode_sweep(rng: np.random.Generator, beta_max: float = 0.99):
         yield v, omega, khat, np.clip(khat @ v.vhat, -1.0, 1.0)
 
 
+def _half_angle_mu(mu, v):
+    """Boosted cosine from tan(theta'/2) = sqrt((1 + beta)/(1 - beta)) tan(theta/2).
+
+    Shares no code with kinematics.aberrate_mu, so checks that compare the
+    two see a fault in either.
+    """
+    k = math.sqrt((1.0 + v.beta_mag) / (1.0 - v.beta_mag))
+    return np.cos(2.0 * np.arctan(k * np.tan(0.5 * np.arccos(mu))))
+
+
 def _check_gamma_identity(rng) -> CheckResult:
     worst = 0.0
     for v in _random_boosts(rng, 200):
@@ -93,16 +103,22 @@ def _check_jacobian_freq(rng) -> CheckResult:
 def _check_jacobian_solid_angle(rng) -> CheckResult:
     worst = 0.0
     for v, omega, _, mu in _mode_sweep(rng, 0.95):
-        # step follows the local Doppler denominator: keeps the truncation
-        # term ~1e-9 while leaving enough signal above rounding noise
-        h = 3e-5 * (1.0 - v.beta_mag * mu)
-        inside = np.abs(mu) + h < 1.0
+        # fourth-order central difference; the step follows the local Doppler
+        # denominator, which keeps truncation and rounding near 1e-12, far
+        # below the 1e-8-sized change a wrong aberration makes in the Jacobian
+        h = 3e-4 * (1.0 - v.beta_mag * mu)
+        inside = np.abs(mu) + 2.0 * h < 1.0
         omega, mu, h = omega[inside], mu[inside], h[inside]
-        dmup = kinematics.aberrate_mu(mu + h, v) - kinematics.aberrate_mu(mu - h, v)
-        num = dmup / (2.0 * h)  # d mu'/d mu; solid-angle Jacobian is its inverse
+
+        def diff(step):
+            return _half_angle_mu(mu + step, v) - _half_angle_mu(mu - step, v)
+
+        num = (8.0 * diff(h) - diff(2.0 * h)) / (12.0 * h)  # d mu'/d mu, the inverse Jacobian
         jac_solid_angle = kinematics.boost_mu(omega, mu, v)[3]
         worst = max(worst, np.max(np.abs(jac_solid_angle - 1.0 / num) * num, initial=0.0))
-    return _result("jacobian-solid-angle", worst, 1e-8, "central difference of aberration")
+    return _result(
+        "jacobian-solid-angle", worst, 1e-10, "central difference of half-angle aberration"
+    )
 
 
 def _check_lightcone(rng) -> CheckResult:
@@ -165,7 +181,8 @@ def _check_occupation_invariance(rng) -> CheckResult:
     worst = 0.0
     for v, omega, _, mu in _mode_sweep(rng):
         om_p, mu_p, _, _ = kinematics.boost_mu(omega, mu, v)
-        om_b = kinematics.boost_mu(om_p, -mu_p, v.reversed())[0]
+        # pulled back along the half-angle cosine, so a wrong mu_p cannot cancel
+        om_b = kinematics.boost_mu(om_p, -_half_angle_mu(mu, v), v.reversed())[0]
         lhs = spectrum.rho_moving_mu(om_p, mu_p, v, 1.0) / om_p**3
         rhs = spectrum.rho_rest(om_b, 1.0) / om_b**3
         worst = max(worst, np.max(np.abs(lhs - rhs) / rhs))
@@ -185,6 +202,24 @@ def _check_teff_factorization(rng) -> CheckResult:
             worst = max(worst, float(np.max(np.abs(a[nz] - b[nz]) / a[nz])))
     return _result(
         "teff-factorization", worst, 1e-12, "thermal part is Planck at T_eff(mu')"
+    )
+
+
+def _check_direction_integral(rng) -> CheckResult:
+    omega = 10.0 ** rng.uniform(-2.0, 2.0, 50)
+    # 64 nodes converge the mu' rule to rounding for beta <= 0.9
+    mu, w = np.polynomial.legendre.leggauss(64)
+    worst = 0.0
+    for beta, t in ((0.0, 1.0), (0.3, 0.5), (0.6, 1.0), (0.9, 2.0), (0.6, 0.0)):
+        v = make_boost([0.0, 0.0, beta])
+        # the thermal part alone, so the zero-point part cannot mask it
+        comp = Component.THERMAL if t > 0.0 else Component.TOTAL
+        rho = spectrum.rho_moving_mu(omega[:, None], mu, v, t, comp)
+        quad = 2.0 * np.pi * (rho @ w)
+        closed = spectrum.u_moving(omega, v, t, comp)
+        worst = max(worst, float(np.max(np.abs(closed - quad) / closed)))
+    return _result(
+        "direction-integral", worst, 1e-12, "closed-form u'(omega') vs Gauss-Legendre in mu'"
     )
 
 
@@ -321,6 +356,7 @@ def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:
         _check_pullback_identity,
         _check_occupation_invariance,
         _check_teff_factorization,
+        _check_direction_integral,
         _check_multipoles,
         _check_stefan_boltzmann,
         _check_cutoff_scaling,

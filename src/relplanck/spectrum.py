@@ -15,6 +15,12 @@ T_eff(mu') = T / D, which is what temperature_multipoles expands.
 
 At T = 0 only the zero-point part survives and the density is the same
 function of (omega, khat) in every frame.
+
+Integrated over directions, the moving-frame density is the spectral
+distribution u'(omega') = 2 pi integral rho'(omega', mu') d mu' (u_moving).
+The mu' integral is elementary, because 2 ln(1 - e^{-u}) is an
+antiderivative of 2 / (e^u - 1); its zero-point part is 4 pi times the
+rest-frame one at every beta.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "rho_rest",
     "rho_moving_mu",
     "rho_moving_pullback_mu",
+    "u_moving",
     "effective_temperature_mu",
     "MultipoleCoefficients",
     "temperature_multipoles",
@@ -160,6 +167,67 @@ def rho_moving_pullback_mu(
     d = inverse_doppler_factor(mu, v)
     out = rho_rest(d * om, T, component, units) / d**3
     return _maybe_scalar(out, omega_prime, mu_prime)
+
+
+def _direction_integrated_occupation(x, v: BoostVelocity):
+    """integral_{-1}^{1} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0.
+
+    2 ln(1 - e^{-D x}) is an antiderivative in D x, so the value is
+    (2 / a) log1p(e^{-lo} (1 - e^{-2a}) / (1 - e^{-lo})) with
+    lo = gamma (1 - |beta|) x and a = gamma |beta| x: nothing cancels at small
+    beta or small x, and the Wien tail underflows to 0.  At rest, and where
+    a underflows, the integrand is flat in mu' and the value is
+    2 thermal_occupation(x).  Vectorized.
+    """
+    x = np.asarray(x, dtype=float)
+    if v.is_rest:
+        return 2.0 * thermal_occupation(x)
+    lo = v.gamma * (1.0 - v.beta_mag) * x
+    a = v.gamma * v.beta_mag * x
+    flat = a == 0.0
+    a = np.where(flat, 1.0, a)
+    log_ratio = np.log1p(np.exp(-lo) * -np.expm1(-2.0 * a) / -np.expm1(-lo))
+    return np.where(flat, 2.0 * thermal_occupation(x), 2.0 * log_ratio / a)
+
+
+def u_moving(
+    omega_prime,
+    v: BoostVelocity,
+    T,
+    component: Component = Component.TOTAL,
+    units: UnitSystem = NATURAL,
+):
+    """Moving-frame spectral density integrated over directions, u'(omega').
+
+    u'(omega') = 2 pi integral_{-1}^{1} rho'(omega', mu') d mu', energy per unit
+    volume per unit angular frequency.  The zero-point part is exactly
+    4 pi (hbar / (2 pi c)^3) omega'^3 at every beta, the T = 0 invariance of
+    the spectral distribution.  The thermal part is elementary,
+
+        2 pi (hbar / (2 pi c)^3) omega'^3 (2 k_B T / (hbar gamma |beta| omega'))
+            ln[(1 - e^{-gamma (1 + |beta|) x}) / (1 - e^{-gamma (1 - |beta|) x})]
+
+    with x = hbar omega' / (k_B T), and 4 pi (hbar / (2 pi c)^3) omega'^3
+    2 / (e^x - 1) at rest.  omega' = 0 and T = 0 give a thermal part of
+    exactly 0.  Vectorized over omega_prime.
+    """
+    if not isinstance(component, Component):
+        raise TypeError(f"component must be a Component, got {component!r}")
+    om = np.asarray(omega_prime, dtype=float)
+    _check_nonneg_omega(om, "omega_prime")
+    t = temperature_value(T)
+    zero_point = 4.0 * np.pi * spectral_prefactor(units) * om**3
+    if component is Component.ZERO_POINT:
+        return _maybe_scalar(zero_point, omega_prime)
+    thermal = np.zeros_like(zero_point)
+    if t > 0.0:
+        x = units.hbar * om / (units.k_B * t)
+        # the hottest direction's argument; 0 also where x underflows
+        positive = v.gamma * (1.0 - v.beta_mag) * x > 0.0
+        occ = _direction_integrated_occupation(np.where(positive, x, 1.0), v)
+        thermal = np.where(positive, 0.5 * zero_point * occ, 0.0)
+    out = thermal if component is Component.THERMAL else zero_point + thermal
+    return _maybe_scalar(out, omega_prime)
 
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):

@@ -15,6 +15,7 @@ from relplanck import (
     make_boost,
     rho_moving_mu,
     rho_rest,
+    spectral_prefactor,
     temperature_multipoles,
 )
 from relplanck.cli import main
@@ -80,6 +81,37 @@ class TestSpectrumCommand:
             assert rr[0] == mr[0]
             assert rr[1] == mr[1]
 
+    def test_moving_frame_without_cosine_integrates_over_directions(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--temperature", "1.3", "--frame", "moving",
+            "--beta", "0.6", "--component", "thermal", "--omega-min", "0.5",
+            "--omega-max", "20", "--points", "9",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "omega_prime,u_prime"
+        assert len(lines) == 10
+        assert "# mu=" not in err
+        g, b, t = 1.25, 0.6, 1.3
+        for line in lines[1:]:
+            w, u = (float(s) for s in line.split(","))
+            hot, cold = -math.expm1(-g * (1 - b) * w / t), -math.expm1(-g * (1 + b) * w / t)
+            pref = 1.0 / (2 * math.pi) ** 3
+            closed = 2 * math.pi * pref * w**3 * (2 * t / (g * b * w)) * math.log(cold / hot)
+            assert u == pytest.approx(closed, rel=1e-13)
+
+    def test_zero_point_direction_integral_is_the_same_at_any_beta(self, capsys):
+        for beta in ("0", "0.6", "0.999999999"):
+            code, out, _ = run_cli(
+                capsys, "spectrum", "--temperature", "2", "--frame", "moving",
+                "--beta", beta, "--component", "zero-point", "--points", "7",
+                "--format", "json",
+            )
+            assert code == 0
+            res = json.loads(out)["results"]
+            omega = np.array(res["omega_prime"])
+            assert res["u_prime"] == (4.0 * np.pi * spectral_prefactor() * omega**3).tolist()
+
     def test_json_envelope_shape_and_determinism(self, capsys):
         args = ("spectrum", "--temperature", "1", "--points", "4", "--format", "json")
         code, out1, _ = run_cli(capsys, *args)
@@ -95,7 +127,7 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("spectrum", "--temperature", "1", "--frame", "moving"),
+            ("spectrum", "--temperature", "1", "--frame", "moving", "--beta", "1"),
             ("spectrum", "--temperature", "1", "--mu", "0.5"),
             ("spectrum", "--temperature", "1", "--beta", "0.5"),
             ("spectrum", "--temperature", "1", "--frame", "moving", "--mu", "1.5",
@@ -166,6 +198,15 @@ class TestEnergyDensityCommand:
         assert len(res["methods"]) == 1
         assert res["methods"][0]["method"] == "correlation"
         assert res["expected_ratio"] == pytest.approx(1.1318681318681319, rel=1e-15)
+
+    def test_spectral_route_near_light_speed(self, capsys):
+        code, out, _ = run_cli(capsys, "energy-density", "--temperature", "1",
+                               "--beta", "0.999", "--format", "json")
+        assert code == 0
+        ratios = {m["method"]: m["ratio"] for m in json.loads(out)["results"]["methods"]}
+        # gamma^2 (1 + beta^2/3) at beta = 0.999, from a 40-digit evaluation
+        for ratio in ratios.values():
+            assert abs(ratio / 666.66683341670835418 - 1.0) <= 1e-12
 
     def test_zero_temperature_rejected(self, capsys):
         assert run_cli(capsys, "energy-density", "--temperature", "0")[0] == 2
@@ -267,7 +308,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest", "--quick")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 18
+        assert len(lines) == 19
         assert all(line.startswith("PASS") for line in lines)
 
     def test_json_battery(self, capsys):
@@ -275,7 +316,7 @@ class TestSelftestCommand:
         assert code == 0
         res = json.loads(out)["results"]
         assert res["all_passed"] is True
-        assert len(res["checks"]) == 18
+        assert len(res["checks"]) == 19
         assert {"name", "passed", "residual", "tolerance", "detail"} <= set(res["checks"][0])
 
     def test_injected_failure_exits_1(self, capsys, monkeypatch):

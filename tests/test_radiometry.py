@@ -191,14 +191,14 @@ class TestMovingSpectral:
 
     def test_moving_density_scales_as_t_fourth(self):
         v = make_boost([0.0, 0.0, 0.6])
-        r1 = energy_density_moving_spectral(1.0, v, n_mu=32)
-        r2 = energy_density_moving_spectral(2.0, v, n_mu=32)
+        r1 = energy_density_moving_spectral(1.0, v)
+        r2 = energy_density_moving_spectral(2.0, v)
         assert r2.W_moving / r1.W_moving == pytest.approx(16.0, rel=1e-9)
 
     def test_axis_choice_is_irrelevant(self):
-        rep_z = energy_density_moving_spectral(1.0, make_boost([0.0, 0.0, 0.6]), n_mu=32)
+        rep_z = energy_density_moving_spectral(1.0, make_boost([0.0, 0.0, 0.6]))
         b = 0.6 / math.sqrt(3.0)
-        rep_d = energy_density_moving_spectral(1.0, make_boost([b, b, b]), n_mu=32)
+        rep_d = energy_density_moving_spectral(1.0, make_boost([b, b, b]))
         assert rep_d.ratio == pytest.approx(rep_z.ratio, rel=1e-12)
 
     def test_rejects_unsupported_requests(self):
@@ -261,6 +261,40 @@ class TestRouteAgreement:
     def test_oblique_axis_route_agreement(self):
         n = np.array([1.0, -2.0, 2.0]) / 3.0
         v = make_boost(0.8 * n)
-        spect = energy_density_moving_spectral(1.0, v, n_mu=48)
+        spect = energy_density_moving_spectral(1.0, v)
         corr = energy_density_moving_correlation(1.0, v)
         assert abs(spect.W_moving / corr.W_moving - 1.0) <= 1e-8
+
+
+UNIT_SYSTEMS = {"natural": UnitSystem(), "si": UnitSystem.si()}
+HIGH_BETAS = (0.99, 0.999, 0.999999, 1.0 - 1e-9)
+# integral_0^2 x^3 / (e^x - 1) dx / (pi^4 / 15), frozen from a 40-digit mpmath quadrature
+PLANCK_FRACTION_BELOW_2 = 0.18114468333295099242
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e3])
+@pytest.mark.parametrize("units", sorted(UNIT_SYSTEMS))
+class TestAcrossTheDomain:
+    """Far from T = 1 and beta = 0 the tolerance still scales with the integrand."""
+
+    def test_rest_density_on_closed_form(self, units, t):
+        u = UNIT_SYSTEMS[units]
+        w = energy_density_rest(t, units=u)
+        # relative, not pytest.approx: its 1e-12 absolute floor exceeds W(1e-3)
+        assert abs(w / thermal_energy_density_closed_form(t, u) - 1.0) <= 1e-12
+
+    def test_cutoff_is_mapped_to_the_thermal_scale(self, units, t):
+        u = UNIT_SYSTEMS[units]
+        cfg = QuadratureConfig(omega_cutoff=2.0 * u.k_B * t / u.hbar)
+        w = energy_density_rest(t, Component.THERMAL, cfg, u)
+        fraction = w / thermal_energy_density_closed_form(t, u)
+        assert abs(fraction / PLANCK_FRACTION_BELOW_2 - 1.0) <= 1e-12
+
+    def test_both_routes_on_closed_form_up_to_light_speed(self, units, t):
+        u = UNIT_SYSTEMS[units]
+        for beta in HIGH_BETAS:
+            v = make_boost([0.0, 0.0, beta])
+            want = expected_energy_ratio(v)
+            for rep in (energy_density_moving_spectral(t, v, units=u),
+                        energy_density_moving_correlation(t, v, units=u)):
+                assert abs(rep.ratio / want - 1.0) <= 1e-12, (rep.method, beta)

@@ -9,14 +9,17 @@ QUICK_NAMES = [
     "gamma-identity", "component-additivity", "mode-roundtrip", "jacobian-freq",
     "jacobian-solid-angle", "lightcone", "field-invariants", "aberration-bounds",
     "zero-T-invariance", "pullback-identity", "occupation-invariance",
-    "teff-factorization", "multipoles", "stefan-boltzmann", "cutoff-scaling",
-    "route-agreement", "quadrature-honesty", "mc-determinism",
+    "teff-factorization", "direction-integral", "multipoles", "stefan-boltzmann",
+    "cutoff-scaling", "route-agreement", "quadrature-honesty", "mc-determinism",
 ]
 
 # checks whose identity a wrong kinematics.aberrate_mu breaks, directly or
-# through boost_mu; occupation-invariance evaluates it too, but both of its
-# sides use the same mu', so it cannot see the fault
-ABERRATION_DEPENDENT = ["mode-roundtrip", "jacobian-freq", "aberration-bounds"]
+# through boost_mu; occupation-invariance and jacobian-solid-angle see it
+# because they take a second mu' from the half-angle aberration formula
+ABERRATION_DEPENDENT = [
+    "mode-roundtrip", "jacobian-freq", "jacobian-solid-angle", "aberration-bounds",
+    "occupation-invariance",
+]
 
 
 def test_quick_battery_runs_on_arrays(monkeypatch):

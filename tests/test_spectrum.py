@@ -20,6 +20,7 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
     thermal_occupation,
+    u_moving,
 )
 
 V06 = make_boost([0.0, 0.0, 0.6])
@@ -154,6 +155,86 @@ class TestRhoMoving:
     def test_mu_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             rho_moving_mu(1.0, 1.5, V06, 1.0)
+
+
+# 2 pi integral_{-1}^{1} rho'_thermal(x, mu') d mu' at T = 1 (natural units),
+# frozen from a 50-digit mpmath quadrature over mu' on panels that resolve
+# the hot direction; keyed by (beta, x)
+U_THERMAL_REFERENCE = {
+    (1e-6, 1.0): 0.058966568792257002396,
+    (0.6, 1e-3): 9.3590006992712259895e-8,
+    (0.6, 1.0): 0.053182724095907156086,
+    (0.6, 30.0): 0.00001859663395968653173,
+    (0.999999, 1e-3): 9.9468537500042380978e-10,
+    (0.999999, 1.0): 0.00051976133834140521178,
+}
+
+
+class TestDirectionIntegrated:
+    def test_thermal_matches_direction_quadrature(self):
+        for (beta, x), want in U_THERMAL_REFERENCE.items():
+            got = u_moving(x, make_boost([0.0, 0.0, beta]), 1.0, Component.THERMAL)
+            assert got == pytest.approx(want, rel=2e-15), (beta, x)
+
+    def test_zero_point_is_invariant(self):
+        omega = np.linspace(0.0, 50.0, 101)
+        want = 4.0 * np.pi * spectral_prefactor() * omega**3
+        for beta in (0.0, 0.6, 1.0 - 1e-9):
+            for t in (0.0, 1.0):
+                got = u_moving(omega, make_boost([0.0, 0.0, beta]), t, Component.ZERO_POINT)
+                assert np.array_equal(got, want)
+
+    def test_rest_is_four_pi_rest_density(self):
+        omega = np.linspace(0.0, 40.0, 81)
+        v0 = make_boost([0, 0, 0])
+        for comp in Component:
+            got = u_moving(omega, v0, 1.3, comp)
+            want = 4.0 * np.pi * rho_rest(omega, 1.3, comp)
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_small_beta_joins_the_rest_branch(self):
+        # u' is even in beta, so the first correction is O(beta^2)
+        x = np.geomspace(1e-6, 30.0, 40)
+        rest = u_moving(x, make_boost([0, 0, 0]), 1.0, Component.THERMAL)
+        near = u_moving(x, make_boost([0.0, 0.0, 1e-9]), 1.0, Component.THERMAL)
+        assert np.max(np.abs(near / rest - 1.0)) <= 1e-14
+
+    def test_total_is_sum_of_parts_and_edges_are_finite(self):
+        omega = np.concatenate(([0.0, 1e-300, 1e-12], np.geomspace(1e-3, 1e8, 60)))
+        for beta in (0.3, 1.0 - 1e-9):
+            v = make_boost([0.0, 0.0, beta])
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                th = u_moving(omega, v, 1.0, Component.THERMAL)
+                zp = u_moving(omega, v, 1.0, Component.ZERO_POINT)
+                tot = u_moving(omega, v, 1.0)
+            assert np.all(np.isfinite(th)) and np.all(th >= 0.0)
+            assert th[0] == 0.0 and th[-1] == 0.0
+            assert np.allclose(tot, zp + th, rtol=1e-15, atol=0.0)
+        assert u_moving(2.0, V06, 0.0, Component.THERMAL) == 0.0
+        # |beta| x underflows to 0 while x does not: the rest value, not 0/0
+        tiny_beta = make_boost([0.0, 0.0, 1e-150])
+        x = np.array([1e-200, 1e-170])
+        rest = u_moving(x, make_boost([0, 0, 0]), 1.0, Component.THERMAL)
+        assert np.array_equal(u_moving(x, tiny_beta, 1.0, Component.THERMAL), rest)
+
+    def test_temperature_and_unit_scaling(self):
+        # u'(omega') = (k_B T / hbar)^3 hbar / c^3 f(hbar omega' / k_B T)
+        si = UnitSystem.si()
+        for t in (1e-3, 2.725, 1e3):
+            scale = si.k_B * t / si.hbar
+            got = u_moving(3.0 * scale, V06, t, Component.THERMAL, si)
+            want = u_moving(3.0, V06, 1.0, Component.THERMAL) * scale**3 * si.hbar / si.c**3
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_scalar_in_scalar_out_and_validation(self):
+        assert isinstance(u_moving(1.0, V06, 1.0), float)
+        assert u_moving(np.array([1.0, 2.0]), V06, 1.0).shape == (2,)
+        with pytest.raises(ValueError):
+            u_moving(-1.0, V06, 1.0)
+        with pytest.raises(ValueError):
+            u_moving(float("nan"), V06, 1.0)
+        with pytest.raises(TypeError, match="component"):
+            u_moving(1.0, V06, 1.0, UnitSystem.si())
 
 
 class TestPullbackRoute:

@@ -14,10 +14,7 @@ from .core import (
     Component,
     PhotonMode,
     RestTemperature,
-    UnitsMode,
     UnitSystem,
-    dimensionless_energy,
-    frequency_from_dimensionless,
     make_boost,
     temperature_value,
     thermal_frequency_scale,
@@ -25,14 +22,12 @@ from .core import (
 from .kinematics import (
     FieldPair,
     ModeTransformResult,
-    aberrate,
     aberrate_mu,
     boost_mode,
     boost_mu,
     direction_with_cosine,
     doppler_factor,
     field_boost,
-    inverse_boost_mode,
     inverse_doppler_factor,
 )
 from .montecarlo import (

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Component",
-    "UnitsMode",
     "UnitSystem",
     "NATURAL",
     "BoostVelocity",
@@ -27,8 +26,6 @@ __all__ = [
     "RestTemperature",
     "temperature_value",
     "thermal_frequency_scale",
-    "dimensionless_energy",
-    "frequency_from_dimensionless",
 ]
 
 
@@ -44,40 +41,28 @@ class Component(Enum):
     TOTAL = "total"
 
 
-class UnitsMode(Enum):
-    NATURAL = "natural"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class UnitSystem:
     """Values of hbar, c and k_B fixing the unit system.
 
-    The natural system pins all three to 1 exactly; anything else is
-    CUSTOM.  Constants must be positive and finite.
+    The defaults are natural units, hbar = c = k_B = 1; any other positive,
+    finite values, such as ``UnitSystem.si()``, are accepted.
     """
 
     hbar: float = 1.0
     c: float = 1.0
     k_B: float = 1.0
-    mode: UnitsMode = UnitsMode.NATURAL
 
     def __post_init__(self):
         for name in ("hbar", "c", "k_B"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.mode is UnitsMode.NATURAL and (self.hbar, self.c, self.k_B) != (1.0, 1.0, 1.0):
-            raise ValueError("natural units require hbar = c = k_B = 1 exactly")
-
-    @classmethod
-    def custom(cls, hbar: float, c: float, k_B: float) -> "UnitSystem":
-        return cls(float(hbar), float(c), float(k_B), UnitsMode.CUSTOM)
 
     @classmethod
     def si(cls) -> "UnitSystem":
         """CODATA 2018 values in J s, m/s, J/K."""
-        return cls(1.054571817e-34, 299792458.0, 1.380649e-23, UnitsMode.CUSTOM)
+        return cls(1.054571817e-34, 299792458.0, 1.380649e-23)
 
 
 NATURAL = UnitSystem()
@@ -196,18 +181,3 @@ def thermal_frequency_scale(T, units: UnitSystem = NATURAL):
         return None
     return units.k_B * t / units.hbar
 
-
-def dimensionless_energy(omega, T, units: UnitSystem = NATURAL):
-    """x = hbar omega / (k_B T).  Vectorized over omega; requires T > 0."""
-    t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("dimensionless energy is undefined at T = 0")
-    return units.hbar * np.asarray(omega, dtype=float) / (units.k_B * t)
-
-
-def frequency_from_dimensionless(x, T, units: UnitSystem = NATURAL):
-    """Inverse of dimensionless_energy: omega = x k_B T / hbar."""
-    t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("no frequency scale at T = 0")
-    return np.asarray(x, dtype=float) * (units.k_B * t / units.hbar)

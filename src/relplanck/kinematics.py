@@ -9,8 +9,11 @@ cosine between a propagation direction and the boost axis.  The mode map is
 
 with frequency Jacobian d(omega)/d(omega') = gamma (1 + |beta| mu') and
 solid-angle Jacobian d(Omega)/d(Omega') = 1 / (gamma (1 + |beta| mu'))^2,
-both evaluated at the boosted direction.  ``boost_mu`` is the vectorized
-scalar-cosine path; it uses the same formulas as the PhotonMode API.
+both evaluated at the boosted direction.  ``boost_mu`` is the one
+implementation of this map, vectorized over (omega, mu) pairs.
+``boost_mode`` is built on it: it takes mu from the 3-vector, calls
+``boost_mu`` once, and rebuilds the direction from the boost-invariant
+transverse wavevector.
 """
 
 from __future__ import annotations
@@ -27,16 +30,11 @@ __all__ = [
     "doppler_factor",
     "inverse_doppler_factor",
     "aberrate_mu",
-    "aberrate",
     "boost_mode",
-    "inverse_boost_mode",
     "boost_mu",
     "field_boost",
     "direction_with_cosine",
 ]
-
-# below this, 1 - |mu| is noise and the transverse direction is undefined
-_COLLINEAR_EPS = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,60 +84,38 @@ def aberrate_mu(mu, v: BoostVelocity):
     return (mu - b) / (1.0 - b * mu)
 
 
-def aberrate(mode: PhotonMode, v: BoostVelocity) -> np.ndarray:
-    """Boosted unit propagation direction.
-
-    The full wavevector is transformed and renormalized, so the azimuth
-    about vhat is preserved exactly while the cosine follows aberrate_mu.
-    Within 1e-14 of collinear the transverse part is pure noise and the
-    result snaps to +-vhat.
-    """
-    if v.is_rest:
-        return mode.khat
-    khat = mode.khat
-    mu = float(khat @ v.vhat)
-    kpar = v.gamma * (mu - v.beta_mag)
-    if 1.0 - abs(mu) < _COLLINEAR_EPS:
-        return v.vhat if kpar >= 0.0 else -v.vhat
-    kvec = (khat - mu * v.vhat) + kpar * v.vhat
-    return kvec / np.linalg.norm(kvec)
-
-
-def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
-    """Apply Doppler shift and aberration; report the Jacobians alongside.
-
-    At beta = 0 the input mode is returned unchanged with unit Jacobians.
-    """
-    if v.is_rest:
-        return ModeTransformResult(mode, 1.0, 1.0)
-    mu = float(mode.khat @ v.vhat)
-    omega_p = mode.omega * float(doppler_factor(mu, v))
-    khat_p = aberrate(mode, v)
-    mu_p = float(khat_p @ v.vhat)
-    jac_freq = float(inverse_doppler_factor(mu_p, v))
-    return ModeTransformResult(PhotonMode(omega_p, khat_p), jac_freq, 1.0 / jac_freq**2)
-
-
-def inverse_boost_mode(mode_prime: PhotonMode, v: BoostVelocity) -> PhotonMode:
-    """Map a moving-frame mode back to the rest frame.
-
-    Implemented as the forward map with the velocity reversed, so the two
-    directions can never drift apart.
-    """
-    return boost_mode(mode_prime, v.reversed()).mode_prime
-
-
 def boost_mu(omega, mu, v: BoostVelocity):
     """Vectorized boost of (omega, mu) pairs; no 3-vector bookkeeping.
 
     Returns (omega', mu', jac_freq, jac_solid_angle) as arrays broadcast
-    against each other.  Same formulas as boost_mode.
+    against each other.
     """
     omega = np.asarray(omega, dtype=float)
     omega_p = omega * doppler_factor(mu, v)
     mu_p = aberrate_mu(mu, v)
     jac_freq = inverse_doppler_factor(mu_p, v)
     return omega_p, mu_p, jac_freq, 1.0 / jac_freq**2
+
+
+def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
+    """Apply Doppler shift and aberration; report the Jacobians alongside.
+
+    omega', mu' and both Jacobians come from boost_mu.  The wavevector
+    component transverse to vhat is boost-invariant, so with
+    D = omega'/omega = doppler_factor(mu, v)
+
+        khat' = (khat - mu vhat) / D + mu' vhat,
+
+    which keeps the azimuth about vhat and needs no special case near the
+    axis.  At beta = 0 the input mode is returned unchanged with unit
+    Jacobians; the inverse map is boost_mode(mode', v.reversed()).
+    """
+    if v.is_rest:
+        return ModeTransformResult(mode, 1.0, 1.0)
+    mu = min(1.0, max(-1.0, float(mode.khat @ v.vhat)))
+    omega_p, mu_p, jac_freq, jac_solid_angle = map(float, boost_mu(mode.omega, mu, v))
+    khat_p = (mode.khat - mu * v.vhat) / float(doppler_factor(mu, v)) + mu_p * v.vhat
+    return ModeTransformResult(PhotonMode(omega_p, khat_p), jac_freq, jac_solid_angle)
 
 
 def field_boost(f: FieldPair, v: BoostVelocity) -> FieldPair:

@@ -83,11 +83,14 @@ def _planck_density(om, z_of_om, t, component, units):
 
     z_of_om maps frequencies to the coth argument; for the rest frame that
     is hbar om / (k_B T), for the moving frame it carries the extra Doppler
-    factor.  om = 0 and T = 0 give a thermal part of exactly 0.
+    factor.  om = 0 and T = 0 give a thermal part of exactly 0.  The thermal
+    part is formed as prefactor * om^2 * (om * occupation): om * occupation
+    tends to 2 k_B T_eff / hbar, so it survives where om^3 underflows.
     """
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")
-    zero_point = spectral_prefactor(units) * om**3
+    pref = spectral_prefactor(units)
+    zero_point = pref * om**3
     if component is Component.ZERO_POINT:
         return zero_point
     if t == 0.0:
@@ -96,7 +99,7 @@ def _planck_density(om, z_of_om, t, component, units):
         z = z_of_om(om)
         positive = z > 0.0
         occ = np.where(positive, thermal_occupation(np.where(positive, z, 1.0)), 0.0)
-        thermal = zero_point * occ
+        thermal = pref * om**2 * (om * occ)
     if component is Component.THERMAL:
         return thermal
     return zero_point + thermal
@@ -216,7 +219,8 @@ def u_moving(
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
     t = temperature_value(T)
-    zero_point = 4.0 * np.pi * spectral_prefactor(units) * om**3
+    pref = spectral_prefactor(units)
+    zero_point = 4.0 * np.pi * pref * om**3
     if component is Component.ZERO_POINT:
         return _maybe_scalar(zero_point, omega_prime)
     thermal = np.zeros_like(zero_point)
@@ -225,7 +229,8 @@ def u_moving(
         # the hottest direction's argument; 0 also where x underflows
         positive = v.gamma * (1.0 - v.beta_mag) * x > 0.0
         occ = _direction_integrated_occupation(np.where(positive, x, 1.0), v)
-        thermal = np.where(positive, 0.5 * zero_point * occ, 0.0)
+        # om * occ stays finite as om -> 0, where om^3 underflows first
+        thermal = np.where(positive, 2.0 * np.pi * pref * om**2 * (om * occ), 0.0)
     out = thermal if component is Component.THERMAL else zero_point + thermal
     return _maybe_scalar(out, omega_prime)
 

@@ -27,7 +27,6 @@ from relplanck import (
     energy_density_moving_spectral,
     energy_density_rest,
     expected_energy_ratio,
-    inverse_boost_mode,
     make_boost,
     rho_moving_mu,
     rho_moving_pullback_mu,
@@ -103,7 +102,7 @@ def test_doppler_aberration_round_trip():
     modes = random_modes(rng, 1_000, omega_hi=50.0)
     boosts = random_boosts(rng, 1_000)
     for mode, v in zip(modes, boosts):
-        back = inverse_boost_mode(boost_mode(mode, v).mode_prime, v)
+        back = boost_mode(boost_mode(mode, v).mode_prime, v.reversed()).mode_prime
         worst = max(worst, abs(back.omega / mode.omega - 1.0))
         worst = max(worst, float(np.max(np.abs(back.khat - mode.khat))))
     elapsed = time.perf_counter() - t0

@@ -1,0 +1,62 @@
+"""The library names the benchmark relies on.
+
+``bench/tracer.py`` wraps library functions by (module, attribute) and counts
+``core.PhotonMode`` constructions, so renaming or deleting one of them breaks
+``python3 bench/run.py --trace 1``.  These tests load the benchmark's tracer
+and workload modules by path, run one traced op of each kind the tracer
+counts, and change nothing under ``bench/``.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+from collections import Counter
+
+import pytest
+
+from relplanck import cli, core
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _load("tracer"), _load("workloads")
+
+
+def test_every_traced_name_resolves(bench):
+    tracer, _ = bench
+    for name, (mod, attr, _sizes) in tracer.TARGETS.items():
+        module = importlib.import_module(f"relplanck.{mod}")
+        assert callable(getattr(module, attr, None)), name
+    assert callable(core.PhotonMode.__post_init__)
+
+
+def test_traced_quadrature_op_and_boost_mode_cli(bench, capsys):
+    tracer_mod, workloads = bench
+    quad = {"beta": 0.6, "T": 0.7, "si": False}
+    boost = {"inv": "boost-mode", "omega": 1.5, "mu": -0.3, "beta": 0.6, "T": 1.0}
+    main = cli.main
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        out = workloads.run_inprocess("quadrature_sweep", quad)
+        code = cli.main(workloads.cli_argv(boost))
+    assert cli.main is main
+    assert workloads.check_inprocess("quadrature_sweep", quad, out) is None
+    assert code == 0
+    assert workloads.check_cli(boost, code, capsys.readouterr().out) is None
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["cli.main"] == 1
+    assert calls["kinematics.boost_mode"] == 1
+    assert calls["radiometry.energy_density_moving_spectral"] == 1
+    assert calls["radiometry.energy_density_moving_correlation"] == 1
+    assert calls["spectrum.temperature_multipoles"] == 1
+    # the CLI's input mode and the boosted mode
+    assert tracer.counts[tracer_mod.PHOTON_MODE_COUNT] == 2

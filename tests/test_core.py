@@ -11,10 +11,7 @@ from relplanck import (
     Component,
     PhotonMode,
     RestTemperature,
-    UnitsMode,
     UnitSystem,
-    dimensionless_energy,
-    frequency_from_dimensionless,
     make_boost,
     temperature_value,
     thermal_frequency_scale,
@@ -119,24 +116,18 @@ class TestPhotonMode:
 class TestUnitSystem:
     def test_natural_default(self):
         assert NATURAL.hbar == NATURAL.c == NATURAL.k_B == 1.0
-        assert NATURAL.mode is UnitsMode.NATURAL
 
     def test_si_constants(self):
         si = UnitSystem.si()
         assert si.hbar == 1.054571817e-34
         assert si.c == 299792458.0
         assert si.k_B == 1.380649e-23
-        assert si.mode is UnitsMode.CUSTOM
-
-    def test_natural_with_other_constants_rejected(self):
-        with pytest.raises(ValueError, match="natural"):
-            UnitSystem(hbar=2.0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            UnitSystem.custom(0.0, 1.0, 1.0)
+            UnitSystem(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            UnitSystem.custom(1.0, -3.0, 1.0)
+            UnitSystem(1.0, -3.0, 1.0)
 
 
 class TestTemperature:
@@ -163,35 +154,6 @@ class TestTemperature:
 
     def test_accepts_rest_temperature_object(self):
         assert thermal_frequency_scale(RestTemperature(3.0)) == 3.0
-
-
-class TestDimensionless:
-    @given(
-        st.floats(-6.0, 6.0),
-        st.floats(-3.0, 3.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_roundtrip(self, log_omega, log_T):
-        omega = 10.0**log_omega
-        T = 10.0**log_T
-        x = dimensionless_energy(omega, T)
-        back = frequency_from_dimensionless(x, T)
-        assert back == pytest.approx(omega, rel=1e-13)
-
-    def test_natural_units_identity(self):
-        assert dimensionless_energy(3.0, 1.0) == 3.0
-
-    def test_si_value(self):
-        si = UnitSystem.si()
-        x = dimensionless_energy(1e12, 2.725, si)
-        expected = 1.054571817e-34 * 1e12 / (1.380649e-23 * 2.725)
-        assert x == pytest.approx(expected, rel=1e-15)
-
-    def test_zero_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            dimensionless_energy(1.0, 0.0)
-        with pytest.raises(ValueError):
-            frequency_from_dimensionless(1.0, 0.0)
 
 
 def test_component_enum_members():

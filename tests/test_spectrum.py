@@ -12,7 +12,6 @@ from relplanck import (
     UnitSystem,
     boost_mode,
     effective_temperature_mu,
-    inverse_boost_mode,
     make_boost,
     rho_moving_mu,
     rho_moving_pullback_mu,
@@ -87,6 +86,13 @@ class TestRhoRest:
         expected = 2.0 * omega**2 * 1.0 * spectral_prefactor()
         assert rho_rest(omega, 1.0, Component.THERMAL) == pytest.approx(expected, rel=1e-6)
 
+    def test_rayleigh_jeans_survives_omega_cube_underflow(self):
+        # omega^3 = 1e-330 underflows, the thermal part 2 pref omega^2 T does not
+        omega = 1e-110
+        expected = 2.0 * spectral_prefactor() * omega**2 * 1.0
+        got = rho_rest(omega, 1.0, Component.THERMAL)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_wien_tail_underflows_to_zero_point(self):
         assert rho_rest(800.0, 1.0) == rho_rest(800.0, 1.0, Component.ZERO_POINT)
 
@@ -140,6 +146,13 @@ class TestRhoMoving:
                 r.mode_prime.omega, 0.0
             )
 
+    def test_rayleigh_jeans_survives_omega_cube_underflow(self):
+        omega = 1e-110
+        t_eff = effective_temperature_mu(0.3, V06, 1.0)
+        expected = 2.0 * spectral_prefactor() * omega**2 * t_eff
+        got = rho_moving_mu(omega, 0.3, V06, 1.0, Component.THERMAL)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_zero_point_part_unaffected_by_boost(self):
         omega = np.linspace(0.0, 5.0, 51)
         zp_moving = rho_moving_mu(omega, 0.4, V06, 1.0, Component.ZERO_POINT)
@@ -191,6 +204,14 @@ class TestDirectionIntegrated:
             got = u_moving(omega, v0, 1.3, comp)
             want = 4.0 * np.pi * rho_rest(omega, 1.3, comp)
             assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_rayleigh_jeans_survives_omega_cube_underflow(self):
+        # 2 pi integral of 2 pref omega^2 T / (gamma (1 + beta mu')) over mu'
+        omega, b = 1e-110, 0.6
+        expected = (4.0 * np.pi * spectral_prefactor() * omega**2 * 1.0
+                    * math.log((1.0 + b) / (1.0 - b)) / (V06.gamma * b))
+        got = u_moving(omega, V06, 1.0, Component.THERMAL)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_small_beta_joins_the_rest_branch(self):
         # u' is even in beta, so the first correction is O(beta^2)
@@ -291,7 +312,7 @@ class TestEffectiveTemperature:
         rng = np.random.default_rng(24)
         for v, m in zip(random_boosts(rng, 100), random_modes(rng, 100)):
             r = boost_mode(m, v)
-            back = inverse_boost_mode(r.mode_prime, v)
+            back = boost_mode(r.mode_prime, v.reversed()).mode_prime
             mu_p = float(r.mode_prime.khat @ v.vhat)
             lhs = rho_moving_mu(r.mode_prime.omega, mu_p, v, 1.0) / r.mode_prime.omega**3
             rhs = rho_rest(back.omega, 1.0) / back.omega**3

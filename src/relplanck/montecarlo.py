@@ -14,6 +14,12 @@ carries weight k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  The
 generator is counter-based (Philox) with one spawned child stream per
 fixed-size chunk, so a run is reproducible bit for bit for a given seed
 regardless of the number of worker threads.
+
+Each draw is binned once: one flat index over the (omega', mu') grid, by
+histogram2d's own edge rule, with one overflow slot for draws outside it,
+and np.bincount sums the weights, their squares and the counts.  That is
+the computation histogram2d does on the same draws in the same order, so
+every sum equals its result bit for bit.
 """
 
 from __future__ import annotations
@@ -116,7 +122,12 @@ def planck_energy_cdf(x, n_terms: int = 200):
 
 def _sample_planck_x(rng: np.random.Generator, n: int) -> np.ndarray:
     cdf = _k_mixture_cdf()
-    k = np.searchsorted(cdf, rng.random(n), side="left") + 1
+    u = rng.random(n)
+    # searchsorted(cdf, u, side="left") is 0 exactly where u <= cdf[0]
+    # (92% of draws), so only the tail is searched
+    k = np.ones(n)
+    tail = u > cdf[0]
+    k[tail] = np.searchsorted(cdf, u[tail], side="left") + 1
     return rng.standard_gamma(4.0, n) / k
 
 
@@ -157,8 +168,10 @@ class McConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.omega_prime_max > 0.0:
-            raise ValueError(f"omega_prime_max must be positive, got {self.omega_prime_max}")
+        if not 0.0 < self.omega_prime_max < math.inf:
+            raise ValueError(
+                f"omega_prime_max must be finite and positive, got {self.omega_prime_max}"
+            )
         if self.n_omega_bins < 4 or self.n_mu_bins < 4:
             raise ValueError("need at least 4 bins per axis")
 
@@ -216,6 +229,41 @@ def _bin_averages(f, om_edges: np.ndarray, mu_edges: np.ndarray) -> np.ndarray:
     return np.einsum("aibj,i,j->ab", vals, w, w)
 
 
+def _axis_bins(edges: np.ndarray, x: np.ndarray, fold_last_edge: bool) -> np.ndarray:
+    """Bin of each x on uniform edges, -1 below and n above the n bins.
+
+    Bin b holds edges[b] <= x < edges[b + 1], the rule of
+    searchsorted(edges, x, side="right") - 1; fold_last_edge also puts
+    x == edges[-1] in the last bin, as histogram2d does.  The linear guess
+    is off by at most one step near an edge, and the comparisons with the
+    edges themselves correct it.
+    """
+    n = edges.size - 1
+    lo, hi = edges[:-1], edges[1:]
+    if fold_last_edge:
+        hi = hi.copy()
+        hi[-1] = np.nextafter(hi[-1], np.inf)
+    guess = np.clip((x - edges[0]) * (n / (edges[-1] - edges[0])), 0, n - 1).astype(np.intp)
+    return guess - (x < lo[guess]) + (x >= hi[guess])
+
+
+def _flat_bin_index(
+    om_edges: np.ndarray, mu_edges: np.ndarray, om_p: np.ndarray, mu_p: np.ndarray
+) -> np.ndarray:
+    """Flat bin i_omega * n_mu + i_mu of each draw, by histogram2d's rule.
+
+    Draws outside the grid, including om_p >= om_edges[-1], go to one
+    overflow slot n_omega * n_mu; mu_p on the last edge folds into the last
+    bin.  np.bincount over this index, on the same draws in the same order,
+    gives histogram2d's sums bit for bit.
+    """
+    n_om, n_mu = om_edges.size - 1, mu_edges.size - 1
+    i = _axis_bins(om_edges, om_p, fold_last_edge=False)
+    j = _axis_bins(mu_edges, mu_p, fold_last_edge=True)
+    inside = (i >= 0) & (i < n_om) & (j >= 0) & (j < n_mu)
+    return np.where(inside, i * n_mu + j, n_om * n_mu)
+
+
 def run_identity_check(
     T,
     v: BoostVelocity,
@@ -241,6 +289,8 @@ def run_identity_check(
     n_total = cfg.n_samples
     om_edges = np.linspace(0.0, cfg.omega_prime_max, cfg.n_omega_bins + 1)
     mu_edges = np.linspace(-1.0, 1.0, cfg.n_mu_bins + 1)
+    shape = (cfg.n_omega_bins, cfg.n_mu_bins)
+    n_flat = shape[0] * shape[1]
     w_rest = thermal_energy_density_closed_form(t, units)
 
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
@@ -253,13 +303,11 @@ def run_identity_check(
         mu = khat @ v.vhat
         om_p, mu_p, _, _ = boost_mu(omega, mu, v)
         wgt = doppler_factor(mu, v) ** 2
-        sel = om_p < cfg.omega_prime_max
-        args = (om_p[sel], mu_p[sel])
-        bins = (om_edges, mu_edges)
-        h1, _, _ = np.histogram2d(*args, bins=bins, weights=wgt[sel])
-        h2, _, _ = np.histogram2d(*args, bins=bins, weights=wgt[sel] ** 2)
-        cnt, _, _ = np.histogram2d(*args, bins=bins)
-        return h1, h2, cnt, float(wgt.sum()), float((wgt**2).sum())
+        wgt2 = wgt**2
+        idx = _flat_bin_index(om_edges, mu_edges, om_p, mu_p)
+        h1, h2, cnt = (np.bincount(idx, w, n_flat + 1)[:n_flat].reshape(shape)
+                       for w in (wgt, wgt2, None))
+        return h1, h2, cnt.astype(float), float(wgt.sum()), float(wgt2.sum())
 
     if n_threads == 1:
         parts = [run_chunk(i) for i in range(n_chunks)]

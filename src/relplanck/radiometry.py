@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value, thermal_frequency_scale
 from .spectrum import (
-    _direction_integrated_occupation,
+    _direction_integrated_x_occupation,
     spectral_prefactor,
     thermal_occupation,
 )
@@ -271,7 +271,7 @@ def energy_density_moving_spectral(
     pref = spectral_prefactor(units)
     hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
     moving = _thermal_x_integral(
-        lambda x: x**3 * _direction_integrated_occupation(x, v), t, cfg, units, hottest
+        lambda x: x**2 * _direction_integrated_x_occupation(x, v), t, cfg, units, hottest
     )
     w_moving = 2.0 * np.pi * pref * moving
     w_rest = 4.0 * np.pi * pref * _thermal_frequency_integral(t, cfg, units)

@@ -85,7 +85,11 @@ def _planck_density(om, z_of_om, t, component, units):
     is hbar om / (k_B T), for the moving frame it carries the extra Doppler
     factor.  om = 0 and T = 0 give a thermal part of exactly 0.  The thermal
     part is formed as prefactor * om^2 * (om * occupation): om * occupation
-    tends to 2 k_B T_eff / hbar, so it survives where om^3 underflows.
+    tends to 2 k_B T_eff / hbar, so it survives where om^3 underflows.  The
+    occupation overflows only for subnormal z, where e^{-z} rounds to 1 and
+    -expm1(-z) to z, so om * occupation is 2 om / z there.  Where
+    prefactor * om^2 is subnormal it has lost digits, and the product is
+    taken in the order prefactor * (om * occupation) * om * om instead.
     """
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")
@@ -96,10 +100,13 @@ def _planck_density(om, z_of_om, t, component, units):
     if t == 0.0:
         thermal = np.zeros_like(zero_point)
     else:
+        tiny = np.finfo(float).tiny
         z = z_of_om(om)
-        positive = z > 0.0
-        occ = np.where(positive, thermal_occupation(np.where(positive, z, 1.0)), 0.0)
-        thermal = pref * om**2 * (om * occ)
+        normal = z >= tiny
+        occ = thermal_occupation(np.where(normal, z, 1.0))
+        om_occ = np.where(normal, om * occ, 2.0 * om / np.where(z > 0.0, z, np.inf))
+        pz = pref * om**2
+        thermal = np.where(pz >= tiny, pz * om_occ, pref * om_occ * om * om)
     if component is Component.THERMAL:
         return thermal
     return zero_point + thermal
@@ -172,25 +179,26 @@ def rho_moving_pullback_mu(
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
-def _direction_integrated_occupation(x, v: BoostVelocity):
-    """integral_{-1}^{1} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0.
+def _direction_integrated_x_occupation(x, v: BoostVelocity):
+    """x integral_{-1}^{1} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0.
 
     2 ln(1 - e^{-D x}) is an antiderivative in D x, so the value is
-    (2 / a) log1p(e^{-lo} (1 - e^{-2a}) / (1 - e^{-lo})) with
+    (2 / (gamma |beta|)) log1p(e^{-lo} (1 - e^{-2a}) / (1 - e^{-lo})) with
     lo = gamma (1 - |beta|) x and a = gamma |beta| x: nothing cancels at small
-    beta or small x, and the Wien tail underflows to 0.  At rest, and where
-    a underflows, the integrand is flat in mu' and the value is
-    2 thermal_occupation(x).  Vectorized.
+    beta or small x, the Wien tail underflows to 0, and the value tends to
+    (2 / (gamma |beta|)) ln((1 + |beta|) / (1 - |beta|)) as x -> 0 without
+    overflowing.  At rest, and where a underflows, the integrand is flat in
+    mu' and the value is 2 x thermal_occupation(x), formed as
+    4 e^{-x} (x / (1 - e^{-x})).  Vectorized.
     """
     x = np.asarray(x, dtype=float)
+    flat_value = 4.0 * np.exp(-x) * (x / -np.expm1(-x))
     if v.is_rest:
-        return 2.0 * thermal_occupation(x)
+        return flat_value
     lo = v.gamma * (1.0 - v.beta_mag) * x
     a = v.gamma * v.beta_mag * x
-    flat = a == 0.0
-    a = np.where(flat, 1.0, a)
     log_ratio = np.log1p(np.exp(-lo) * -np.expm1(-2.0 * a) / -np.expm1(-lo))
-    return np.where(flat, 2.0 * thermal_occupation(x), 2.0 * log_ratio / a)
+    return np.where(a == 0.0, flat_value, 2.0 * log_ratio / (v.gamma * v.beta_mag))
 
 
 def u_moving(
@@ -225,12 +233,15 @@ def u_moving(
         return _maybe_scalar(zero_point, omega_prime)
     thermal = np.zeros_like(zero_point)
     if t > 0.0:
-        x = units.hbar * om / (units.k_B * t)
+        scale = units.k_B * t / units.hbar
+        x = om / scale
         # the hottest direction's argument; 0 also where x underflows
         positive = v.gamma * (1.0 - v.beta_mag) * x > 0.0
-        occ = _direction_integrated_occupation(np.where(positive, x, 1.0), v)
-        # om * occ stays finite as om -> 0, where om^3 underflows first
-        thermal = np.where(positive, 2.0 * np.pi * pref * om**2 * (om * occ), 0.0)
+        x_occ = _direction_integrated_x_occupation(np.where(positive, x, 1.0), v)
+        # om * occupation = scale * x_occ stays finite as om -> 0, where
+        # om^3 underflows first; om^2 is multiplied in last, so no
+        # subnormal intermediate drops digits
+        thermal = np.where(positive, 2.0 * np.pi * pref * (scale * x_occ) * om * om, 0.0)
     out = thermal if component is Component.THERMAL else zero_point + thermal
     return _maybe_scalar(out, omega_prime)
 

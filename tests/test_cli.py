@@ -302,6 +302,12 @@ class TestMcVerifyCommand:
         assert run_cli(capsys, "mc-verify", "--temperature", "0")[0] == 2
         assert run_cli(capsys, "mc-verify", "--omega-prime-max", "-3")[0] == 2
 
+    def test_non_finite_grid_exits_2_before_sampling(self, capsys):
+        code, out, err = run_cli(capsys, "mc-verify", "--omega-prime-max", "inf")
+        assert code == 2
+        assert out == ""
+        assert "omega_prime_max must be finite" in err
+
 
 class TestSelftestCommand:
     def test_quick_battery_passes(self, capsys):

@@ -16,7 +16,16 @@ from relplanck import (
     run_identity_check,
     sample_rest_modes,
 )
-from relplanck.montecarlo import _P4_SERIES_MAX, _regularized_gamma4
+from relplanck.kinematics import boost_mu, doppler_factor
+from relplanck.montecarlo import (
+    _CHUNK,
+    _P4_SERIES_MAX,
+    _flat_bin_index,
+    _k_mixture_cdf,
+    _regularized_gamma4,
+    _sample_planck_x,
+)
+from relplanck.radiometry import thermal_energy_density_closed_form
 
 # second moment of the dimensionless energy spectrum:
 # Gamma(6) zeta(6) / (Gamma(4) zeta(4)) = 40 pi^2 / 21
@@ -153,12 +162,94 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McConfig(n_samples=100, seed=1, omega_prime_max=30.0, n_mu_bins=3)
 
+    def test_non_finite_grid_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega_prime_max"):
+                McConfig(n_samples=100, seed=1, omega_prime_max=bad)
+
     def test_bad_run_arguments(self):
         cfg = McConfig(n_samples=100, seed=1, omega_prime_max=30.0)
         with pytest.raises(ValueError):
             run_identity_check(0.0, make_boost([0, 0, 0.5]), cfg)
         with pytest.raises(ValueError):
             run_identity_check(1.0, make_boost([0, 0, 0.5]), cfg, n_threads=0)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: fixed uniforms, and unit gamma draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+    def standard_gamma(self, shape, n):
+        return np.ones(n)
+
+
+def _edge_probes(edges):
+    """Every edge and its two neighbouring doubles."""
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+class TestFlatBinning:
+    @pytest.mark.parametrize("n_om,n_mu,om_max", [
+        (32, 16, 15.0 * make_boost([0, 0, 0.6]).gamma * 1.6),
+        (4, 4, 3.0),
+    ])
+    def test_bincount_equals_histogram2d(self, n_om, n_mu, om_max):
+        om_edges = np.linspace(0.0, om_max, n_om + 1)
+        mu_edges = np.linspace(-1.0, 1.0, n_mu + 1)
+        rng = _rng(5)
+        om_probe = np.concatenate([
+            _edge_probes(om_edges), [0.0, om_max, 1.5 * om_max, 1e300],
+            rng.uniform(0.0, 1.1 * om_max, 40),
+        ])
+        mu_probe = np.concatenate([
+            _edge_probes(mu_edges), [-1.0, 1.0],
+            rng.uniform(-1.0, 1.0, 20),
+        ])
+        grid_om, grid_mu = np.meshgrid(om_probe, mu_probe, indexing="ij")
+        # many random draws per bin, so that the order of every sum matters
+        om_p = np.concatenate([grid_om.ravel(), rng.uniform(0.0, 1.05 * om_max, 50_000)])
+        mu_p = np.concatenate([grid_mu.ravel(), rng.uniform(-1.0, 1.0, 50_000)])
+        order = rng.permutation(om_p.size)
+        om_p, mu_p = om_p[order], mu_p[order]
+        wgt = rng.uniform(0.1, 10.0, om_p.size)
+
+        idx = _flat_bin_index(om_edges, mu_edges, om_p, mu_p)
+        n_flat = n_om * n_mu
+        sel = om_p < om_max
+        for w in (wgt, wgt**2, None):
+            got = np.bincount(idx, w, n_flat + 1)[:n_flat].reshape(n_om, n_mu).astype(float)
+            want, _, _ = np.histogram2d(
+                om_p[sel], mu_p[sel], bins=(om_edges, mu_edges),
+                weights=None if w is None else w[sel],
+            )
+            assert got.tobytes() == want.tobytes()
+        # the overflow slot holds exactly the draws histogram2d leaves out
+        in_grid = sel & (om_p >= 0.0) & (np.abs(mu_p) <= 1.0)
+        assert np.count_nonzero(idx == n_flat) == np.count_nonzero(~in_grid)
+
+    def test_planck_x_fast_path_equals_full_search(self):
+        cdf = _k_mixture_cdf()
+        u = np.array([
+            cdf[0], np.nextafter(cdf[0], 0.0), np.nextafter(cdf[0], 1.0),
+            cdf[-1], 0.0, 1.0 - 2.0**-53, 0.5, 0.95, 0.999999,
+        ])
+        got = _sample_planck_x(_FixedUniforms(u), u.size)
+        want = 1.0 / (np.searchsorted(cdf, u, side="left") + 1)
+        assert np.array_equal(got, want)
+        assert got[1] == 1.0 and got[0] == 1.0 and got[2] == 0.5
+
+    def test_planck_x_draws_equal_full_search(self):
+        cdf = _k_mixture_cdf()
+        a, b = _rng(21), _rng(21)
+        got = _sample_planck_x(a, 200_000)
+        k = np.searchsorted(cdf, b.random(200_000), side="left") + 1
+        assert np.array_equal(got, b.standard_gamma(4.0, 200_000) / k)
 
 
 CFG_4E5 = McConfig(n_samples=400_000, seed=99, omega_prime_max=30.0)
@@ -208,6 +299,38 @@ class TestIdentityCheck:
             assert np.array_equal(a.counts, other.counts)
             assert a.chi2 == other.chi2
             assert a.w_prime_estimate == other.w_prime_estimate
+
+    @pytest.mark.parametrize("beta", [[0.0, 0.0, 0.6], [0.3, -0.5, 0.6]], ids=["z", "oblique"])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_report_equals_histogram2d_recomputation(self, beta, n_threads):
+        # rebuild the report's sums from the same chunk streams with histogram2d
+        v = make_boost(beta)
+        n = 3 * _CHUNK + 17
+        cfg = McConfig(n_samples=n, seed=8, omega_prime_max=40.0)
+        rep = run_identity_check(1.0, v, cfg, n_threads=n_threads)
+        bins = (rep.omega_edges, rep.mu_edges)
+        sizes = [_CHUNK, _CHUNK, _CHUNK, 17]
+        h1 = h2 = counts = 0
+        for child, size in zip(np.random.SeedSequence(cfg.seed).spawn(4), sizes):
+            rng = np.random.Generator(np.random.Philox(child))
+            omega, khat = sample_rest_modes(1.0, size, rng)
+            mu = khat @ v.vhat
+            om_p, mu_p, _, _ = boost_mu(omega, mu, v)
+            wgt = doppler_factor(mu, v) ** 2
+            sel = om_p < cfg.omega_prime_max
+            args = (om_p[sel], mu_p[sel])
+            h1 = h1 + np.histogram2d(*args, bins=bins, weights=wgt[sel])[0]
+            h2 = h2 + np.histogram2d(*args, bins=bins, weights=wgt[sel] ** 2)[0]
+            counts = counts + np.histogram2d(*args, bins=bins)[0]
+        w_rest = thermal_energy_density_closed_form(1.0)
+        vol = np.diff(rep.omega_edges)[:, None] * np.diff(rep.mu_edges)[None, :]
+        mean_contrib = h1 / n
+        estimated = w_rest * mean_contrib / (vol * 2.0 * np.pi)
+        var_contrib = np.maximum(h2 / n - mean_contrib**2, 0.0)
+        std_error = w_rest / (vol * 2.0 * np.pi) * np.sqrt(var_contrib / n)
+        assert np.array_equal(rep.counts, counts)
+        assert np.array_equal(rep.estimated, estimated)
+        assert np.array_equal(rep.std_error, std_error)
 
     def test_different_seeds_differ(self):
         v = make_boost([0, 0, 0.6])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,47 @@ class TestDirectionIntegrated:
             u_moving(float("nan"), V06, 1.0)
         with pytest.raises(TypeError, match="component"):
             u_moving(1.0, V06, 1.0, UnitSystem.si())
+
+
+# frequencies down to the smallest subnormal: below about 1e-308 k_B T / hbar
+# the coth argument itself is subnormal and the occupation 2 / z overflows
+TINY_OMEGA = np.concatenate(
+    ([5e-324, 1e-320, 1e-315, 1e-310, 1e-305], np.geomspace(1e-300, 1e-30, 271))
+)
+
+
+@pytest.mark.parametrize(
+    "units,t",
+    [(UnitSystem(), 1e-3), (UnitSystem(), 1.0), (UnitSystem(), 1e3),
+     (UnitSystem.si(), 3.0), (UnitSystem.si(), 1000.0)],
+    ids=["natural-1e-3", "natural-1", "natural-1e3", "si-3K", "si-1000K"],
+)
+def test_subnormal_coth_argument_gives_rayleigh_jeans(units, t):
+    # every value finite and >= 0 without a floating-point warning, and
+    # within 1e-13 of Rayleigh-Jeans wherever that is a normal double
+    om = TINY_OMEGA
+    pref = spectral_prefactor(units)
+    kt = units.k_B * t / units.hbar
+    mu = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    cases = []
+    for comp in (Component.THERMAL, Component.TOTAL):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases.append((rho_rest(om, t, comp, units), 2.0 * pref * kt * om * om))
+            for v in (V06, make_boost([0.3, -0.4, 0.7])):
+                b = v.beta_mag
+                t_eff = effective_temperature_mu(mu, v, t)[:, None]
+                rho = rho_moving_mu(om, mu[:, None], v, t, comp, units)
+                rj = 2.0 * pref * (units.k_B * t_eff / units.hbar) * om * om
+                cases.append((rho, rj))
+                u_rj = (4.0 * np.pi * pref * kt * om * om
+                        * math.log((1.0 + b) / (1.0 - b)) / (v.gamma * b))
+                cases.append((u_moving(om, v, t, comp, units), u_rj))
+    for got, rj in cases:
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        normal = rj >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) >= 10
+        assert np.all(np.abs(got[normal] - rj[normal]) <= 1e-13 * rj[normal])
 
 
 class TestPullbackRoute:

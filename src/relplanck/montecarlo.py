@@ -1,9 +1,12 @@
 """Monte Carlo check of the boosted-spectrum change of variables.
 
 Rest-frame photon modes are drawn from the normalized thermal spectrum
-(frequency marginal x^3/(e^x - 1) / (pi^4/15) in units of k_B T / hbar,
-isotropic directions), pushed through the kinematic boost, and binned in
-the moving frame with the weight gamma^2 (1 - khat . beta)^2.  The weighted
+(frequency marginal x^3/(e^x - 1) / (pi^4/15) in units of k_B T / hbar),
+pushed through the kinematic boost, and binned in the moving frame with
+the weight gamma^2 (1 - khat . beta)^2.  The rest-frame field is
+isotropic, so a mode enters the boost only through omega and its cosine
+mu = khat . vhat, which is uniform on [-1, 1] whatever the boost
+direction: the sampler draws that cosine and no azimuth.  The weighted
 histogram is an unbiased estimate of the boosted thermal spectral density,
 bin by bin; the unweighted total checks the energy ratio
 W'/W = gamma^2 (1 + beta^2/3).
@@ -142,8 +145,11 @@ def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = NATURAL):
     """Draw n modes from the rest-frame thermal spectrum.
 
-    Returns (omega, khat) with omega shaped (n,) and khat (n, 3); the
-    directions are uniform on the sphere.  Requires T > 0.
+    Returns (omega, mu), both shaped (n,): the frequencies and the cosine
+    of each direction to a fixed axis, uniform on [-1, 1] as for isotropic
+    directions.  mu is drawn where _isotropic_directions draws its z
+    cosine, so it equals that z component on the same stream.  Requires
+    T > 0.
     """
     t = temperature_value(T)
     if t == 0.0:
@@ -152,7 +158,7 @@ def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = N
         raise ValueError(f"n must be >= 1, got {n}")
     x = _sample_planck_x(rng, n)
     omega = x * (units.k_B * t / units.hbar)
-    return omega, _isotropic_directions(rng, n)
+    return omega, 2.0 * rng.random(n) - 1.0
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,9 @@ _G3_X, _G3_W = np.polynomial.legendre.leggauss(3)
 
 def _bin_averages(f, om_edges: np.ndarray, mu_edges: np.ndarray) -> np.ndarray:
     """Average f(omega', mu') over each rectangular bin, 3-node Gauss per axis."""
-    oc = 0.5 * (om_edges[1:] + om_edges[:-1])
+    # halves summed, not the sum halved: edges near the largest double
+    # would overflow, and halving is exact for normal edges
+    oc = 0.5 * om_edges[1:] + 0.5 * om_edges[:-1]
     oh = 0.5 * np.diff(om_edges)
     mc = 0.5 * (mu_edges[1:] + mu_edges[:-1])
     mh = 0.5 * np.diff(mu_edges)
@@ -299,8 +307,7 @@ def run_identity_check(
 
     def run_chunk(i: int):
         rng = np.random.Generator(np.random.Philox(children[i]))
-        omega, khat = sample_rest_modes(t, sizes[i], rng, units)
-        mu = khat @ v.vhat
+        omega, mu = sample_rest_modes(t, sizes[i], rng, units)
         om_p, mu_p, _, _ = boost_mu(omega, mu, v)
         wgt = doppler_factor(mu, v) ** 2
         wgt2 = wgt**2

@@ -83,7 +83,8 @@ def _planck_density(om, z_of_om, t, component, units):
 
     z_of_om maps frequencies to the coth argument; for the rest frame that
     is hbar om / (k_B T), for the moving frame it carries the extra Doppler
-    factor.  om = 0 and T = 0 give a thermal part of exactly 0.  The thermal
+    factor.  om = 0, T = 0 and a zero om * occupation (the deep Wien tail,
+    where om^2 may overflow) give a thermal part of exactly 0.  The thermal
     part is formed as prefactor * om^2 * (om * occupation): om * occupation
     tends to 2 k_B T_eff / hbar, so it survives where om^3 underflows.  The
     occupation overflows only for subnormal z, where e^{-z} rounds to 1 and
@@ -94,22 +95,28 @@ def _planck_density(om, z_of_om, t, component, units):
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")
     pref = spectral_prefactor(units)
-    zero_point = pref * om**3
     if component is Component.ZERO_POINT:
-        return zero_point
+        return pref * om**3
     if t == 0.0:
-        thermal = np.zeros_like(zero_point)
+        thermal = np.zeros_like(om)
     else:
         tiny = np.finfo(float).tiny
-        z = z_of_om(om)
+        # z may round up to inf near the largest double; the occupation
+        # is exactly 0 there
+        with np.errstate(over="ignore"):
+            z = z_of_om(om)
         normal = z >= tiny
         occ = thermal_occupation(np.where(normal, z, 1.0))
-        om_occ = np.where(normal, om * occ, 2.0 * om / np.where(z > 0.0, z, np.inf))
-        pz = pref * om**2
-        thermal = np.where(pz >= tiny, pz * om_occ, pref * om_occ * om * om)
+        # 2 (om / z), not 2 om / z: 2 om overflows near the largest double
+        om_occ = np.where(normal, om * occ, 2.0 * (om / np.where(z > 0.0, z, np.inf)))
+        # om * occupation is 0 at om = 0 and deep in the Wien tail, and so
+        # is the thermal part, also where om^2 would overflow
+        om_t = np.where(om_occ > 0.0, om, 0.0)
+        pz = pref * om_t**2
+        thermal = np.where(pz >= tiny, pz * om_occ, pref * om_occ * om_t * om_t)
     if component is Component.THERMAL:
         return thermal
-    return zero_point + thermal
+    return pref * om**3 + thermal
 
 
 def _maybe_scalar(out, *inputs):

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from relplanck import cli, core
+from relplanck import cli, core, montecarlo
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,3 +60,19 @@ def test_traced_quadrature_op_and_boost_mode_cli(bench, capsys):
     assert calls["spectrum.temperature_multipoles"] == 1
     # the CLI's input mode and the boosted mode
     assert tracer.counts[tracer_mod.PHOTON_MODE_COUNT] == 2
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_one_sampling_span_per_monte_carlo_chunk(bench, n_threads):
+    # the benchmark's per-chunk accounting counts sample_rest_modes spans
+    tracer_mod, _ = bench
+    n = 2 * montecarlo._CHUNK + 5
+    cfg = montecarlo.McConfig(n_samples=n, seed=3, omega_prime_max=24.0)
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        montecarlo.run_identity_check(1.0, core.make_boost([0.3, 0.0, 0.5]), cfg,
+                                      n_threads=n_threads)
+    sampled = [s[6]["samples"] for s in tracer.spans if s[0] == "montecarlo.sample_rest_modes"]
+    assert sorted(sampled) == [5, montecarlo._CHUNK, montecarlo._CHUNK]
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["kinematics.boost_mu"] == 3

@@ -308,6 +308,15 @@ class TestMcVerifyCommand:
         assert out == ""
         assert "omega_prime_max must be finite" in err
 
+    def test_huge_finite_grid_fails_loudly(self, capsys):
+        code, out, _ = run_cli(capsys, "mc-verify", "--beta", "0.6", "--n", "20000",
+                               "--omega-prime-max", "1.7e308")
+        assert code == 1
+        env = json.loads(out)
+        assert env["results"]["chi2_per_dof"] is None
+        assert env["results"]["dof"] == 0
+        assert any("all bins excluded" in w for w in env["warnings"])
+
 
 class TestSelftestCommand:
     def test_quick_battery_passes(self, capsys):

@@ -21,6 +21,7 @@ from relplanck.montecarlo import (
     _CHUNK,
     _P4_SERIES_MAX,
     _flat_bin_index,
+    _isotropic_directions,
     _k_mixture_cdf,
     _regularized_gamma4,
     _sample_planck_x,
@@ -39,16 +40,14 @@ def _rng(seed):
 
 @pytest.fixture(scope="module")
 def big_sample():
-    omega, khat = sample_rest_modes(1.0, 400_000, _rng(7))
-    return omega, khat
+    return sample_rest_modes(1.0, 400_000, _rng(7))
 
 
 class TestSampler:
     def test_draws_are_physical(self, big_sample):
-        omega, khat = big_sample
+        omega, mu = big_sample
         assert np.all(omega > 0.0)
-        norms = np.linalg.norm(khat, axis=1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-12
+        assert np.all(np.abs(mu) <= 1.0)
 
     def test_energy_mean(self, big_sample):
         omega, _ = big_sample
@@ -62,12 +61,25 @@ class TestSampler:
         assert abs(frac - 0.5) <= 4.0 * 0.5 / math.sqrt(omega.size)
 
     def test_direction_isotropy(self, big_sample):
-        _, khat = big_sample
-        n = khat.shape[0]
-        # each component has variance 1/3 under isotropy
-        assert np.max(np.abs(khat.mean(axis=0))) <= 4.0 * math.sqrt(1.0 / 3.0 / n)
-        mu2 = np.mean(khat[:, 2] ** 2)
-        assert abs(mu2 - 1.0 / 3.0) <= 0.01
+        _, mu = big_sample
+        n = mu.size
+        # the cosine of an isotropic direction has mean 0 and variance 1/3
+        assert abs(mu.mean()) <= 4.0 * math.sqrt(1.0 / 3.0 / n)
+        assert abs(np.mean(mu**2) - 1.0 / 3.0) <= 0.01
+
+    def test_cosine_distribution_kolmogorov_smirnov(self, big_sample):
+        _, mu = big_sample
+        x = mu[:100_000]
+        res = stats.kstest(x, stats.uniform(loc=-1.0, scale=2.0).cdf)
+        assert res.statistic <= 1.63 / math.sqrt(x.size)
+
+    def test_cosine_is_the_z_component_of_an_isotropic_direction(self):
+        # mu takes the z cosine's place in the stream; the azimuth is not drawn
+        n = 5_000
+        _, mu = sample_rest_modes(1.0, n, _rng(13))
+        rng = _rng(13)
+        _sample_planck_x(rng, n)
+        assert np.array_equal(mu, _isotropic_directions(rng, n)[:, 2])
 
     def test_energy_distribution_kolmogorov_smirnov(self, big_sample):
         omega, _ = big_sample
@@ -82,10 +94,10 @@ class TestSampler:
         assert np.allclose(b, 2.5 * a, rtol=1e-13)
 
     def test_same_seed_reproduces(self):
-        a, ka = sample_rest_modes(1.0, 1_000, _rng(11))
-        b, kb = sample_rest_modes(1.0, 1_000, _rng(11))
+        a, mu_a = sample_rest_modes(1.0, 1_000, _rng(11))
+        b, mu_b = sample_rest_modes(1.0, 1_000, _rng(11))
         assert np.array_equal(a, b)
-        assert np.array_equal(ka, kb)
+        assert np.array_equal(mu_a, mu_b)
 
     def test_rejects_bad_requests(self):
         with pytest.raises(ValueError):
@@ -313,8 +325,7 @@ class TestIdentityCheck:
         h1 = h2 = counts = 0
         for child, size in zip(np.random.SeedSequence(cfg.seed).spawn(4), sizes):
             rng = np.random.Generator(np.random.Philox(child))
-            omega, khat = sample_rest_modes(1.0, size, rng)
-            mu = khat @ v.vhat
+            omega, mu = sample_rest_modes(1.0, size, rng)
             om_p, mu_p, _, _ = boost_mu(omega, mu, v)
             wgt = doppler_factor(mu, v) ** 2
             sel = om_p < cfg.omega_prime_max
@@ -356,3 +367,17 @@ class TestIdentityCheck:
         rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg)
         assert rep.in_grid_fraction < 0.95
         assert any("omega_prime_max" in w for w in rep.warnings)
+
+    def test_huge_finite_grid_runs_to_an_all_excluded_report(self):
+        # bin centres and the analytic density stay finite up to the
+        # largest double; no draw lands in a bin with 10 expected counts
+        for om_max in (1e300, 1.7e308):
+            cfg = McConfig(n_samples=20_000, seed=1, omega_prime_max=om_max)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg)
+            assert rep.dof == 0
+            assert math.isnan(rep.chi2_per_dof)
+            assert any("all bins excluded" in w for w in rep.warnings)
+            assert np.all(rep.analytic == 0.0)
+            assert np.all(rep.expected_counts == 0.0)

@@ -300,6 +300,29 @@ def test_subnormal_coth_argument_gives_rayleigh_jeans(units, t):
         assert np.all(np.abs(got[normal] - rj[normal]) <= 1e-13 * rj[normal])
 
 
+@pytest.mark.parametrize("units", [UnitSystem(), UnitSystem.si()], ids=["natural", "si"])
+def test_wien_tail_where_omega_squared_overflows_is_zero(units):
+    # om^2 overflows from om ~ 1.3e154 on, while om * occupation is exactly 0
+    om = np.array([1e154, 1e160, 1e200, 1e300, 1.7e308])
+    mu = np.array([-1.0, 0.2, 1.0])[:, None]
+    for t in (1e-3, 1.0, 1e3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [rho_rest(om, t, Component.THERMAL, units)]
+            for v in (V06, make_boost([0.3, -0.4, 0.7])):
+                got.append(rho_moving_mu(om, mu, v, t, Component.THERMAL, units))
+                # D om' overflows at 1.7e308, which the pullback route rejects
+                got.append(rho_moving_pullback_mu(om[:-1], mu, v, t, Component.THERMAL, units))
+        for thermal in got:
+            assert np.all(thermal == 0.0)
+    assert rho_rest(1e160, 1.0, Component.THERMAL) == 0.0
+    assert rho_moving_mu(1e160, 0.2, V06, 1.0, Component.THERMAL) == 0.0
+    # the total is the zero-point part alone, which overflows to inf
+    with np.errstate(over="ignore"):
+        assert rho_rest(1e160, 1.0) == math.inf
+        assert rho_moving_mu(1e160, 0.2, V06, 1.0) == math.inf
+
+
 class TestPullbackRoute:
     def test_agrees_with_explicit_form(self):
         rng = np.random.default_rng(22)

@@ -1,14 +1,19 @@
 """Frequency quadrature, coincidence field correlations, and energy densities.
 
 Semi-infinite frequency integrals go through the substitution
-omega = s t / (1 - t) (s a characteristic scale of the integrand), then a
-globally adaptive bisection on t: each panel is valued with 15-node
+omega = s t / (1 - t) (s a characteristic scale of the integrand), then an
+adaptive bisection on t in rounds.  Each panel is valued with 15-node
 Gauss-Legendre and its error estimated from the difference against a 7-node
-rule.  The estimate is deliberately conservative; tests hold the integrator
-to |value - exact| <= reported error on known integrals.  Thermal integrals
-run in x = hbar omega / (k_B T) and are scaled by (k_B T / hbar)^4 after, so
-the integrator's absolute tolerance is relative to the integrand at any
-temperature and in any unit system.
+rule.  A round bisects every panel whose error exceeds its share
+tol / n_panels of the tolerance, worst first and no more than the panel
+budget allows; when no panel does, it bisects the single worst one.  The
+8 seed panels, and all new halves of a round, are valued in one call of the
+integrand on every panel's 22 nodes.  The estimate is deliberately
+conservative; tests hold the integrator to |value - exact| <= reported
+error on known integrals.  Thermal integrals run in x = hbar omega / (k_B T)
+and are scaled by (k_B T / hbar)^4 after, so the integrator's absolute
+tolerance is relative to the integrand at any temperature and in any unit
+system.
 
 The moving-frame energy density is computed by two genuinely different
 routes that must agree:
@@ -106,25 +111,54 @@ class QuadratureConvergenceError(RuntimeError):
 
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+# both rules' nodes, so one call of the integrand values a panel for both
+_GL_NODES = np.concatenate((_GL15_X, _GL7_X))
 _MAX_PANELS = 4096
+_SEED_EDGES = np.linspace(0.0, 1.0, 9)  # 8 seed panels, scaled to [0, t_max]
+
+_CORRELATION_NODES = 16  # per angular axis: Gauss-Legendre in mu, uniform in phi
 
 
-def _panel_value(g, a: float, b: float) -> tuple[float, float]:
-    """(value, error estimate) on [a, b]: GL15 value, |GL15 - GL7| error."""
+def _correlation_angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(khat, weights) of the n x n Gauss-Legendre-in-mu x uniform-phi rule on the sphere."""
+    mu, wmu = np.polynomial.legendre.leggauss(n)
+    phi = 2.0 * np.pi * np.arange(n) / n
+    smu = np.sqrt(1.0 - mu**2)
+    khat = np.stack(
+        [
+            np.outer(smu, np.cos(phi)).ravel(),
+            np.outer(smu, np.sin(phi)).ravel(),
+            np.outer(mu, np.ones(n)).ravel(),
+        ],
+        axis=1,
+    )
+    return khat, np.repeat(wmu, n) * (2.0 * np.pi / n)
+
+
+_CORRELATION_KHAT, _CORRELATION_WTS = _correlation_angular_rule(_CORRELATION_NODES)
+
+
+def _panel_values(g, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) on panels [a, b]: GL15 values, |GL15 - GL7| errors.
+
+    Every panel's 22 nodes go to g in one flat array.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    v15 = half * float(_GL15_W @ g(mid + half * _GL15_X))
-    v7 = half * float(_GL7_W @ g(mid + half * _GL7_X))
-    return v15, abs(v15 - v7)
+    y = g((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(a.size, _GL_NODES.size)
+    v15 = half * (y[:, :15] @ _GL15_W)
+    v7 = half * (y[:, 15:] @ _GL7_W)
+    return v15, np.abs(v15 - v7)
 
 
 def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: float = 1.0) -> QuadratureResult:
     """Integrate f(omega) over (0, omega_cutoff or infinity) adaptively.
 
-    f must accept numpy arrays.  ``scale`` sets the map omega = s t/(1 - t);
-    pick the integrand's characteristic frequency (k_B T / hbar for thermal
-    kernels) so the initial panels straddle the peak.  Without a cutoff the
-    integrand must decay fast enough for the mapped integral to be finite.
+    f must accept a 1-D numpy array and work elementwise.  ``scale`` sets the
+    map omega = s t/(1 - t); pick the integrand's characteristic frequency
+    (k_B T / hbar for thermal kernels) so the initial panels straddle the
+    peak.  Without a cutoff the integrand must decay fast enough for the
+    mapped integral to be finite.
 
     Raises QuadratureConvergenceError if the tolerance cannot be met within
     max_levels bisections per panel (or a hard panel budget).
@@ -143,33 +177,46 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
         om = s * t / one_m
         return f(om) * (s / one_m**2)
 
-    n_seed = 8
-    edges = np.linspace(0.0, t_max, n_seed + 1)
-    panels: list[list] = []  # [a, b, value, error, depth], kept ordered in t
-    for i in range(n_seed):
-        v, e = _panel_value(g, edges[i], edges[i + 1])
-        panels.append([edges[i], edges[i + 1], v, e, 0])
-    n_evals = (15 + 7) * n_seed
+    edges = t_max * _SEED_EDGES
+    a, b = edges[:-1], edges[1:]
+    value, error = _panel_values(g, a, b)
+    depth = np.zeros(a.size, dtype=int)
+    n_evals = _GL_NODES.size * a.size
 
     while True:
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
+        # fsum rounds correctly, so the panels' order does not matter
+        total = math.fsum(value)
+        err = math.fsum(error)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if err <= tol:
-            return QuadratureResult(total, err, len(panels), n_evals)
-        refinable = [i for i, p in enumerate(panels) if p[4] < cfg.max_levels]
-        if not refinable:
+            return QuadratureResult(total, err, a.size, n_evals)
+        refinable = depth < cfg.max_levels
+        if not refinable.any():
             raise QuadratureConvergenceError(total, err, f"max_levels={cfg.max_levels} exhausted")
-        if len(panels) >= _MAX_PANELS:
+        if a.size >= _MAX_PANELS:
             raise QuadratureConvergenceError(total, err, f"panel budget {_MAX_PANELS} exhausted")
-        worst = max(refinable, key=lambda i: panels[i][3])
-        a, b, _, _, depth = panels[worst]
-        mid = 0.5 * (a + b)
-        v1, e1 = _panel_value(g, a, mid)
-        v2, e2 = _panel_value(g, mid, b)
-        panels[worst] = [a, mid, v1, e1, depth + 1]
-        panels.insert(worst + 1, [mid, b, v2, e2, depth + 1])
-        n_evals += 2 * (15 + 7)
+        # every refinable panel over its share of the tolerance, worst first
+        # as far as the budget allows; else the single worst refinable one
+        split = refinable & (error > tol / a.size)
+        room = _MAX_PANELS - a.size
+        if not split.any():
+            split[np.argmax(np.where(refinable, error, -np.inf))] = True
+        elif np.count_nonzero(split) > room:
+            worst = np.argsort(np.where(split, -error, np.inf), kind="stable")[:room]
+            split = np.zeros(a.size, dtype=bool)
+            split[worst] = True
+        keep = ~split
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate((a[split], mid))
+        new_b = np.concatenate((mid, b[split]))
+        new_value, new_error = _panel_values(g, new_a, new_b)
+        new_depth = depth[split] + 1
+        a = np.concatenate((a[keep], new_a))
+        b = np.concatenate((b[keep], new_b))
+        value = np.concatenate((value[keep], new_value))
+        error = np.concatenate((error[keep], new_error))
+        depth = np.concatenate((depth[keep], new_depth, new_depth))
+        n_evals += _GL_NODES.size * new_a.size
 
 
 @dataclass(frozen=True)
@@ -308,9 +355,6 @@ class CorrelationCoincidence:
             object.__setattr__(self, name, arr)
 
 
-_CORRELATION_NODES = 16  # per angular axis: Gauss-Legendre in mu, uniform in phi
-
-
 def correlation_coincidence(
     T,
     cfg: QuadratureConfig | None = None,
@@ -330,21 +374,7 @@ def correlation_coincidence(
     freq = _thermal_frequency_integral(t, cfg, units)
     const = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3)
 
-    n = _CORRELATION_NODES
-    mu, wmu = np.polynomial.legendre.leggauss(n)
-    phi = 2.0 * np.pi * np.arange(n) / n
-    wphi = 2.0 * np.pi / n
-    smu = np.sqrt(1.0 - mu**2)
-    khat = np.stack(
-        [
-            np.outer(smu, np.cos(phi)).ravel(),
-            np.outer(smu, np.sin(phi)).ravel(),
-            np.outer(mu, np.ones(n)).ravel(),
-        ],
-        axis=1,
-    )
-    wts = np.repeat(wmu, n) * wphi
-
+    khat, wts = _CORRELATION_KHAT, _CORRELATION_WTS
     # angular average of (delta_jm - khat_j khat_m); isotropy gives (8 pi / 3) delta
     transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
     elel = const * freq * transverse

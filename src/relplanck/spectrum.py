@@ -176,13 +176,24 @@ def rho_moving_pullback_mu(
     rho'(omega', mu') = rho(D omega') / D^3 with D = gamma (1 + |beta| mu'):
     the rest-frame density at the pulled-back frequency, divided by the
     cubed frequency ratio.  Agrees with rho_moving_mu identically; the two
-    are kept as separate code paths on purpose.
+    are kept as separate code paths on purpose.  Where D omega' overflows,
+    the thermal part is 0 if it is 0 at the largest double, because the
+    Wien tail only falls beyond it; the zero-point part raises ValueError.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
     mu = _check_mu(mu_prime)
     d = inverse_doppler_factor(mu, v)
-    out = rho_rest(d * om, T, component, units) / d**3
+    with np.errstate(over="ignore"):
+        om_rest = d * om
+    overflow = np.isinf(om_rest)
+    if (
+        component is Component.THERMAL
+        and overflow.any()
+        and rho_rest(np.finfo(float).max, T, component, units) == 0.0
+    ):
+        om_rest = np.where(overflow, 0.0, om_rest)  # rho_rest's thermal part is 0 at 0 too
+    out = rho_rest(om_rest, T, component, units) / d**3
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
@@ -235,22 +246,26 @@ def u_moving(
     _check_nonneg_omega(om, "omega_prime")
     t = temperature_value(T)
     pref = spectral_prefactor(units)
-    zero_point = 4.0 * np.pi * pref * om**3
     if component is Component.ZERO_POINT:
-        return _maybe_scalar(zero_point, omega_prime)
-    thermal = np.zeros_like(zero_point)
+        return _maybe_scalar(4.0 * np.pi * pref * om**3, omega_prime)
+    thermal = np.zeros_like(om)
     if t > 0.0:
         scale = units.k_B * t / units.hbar
-        x = om / scale
-        # the hottest direction's argument; 0 also where x underflows
-        positive = v.gamma * (1.0 - v.beta_mag) * x > 0.0
-        x_occ = _direction_integrated_x_occupation(np.where(positive, x, 1.0), v)
+        # x may round up to inf near the largest double, deep in the Wien tail
+        with np.errstate(over="ignore"):
+            x = om / scale
+        # lo is the hottest direction's argument: 0 where x underflows; past
+        # 800, e^{-lo}, and with it the thermal part, is exactly 0
+        lo = v.gamma * (1.0 - v.beta_mag) * x
+        live = (lo > 0.0) & (lo < 800.0)
+        x_occ = np.where(live, _direction_integrated_x_occupation(np.where(live, x, 1.0), v), 0.0)
         # om * occupation = scale * x_occ stays finite as om -> 0, where
         # om^3 underflows first; om^2 is multiplied in last, so no
         # subnormal intermediate drops digits
-        thermal = np.where(positive, 2.0 * np.pi * pref * (scale * x_occ) * om * om, 0.0)
-    out = thermal if component is Component.THERMAL else zero_point + thermal
-    return _maybe_scalar(out, omega_prime)
+        thermal = 2.0 * np.pi * pref * (scale * x_occ) * om * om
+    if component is Component.THERMAL:
+        return _maybe_scalar(thermal, omega_prime)
+    return _maybe_scalar(4.0 * np.pi * pref * om**3 + thermal, omega_prime)
 
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):

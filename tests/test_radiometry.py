@@ -21,6 +21,8 @@ from relplanck import (
     thermal_energy_density_closed_form,
     thermal_occupation,
 )
+from relplanck.radiometry import _MAX_PANELS
+from relplanck.spectrum import _direction_integrated_x_occupation
 
 # closed-form reference values, frozen after independent evaluation:
 #   integral x^3 e^{-x}          = Gamma(4) = 6
@@ -45,6 +47,17 @@ def _gl128_reference(f, scale, n_panels=8):
         om = scale * t / (1.0 - t)
         total += half * float(w @ (f(om) * (scale / (1.0 - t) ** 2)))
     return total
+
+
+def _counting(f):
+    """f, recording the number of points passed in each call."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return counted, sizes
 
 
 class TestIntegrator:
@@ -95,6 +108,35 @@ class TestIntegrator:
         assert res.n_panels >= 8
         # 8 seed panels at 15 + 7 evals each, 2 more panels per bisection
         assert res.n_evaluations == 176 + 44 * (res.n_panels - 8)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.999, 1.0 - 1e-9])
+    def test_thermal_kernels_take_a_few_batched_calls(self, beta):
+        # the rest kernel x^3 n(x) and the direction-integrated moving one,
+        # on the scales the energy-density routes use
+        v = make_boost([0.0, 0.0, beta])
+        kernels = [
+            (lambda x: x**3 * thermal_occupation(x), 1.0),
+            (lambda x: x**2 * _direction_integrated_x_occupation(x, v), 1.0 / (v.gamma * (1.0 - v.beta_mag))),
+        ]
+        for kernel, scale in kernels:
+            f, sizes = _counting(kernel)
+            res = integrate_semi_infinite(f, scale=scale)
+            assert len(sizes) <= 4
+            assert res.n_evaluations == sum(sizes)
+
+    def test_unconvergeable_integrand_stays_within_the_panel_budget(self):
+        # each round values its new halves in one call: 8 seed panels, then
+        # n points make n / 22 new panels out of n / 44 old ones
+        f, sizes = _counting(lambda x: np.exp(-x) * (1.0 + 0.5 * np.sin(50.0 * x**2)))
+        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
+        with pytest.raises(QuadratureConvergenceError, match="panel budget|max_levels"):
+            integrate_semi_infinite(f, cfg)
+        assert sizes[0] == 8 * 22
+        assert all(n % 44 == 0 for n in sizes[1:])
+        live = np.cumsum([8] + [n // 44 for n in sizes[1:]])
+        assert live.max() <= _MAX_PANELS
+        # the last round is cut short to land exactly on the budget
+        assert live[-1] == _MAX_PANELS
 
     def test_unresolvable_spike_raises_with_partial_result(self):
         cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-250, max_levels=2)

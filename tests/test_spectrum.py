@@ -311,12 +311,22 @@ def test_wien_tail_where_omega_squared_overflows_is_zero(units):
             got = [rho_rest(om, t, Component.THERMAL, units)]
             for v in (V06, make_boost([0.3, -0.4, 0.7])):
                 got.append(rho_moving_mu(om, mu, v, t, Component.THERMAL, units))
-                # D om' overflows at 1.7e308, which the pullback route rejects
-                got.append(rho_moving_pullback_mu(om[:-1], mu, v, t, Component.THERMAL, units))
+                # D om' overflows at 1.7e308 on the pullback route
+                got.append(rho_moving_pullback_mu(om, mu, v, t, Component.THERMAL, units))
+            for v in (make_boost([0, 0, 0]), V06, make_boost([0.0, 0.0, 1.0 - 1e-9])):
+                got.append(u_moving(om, v, t, Component.THERMAL, units))
         for thermal in got:
             assert np.all(thermal == 0.0)
     assert rho_rest(1e160, 1.0, Component.THERMAL) == 0.0
     assert rho_moving_mu(1e160, 0.2, V06, 1.0, Component.THERMAL) == 0.0
+    # the zero-point part at an overflowing D om' cannot be formed and says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # THERMAL never forms the zero-point om'^3, which overflows here
+        assert u_moving(1e160, V06, 1.0, Component.THERMAL) == 0.0
+        for comp in (Component.TOTAL, Component.ZERO_POINT):
+            with pytest.raises(ValueError, match="omega must be finite"):
+                rho_moving_pullback_mu(1.7e308, 0.5, V06, 1.0, comp, units)
     # the total is the zero-point part alone, which overflows to inf
     with np.errstate(over="ignore"):
         assert rho_rest(1e160, 1.0) == math.inf

@@ -8,8 +8,10 @@ cosine between a propagation direction and the boost axis.  The mode map is
     mu'    = (mu - |beta|) / (1 - |beta| mu)
 
 with frequency Jacobian d(omega)/d(omega') = gamma (1 + |beta| mu') and
-solid-angle Jacobian d(Omega)/d(Omega') = 1 / (gamma (1 + |beta| mu'))^2,
-both evaluated at the boosted direction.  ``boost_mu`` is the one
+solid-angle Jacobian d(Omega)/d(Omega') = 1 / (gamma (1 + |beta| mu'))^2 at
+the boosted direction; ``boost_mu`` computes them as 1 / D and D^2 from
+the Doppler factor D = gamma (1 - |beta| mu), which does not cancel for
+backward directions at high beta.  ``boost_mu`` is the one
 implementation of this map, vectorized over (omega, mu) pairs.
 ``boost_mode`` is built on it: it takes mu from the 3-vector, calls
 ``boost_mu`` once, and rebuilds the direction from the boost-invariant
@@ -88,13 +90,12 @@ def boost_mu(omega, mu, v: BoostVelocity):
     """Vectorized boost of (omega, mu) pairs; no 3-vector bookkeeping.
 
     Returns (omega', mu', jac_freq, jac_solid_angle) as arrays broadcast
-    against each other.
+    against each other.  Both Jacobians come from the rest-frame cosine,
+    jac_freq = 1 / D and jac_solid_angle = D^2 with D = doppler_factor(mu, v):
+    gamma (1 + |beta| mu') equals 1 / D but cancels near mu' = -1.
     """
-    omega = np.asarray(omega, dtype=float)
-    omega_p = omega * doppler_factor(mu, v)
-    mu_p = aberrate_mu(mu, v)
-    jac_freq = inverse_doppler_factor(mu_p, v)
-    return omega_p, mu_p, jac_freq, 1.0 / jac_freq**2
+    d = doppler_factor(mu, v)
+    return np.asarray(omega, dtype=float) * d, aberrate_mu(mu, v), 1.0 / d, d * d
 
 
 def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:

@@ -4,23 +4,27 @@ Semi-infinite frequency integrals go through the substitution
 omega = s t / (1 - t) (s a characteristic scale of the integrand), then an
 adaptive bisection on t in rounds.  Each panel is valued with 15-node
 Gauss-Legendre and its error estimated from the difference against a 7-node
-rule.  A round bisects every panel whose error exceeds its share
-tol / n_panels of the tolerance, worst first and no more than the panel
-budget allows; when no panel does, it bisects the single worst one.  The
-8 seed panels, and all new halves of a round, are valued in one call of the
-integrand on every panel's 22 nodes.  The estimate is deliberately
-conservative; tests hold the integrator to |value - exact| <= reported
-error on known integrals.  Thermal integrals run in x = hbar omega / (k_B T)
-and are scaled by (k_B T / hbar)^4 after, so the integrator's absolute
-tolerance is relative to the integrand at any temperature and in any unit
-system.
+rule.  Panels bisected max_levels times are frozen; once their errors
+alone exceed the tolerance the integrator gives up.  Otherwise a round
+bisects every other panel whose error reaches its share
+(tol - frozen) / n_refinable of the tolerance, worst first and no more than
+the panel budget allows.  The 8 seed panels, and all new halves of a round,
+are valued in one call of the integrand on every panel's 22 nodes.  The
+estimate is deliberately conservative; tests hold the integrator to
+|value - exact| <= reported error on known integrals.  Thermal integrals
+run in x = hbar omega / (k_B T) and are scaled by (k_B T / hbar)^4 after,
+so the integrator's absolute tolerance is relative to the integrand at any
+temperature and in any unit system.
 
-The moving-frame energy density is computed by two genuinely different
+The rest-frame thermal energy density W is the Stefan-Boltzmann closed form
+pi^2 (k_B T)^4 / (15 hbar^3 c^3) of thermal_energy_density_closed_form in
+both routes below; energy_density_rest is its quadrature check.  The
+moving-frame energy density W' is computed by two genuinely different
 routes that must agree:
 
   * spectral: integrate the boosted thermal spectral density, analytically
     over direction (the closed-form u'(omega') of spectrum.u_moving) and by
-    one adaptive quadrature over frequency;
+    one adaptive quadrature over frequency, the only one either route runs;
   * correlation: build the equal-point field correlation tensors in the
     rest frame and assemble the boosted energy density from their traces,
 
@@ -137,6 +141,19 @@ def _correlation_angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _CORRELATION_KHAT, _CORRELATION_WTS = _correlation_angular_rule(_CORRELATION_NODES)
 
+_EPS_LC = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS_LC[_i, _j, _k] = 1.0
+    _EPS_LC[_i, _k, _j] = -1.0
+
+# the angular averages in the coincidence tensors, independent of T:
+# (delta_jm - khat_j khat_m), which isotropy makes (8 pi / 3) delta, and the
+# one power of khat the electric-magnetic tensor carries, which averages to zero
+_CORRELATION_TRANSVERSE = _CORRELATION_WTS.sum() * np.eye(3) - np.einsum(
+    "n,nj,nm->jm", _CORRELATION_WTS, _CORRELATION_KHAT, _CORRELATION_KHAT
+)
+_CORRELATION_ELMAG = np.einsum("jml,n,nl->jm", _EPS_LC, _CORRELATION_WTS, _CORRELATION_KHAT)
+
 
 def _panel_values(g, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, error estimates) on panels [a, b]: GL15 values, |GL15 - GL7| errors.
@@ -191,17 +208,21 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
         if err <= tol:
             return QuadratureResult(total, err, a.size, n_evals)
         refinable = depth < cfg.max_levels
-        if not refinable.any():
+        # panels at max_levels keep their error, so once those errors alone
+        # exceed the tolerance no bisection can converge
+        frozen = math.fsum(error[~refinable])
+        if frozen > tol:
             raise QuadratureConvergenceError(total, err, f"max_levels={cfg.max_levels} exhausted")
         if a.size >= _MAX_PANELS:
             raise QuadratureConvergenceError(total, err, f"panel budget {_MAX_PANELS} exhausted")
-        # every refinable panel over its share of the tolerance, worst first
-        # as far as the budget allows; else the single worst refinable one
-        split = refinable & (error > tol / a.size)
+        # every refinable panel at or over its share of what the frozen ones
+        # leave of the tolerance, worst first as far as the budget allows.
+        # The refinable errors sum to more than tol - frozen, so the worst
+        # of them reaches the share; the min holds that against rounding.
+        share = (tol - frozen) / np.count_nonzero(refinable)
+        split = refinable & (error >= min(share, error[refinable].max()))
         room = _MAX_PANELS - a.size
-        if not split.any():
-            split[np.argmax(np.where(refinable, error, -np.inf))] = True
-        elif np.count_nonzero(split) > room:
+        if np.count_nonzero(split) > room:
             worst = np.argsort(np.where(split, -error, np.inf), kind="stable")[:room]
             split = np.zeros(a.size, dtype=bool)
             split[worst] = True
@@ -232,8 +253,9 @@ class EnergyDensityReport:
 def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
     """pi^2 (k_B T)^4 / (15 hbar^3 c^3), the closed-form thermal energy density.
 
-    The quadrature routes must reproduce this; the Monte Carlo sampler uses
-    it as the normalization of the thermal spectrum.
+    Both W' routes take it as W, energy_density_rest must reproduce it by
+    quadrature, and the Monte Carlo sampler uses it as the normalization of
+    the thermal spectrum.
     """
     t = temperature_value(T)
     return math.pi**2 * (units.k_B * t) ** 4 / (15.0 * units.hbar**3 * units.c**3)
@@ -259,11 +281,6 @@ def _thermal_x_integral(
     return omega_scale**4 * integrate_semi_infinite(kernel, cfg, scale=scale).value
 
 
-def _thermal_frequency_integral(t: float, cfg: QuadratureConfig, units: UnitSystem) -> float:
-    """integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega."""
-    return _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, cfg, units)
-
-
 def energy_density_rest(
     T,
     component: Component = Component.THERMAL,
@@ -272,10 +289,11 @@ def energy_density_rest(
 ) -> float:
     """Energy density of the isotropic rest-frame field, by quadrature.
 
-    The thermal part needs no cutoff and lands on the closed form.  The
-    zero-point part grows as the fourth power of the cutoff and refuses to
-    run without one; a configured cutoff also truncates the thermal part,
-    consistently.
+    The thermal part needs no cutoff and is the quadrature check of the
+    Stefan-Boltzmann closed form thermal_energy_density_closed_form, which
+    both W' routes take as W.  The zero-point part grows as the fourth power
+    of the cutoff and refuses to run without one; a configured cutoff also
+    truncates the thermal part, consistently.
     """
     cfg = cfg or QuadratureConfig()
     t = temperature_value(T)
@@ -287,7 +305,9 @@ def energy_density_rest(
     four_pi_pref = 4.0 * np.pi * spectral_prefactor(units)
     w_thermal = 0.0
     if component is not Component.ZERO_POINT and t > 0.0:
-        w_thermal = four_pi_pref * _thermal_frequency_integral(t, cfg, units)
+        # integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega
+        freq = _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, cfg, units)
+        w_thermal = four_pi_pref * freq
     w_zero_point = 0.0
     if component is not Component.THERMAL:
         lam = cfg.omega_cutoff
@@ -308,10 +328,15 @@ def energy_density_moving_spectral(
     The direction integral is analytic (the thermal part of
     spectrum.u_moving); one adaptive quadrature over frequency remains, on
     the scale of the hottest direction, k_B T / (hbar gamma (1 - |beta|)).
+    W is the Stefan-Boltzmann closed form, so the ratio holds that one
+    quadrature against an exact value.  A cutoff would truncate W' but not
+    W, so cfg.omega_cutoff is refused.
     """
     if component is not Component.THERMAL:
         raise ValueError("only the thermal component is frame-comparable without a cutoff")
     cfg = cfg or QuadratureConfig()
+    if cfg.omega_cutoff is not None:
+        raise ValueError("W' is compared with the untruncated W; omega_cutoff must be None")
     t = temperature_value(T)
     if t == 0.0:
         raise ValueError("thermal energy comparison requires T > 0")
@@ -321,14 +346,8 @@ def energy_density_moving_spectral(
         lambda x: x**2 * _direction_integrated_x_occupation(x, v), t, cfg, units, hottest
     )
     w_moving = 2.0 * np.pi * pref * moving
-    w_rest = 4.0 * np.pi * pref * _thermal_frequency_integral(t, cfg, units)
+    w_rest = thermal_energy_density_closed_form(t, units)
     return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, "spectral")
-
-
-_EPS_LC = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS_LC[_i, _j, _k] = 1.0
-    _EPS_LC[_i, _k, _j] = -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,31 +374,22 @@ class CorrelationCoincidence:
             object.__setattr__(self, name, arr)
 
 
-def correlation_coincidence(
-    T,
-    cfg: QuadratureConfig | None = None,
-    units: UnitSystem = NATURAL,
-) -> CorrelationCoincidence:
+def correlation_coincidence(T, units: UnitSystem = NATURAL) -> CorrelationCoincidence:
     """Coincidence-limit correlation tensors of the rest-frame thermal field.
 
-    The frequency integral is the adaptive thermal quadrature; the angular
-    average over propagation directions is a Gauss-Legendre x uniform-phi
-    product rule with _CORRELATION_NODES nodes per axis, exact for the
-    low-order angular polynomials involved.
+    The frequency integral of omega^3 2 / (e^{hbar omega / k_B T} - 1) is
+    the closed form (k_B T / hbar)^4 2 pi^4 / 15.  The angular averages over
+    propagation directions do not depend on T; they come once from a
+    Gauss-Legendre x uniform-phi product rule with _CORRELATION_NODES nodes
+    per axis, exact for the low-order angular polynomials involved.
     """
-    cfg = cfg or QuadratureConfig()
     t = temperature_value(T)
     if t == 0.0:
         raise ValueError("coincidence correlations are computed for the thermal part; T > 0 required")
-    freq = _thermal_frequency_integral(t, cfg, units)
+    freq = thermal_frequency_scale(t, units) ** 4 * (2.0 * math.pi**4 / 15.0)
     const = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3)
-
-    khat, wts = _CORRELATION_KHAT, _CORRELATION_WTS
-    # angular average of (delta_jm - khat_j khat_m); isotropy gives (8 pi / 3) delta
-    transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
-    elel = const * freq * transverse
-    # electric-magnetic tensor carries one power of khat; averages to zero
-    em_tensor = const * freq * np.einsum("jml,n,nl->jm", _EPS_LC, wts, khat)
+    elel = const * freq * _CORRELATION_TRANSVERSE
+    em_tensor = const * freq * _CORRELATION_ELMAG
     axial = np.einsum("ljm,jm->l", _EPS_LC, em_tensor)
     return CorrelationCoincidence(
         elel_tensor=elel,
@@ -390,19 +400,17 @@ def correlation_coincidence(
 
 
 def energy_density_moving_correlation(
-    T,
-    v: BoostVelocity,
-    cfg: QuadratureConfig | None = None,
-    units: UnitSystem = NATURAL,
+    T, v: BoostVelocity, units: UnitSystem = NATURAL
 ) -> EnergyDensityReport:
     """W' assembled from rest-frame coincidence correlations.
 
     Boosting the fields and taking the equal-point average turns the
     moving-frame energy density into traces of the rest-frame tensors; see
     the module docstring for the assembled expression.  No boosted spectrum
-    is evaluated anywhere on this route.
+    is evaluated anywhere on this route, and no quadrature: W = C_jj / 4 pi
+    is the Stefan-Boltzmann closed form.
     """
-    corr = correlation_coincidence(T, cfg, units)
+    corr = correlation_coincidence(T, units)
     g2 = v.gamma**2
     c_jj = corr.elel_trace
     c_vv = float(v.vhat @ corr.elel_tensor @ v.vhat)

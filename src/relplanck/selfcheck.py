@@ -93,9 +93,10 @@ def _check_mode_roundtrip(rng) -> CheckResult:
 def _check_jacobian_freq(rng) -> CheckResult:
     worst = 0.0
     for v, omega, _, mu in _mode_sweep(rng, 0.95):
-        # reciprocity: gamma (1 + beta mu') must equal 1 / (gamma (1 - beta mu))
+        # reciprocity: boost_mu's 1 / (gamma (1 - beta mu)) must equal
+        # gamma (1 + beta mu') at the aberrated cosine
         jac_freq = kinematics.boost_mu(omega, mu, v)[2]
-        num = 1.0 / (v.gamma * (1.0 - v.beta_mag * mu))
+        num = kinematics.inverse_doppler_factor(kinematics.aberrate_mu(mu, v), v)
         worst = max(worst, np.max(np.abs(jac_freq - num) / num))
     return _result("jacobian-freq", worst, 1e-12, "d omega/d omega' = 1/(d omega'/d omega)")
 
@@ -114,8 +115,12 @@ def _check_jacobian_solid_angle(rng) -> CheckResult:
             return _half_angle_mu(mu + step, v) - _half_angle_mu(mu - step, v)
 
         num = (8.0 * diff(h) - diff(2.0 * h)) / (12.0 * h)  # d mu'/d mu, the inverse Jacobian
-        jac_solid_angle = kinematics.boost_mu(omega, mu, v)[3]
-        worst = max(worst, np.max(np.abs(jac_solid_angle - 1.0 / num) * num, initial=0.0))
+        # boost_mu's D^2, and 1 / (gamma (1 + beta mu'))^2 at the aberrated cosine
+        for jac_solid_angle in (
+            kinematics.boost_mu(omega, mu, v)[3],
+            kinematics.inverse_doppler_factor(kinematics.aberrate_mu(mu, v), v) ** -2,
+        ):
+            worst = max(worst, np.max(np.abs(jac_solid_angle - 1.0 / num) * num, initial=0.0))
     return _result(
         "jacobian-solid-angle", worst, 1e-10, "central difference of half-angle aberration"
     )

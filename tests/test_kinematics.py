@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,21 @@ class TestJacobians:
             lo = v.gamma * (1.0 + v.beta_mag * mu_p) * (om_p - h)
             hi = v.gamma * (1.0 + v.beta_mag * mu_p) * (om_p + h)
             assert (hi - lo) / (2.0 * h) == pytest.approx(r.jac_freq, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.9999985, 1.0 - 1e-9])
+    def test_backward_jacobians_match_mpmath(self, beta):
+        # gamma (1 + |beta| mu') cancels for backward directions at high beta;
+        # there boost_mu must stay at rounding level against 60-digit 1 / D and D^2
+        v = make_boost([0.0, 0.0, beta])
+        mu = np.concatenate((np.linspace(-1.0, 0.0, 101), [-0.999999, -0.95, -0.7]))
+        _, _, jac_freq, jac_solid_angle = boost_mu(1.0, mu, v)
+        with mpmath.workdps(60):
+            b = mpmath.mpf(v.beta_mag)
+            g = 1 / mpmath.sqrt(1 - b * b)
+            for i, m in enumerate(mu):
+                d = g * (1 - b * mpmath.mpf(float(m)))
+                assert float(abs(jac_freq[i] * d - 1)) <= 2e-15, m
+                assert float(abs(jac_solid_angle[i] / d**2 - 1)) <= 2e-15, m
 
     def test_doppler_reciprocity(self):
         rng = np.random.default_rng(15)

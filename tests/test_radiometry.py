@@ -21,6 +21,7 @@ from relplanck import (
     thermal_energy_density_closed_form,
     thermal_occupation,
 )
+from relplanck import radiometry
 from relplanck.radiometry import _MAX_PANELS
 from relplanck.spectrum import _direction_integrated_x_occupation
 
@@ -109,20 +110,25 @@ class TestIntegrator:
         # 8 seed panels at 15 + 7 evals each, 2 more panels per bisection
         assert res.n_evaluations == 176 + 44 * (res.n_panels - 8)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.999, 1.0 - 1e-9])
+    @pytest.mark.parametrize("beta", [0.0, 0.6, 0.999, 1.0 - 1e-9])
     def test_thermal_kernels_take_a_few_batched_calls(self, beta):
         # the rest kernel x^3 n(x) and the direction-integrated moving one,
-        # on the scales the energy-density routes use
+        # on the scales the energy-density routes use; their exact panel and
+        # evaluation counts pin the refinement rule
+        moving_counts = {0.0: (12, 352), 0.6: (11, 308), 0.999: (13, 396), 1.0 - 1e-9: (13, 396)}
         v = make_boost([0.0, 0.0, beta])
         kernels = [
             (lambda x: x**3 * thermal_occupation(x), 1.0),
             (lambda x: x**2 * _direction_integrated_x_occupation(x, v), 1.0 / (v.gamma * (1.0 - v.beta_mag))),
         ]
+        counts = []
         for kernel, scale in kernels:
             f, sizes = _counting(kernel)
             res = integrate_semi_infinite(f, scale=scale)
             assert len(sizes) <= 4
             assert res.n_evaluations == sum(sizes)
+            counts.append((res.n_panels, res.n_evaluations))
+        assert counts == [(12, 352), moving_counts[beta]]
 
     def test_unconvergeable_integrand_stays_within_the_panel_budget(self):
         # each round values its new halves in one call: 8 seed panels, then
@@ -137,6 +143,16 @@ class TestIntegrator:
         assert live.max() <= _MAX_PANELS
         # the last round is cut short to land exactly on the budget
         assert live[-1] == _MAX_PANELS
+
+    def test_frozen_panels_over_the_tolerance_stop_refinement(self):
+        # sin(1/x) oscillates without end near 0: the panels there reach
+        # max_levels with errors above the tolerance, which no further
+        # bisection elsewhere can make up, so the integrator must give up
+        # at once rather than bisect one panel per round to the budget
+        f, sizes = _counting(lambda x: np.sin(1.0 / x))
+        with pytest.raises(QuadratureConvergenceError, match="max_levels"):
+            integrate_semi_infinite(f, QuadratureConfig(omega_cutoff=10.0))
+        assert len(sizes) <= 40
 
     def test_unresolvable_spike_raises_with_partial_result(self):
         cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-250, max_levels=2)
@@ -249,6 +265,9 @@ class TestMovingSpectral:
             energy_density_moving_spectral(0.0, v)
         with pytest.raises(ValueError):
             energy_density_moving_spectral(1.0, v, component=Component.TOTAL)
+        # a truncated W' over the untruncated W would compare nothing
+        with pytest.raises(ValueError, match="omega_cutoff"):
+            energy_density_moving_spectral(1.0, v, QuadratureConfig(omega_cutoff=30.0))
 
 
 class TestCorrelations:
@@ -283,6 +302,25 @@ class TestCorrelations:
 
 
 class TestRouteAgreement:
+    def test_one_adaptive_quadrature_per_op(self, monkeypatch):
+        # W is the closed form on both routes: only the spectral W' and the
+        # rest-frame quadrature check run the adaptive integrator
+        calls = []
+        integrate = radiometry.integrate_semi_infinite
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(radiometry, "integrate_semi_infinite", counted)
+        v = make_boost([0.0, 0.0, 0.6])
+        for route, want in ((lambda: energy_density_moving_spectral(1.0, v), 1),
+                            (lambda: energy_density_moving_correlation(1.0, v), 0),
+                            (lambda: energy_density_rest(1.0), 1)):
+            calls.clear()
+            route()
+            assert len(calls) == want
+
     def test_correlation_route_hits_closed_form_algebraically(self):
         # the trace assembly reduces to gamma^2 (1 + beta^2/3) exactly; only
         # angular-rule rounding can move it
@@ -340,3 +378,5 @@ class TestAcrossTheDomain:
             for rep in (energy_density_moving_spectral(t, v, units=u),
                         energy_density_moving_correlation(t, v, units=u)):
                 assert abs(rep.ratio / want - 1.0) <= 1e-12, (rep.method, beta)
+                w_rest = thermal_energy_density_closed_form(t, u)
+                assert abs(rep.W_rest / w_rest - 1.0) <= 1e-15, (rep.method, beta)

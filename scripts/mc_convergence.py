@@ -22,7 +22,8 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--omega-prime-max", type=float, default=30.0)
     ap.add_argument("--n-max", type=int, default=1_000_000)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=None,
+                    help="worker threads (default: every usable CPU)")
     args = ap.parse_args()
 
     v = make_boost([0.0, 0.0, args.beta])

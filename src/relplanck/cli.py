@@ -295,7 +295,7 @@ def _cmd_mc_verify(args) -> int:
     t = _temperature_from(args)
     if t == 0.0:
         raise UsageError("mc-verify samples the thermal spectrum; temperature must be > 0")
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     v = _boost_from(args)
     omega_max = args.omega_prime_max
@@ -318,7 +318,7 @@ def _cmd_mc_verify(args) -> int:
     )
     inputs = {"temperature": t, "beta": _beta_list(v), "n": args.n, "seed": args.seed,
               "bins_omega": args.bins_omega, "bins_mu": args.bins_mu,
-              "omega_prime_max": omega_max, "threads": args.threads, "units": args.units}
+              "omega_prime_max": omega_max, "threads": rep.n_threads, "units": args.units}
     if args.format == "json":
         chi2_per_dof = rep.chi2_per_dof if np.isfinite(rep.chi2_per_dof) else None
         results = {
@@ -452,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins-mu", type=int, default=16)
     p.add_argument("--omega-prime-max", type=float, default=None,
                    help="upper edge of the moving-frame frequency grid")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for the sample chunks (default: every usable CPU)")
     _add_boost_flags(p)
     _add_units_flag(p)
     _add_format_flag(p, "json")

@@ -94,8 +94,12 @@ def boost_mu(omega, mu, v: BoostVelocity):
     jac_freq = 1 / D and jac_solid_angle = D^2 with D = doppler_factor(mu, v):
     gamma (1 + |beta| mu') equals 1 / D but cancels near mu' = -1.
     """
+    mu_p = aberrate_mu(mu, v)
     d = doppler_factor(mu, v)
-    return np.asarray(omega, dtype=float) * d, aberrate_mu(mu, v), 1.0 / d, d * d
+    omega_p = np.asarray(omega, dtype=float) * d
+    jac_freq = 1.0 / d
+    d *= d
+    return omega_p, mu_p, jac_freq, d
 
 
 def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:

@@ -15,8 +15,11 @@ Frequency sampling is exact and rejection-free: expanding
 x^3/(e^x - 1) = sum_k x^3 e^{-k x} gives a mixture in which the integer k
 carries weight k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  The
 generator is counter-based (Philox) with one spawned child stream per
-fixed-size chunk, so a run is reproducible bit for bit for a given seed
-regardless of the number of worker threads.
+fixed-size chunk.  By default the chunks run on every CPU the process may
+use; each chunk's sums are reduced in chunk order, so a run is reproducible
+bit for bit for a given seed whatever the number of threads.  A chunk
+frees or reuses each array as soon as it is spent, so at its peak it holds
+about six arrays of _CHUNK doubles.
 
 Each draw is binned once: one flat index over the (omega', mu') grid, by
 histogram2d's own edge rule, with one overflow slot for draws outside it,
@@ -28,14 +31,14 @@ every sum equals its result bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value
-from .kinematics import boost_mu, doppler_factor, inverse_doppler_factor
+from .kinematics import boost_mu, inverse_doppler_factor
 from .radiometry import expected_energy_ratio, thermal_energy_density_closed_form
 from .spectrum import rho_moving_mu
 
@@ -50,7 +53,9 @@ __all__ = [
 ]
 
 _ZETA4 = math.pi**4 / 90.0
-_K_TABLE_SIZE = 150_000  # tail mass beyond the table < 1e-16
+# the partial sums of k^-4 stop growing in double precision at k = 9,741,
+# 2.6e-13 short of zeta(4); this many terms reach past that
+_K_SUM_TERMS = 1 << 14
 _CHUNK = 1 << 17
 
 # moments of the dimensionless thermal energy spectrum: the mean is
@@ -61,11 +66,13 @@ PLANCK_ENERGY_MEAN_X = 360.0 * 1.0369277551433699 / math.pi**4
 PLANCK_ENERGY_MEDIAN_X = 3.503018825884851
 
 
-@lru_cache(maxsize=1)
+@cache
 def _k_mixture_cdf() -> np.ndarray:
-    k = np.arange(1, _K_TABLE_SIZE + 1, dtype=float)
+    """P(K <= k) of the mixture index, k = 1, 2, ... up to where it stops growing."""
+    k = np.arange(1, _K_SUM_TERMS + 1, dtype=float)
     cdf = np.cumsum(k**-4.0) / _ZETA4
-    cdf[-1] = 1.0
+    # every later entry would repeat the last one
+    cdf = cdf[: np.flatnonzero(cdf[1:] == cdf[:-1])[0] + 1].copy()
     cdf.setflags(write=False)
     return cdf
 
@@ -127,11 +134,16 @@ def _sample_planck_x(rng: np.random.Generator, n: int) -> np.ndarray:
     cdf = _k_mixture_cdf()
     u = rng.random(n)
     # searchsorted(cdf, u, side="left") is 0 exactly where u <= cdf[0]
-    # (92% of draws), so only the tail is searched
+    # (92% of draws), so only the tail is searched.  A u above cdf[-1]
+    # (probability 2.6e-13) searches past the table and takes
+    # k = cdf.size + 1, the first term the table leaves out
     k = np.ones(n)
     tail = u > cdf[0]
     k[tail] = np.searchsorted(cdf, u[tail], side="left") + 1
-    return rng.standard_gamma(4.0, n) / k
+    del u, tail
+    x = rng.standard_gamma(4.0, n)
+    x /= k
+    return x
 
 
 def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -156,9 +168,12 @@ def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = N
         raise ValueError("thermal sampling requires T > 0")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x = _sample_planck_x(rng, n)
-    omega = x * (units.k_B * t / units.hbar)
-    return omega, 2.0 * rng.random(n) - 1.0
+    omega = _sample_planck_x(rng, n)
+    omega *= units.k_B * t / units.hbar
+    mu = rng.random(n)
+    mu *= 2.0
+    mu -= 1.0
+    return omega, mu
 
 
 @dataclass(frozen=True)
@@ -188,7 +203,8 @@ class McReport:
 
     Bins with expected occupancy below 10 are excluded from the chi-square;
     z_scores holds NaN there.  chi2_per_dof is NaN when every bin is
-    excluded, which the CLI treats as a failed verification.
+    excluded, which the CLI treats as a failed verification.  n_threads is
+    the number of threads the chunks ran on.
     """
 
     config: McConfig
@@ -213,13 +229,16 @@ class McReport:
     ratio_expected: float
     in_grid_fraction: float
     warnings: tuple
+    n_threads: int
 
     @property
     def n_excluded(self) -> int:
         return int(self.included.size - np.count_nonzero(self.included))
 
 
-_G3_X, _G3_W = np.polynomial.legendre.leggauss(3)
+@cache
+def _gauss3() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(3)
 
 
 def _bin_averages(f, om_edges: np.ndarray, mu_edges: np.ndarray) -> np.ndarray:
@@ -230,10 +249,11 @@ def _bin_averages(f, om_edges: np.ndarray, mu_edges: np.ndarray) -> np.ndarray:
     oh = 0.5 * np.diff(om_edges)
     mc = 0.5 * (mu_edges[1:] + mu_edges[:-1])
     mh = 0.5 * np.diff(mu_edges)
-    om_pts = oc[:, None] + oh[:, None] * _G3_X
-    mu_pts = mc[:, None] + mh[:, None] * _G3_X
+    x, w = _gauss3()
+    om_pts = oc[:, None] + oh[:, None] * x
+    mu_pts = mc[:, None] + mh[:, None] * x
     vals = f(om_pts[:, :, None, None], mu_pts[None, None, :, :])
-    w = _G3_W / 2.0
+    w = w / 2.0
     return np.einsum("aibj,i,j->ab", vals, w, w)
 
 
@@ -251,8 +271,16 @@ def _axis_bins(edges: np.ndarray, x: np.ndarray, fold_last_edge: bool) -> np.nda
     if fold_last_edge:
         hi = hi.copy()
         hi[-1] = np.nextafter(hi[-1], np.inf)
-    guess = np.clip((x - edges[0]) * (n / (edges[-1] - edges[0])), 0, n - 1).astype(np.intp)
-    return guess - (x < lo[guess]) + (x >= hi[guess])
+    guess = x - edges[0]
+    guess *= n / (edges[-1] - edges[0])
+    np.clip(guess, 0, n - 1, out=guess)
+    b = guess.astype(np.intp)
+    del guess
+    below = x < lo[b]
+    above = x >= hi[b]
+    b -= below
+    b += above
+    return b
 
 
 def _flat_bin_index(
@@ -268,8 +296,18 @@ def _flat_bin_index(
     n_om, n_mu = om_edges.size - 1, mu_edges.size - 1
     i = _axis_bins(om_edges, om_p, fold_last_edge=False)
     j = _axis_bins(mu_edges, mu_p, fold_last_edge=True)
-    inside = (i >= 0) & (i < n_om) & (j >= 0) & (j < n_mu)
-    return np.where(inside, i * n_mu + j, n_om * n_mu)
+    outside = (i < 0) | (i >= n_om) | (j < 0) | (j >= n_mu)
+    i *= n_mu
+    i += j
+    i[outside] = n_om * n_mu
+    return i
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_identity_check(
@@ -277,7 +315,7 @@ def run_identity_check(
     v: BoostVelocity,
     cfg: McConfig,
     units: UnitSystem = NATURAL,
-    n_threads: int = 1,
+    n_threads: int | None = None,
 ) -> McReport:
     """Sample, boost, weight, bin, and compare against the analytic density.
 
@@ -287,11 +325,15 @@ def run_identity_check(
     thermal spectral density.  Standard errors come from the empirical
     variance of the per-draw contributions, expected bin occupancies from
     the analytic push-forward of the sampling density.
+
+    Chunks run on n_threads threads; None means every CPU this process may
+    use, capped at the chunk count.  The report is the same bit for bit
+    whatever the thread count.
     """
     t = temperature_value(T)
     if t == 0.0:
         raise ValueError("the identity check runs on the thermal spectrum; T > 0 required")
-    if n_threads < 1:
+    if n_threads is not None and n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
 
     n_total = cfg.n_samples
@@ -304,21 +346,30 @@ def run_identity_check(
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_total - i * _CHUNK) for i in range(n_chunks)]
     children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
+    if n_threads is None:
+        n_threads = min(_usable_cpus(), n_chunks)
+
+    def hist(idx, weights):
+        return np.bincount(idx, weights, n_flat + 1)[:n_flat].reshape(shape)
 
     def run_chunk(i: int):
         rng = np.random.Generator(np.random.Philox(children[i]))
         omega, mu = sample_rest_modes(t, sizes[i], rng, units)
-        om_p, mu_p, _, _ = boost_mu(omega, mu, v)
-        wgt = doppler_factor(mu, v) ** 2
-        wgt2 = wgt**2
+        # the weight gamma^2 (1 - khat . beta)^2 is the solid-angle Jacobian D^2
+        om_p, mu_p, jac_freq, wgt = boost_mu(omega, mu, v)
+        del omega, mu, jac_freq
         idx = _flat_bin_index(om_edges, mu_edges, om_p, mu_p)
-        h1, h2, cnt = (np.bincount(idx, w, n_flat + 1)[:n_flat].reshape(shape)
-                       for w in (wgt, wgt2, None))
-        return h1, h2, cnt.astype(float), float(wgt.sum()), float(wgt2.sum())
+        del om_p, mu_p
+        h1, s1 = hist(idx, wgt), float(wgt.sum())
+        np.square(wgt, out=wgt)
+        h2, s2 = hist(idx, wgt), float(wgt.sum())
+        return h1, h2, hist(idx, None).astype(float), s1, s2
 
     if n_threads == 1:
         parts = [run_chunk(i) for i in range(n_chunks)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             parts = list(pool.map(run_chunk, range(n_chunks)))
     # reduce in chunk order: the result must not depend on thread scheduling
@@ -397,4 +448,5 @@ def run_identity_check(
         ratio_expected=ratio_expected,
         in_grid_fraction=in_grid,
         warnings=tuple(warnings),
+        n_threads=n_threads,
     )

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -113,10 +114,18 @@ class QuadratureConvergenceError(RuntimeError):
         self.error = error
 
 
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-# both rules' nodes, so one call of the integrand values a panel for both
-_GL_NODES = np.concatenate((_GL15_X, _GL7_X))
+@cache
+def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, GL15 weights, GL7 weights) on [-1, 1].
+
+    nodes holds both rules' nodes, GL15 then GL7, so one call of the
+    integrand values a panel for both.
+    """
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    return np.concatenate((x15, x7)), w15, w7
+
+
 _MAX_PANELS = 4096
 _SEED_EDGES = np.linspace(0.0, 1.0, 9)  # 8 seed panels, scaled to [0, t_max]
 
@@ -139,20 +148,23 @@ def _correlation_angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return khat, np.repeat(wmu, n) * (2.0 * np.pi / n)
 
 
-_CORRELATION_KHAT, _CORRELATION_WTS = _correlation_angular_rule(_CORRELATION_NODES)
-
 _EPS_LC = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS_LC[_i, _j, _k] = 1.0
     _EPS_LC[_i, _k, _j] = -1.0
 
-# the angular averages in the coincidence tensors, independent of T:
-# (delta_jm - khat_j khat_m), which isotropy makes (8 pi / 3) delta, and the
-# one power of khat the electric-magnetic tensor carries, which averages to zero
-_CORRELATION_TRANSVERSE = _CORRELATION_WTS.sum() * np.eye(3) - np.einsum(
-    "n,nj,nm->jm", _CORRELATION_WTS, _CORRELATION_KHAT, _CORRELATION_KHAT
-)
-_CORRELATION_ELMAG = np.einsum("jml,n,nl->jm", _EPS_LC, _CORRELATION_WTS, _CORRELATION_KHAT)
+
+@cache
+def _correlation_angular_tensors() -> tuple[np.ndarray, np.ndarray]:
+    """The angular averages in the coincidence tensors, independent of T.
+
+    (delta_jm - khat_j khat_m), which isotropy makes (8 pi / 3) delta, and
+    the one power of khat the electric-magnetic tensor carries, which
+    averages to zero.
+    """
+    khat, wts = _correlation_angular_rule(_CORRELATION_NODES)
+    transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
+    return transverse, np.einsum("jml,n,nl->jm", _EPS_LC, wts, khat)
 
 
 def _panel_values(g, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +172,12 @@ def _panel_values(g, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Every panel's 22 nodes go to g in one flat array.
     """
+    nodes, w15, w7 = _gl_rules()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = g((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(a.size, _GL_NODES.size)
-    v15 = half * (y[:, :15] @ _GL15_W)
-    v7 = half * (y[:, 15:] @ _GL7_W)
+    y = g((mid[:, None] + half[:, None] * nodes).ravel()).reshape(a.size, nodes.size)
+    v15 = half * (y[:, :15] @ w15)
+    v7 = half * (y[:, 15:] @ w7)
     return v15, np.abs(v15 - v7)
 
 
@@ -198,7 +211,8 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
     a, b = edges[:-1], edges[1:]
     value, error = _panel_values(g, a, b)
     depth = np.zeros(a.size, dtype=int)
-    n_evals = _GL_NODES.size * a.size
+    n_nodes = _gl_rules()[0].size
+    n_evals = n_nodes * a.size
 
     while True:
         # fsum rounds correctly, so the panels' order does not matter
@@ -237,7 +251,7 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
         value = np.concatenate((value[keep], new_value))
         error = np.concatenate((error[keep], new_error))
         depth = np.concatenate((depth[keep], new_depth, new_depth))
-        n_evals += _GL_NODES.size * new_a.size
+        n_evals += n_nodes * new_a.size
 
 
 @dataclass(frozen=True)
@@ -388,8 +402,9 @@ def correlation_coincidence(T, units: UnitSystem = NATURAL) -> CorrelationCoinci
         raise ValueError("coincidence correlations are computed for the thermal part; T > 0 required")
     freq = thermal_frequency_scale(t, units) ** 4 * (2.0 * math.pi**4 / 15.0)
     const = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3)
-    elel = const * freq * _CORRELATION_TRANSVERSE
-    em_tensor = const * freq * _CORRELATION_ELMAG
+    transverse, elmag = _correlation_angular_tensors()
+    elel = const * freq * transverse
+    em_tensor = const * freq * elmag
     axial = np.einsum("ljm,jm->l", _EPS_LC, em_tensor)
     return CorrelationCoincidence(
         elel_tensor=elel,

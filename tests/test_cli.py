@@ -19,6 +19,7 @@ from relplanck import (
     temperature_multipoles,
 )
 from relplanck.cli import main
+from relplanck.montecarlo import _CHUNK, _usable_cpus
 from relplanck.selfcheck import CheckResult
 
 
@@ -296,6 +297,16 @@ class TestMcVerifyCommand:
         ]
         assert len(lines) == 1 + 32 * 16
 
+    def test_json_reports_the_resolved_thread_count(self, capsys):
+        def threads(*extra):
+            _, out, _ = run_cli(capsys, "mc-verify", "--beta", "0.6", *extra)
+            return json.loads(out)["inputs"]["threads"]
+
+        # one chunk of draws runs on one thread; three on up to three
+        assert threads("--n", "1000") == 1
+        assert threads("--n", str(2 * _CHUNK + 1)) == min(_usable_cpus(), 3)
+        assert threads("--n", "1000", "--threads", "5") == 5
+
     def test_validation(self, capsys):
         assert run_cli(capsys, "mc-verify", "--n", "0")[0] == 2
         assert run_cli(capsys, "mc-verify", "--threads", "0")[0] == 2
@@ -383,13 +394,23 @@ def test_help_exits_cleanly():
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; importing scipy.special would
-    # add about 0.3 s to the start-up of every command
+    # add about 0.3 s to the start-up of every command.  Quadrature rules are
+    # built on first use and the thread pool's module is loaded only by a
+    # threaded run, so the import builds no rule and loads no thread pool
     code = (
-        "import sys, relplanck.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import json, sys\n"
+        "import numpy.polynomial.legendre as legendre\n"
+        "calls, leggauss = [], legendre.leggauss\n"
+        "legendre.leggauss = lambda n: calls.append(n) or leggauss(n)\n"
+        "import relplanck.cli\n"
+        "def loaded(name):\n"
+        "    return sorted(m for m in sys.modules if m == name or m.startswith(name + '.'))\n"
+        "print(json.dumps({'scipy': loaded('scipy'),\n"
+        "                  'concurrent.futures': loaded('concurrent.futures'),\n"
+        "                  'leggauss': calls}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == {"scipy": [], "concurrent.futures": [], "leggauss": []}

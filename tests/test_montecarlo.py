@@ -1,6 +1,8 @@
 """Thermal-mode sampler quality and the Monte Carlo spectrum identity check."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from relplanck.montecarlo import (
     _k_mixture_cdf,
     _regularized_gamma4,
     _sample_planck_x,
+    _usable_cpus,
 )
 from relplanck.radiometry import thermal_energy_density_closed_form
 
@@ -263,6 +266,27 @@ class TestFlatBinning:
         k = np.searchsorted(cdf, b.random(200_000), side="left") + 1
         assert np.array_equal(got, b.standard_gamma(4.0, 200_000) / k)
 
+    def test_k_table_ends_where_its_partial_sums_stall(self):
+        cdf = _k_mixture_cdf()
+        k = np.arange(1, 150_001, dtype=float)
+        sums = np.cumsum(k**-4.0) / (math.pi**4 / 90.0)
+        assert cdf.size == 9_741
+        assert np.array_equal(cdf, sums[: cdf.size])
+        assert np.all(np.diff(cdf) > 0.0)
+        assert np.all(sums[cdf.size :] == cdf[-1])
+        assert 0.0 < 1.0 - cdf[-1] < 3e-13
+        # u up to the last entry finds the k it found in the former
+        # 150,000-entry table, whose last entry was set to 1
+        old = sums.copy()
+        old[-1] = 1.0
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), _rng(3).uniform(cdf[0], cdf[-1], 1000)])
+        assert np.array_equal(np.searchsorted(cdf, u), np.searchsorted(old, u))
+        # above it, k is the first term past the table, where the old table
+        # gave k = 150,000
+        u = np.array([cdf[-1], np.nextafter(cdf[-1], 1.0), 1.0 - 2.0**-53])
+        got = _sample_planck_x(_FixedUniforms(u), u.size)
+        assert np.array_equal(got, 1.0 / np.array([cdf.size, cdf.size + 1, cdf.size + 1]))
+
 
 CFG_4E5 = McConfig(n_samples=400_000, seed=99, omega_prime_max=30.0)
 
@@ -301,16 +325,35 @@ class TestIdentityCheck:
         assert np.all(np.isnan(rep.z_scores[~rep.included]))
 
     def test_bitwise_reproducibility_across_runs_and_threads(self):
+        # four chunks, the last one short; 8 threads is more than chunks
+        cfg = McConfig(n_samples=3 * _CHUNK + 17, seed=42, omega_prime_max=30.0)
+        for beta in ([0.0, 0.0, 0.6], [0.3, -0.5, 0.6]):
+            v = make_boost(beta)
+            reports = [run_identity_check(1.0, v, cfg, n_threads=n) for n in (None, None, 1, 8)]
+            assert [r.n_threads for r in reports] == [min(_usable_cpus(), 4)] * 2 + [1, 8]
+            for rep in reports[1:]:
+                for field in dataclasses.fields(rep):
+                    a, b = getattr(reports[0], field.name), getattr(rep, field.name)
+                    if isinstance(a, np.ndarray):
+                        assert a.tobytes() == b.tobytes(), field.name
+                    elif field.name != "n_threads":
+                        assert repr(a) == repr(b), field.name
+
+    def test_chunk_working_set_stays_small(self):
+        # each chunk drops or reuses its arrays as soon as they are spent:
+        # the traced peak is about six arrays of _CHUNK doubles (6.6 MB),
+        # where keeping every temporary to the end of the chunk reads 11.7 MB
         v = make_boost([0, 0, 0.6])
-        cfg = McConfig(n_samples=300_000, seed=42, omega_prime_max=30.0)
-        a = run_identity_check(1.0, v, cfg)
-        b = run_identity_check(1.0, v, cfg)
-        c = run_identity_check(1.0, v, cfg, n_threads=2)
-        for other in (b, c):
-            assert np.array_equal(a.estimated, other.estimated)
-            assert np.array_equal(a.counts, other.counts)
-            assert a.chi2 == other.chi2
-            assert a.w_prime_estimate == other.w_prime_estimate
+        cfg = McConfig(n_samples=3 * _CHUNK + 17, seed=8, omega_prime_max=40.0)
+        # a small run first builds the cached tables outside the trace
+        run_identity_check(1.0, v, McConfig(n_samples=10, seed=1, omega_prime_max=40.0))
+        tracemalloc.start()
+        try:
+            run_identity_check(1.0, v, cfg, n_threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
 
     @pytest.mark.parametrize("beta", [[0.0, 0.0, 0.6], [0.3, -0.5, 0.6]], ids=["z", "oblique"])
     @pytest.mark.parametrize("n_threads", [1, 2])

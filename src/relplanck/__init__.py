@@ -13,7 +13,6 @@ from .core import (
     BoostVelocity,
     Component,
     PhotonMode,
-    RestTemperature,
     UnitSystem,
     make_boost,
     temperature_value,

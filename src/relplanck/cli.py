@@ -243,7 +243,9 @@ def _cmd_energy_density(args) -> int:
             "expected_ratio": expected,
             "methods": [
                 {"method": r.method, "w_rest": r.W_rest, "w_moving": r.W_moving,
-                 "ratio": r.ratio, "ratio_minus_expected": r.ratio - expected}
+                 "ratio": r.ratio, "ratio_minus_expected": r.ratio - expected,
+                 "error_estimate": r.error_estimate, "n_panels": r.n_panels,
+                 "n_evaluations": r.n_evaluations}
                 for r in reports
             ],
         }

@@ -23,7 +23,6 @@ __all__ = [
     "BoostVelocity",
     "make_boost",
     "PhotonMode",
-    "RestTemperature",
     "temperature_value",
     "thermal_frequency_scale",
 ]
@@ -147,23 +146,8 @@ class PhotonMode:
         object.__setattr__(self, "khat", k)
 
 
-@dataclass(frozen=True)
-class RestTemperature:
-    """Temperature of the radiation in its own rest frame."""
-
-    T: float
-
-    def __post_init__(self):
-        t = float(self.T)
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.T!r}")
-        object.__setattr__(self, "T", t)
-
-
 def temperature_value(T) -> float:
-    """Accept a RestTemperature or a bare number; return the value as float."""
-    if isinstance(T, RestTemperature):
-        return T.T
+    """The rest-frame temperature T as a float; rejects NaN, inf and T < 0."""
     t = float(T)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"temperature must be finite and >= 0, got {T!r}")

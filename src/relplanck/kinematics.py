@@ -10,9 +10,11 @@ cosine between a propagation direction and the boost axis.  The mode map is
 with frequency Jacobian d(omega)/d(omega') = gamma (1 + |beta| mu') and
 solid-angle Jacobian d(Omega)/d(Omega') = 1 / (gamma (1 + |beta| mu'))^2 at
 the boosted direction; ``boost_mu`` computes them as 1 / D and D^2 from
-the Doppler factor D = gamma (1 - |beta| mu), which does not cancel for
-backward directions at high beta.  ``boost_mu`` is the one
-implementation of this map, vectorized over (omega, mu) pairs.
+the Doppler factor D = gamma (1 - |beta| mu).  Both Doppler factors and the
+aberration denominator are formed as gamma ((1 - |beta|) + |beta| (1 -+ mu)),
+a sum of non-negative terms, so nothing cancels at any cosine in [-1, 1]
+and any |beta| < 1.  ``boost_mu`` is the one implementation of this map,
+vectorized over (omega, mu) pairs.
 ``boost_mode`` is built on it: it takes mu from the 3-vector, calls
 ``boost_mu`` once, and rebuilds the direction from the boost-invariant
 transverse wavevector.
@@ -69,21 +71,33 @@ class FieldPair:
             raise ValueError(f"E and B shapes differ: {self.E.shape} vs {self.B.shape}")
 
 
+def _doppler_sum(one_pm_mu, b: float):
+    """(1 - b) + b one_pm_mu, formed in place: with one_pm_mu = 1 -+ mu >= 0
+    both terms are non-negative, so the sum does not cancel near |mu| = 1."""
+    one_pm_mu *= b
+    one_pm_mu += 1.0 - b
+    return one_pm_mu
+
+
 def doppler_factor(mu, v: BoostVelocity):
     """gamma (1 - |beta| mu) = omega'/omega at rest-frame cosine mu.  Vectorized."""
-    return v.gamma * (1.0 - v.beta_mag * np.asarray(mu, dtype=float))
+    d = _doppler_sum(1.0 - np.asarray(mu, dtype=float), v.beta_mag)
+    d *= v.gamma
+    return d
 
 
 def inverse_doppler_factor(mu_prime, v: BoostVelocity):
     """gamma (1 + |beta| mu') = omega/omega' at moving-frame cosine mu'.  Vectorized."""
-    return v.gamma * (1.0 + v.beta_mag * np.asarray(mu_prime, dtype=float))
+    d = _doppler_sum(1.0 + np.asarray(mu_prime, dtype=float), v.beta_mag)
+    d *= v.gamma
+    return d
 
 
 def aberrate_mu(mu, v: BoostVelocity):
     """Boosted propagation cosine (mu - |beta|) / (1 - |beta| mu).  Vectorized."""
     mu = np.asarray(mu, dtype=float)
     b = v.beta_mag
-    return (mu - b) / (1.0 - b * mu)
+    return (mu - b) / _doppler_sum(1.0 - mu, b)
 
 
 def boost_mu(omega, mu, v: BoostVelocity):
@@ -91,8 +105,8 @@ def boost_mu(omega, mu, v: BoostVelocity):
 
     Returns (omega', mu', jac_freq, jac_solid_angle) as arrays broadcast
     against each other.  Both Jacobians come from the rest-frame cosine,
-    jac_freq = 1 / D and jac_solid_angle = D^2 with D = doppler_factor(mu, v):
-    gamma (1 + |beta| mu') equals 1 / D but cancels near mu' = -1.
+    jac_freq = 1 / D and jac_solid_angle = D^2 with D = doppler_factor(mu, v),
+    so no rounding of mu' enters them.
     """
     mu_p = aberrate_mu(mu, v)
     d = doppler_factor(mu, v)

@@ -8,13 +8,15 @@ rule.  Panels bisected max_levels times are frozen; once their errors
 alone exceed the tolerance the integrator gives up.  Otherwise a round
 bisects every other panel whose error reaches its share
 (tol - frozen) / n_refinable of the tolerance, worst first and no more than
-the panel budget allows.  The 8 seed panels, and all new halves of a round,
-are valued in one call of the integrand on every panel's 22 nodes.  The
-estimate is deliberately conservative; tests hold the integrator to
-|value - exact| <= reported error on known integrals.  Thermal integrals
-run in x = hbar omega / (k_B T) and are scaled by (k_B T / hbar)^4 after,
-so the integrator's absolute tolerance is relative to the integrand at any
-temperature and in any unit system.
+the panel budget allows.  The 32 seed panels, and all new halves of a
+round, are valued in one call of the integrand on every panel's 22 nodes.
+Every thermal kernel in the accepted domain meets the default tolerance on
+the seed panels alone, so a thermal integral is one integrand call; other
+integrands still refine.  The estimate is deliberately conservative; tests
+hold the integrator to |value - exact| <= reported error on known integrals.
+Thermal integrals run in x = hbar omega / (k_B T) and are scaled by
+(k_B T / hbar)^4 after, so the integrator's absolute tolerance is relative
+to the integrand at any temperature and in any unit system.
 
 The rest-frame thermal energy density W is the Stefan-Boltzmann closed form
 pi^2 (k_B T)^4 / (15 hbar^3 c^3) of thermal_energy_density_closed_form in
@@ -127,7 +129,12 @@ def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _MAX_PANELS = 4096
-_SEED_EDGES = np.linspace(0.0, 1.0, 9)  # 8 seed panels, scaled to [0, t_max]
+# 32 seed panels, scaled to [0, t_max]: the fewest (of 8, 16, 24, 32) on
+# which both thermal kernels, x^3 n(x) and the direction-integrated moving
+# one up to beta = 1 - 1e-9, meet the default tolerance without a
+# bisection.  One call on 704 nodes costs less than three on about 350,
+# since the Python overhead per refinement round outweighs the nodes.
+_SEED_EDGES = np.linspace(0.0, 1.0, 33)
 
 _CORRELATION_NODES = 16  # per angular axis: Gauss-Legendre in mu, uniform in phi
 
@@ -256,12 +263,20 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
 
 @dataclass(frozen=True)
 class EnergyDensityReport:
-    """Rest and moving-frame energy densities from one computation route."""
+    """Rest and moving-frame energy densities from one computation route.
+
+    A route that runs a quadrature for W_moving also states its reported
+    error bound on W_moving and its panel and evaluation counts; the
+    correlation route runs none and leaves them None.
+    """
 
     W_rest: float
     W_moving: float
     ratio: float
     method: str
+    error_estimate: float | None = None
+    n_panels: int | None = None
+    n_evaluations: int | None = None
 
 
 def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
@@ -282,17 +297,20 @@ def expected_energy_ratio(v: BoostVelocity) -> float:
 
 def _thermal_x_integral(
     kernel, t: float, cfg: QuadratureConfig, units: UnitSystem, scale: float = 1.0
-) -> float:
+) -> QuadratureResult:
     """(k_B t / hbar)^4 times the integral of kernel(x) over x = hbar omega / (k_B t).
 
     Thermal kernels are O(1) in x at any temperature and in any unit
     system, so cfg.abs_tol means the same thing at T = 1e-3 as at T = 1e3;
-    cfg.omega_cutoff is mapped to x.  The prefactor is applied outside.
+    cfg.omega_cutoff is mapped to x.  The value and the error estimate are
+    both scaled; the prefactor is applied outside.
     """
     omega_scale = thermal_frequency_scale(t, units)
     if cfg.omega_cutoff is not None:
         cfg = replace(cfg, omega_cutoff=cfg.omega_cutoff / omega_scale)
-    return omega_scale**4 * integrate_semi_infinite(kernel, cfg, scale=scale).value
+    res = integrate_semi_infinite(kernel, cfg, scale=scale)
+    s4 = omega_scale**4
+    return replace(res, value=s4 * res.value, error_estimate=s4 * res.error_estimate)
 
 
 def energy_density_rest(
@@ -321,7 +339,7 @@ def energy_density_rest(
     if component is not Component.ZERO_POINT and t > 0.0:
         # integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega
         freq = _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, cfg, units)
-        w_thermal = four_pi_pref * freq
+        w_thermal = four_pi_pref * freq.value
     w_zero_point = 0.0
     if component is not Component.THERMAL:
         lam = cfg.omega_cutoff
@@ -359,9 +377,13 @@ def energy_density_moving_spectral(
     moving = _thermal_x_integral(
         lambda x: x**2 * _direction_integrated_x_occupation(x, v), t, cfg, units, hottest
     )
-    w_moving = 2.0 * np.pi * pref * moving
+    two_pi_pref = 2.0 * np.pi * pref
+    w_moving = two_pi_pref * moving.value
     w_rest = thermal_energy_density_closed_form(t, units)
-    return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, "spectral")
+    return EnergyDensityReport(
+        w_rest, w_moving, w_moving / w_rest, "spectral",
+        two_pi_pref * moving.error_estimate, moving.n_panels, moving.n_evaluations,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -209,6 +209,16 @@ class TestEnergyDensityCommand:
         for ratio in ratios.values():
             assert abs(ratio / 666.66683341670835418 - 1.0) <= 1e-12
 
+    def test_json_states_each_route_quadrature_diagnostics(self, capsys):
+        code, out, _ = run_cli(capsys, "energy-density", "--temperature", "1",
+                               "--beta", "0.999", "--format", "json")
+        assert code == 0
+        methods = {m["method"]: m for m in json.loads(out)["results"]["methods"]}
+        spec, corr = methods["spectral"], methods["correlation"]
+        assert (spec["n_panels"], spec["n_evaluations"]) == (32, 704)
+        assert 0.0 < spec["error_estimate"] <= 1e-10 * spec["w_moving"]
+        assert (corr["error_estimate"], corr["n_panels"], corr["n_evaluations"]) == (None, None, None)
+
     def test_zero_temperature_rejected(self, capsys):
         assert run_cli(capsys, "energy-density", "--temperature", "0")[0] == 2
 

@@ -10,7 +10,6 @@ from relplanck import (
     BoostVelocity,
     Component,
     PhotonMode,
-    RestTemperature,
     UnitSystem,
     make_boost,
     temperature_value,
@@ -131,18 +130,12 @@ class TestUnitSystem:
 
 
 class TestTemperature:
-    def test_rest_temperature_validation(self):
-        assert RestTemperature(2.725).T == 2.725
-        with pytest.raises(ValueError):
-            RestTemperature(-0.1)
-        with pytest.raises(ValueError):
-            RestTemperature(float("nan"))
-
     def test_temperature_value_coercion(self):
         assert temperature_value(1.5) == 1.5
-        assert temperature_value(RestTemperature(1.5)) == 1.5
         with pytest.raises(ValueError):
             temperature_value(-2.0)
+        with pytest.raises(ValueError):
+            temperature_value(float("nan"))
 
     def test_thermal_frequency_scale(self):
         assert thermal_frequency_scale(1.0) == 1.0
@@ -151,9 +144,6 @@ class TestTemperature:
         si = UnitSystem.si()
         expected = 1.380649e-23 * 2.725 / 1.054571817e-34
         assert thermal_frequency_scale(2.725, si) == pytest.approx(expected, rel=1e-15)
-
-    def test_accepts_rest_temperature_object(self):
-        assert thermal_frequency_scale(RestTemperature(3.0)) == 3.0
 
 
 def test_component_enum_members():

@@ -232,11 +232,13 @@ class TestJacobians:
 
     @pytest.mark.parametrize("beta", [0.9999985, 1.0 - 1e-9])
     def test_backward_jacobians_match_mpmath(self, beta):
-        # gamma (1 + |beta| mu') cancels for backward directions at high beta;
-        # there boost_mu must stay at rounding level against 60-digit 1 / D and D^2
+        # 1 -+ |beta| mu cancels near mu = +-1 at high beta, backward and
+        # forward; boost_mu must stay at rounding level against 60-digit
+        # 1 / D, D^2 and mu' at every cosine in [-1, 1]
         v = make_boost([0.0, 0.0, beta])
-        mu = np.concatenate((np.linspace(-1.0, 0.0, 101), [-0.999999, -0.95, -0.7]))
-        _, _, jac_freq, jac_solid_angle = boost_mu(1.0, mu, v)
+        extra = [0.999999, 0.9999, 0.9996, 0.95, 0.7]
+        mu = np.concatenate((np.linspace(-1.0, 1.0, 201), extra, np.negative(extra)))
+        _, mu_p, jac_freq, jac_solid_angle = boost_mu(1.0, mu, v)
         with mpmath.workdps(60):
             b = mpmath.mpf(v.beta_mag)
             g = 1 / mpmath.sqrt(1 - b * b)
@@ -244,6 +246,7 @@ class TestJacobians:
                 d = g * (1 - b * mpmath.mpf(float(m)))
                 assert float(abs(jac_freq[i] * d - 1)) <= 2e-15, m
                 assert float(abs(jac_solid_angle[i] / d**2 - 1)) <= 2e-15, m
+                assert float(abs(mu_p[i] - (float(m) - b) * g / d)) <= 2e-15, m
 
     def test_doppler_reciprocity(self):
         rng = np.random.default_rng(15)

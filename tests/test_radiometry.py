@@ -105,17 +105,20 @@ class TestIntegrator:
         assert res.value == pytest.approx(3.0**4 / 4.0, rel=1e-13)
 
     def test_bookkeeping_fields(self):
-        res = integrate_semi_infinite(lambda x: x**3 * np.exp(-x))
-        assert res.n_panels >= 8
-        # 8 seed panels at 15 + 7 evals each, 2 more panels per bisection
-        assert res.n_evaluations == 176 + 44 * (res.n_panels - 8)
+        # 32 seed panels at 15 + 7 evals each, 2 more panels per bisection;
+        # the tighter tolerance makes the same integrand bisect
+        for cfg in (None, QuadratureConfig(rel_tol=1e-13)):
+            res = integrate_semi_infinite(lambda x: x**3 * np.exp(-x), cfg)
+            assert res.n_panels >= 32
+            assert res.n_evaluations == 704 + 44 * (res.n_panels - 32)
+        assert res.n_panels > 32
 
     @pytest.mark.parametrize("beta", [0.0, 0.6, 0.999, 1.0 - 1e-9])
     def test_thermal_kernels_take_a_few_batched_calls(self, beta):
         # the rest kernel x^3 n(x) and the direction-integrated moving one,
         # on the scales the energy-density routes use; their exact panel and
-        # evaluation counts pin the refinement rule
-        moving_counts = {0.0: (12, 352), 0.6: (11, 308), 0.999: (13, 396), 1.0 - 1e-9: (13, 396)}
+        # evaluation counts pin the refinement rule: the 32 seed panels
+        # converge without a bisection
         v = make_boost([0.0, 0.0, beta])
         kernels = [
             (lambda x: x**3 * thermal_occupation(x), 1.0),
@@ -128,18 +131,18 @@ class TestIntegrator:
             assert len(sizes) <= 4
             assert res.n_evaluations == sum(sizes)
             counts.append((res.n_panels, res.n_evaluations))
-        assert counts == [(12, 352), moving_counts[beta]]
+        assert counts == [(32, 704), (32, 704)]
 
     def test_unconvergeable_integrand_stays_within_the_panel_budget(self):
-        # each round values its new halves in one call: 8 seed panels, then
+        # each round values its new halves in one call: 32 seed panels, then
         # n points make n / 22 new panels out of n / 44 old ones
         f, sizes = _counting(lambda x: np.exp(-x) * (1.0 + 0.5 * np.sin(50.0 * x**2)))
         cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(QuadratureConvergenceError, match="panel budget|max_levels"):
             integrate_semi_infinite(f, cfg)
-        assert sizes[0] == 8 * 22
+        assert sizes[0] == 32 * 22
         assert all(n % 44 == 0 for n in sizes[1:])
-        live = np.cumsum([8] + [n // 44 for n in sizes[1:]])
+        live = np.cumsum([32] + [n // 44 for n in sizes[1:]])
         assert live.max() <= _MAX_PANELS
         # the last round is cut short to land exactly on the budget
         assert live[-1] == _MAX_PANELS
@@ -320,6 +323,41 @@ class TestRouteAgreement:
             calls.clear()
             route()
             assert len(calls) == want
+
+    @pytest.mark.parametrize(
+        "units, t", [("natural", 1e-3), ("natural", 1.0), ("natural", 1e3), ("si", 300.0)]
+    )
+    def test_thermal_integrals_take_one_call_on_the_seed_panels(self, monkeypatch, units, t):
+        # both energy routes' thermal kernels, on the scales they pass, meet
+        # the default tolerance on the 32 seed panels: one integrand call of
+        # 32 x 22 points, no bisection, at every beta up to 1 - 1e-9
+        sizes = []
+        integrate = radiometry.integrate_semi_infinite
+
+        def counted(f, *args, **kwargs):
+            g, seen = _counting(f)
+            res = integrate(g, *args, **kwargs)
+            sizes.append(seen)
+            assert (res.n_panels, res.n_evaluations) == (32, 704)
+            return res
+
+        monkeypatch.setattr(radiometry, "integrate_semi_infinite", counted)
+        u = UNIT_SYSTEMS[units]
+        energy_density_rest(t, units=u)
+        for beta in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1.0 - 1e-9):
+            energy_density_moving_spectral(t, make_boost([0.0, 0.0, beta]), units=u)
+        assert sizes == [[32 * 22]] * 10
+
+    def test_reports_carry_the_quadrature_diagnostics(self):
+        v = make_boost([0.0, 0.0, 0.999])
+        spec = energy_density_moving_spectral(1.0, v)
+        assert (spec.n_panels, spec.n_evaluations) == (32, 704)
+        # the error bound is on W_moving and covers its distance from the closed form
+        exact = expected_energy_ratio(v) * spec.W_rest
+        assert 0.0 < spec.error_estimate <= 1e-10 * spec.W_moving
+        assert abs(spec.W_moving - exact) <= spec.error_estimate
+        corr = energy_density_moving_correlation(1.0, v)
+        assert (corr.error_estimate, corr.n_panels, corr.n_evaluations) == (None, None, None)
 
     def test_correlation_route_hits_closed_form_algebraically(self):
         # the trace assembly reduces to gamma^2 (1 + beta^2/3) exactly; only

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,6 +374,20 @@ class TestEffectiveTemperature:
                 nz = a > 0
                 worst = max(worst, float(np.max(np.abs(a[nz] - b[nz]) / a[nz])))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.999999, 1.0 - 1e-9])
+    def test_near_head_on_matches_mpmath(self, beta):
+        # 1 + |beta| mu' cancels near mu' = -1 at high beta; T_eff must stay
+        # at rounding level against 60-digit T / (gamma (1 + |beta| mu'))
+        v = make_boost([0.0, 0.0, beta])
+        mu = [-1.0, -0.999999, -0.9999, -0.99]
+        teff = effective_temperature_mu(mu, v, 2.725)
+        with mpmath.workdps(60):
+            b = mpmath.mpf(v.beta_mag)
+            g = 1 / mpmath.sqrt(1 - b * b)
+            for m, got in zip(mu, teff):
+                want = mpmath.mpf(2.725) / (g * (1 + b * mpmath.mpf(m)))
+                assert float(abs(got / want - 1)) <= 2e-15, m
 
     @given(st.floats(-1.0, 1.0), st.floats(0.0, 0.99))
     @settings(max_examples=200, deadline=None)

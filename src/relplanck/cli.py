@@ -68,7 +68,9 @@ class OutputEnvelope:
     warnings: list
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+        # the fields as they are: asdict would deep-copy every nested list
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
 
 
 def _g17(x) -> str:
@@ -277,7 +279,8 @@ def _cmd_anisotropy(args) -> int:
               "map_points": args.map_points, "units": args.units}
     if args.format == "json":
         results = {"l": list(range(args.lmax + 1)), "a": coeffs.a.tolist(),
-                   "convention": coeffs.convention}
+                   "convention": coeffs.convention, "method": coeffs.method,
+                   "n_evaluations": coeffs.n_evaluations}
         if mu_map is not None:
             results["map"] = {"mu_prime": mu_map.tolist(), "t_eff": teff_map.tolist()}
         _emit_envelope("anisotropy", inputs, results, [])

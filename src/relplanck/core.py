@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -59,8 +60,9 @@ class UnitSystem:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
+    @cache
     def si(cls) -> "UnitSystem":
-        """CODATA 2018 values in J s, m/s, J/K."""
+        """CODATA 2018 values in J s, m/s, J/K; one shared frozen instance."""
         return cls(1.054571817e-34, 299792458.0, 1.380649e-23)
 
 
@@ -86,9 +88,10 @@ class BoostVelocity:
         b = np.array(self.beta, dtype=float, copy=True)
         if b.shape != (3,):
             raise ValueError(f"beta must be a 3-vector, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
+        if not all(map(math.isfinite, b.tolist())):
             raise ValueError("beta components must be finite")
-        bmag = float(np.linalg.norm(b))
+        # np.linalg.norm's own formula for a vector, without its dispatch
+        bmag = math.sqrt(b.dot(b))
         if bmag >= 1.0:
             raise ValueError(f"|beta| = {bmag} must be < 1")
         vhat = b / bmag if bmag > 0.0 else np.array([0.0, 0.0, 1.0])

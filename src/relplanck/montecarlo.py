@@ -134,15 +134,14 @@ def _sample_planck_x(rng: np.random.Generator, n: int) -> np.ndarray:
     cdf = _k_mixture_cdf()
     u = rng.random(n)
     # searchsorted(cdf, u, side="left") is 0 exactly where u <= cdf[0]
-    # (92% of draws), so only the tail is searched.  A u above cdf[-1]
-    # (probability 2.6e-13) searches past the table and takes
-    # k = cdf.size + 1, the first term the table leaves out
-    k = np.ones(n)
-    tail = u > cdf[0]
-    k[tail] = np.searchsorted(cdf, u[tail], side="left") + 1
-    del u, tail
+    # (92% of draws), so only the tail is searched and divided by its k.
+    # A u above cdf[-1] (probability 2.6e-13) searches past the table and
+    # takes k = cdf.size + 1, the first term the table leaves out
+    tail = np.flatnonzero(u > cdf[0])
+    k = np.searchsorted(cdf, u[tail], side="left") + 1
+    del u
     x = rng.standard_gamma(4.0, n)
-    x /= k
+    x[tail] /= k  # the other draws have k = 1
     return x
 
 

@@ -10,6 +10,9 @@ bisects every other panel whose error reaches its share
 (tol - frozen) / n_refinable of the tolerance, worst first and no more than
 the panel budget allows.  The 32 seed panels, and all new halves of a
 round, are valued in one call of the integrand on every panel's 22 nodes.
+The seed panels' nodes and their 1 - t and (1 - t)^2 depend only on the
+upper limit t_max of the mapped variable, 1 for every untruncated
+integral, so they are built once per t_max and kept in a small cache.
 Every thermal kernel in the accepted domain meets the default tolerance on
 the seed panels alone, so a thermal integral is one integrand call; other
 integrands still refine.  The estimate is deliberately conservative; tests
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -90,6 +93,9 @@ class QuadratureConfig:
             raise ValueError("max_levels must be >= 1")
         if self.omega_cutoff is not None and not self.omega_cutoff > 0.0:
             raise ValueError("omega_cutoff must be positive when given")
+
+
+_DEFAULT_CFG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -162,27 +168,60 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 
 @cache
-def _correlation_angular_tensors() -> tuple[np.ndarray, np.ndarray]:
-    """The angular averages in the coincidence tensors, independent of T.
+def _correlation_angular_tensors() -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
+    """The angular averages in the coincidence tensors and their contractions, independent of T.
 
-    (delta_jm - khat_j khat_m), which isotropy makes (8 pi / 3) delta, and
-    the one power of khat the electric-magnetic tensor carries, which
-    averages to zero.
+    (delta_jm - khat_j khat_m), which isotropy makes (8 pi / 3) delta; its
+    diagonal, whose sum is the trace; and the axial vector contracted with
+    the Levi-Civita symbol from the one power of khat the electric-magnetic
+    tensor carries, which averages to zero.  A caller scales all three by
+    the T-dependent constant.  Summing the scaled diagonal in np.trace's
+    order gives the trace of the scaled tensor, and the electric-magnetic
+    tensor is exactly antisymmetric, so the scaled axial vector is the
+    contraction of the scaled tensor, both bit for bit.
     """
     khat, wts = _correlation_angular_rule(_CORRELATION_NODES)
     transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
-    return transverse, np.einsum("jml,n,nl->jm", _EPS_LC, wts, khat)
+    elmag = np.einsum("jml,n,nl->jm", _EPS_LC, wts, khat)
+    axial = np.einsum("ljm,jm->l", _EPS_LC, elmag)
+    transverse.setflags(write=False)
+    axial.setflags(write=False)
+    return transverse, tuple(np.diag(transverse).tolist()), axial
 
 
-def _panel_values(g, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error estimates) on panels [a, b]: GL15 values, |GL15 - GL7| errors.
-
-    Every panel's 22 nodes go to g in one flat array.
-    """
-    nodes, w15, w7 = _gl_rules()
+def _mapped_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(t, half, 1 - t, (1 - t)^2) of panels [a, b]: every panel's 22 nodes, flat."""
+    nodes = _gl_rules()[0]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = g((mid[:, None] + half[:, None] * nodes).ravel()).reshape(a.size, nodes.size)
+    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    one_m = 1.0 - t
+    return t, half, one_m, one_m**2
+
+
+@lru_cache(maxsize=8)
+def _seed_panels(t_max: float) -> tuple[np.ndarray, ...]:
+    """(a, b, t, half, 1 - t, (1 - t)^2) of the seed panels on [0, t_max], read-only.
+
+    They depend on t_max alone, which is 1 for every untruncated integral,
+    so they are built once; a cutoff adds one entry per distinct t_max.
+    """
+    edges = t_max * _SEED_EDGES
+    tables = (edges[:-1], edges[1:]) + _mapped_nodes(edges[:-1], edges[1:])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _panel_values(f, s: float, t, half, one_m, one_m2) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) of the mapped integrand on the panels of _mapped_nodes.
+
+    f is valued at omega = s t / (1 - t) on every panel's 22 nodes in one
+    call and weighted by d omega / dt = s / (1 - t)^2; the values are the
+    GL15 sums, the errors |GL15 - GL7|.
+    """
+    _, w15, w7 = _gl_rules()
+    y = (f(s * t / one_m) * (s / one_m2)).reshape(half.size, -1)
     v15 = half * (y[:, :15] @ w15)
     v7 = half * (y[:, 15:] @ w7)
     return v15, np.abs(v15 - v7)
@@ -200,7 +239,7 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
     Raises QuadratureConvergenceError if the tolerance cannot be met within
     max_levels bisections per panel (or a hard panel budget).
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = _DEFAULT_CFG if cfg is None else cfg
     s = float(scale)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
@@ -209,22 +248,17 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
     else:
         t_max = cfg.omega_cutoff / (s + cfg.omega_cutoff)
 
-    def g(t):
-        one_m = 1.0 - t
-        om = s * t / one_m
-        return f(om) * (s / one_m**2)
-
-    edges = t_max * _SEED_EDGES
-    a, b = edges[:-1], edges[1:]
-    value, error = _panel_values(g, a, b)
+    a, b, *seed_nodes = _seed_panels(t_max)
+    value, error = _panel_values(f, s, *seed_nodes)
     depth = np.zeros(a.size, dtype=int)
     n_nodes = _gl_rules()[0].size
     n_evals = n_nodes * a.size
 
     while True:
-        # fsum rounds correctly, so the panels' order does not matter
-        total = math.fsum(value)
-        err = math.fsum(error)
+        # fsum rounds correctly, so the panels' order does not matter; it
+        # reads a list faster than an array
+        total = math.fsum(value.tolist())
+        err = math.fsum(error.tolist())
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if err <= tol:
             return QuadratureResult(total, err, a.size, n_evals)
@@ -251,7 +285,7 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: fl
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate((a[split], mid))
         new_b = np.concatenate((mid, b[split]))
-        new_value, new_error = _panel_values(g, new_a, new_b)
+        new_value, new_error = _panel_values(f, s, *_mapped_nodes(new_a, new_b))
         new_depth = depth[split] + 1
         a = np.concatenate((a[keep], new_a))
         b = np.concatenate((b[keep], new_b))
@@ -310,7 +344,7 @@ def _thermal_x_integral(
         cfg = replace(cfg, omega_cutoff=cfg.omega_cutoff / omega_scale)
     res = integrate_semi_infinite(kernel, cfg, scale=scale)
     s4 = omega_scale**4
-    return replace(res, value=s4 * res.value, error_estimate=s4 * res.error_estimate)
+    return QuadratureResult(s4 * res.value, s4 * res.error_estimate, res.n_panels, res.n_evaluations)
 
 
 def energy_density_rest(
@@ -327,7 +361,7 @@ def energy_density_rest(
     of the cutoff and refuses to run without one; a configured cutoff also
     truncates the thermal part, consistently.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = _DEFAULT_CFG if cfg is None else cfg
     t = temperature_value(T)
     if component is not Component.THERMAL and cfg.omega_cutoff is None:
         raise ValueError(
@@ -366,7 +400,7 @@ def energy_density_moving_spectral(
     """
     if component is not Component.THERMAL:
         raise ValueError("only the thermal component is frame-comparable without a cutoff")
-    cfg = cfg or QuadratureConfig()
+    cfg = _DEFAULT_CFG if cfg is None else cfg
     if cfg.omega_cutoff is not None:
         raise ValueError("W' is compared with the untruncated W; omega_cutoff must be None")
     t = temperature_value(T)
@@ -417,20 +451,20 @@ def correlation_coincidence(T, units: UnitSystem = NATURAL) -> CorrelationCoinci
     the closed form (k_B T / hbar)^4 2 pi^4 / 15.  The angular averages over
     propagation directions do not depend on T; they come once from a
     Gauss-Legendre x uniform-phi product rule with _CORRELATION_NODES nodes
-    per axis, exact for the low-order angular polynomials involved.
+    per axis, exact for the low-order angular polynomials involved, and so
+    do their trace and axial contraction; each call only scales them.
     """
     t = temperature_value(T)
     if t == 0.0:
         raise ValueError("coincidence correlations are computed for the thermal part; T > 0 required")
     freq = thermal_frequency_scale(t, units) ** 4 * (2.0 * math.pi**4 / 15.0)
     const = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3)
-    transverse, elmag = _correlation_angular_tensors()
-    elel = const * freq * transverse
-    em_tensor = const * freq * elmag
-    axial = np.einsum("ljm,jm->l", _EPS_LC, em_tensor)
+    transverse, diagonal, axial = _correlation_angular_tensors()
+    scale = const * freq
+    axial = scale * axial
     return CorrelationCoincidence(
-        elel_tensor=elel,
-        elel_trace=float(np.trace(elel)),
+        elel_tensor=scale * transverse,
+        elel_trace=scale * diagonal[0] + scale * diagonal[1] + scale * diagonal[2],
         elmag_axial=axial,
         elmag_axial_trace=float(axial[2]),
     )

@@ -210,13 +210,22 @@ def _direction_integrated_x_occupation(x, v: BoostVelocity):
     4 e^{-x} (x / (1 - e^{-x})).  Vectorized.
     """
     x = np.asarray(x, dtype=float)
-    flat_value = 4.0 * np.exp(-x) * (x / -np.expm1(-x))
     if v.is_rest:
-        return flat_value
-    lo = v.gamma * (1.0 - v.beta_mag) * x
+        return _flat_x_occupation(x)
+    neg_lo = -(v.gamma * (1.0 - v.beta_mag)) * x
     a = v.gamma * v.beta_mag * x
-    log_ratio = np.log1p(np.exp(-lo) * -np.expm1(-2.0 * a) / -np.expm1(-lo))
-    return np.where(a == 0.0, flat_value, 2.0 * log_ratio / (v.gamma * v.beta_mag))
+    # (1 - e^{-2a}) / (1 - e^{-lo}) with both signs flipped, which is exact
+    log_ratio = np.log1p(np.exp(neg_lo) * np.expm1(-2.0 * a) / np.expm1(neg_lo))
+    value = np.asarray(2.0 * log_ratio / (v.gamma * v.beta_mag))
+    flat = a == 0.0
+    if flat.any():
+        value[flat] = _flat_x_occupation(x[flat])
+    return value
+
+
+def _flat_x_occupation(x):
+    """2 x thermal_occupation(x) as 4 e^{-x} (x / (1 - e^{-x})), the value at rest."""
+    return 4.0 * np.exp(-x) * (x / -np.expm1(-x))
 
 
 def u_moving(
@@ -286,10 +295,17 @@ class MultipoleCoefficients:
     the propagation direction.  Note this is the propagation-direction
     convention: an observer scanning arrival directions sees the sign of
     every odd multipole flipped.  The dipole a[1] is negative.
+
+    method says how the coefficients were computed: "recurrence" (the
+    closed form, with n_evaluations the number of backward-recurrence
+    steps) or "projection" (Gauss-Legendre, with n_evaluations the node
+    count, one T_eff evaluation each).
     """
 
     l_max: int
     a: np.ndarray
+    method: str
+    n_evaluations: int
     convention: str = "T_eff(mu') = sum_l a_l P_l(mu'), mu' = propagation cosine khat'.vhat"
 
     def __post_init__(self):
@@ -321,7 +337,11 @@ def temperature_multipoles(
     ln rho = acosh(1/beta), so 19 / ln rho extra terms put it below double
     rounding; memory stays O(l_max) and no ratio can overflow.  At rest
     every r_k is exactly 0 and the removable limit atanh(beta)/beta -> 1
-    gives a_l = T delta_l0 exactly.
+    gives a_l = T delta_l0 exactly.  Each step damps the rounding of the
+    ones before it only by rho^{-2}, so it accumulates as beta -> 1: every
+    a_l is within 1e-15 relative of 40-digit mpmath up to beta = 0.9,
+    2e-15 at 0.99, 1e-14 at 0.999, 1e-13 at 0.999999 and 1e-11 at
+    1 - 1e-9 (tests/test_oracle.py).
 
     Given n_nodes, the coefficients are instead projected by Gauss-Legendre
     quadrature with exactly that many nodes (n_nodes > l_max, else
@@ -335,15 +355,14 @@ def temperature_multipoles(
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
-    ells = np.arange(l_max + 1)
     if n_nodes is not None:
         if n_nodes <= l_max:
             raise ValueError("need more quadrature nodes than l_max")
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         teff = effective_temperature_mu(x, v, T)
         vander = np.polynomial.legendre.legvander(x, l_max)
-        a = (2.0 * ells + 1.0) / 2.0 * (vander.T @ (w * teff))
-        return MultipoleCoefficients(l_max=l_max, a=a)
+        a = (2.0 * np.arange(l_max + 1) + 1.0) / 2.0 * (vander.T @ (w * teff))
+        return MultipoleCoefficients(l_max, a, "projection", n_nodes)
     t = temperature_value(T)
     beta = v.beta_mag
     if beta > 0.0:
@@ -352,12 +371,19 @@ def temperature_multipoles(
     else:  # removable limit; every ratio below is then exactly 0
         n = l_max + 2
         atanh_over_beta = 1.0
+    # k runs as a float, which holds every k exactly and keeps the loop on
+    # float arithmetic; the tail above l_max stores nothing
     r = 0.0
-    ratios = np.empty(l_max)  # r_1 .. r_l_max
-    for k in range(n, 0, -1):
-        r = k * beta / ((2 * k + 1) - (k + 1) * beta * r)
-        if k <= l_max:
-            ratios[k - 1] = r
-    a0 = t * atanh_over_beta / v.gamma
-    a = (2.0 * ells + 1.0) * np.cumprod(np.concatenate(([a0], -ratios)))
-    return MultipoleCoefficients(l_max=l_max, a=a)
+    for k in map(float, range(n, l_max, -1)):
+        r = k * beta / ((2.0 * k + 1.0) - (k + 1.0) * beta * r)
+    ratios = []  # -r_l_max .. -r_1
+    for k in map(float, range(l_max, 0, -1)):
+        r = k * beta / ((2.0 * k + 1.0) - (k + 1.0) * beta * r)
+        ratios.append(-r)
+    # the running product from l = 1 up, in the order of np.cumprod
+    p = t * atanh_over_beta / v.gamma
+    a = [p]
+    for l, q in enumerate(reversed(ratios), 1):
+        p *= q
+        a.append((2 * l + 1) * p)
+    return MultipoleCoefficients(l_max, a, "recurrence", n)

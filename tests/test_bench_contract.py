@@ -62,6 +62,20 @@ def test_traced_quadrature_op_and_boost_mode_cli(bench, capsys):
     assert tracer.counts[tracer_mod.PHOTON_MODE_COUNT] == 2
 
 
+@pytest.mark.parametrize("si", [False, True], ids=["natural", "si"])
+def test_every_quadrature_op_passes_its_check_traced_and_untraced(bench, si):
+    tracer_mod, workloads = bench
+    for beta in workloads.QUAD_BETAS:
+        op = {"beta": beta, "T": 300.0 if si else 0.7, "si": si}
+        out = workloads.run_inprocess("quadrature_sweep", op)
+        assert workloads.check_inprocess("quadrature_sweep", op, out) is None, beta
+        with tracer_mod.Tracer().installed():
+            traced = workloads.run_inprocess("quadrature_sweep", op)
+        assert workloads.check_inprocess("quadrature_sweep", op, traced) is None, beta
+        assert (workloads.digest_inprocess("quadrature_sweep", traced)
+                == workloads.digest_inprocess("quadrature_sweep", out)), beta
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_one_sampling_span_per_monte_carlo_chunk(bench, n_threads):
     # the benchmark's per-chunk accounting counts sample_rest_modes spans

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -18,6 +19,7 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
 )
+from relplanck import cli
 from relplanck.cli import main
 from relplanck.montecarlo import _CHUNK, _usable_cpus
 from relplanck.selfcheck import CheckResult
@@ -266,6 +268,26 @@ class TestAnisotropyCommand:
                              "--format", "json")
         assert "map" in json.loads(out2)["results"]
 
+    def test_json_states_how_the_coefficients_were_computed(self, capsys):
+        beta, lmax = 0.9, 3
+        _, out, _ = run_cli(capsys, "anisotropy", "--temperature", "1",
+                            "--beta", str(beta), "--lmax", str(lmax), "--format", "json")
+        res = json.loads(out)["results"]
+        assert res["method"] == "recurrence"
+        # the recurrence's start index is its number of steps
+        assert res["n_evaluations"] == lmax + 2 + math.ceil(19.0 / math.acosh(1.0 / beta))
+
+    def test_csv_bytes_are_unchanged_by_the_diagnostics(self, capsys):
+        # frozen from the output before the coefficients carried their method
+        code, out, _ = run_cli(capsys, "anisotropy", "--temperature", "2.725",
+                               "--beta", "0.00123", "--lmax", "2", "--map-points", "3")
+        assert code == 0
+        assert out == (
+            "l,a_l\n0,2.7249993128906773\n1,-0.0033517505070862837\n"
+            "2,2.7484364850393353e-06\n\nmu_prime,t_eff\n-1,2.7283538138640226\n"
+            "0,2.7249979386729701\n1,2.7216503087931545\n"
+        )
+
     def test_validation(self, capsys):
         assert run_cli(capsys, "anisotropy", "--temperature", "1",
                        "--lmax", "-1")[0] == 2
@@ -363,6 +385,38 @@ class TestSelftestCommand:
         assert code == 1
         assert out.startswith("FAIL")
         assert "1 of 1 checks failed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--temperature", "1", "--points", "4", "--format", "json"),
+        ("boost-mode", "--omega", "1.5", "--mu", "-0.3", "--beta", "0.6", "--format", "json"),
+        ("energy-density", "--temperature", "1", "--beta", "0.6", "--format", "json"),
+        ("anisotropy", "--temperature", "1", "--beta", "0.6", "--map-points", "3",
+         "--format", "json"),
+        ("mc-verify", "--beta", "0.6", "--n", "20000"),
+        ("mc-verify", "--beta", "0.6", "--n", "100"),
+        ("selftest", "--quick", "--format", "json"),
+    ],
+    ids=["spectrum", "boost-mode", "energy-density", "anisotropy", "mc-verify",
+         "mc-verify-sparse", "selftest"],
+)
+def test_envelope_json_equals_the_deep_copied_form(capsys, monkeypatch, argv):
+    # to_json serializes the fields as they are; the bytes must be those of
+    # dataclasses.asdict, which deep-copies every nested container first
+    emitted = []
+
+    class Recording(cli.OutputEnvelope):
+        def to_json(self):
+            emitted.append(self)
+            return super().to_json()
+
+    monkeypatch.setattr(cli, "OutputEnvelope", Recording)
+    main(list(argv))
+    out = capsys.readouterr().out
+    env, = emitted
+    assert out == json.dumps(dataclasses.asdict(env), sort_keys=True, indent=2) + "\n"
 
 
 class TestParserLevel:

@@ -104,6 +104,24 @@ class TestIntegrator:
         res = integrate_semi_infinite(lambda x: x**3, cfg, scale=3.0)
         assert res.value == pytest.approx(3.0**4 / 4.0, rel=1e-13)
 
+    def test_seed_tables_are_built_once_per_upper_limit(self):
+        seed = radiometry._seed_panels
+        first = integrate_semi_infinite(lambda x: x**3 * thermal_occupation(x))
+        misses = seed.cache_info().misses
+        again = integrate_semi_infinite(lambda x: x**3 * thermal_occupation(x))
+        assert seed.cache_info().misses == misses
+        assert (again.value, again.error_estimate) == (first.value, first.error_estimate)
+        for table in seed(1.0):
+            assert not table.flags.writeable
+        # every distinct cutoff is a new upper limit; the cache stays bounded
+        # and an evicted limit is rebuilt to the same panels
+        cutoffs = [QuadratureConfig(omega_cutoff=c) for c in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        before = [integrate_semi_infinite(lambda x: x**3, cfg).value for cfg in cutoffs]
+        for c in np.linspace(10.0, 20.0, 2 * seed.cache_info().maxsize):
+            integrate_semi_infinite(lambda x: x**3, QuadratureConfig(omega_cutoff=c))
+        assert seed.cache_info().currsize <= seed.cache_info().maxsize
+        assert [integrate_semi_infinite(lambda x: x**3, cfg).value for cfg in cutoffs] == before
+
     def test_bookkeeping_fields(self):
         # 32 seed panels at 15 + 7 evals each, 2 more panels per bisection;
         # the tighter tolerance makes the same integrand bisect
@@ -293,6 +311,22 @@ class TestCorrelations:
         corr = correlation_coincidence(1.3)
         assert np.max(np.abs(corr.elmag_axial)) <= 1e-14 * corr.elel_trace
         assert corr.elmag_axial_trace == corr.elmag_axial[2]
+
+    @pytest.mark.parametrize("units, t", [(UnitSystem(), 1e-3), (UnitSystem(), 1.3),
+                                          (UnitSystem(), 1e3), (UnitSystem.si(), 300.0)])
+    def test_contractions_equal_those_of_the_scaled_tensors(self, units, t):
+        # the trace and the axial vector are contracted once and scaled per
+        # call; they must equal the contractions of each call's tensors bitwise
+        corr = correlation_coincidence(t, units)
+        assert corr.elel_trace == float(np.trace(corr.elel_tensor))
+        eps = radiometry._EPS_LC
+        khat, wts = radiometry._correlation_angular_rule(radiometry._CORRELATION_NODES)
+        transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
+        freq = (units.k_B * t / units.hbar) ** 4 * (2.0 * math.pi**4 / 15.0)
+        scale = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3) * freq
+        assert np.array_equal(corr.elel_tensor, scale * transverse)
+        elmag = np.einsum("jml,n,nl->jm", eps, wts, khat)
+        assert np.array_equal(corr.elmag_axial, np.einsum("ljm,jm->l", eps, scale * elmag))
 
     def test_tensor_is_read_only(self):
         corr = correlation_coincidence(1.0)

@@ -23,6 +23,7 @@ from relplanck import (
     thermal_occupation,
     u_moving,
 )
+from relplanck.spectrum import _direction_integrated_x_occupation
 
 V06 = make_boost([0.0, 0.0, 0.6])
 
@@ -239,6 +240,19 @@ class TestDirectionIntegrated:
         x = np.array([1e-200, 1e-170])
         rest = u_moving(x, make_boost([0, 0, 0]), 1.0, Component.THERMAL)
         assert np.array_equal(u_moving(x, tiny_beta, 1.0, Component.THERMAL), rest)
+
+    def test_rest_value_only_where_the_boost_underflows(self):
+        # a = gamma |beta| x is 0 for the first two points only; those take
+        # the rest value, the rest the logarithm, in one array or one by one
+        v = make_boost([0.0, 0.0, 1e-150])
+        x = np.array([1e-300, 1e-200, 1e-170, 0.5, 3.0])
+        rest = _direction_integrated_x_occupation(x, make_boost([0, 0, 0]))
+        got = _direction_integrated_x_occupation(x, v)
+        assert np.array_equal(got[:2], rest[:2])
+        lo, a = v.gamma * (1.0 - v.beta_mag) * x[2:], v.gamma * v.beta_mag * x[2:]
+        log_ratio = np.log1p(np.exp(-lo) * -np.expm1(-2.0 * a) / -np.expm1(-lo))
+        assert np.array_equal(got[2:], 2.0 * log_ratio / (v.gamma * v.beta_mag))
+        assert [float(_direction_integrated_x_occupation(xi, v)) for xi in x] == got.tolist()
 
     def test_temperature_and_unit_scaling(self):
         # u'(omega') = (k_B T / hbar)^3 hbar / c^3 f(hbar omega' / k_B T)
@@ -504,6 +518,31 @@ class TestMultipoles:
     def test_convention_recorded(self):
         coeffs = temperature_multipoles(V06, 1.0, 2)
         assert "propagation" in coeffs.convention
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-12, 0.3, 0.6, 0.9, 0.99, 0.999, 0.999999])
+    def test_recurrence_equals_the_reference_loop(self, beta):
+        # one loop over every k with a branch and an array store, then
+        # np.cumprod: the same arithmetic in the same order, so equal bits
+        v = make_boost([0.0, 0.0, beta])
+        for l_max in (0, 1, 16):
+            n = temperature_multipoles(v, 1.0, l_max).n_evaluations
+            r, ratios = 0.0, np.empty(l_max)
+            for k in range(n, 0, -1):
+                r = k * v.beta_mag / ((2 * k + 1) - (k + 1) * v.beta_mag * r)
+                if k <= l_max:
+                    ratios[k - 1] = r
+            a0 = 2.7 * (math.atanh(beta) / beta if beta else 1.0) / v.gamma
+            want = (2.0 * np.arange(l_max + 1) + 1.0) * np.cumprod(np.concatenate(([a0], -ratios)))
+            assert np.array_equal(temperature_multipoles(v, 2.7, l_max).a, want)
+
+    def test_method_and_evaluation_count_recorded(self):
+        coeffs = temperature_multipoles(V06, 1.0, 16)
+        assert coeffs.method == "recurrence"
+        assert coeffs.n_evaluations == 16 + 2 + math.ceil(19.0 / math.acosh(1.0 / 0.6))
+        rest = temperature_multipoles(make_boost([0, 0, 0]), 1.0, 16)
+        assert (rest.method, rest.n_evaluations) == ("recurrence", 18)
+        projected = temperature_multipoles(V06, 1.0, 16, n_nodes=64)
+        assert (projected.method, projected.n_evaluations) == ("projection", 64)
 
     def test_validation(self):
         with pytest.raises(ValueError):

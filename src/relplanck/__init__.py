@@ -41,7 +41,6 @@ from .montecarlo import (
 from .radiometry import (
     CorrelationCoincidence,
     EnergyDensityReport,
-    QuadratureConfig,
     QuadratureConvergenceError,
     QuadratureResult,
     correlation_coincidence,

@@ -154,6 +154,8 @@ def _cmd_spectrum(args) -> int:
     component = _COMPONENTS[args.component]
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
+    if not (np.isfinite(args.omega_min) and np.isfinite(args.omega_max)):
+        raise UsageError("--omega-min and --omega-max must be finite")
     if args.omega_min < 0.0 or args.omega_max < args.omega_min:
         raise UsageError("need 0 <= omega-min <= omega-max")
     if args.grid == "log" and args.omega_min <= 0.0:

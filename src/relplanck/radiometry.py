@@ -1,22 +1,16 @@
 """Frequency quadrature, coincidence field correlations, and energy densities.
 
 Semi-infinite frequency integrals go through the substitution
-omega = s t / (1 - t) (s a characteristic scale of the integrand), then an
-adaptive bisection on t in rounds.  Each panel is valued with 15-node
-Gauss-Legendre and its error estimated from the difference against a 7-node
-rule.  Panels bisected max_levels times are frozen; once their errors
-alone exceed the tolerance the integrator gives up.  Otherwise a round
-bisects every other panel whose error reaches its share
-(tol - frozen) / n_refinable of the tolerance, worst first and no more than
-the panel budget allows.  The 32 seed panels, and all new halves of a
-round, are valued in one call of the integrand on every panel's 22 nodes.
-The seed panels' nodes and their 1 - t and (1 - t)^2 depend only on the
-upper limit t_max of the mapped variable, 1 for every untruncated
-integral, so they are built once per t_max and kept in a small cache.
-Every thermal kernel in the accepted domain meets the default tolerance on
-the seed panels alone, so a thermal integral is one integrand call; other
-integrands still refine.  The estimate is deliberately conservative; tests
-hold the integrator to |value - exact| <= reported error on known integrals.
+omega = s t / (1 - t) (s a characteristic scale of the integrand) and one
+fixed rule on t in [0, 1]: 32 uniform panels, each valued with 15-node
+Gauss-Legendre and its error estimated from the difference against a
+7-node rule, all 704 nodes in one call of the integrand.  The nodes,
+half-widths, 1 - t and (1 - t)^2 are the same for every integral, so they
+are built once.  Every thermal kernel in the accepted domain meets the
+tolerance max(1e-14, 1e-10 |value|) on these panels; an integrand that does
+not raises QuadratureConvergenceError rather than return an unconverged
+number.  The estimate is deliberately conservative; tests hold the
+integrator to |value - exact| <= reported error on known integrals.
 Thermal integrals run in x = hbar omega / (k_B T) and are scaled by
 (k_B T / hbar)^4 after, so the integrator's absolute tolerance is relative
 to the integrand at any temperature and in any unit system.
@@ -29,7 +23,7 @@ routes that must agree:
 
   * spectral: integrate the boosted thermal spectral density, analytically
     over direction (the closed-form u'(omega') of spectrum.u_moving) and by
-    one adaptive quadrature over frequency, the only one either route runs;
+    one quadrature over frequency, the only one either route runs;
   * correlation: build the equal-point field correlation tensors in the
     rest frame and assemble the boosted energy density from their traces,
 
@@ -45,12 +39,12 @@ Both must land on the closed form W'/W = gamma^2 (1 + beta^2 / 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value, thermal_frequency_scale
+from .core import NATURAL, BoostVelocity, UnitSystem, temperature_value, thermal_frequency_scale
 from .spectrum import (
     _direction_integrated_x_occupation,
     spectral_prefactor,
@@ -58,7 +52,6 @@ from .spectrum import (
 )
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureResult",
     "QuadratureConvergenceError",
     "integrate_semi_infinite",
@@ -73,29 +66,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for the adaptive frequency integrals.
-
-    omega_cutoff = None means integrate to infinity; the zero-point
-    component diverges there and demands an explicit cutoff.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_levels: int = 20
-    omega_cutoff: float | None = None
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
-        if self.omega_cutoff is not None and not self.omega_cutoff > 0.0:
-            raise ValueError("omega_cutoff must be positive when given")
-
-
-_DEFAULT_CFG = QuadratureConfig()
+# the integrator's tolerance: |error| <= max(_ABS_TOL, _REL_TOL |value|)
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+# 32 panels on [0, 1]: the fewest (of 8, 16, 24, 32) on which both thermal
+# kernels, x^3 n(x) and the direction-integrated moving one up to
+# beta = 1 - 1e-9, meet the tolerance
+_N_PANELS = 32
 
 
 @dataclass(frozen=True)
@@ -107,10 +84,10 @@ class QuadratureResult:
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """The adaptive integrator could not meet its tolerance.
+    """The 32-panel rule's error estimate misses its tolerance.
 
-    Carries the best value and achieved error estimate; callers that can
-    live with the looser result may use them.
+    Carries the value and error estimate the rule reached, so a caller
+    can see how far off it was; the integrator never returns them.
     """
 
     def __init__(self, value: float, error: float, detail: str):
@@ -133,14 +110,6 @@ def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x7, w7 = np.polynomial.legendre.leggauss(7)
     return np.concatenate((x15, x7)), w15, w7
 
-
-_MAX_PANELS = 4096
-# 32 seed panels, scaled to [0, t_max]: the fewest (of 8, 16, 24, 32) on
-# which both thermal kernels, x^3 n(x) and the direction-integrated moving
-# one up to beta = 1 - 1e-9, meet the default tolerance without a
-# bisection.  One call on 704 nodes costs less than three on about 350,
-# since the Python overhead per refinement round outweighs the nodes.
-_SEED_EDGES = np.linspace(0.0, 1.0, 33)
 
 _CORRELATION_NODES = 16  # per angular axis: Gauss-Legendre in mu, uniform in phi
 
@@ -189,110 +158,49 @@ def _correlation_angular_tensors() -> tuple[np.ndarray, tuple[float, ...], np.nd
     return transverse, tuple(np.diag(transverse).tolist()), axial
 
 
-def _mapped_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(t, half, 1 - t, (1 - t)^2) of panels [a, b]: every panel's 22 nodes, flat."""
-    nodes = _gl_rules()[0]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    t = (mid[:, None] + half[:, None] * nodes).ravel()
+@cache
+def _seed_panels() -> tuple[np.ndarray, ...]:
+    """(t, half, 1 - t, (1 - t)^2) of the 32 panels on [0, 1], every panel's 22 nodes flat, read-only."""
+    edges = np.linspace(0.0, 1.0, _N_PANELS + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    t = (mid[:, None] + half[:, None] * _gl_rules()[0]).ravel()
     one_m = 1.0 - t
-    return t, half, one_m, one_m**2
-
-
-@lru_cache(maxsize=8)
-def _seed_panels(t_max: float) -> tuple[np.ndarray, ...]:
-    """(a, b, t, half, 1 - t, (1 - t)^2) of the seed panels on [0, t_max], read-only.
-
-    They depend on t_max alone, which is 1 for every untruncated integral,
-    so they are built once; a cutoff adds one entry per distinct t_max.
-    """
-    edges = t_max * _SEED_EDGES
-    tables = (edges[:-1], edges[1:]) + _mapped_nodes(edges[:-1], edges[1:])
+    tables = (t, half, one_m, one_m**2)
     for arr in tables:
         arr.setflags(write=False)
     return tables
 
 
-def _panel_values(f, s: float, t, half, one_m, one_m2) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error estimates) of the mapped integrand on the panels of _mapped_nodes.
+def integrate_semi_infinite(f, *, scale: float = 1.0) -> QuadratureResult:
+    """Integrate f(omega) over (0, infinity) on the 32-panel rule.
 
-    f is valued at omega = s t / (1 - t) on every panel's 22 nodes in one
-    call and weighted by d omega / dt = s / (1 - t)^2; the values are the
-    GL15 sums, the errors |GL15 - GL7|.
+    f must accept a 1-D numpy array and work elementwise; it is called
+    once, on all 704 nodes.  ``scale`` sets the map omega = s t/(1 - t);
+    pick the integrand's characteristic frequency (k_B T / hbar for thermal
+    kernels) so the panels straddle the peak.  The integrand must decay
+    fast enough for the mapped integral to be finite.
+
+    Raises QuadratureConvergenceError if the summed |GL15 - GL7| estimate
+    exceeds max(1e-14, 1e-10 |value|).
     """
-    _, w15, w7 = _gl_rules()
-    y = (f(s * t / one_m) * (s / one_m2)).reshape(half.size, -1)
-    v15 = half * (y[:, :15] @ w15)
-    v7 = half * (y[:, 15:] @ w7)
-    return v15, np.abs(v15 - v7)
-
-
-def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None, *, scale: float = 1.0) -> QuadratureResult:
-    """Integrate f(omega) over (0, omega_cutoff or infinity) adaptively.
-
-    f must accept a 1-D numpy array and work elementwise.  ``scale`` sets the
-    map omega = s t/(1 - t); pick the integrand's characteristic frequency
-    (k_B T / hbar for thermal kernels) so the initial panels straddle the
-    peak.  Without a cutoff the integrand must decay fast enough for the
-    mapped integral to be finite.
-
-    Raises QuadratureConvergenceError if the tolerance cannot be met within
-    max_levels bisections per panel (or a hard panel budget).
-    """
-    cfg = _DEFAULT_CFG if cfg is None else cfg
     s = float(scale)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    if cfg.omega_cutoff is None:
-        t_max = 1.0
-    else:
-        t_max = cfg.omega_cutoff / (s + cfg.omega_cutoff)
-
-    a, b, *seed_nodes = _seed_panels(t_max)
-    value, error = _panel_values(f, s, *seed_nodes)
-    depth = np.zeros(a.size, dtype=int)
-    n_nodes = _gl_rules()[0].size
-    n_evals = n_nodes * a.size
-
-    while True:
-        # fsum rounds correctly, so the panels' order does not matter; it
-        # reads a list faster than an array
-        total = math.fsum(value.tolist())
-        err = math.fsum(error.tolist())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err <= tol:
-            return QuadratureResult(total, err, a.size, n_evals)
-        refinable = depth < cfg.max_levels
-        # panels at max_levels keep their error, so once those errors alone
-        # exceed the tolerance no bisection can converge
-        frozen = math.fsum(error[~refinable])
-        if frozen > tol:
-            raise QuadratureConvergenceError(total, err, f"max_levels={cfg.max_levels} exhausted")
-        if a.size >= _MAX_PANELS:
-            raise QuadratureConvergenceError(total, err, f"panel budget {_MAX_PANELS} exhausted")
-        # every refinable panel at or over its share of what the frozen ones
-        # leave of the tolerance, worst first as far as the budget allows.
-        # The refinable errors sum to more than tol - frozen, so the worst
-        # of them reaches the share; the min holds that against rounding.
-        share = (tol - frozen) / np.count_nonzero(refinable)
-        split = refinable & (error >= min(share, error[refinable].max()))
-        room = _MAX_PANELS - a.size
-        if np.count_nonzero(split) > room:
-            worst = np.argsort(np.where(split, -error, np.inf), kind="stable")[:room]
-            split = np.zeros(a.size, dtype=bool)
-            split[worst] = True
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate((a[split], mid))
-        new_b = np.concatenate((mid, b[split]))
-        new_value, new_error = _panel_values(f, s, *_mapped_nodes(new_a, new_b))
-        new_depth = depth[split] + 1
-        a = np.concatenate((a[keep], new_a))
-        b = np.concatenate((b[keep], new_b))
-        value = np.concatenate((value[keep], new_value))
-        error = np.concatenate((error[keep], new_error))
-        depth = np.concatenate((depth[keep], new_depth, new_depth))
-        n_evals += n_nodes * new_a.size
+    t, half, one_m, one_m2 = _seed_panels()
+    _, w15, w7 = _gl_rules()
+    # f at omega = s t / (1 - t), weighted by d omega / dt = s / (1 - t)^2
+    y = (f(s * t / one_m) * (s / one_m2)).reshape(half.size, -1)
+    v15 = half * (y[:, :15] @ w15)
+    v7 = half * (y[:, 15:] @ w7)
+    # fsum rounds correctly, so the panels' order does not matter; it reads
+    # a list faster than an array
+    value = math.fsum(v15.tolist())
+    error = math.fsum(np.abs(v15 - v7).tolist())
+    # not <=, so a NaN estimate raises too
+    if not error <= max(_ABS_TOL, _REL_TOL * abs(value)):
+        raise QuadratureConvergenceError(value, error, f"{_N_PANELS} panels")
+    return QuadratureResult(value, error, _N_PANELS, t.size)
 
 
 @dataclass(frozen=True)
@@ -329,87 +237,53 @@ def expected_energy_ratio(v: BoostVelocity) -> float:
     return v.gamma**2 * (1.0 + v.beta_mag**2 / 3.0)
 
 
-def _thermal_x_integral(
-    kernel, t: float, cfg: QuadratureConfig, units: UnitSystem, scale: float = 1.0
-) -> QuadratureResult:
+def _thermal_x_integral(kernel, t: float, units: UnitSystem, scale: float = 1.0) -> QuadratureResult:
     """(k_B t / hbar)^4 times the integral of kernel(x) over x = hbar omega / (k_B t).
 
     Thermal kernels are O(1) in x at any temperature and in any unit
-    system, so cfg.abs_tol means the same thing at T = 1e-3 as at T = 1e3;
-    cfg.omega_cutoff is mapped to x.  The value and the error estimate are
-    both scaled; the prefactor is applied outside.
+    system, so the absolute tolerance means the same thing at T = 1e-3 as
+    at T = 1e3.  The value and the error estimate are both scaled; the
+    prefactor is applied outside.
     """
-    omega_scale = thermal_frequency_scale(t, units)
-    if cfg.omega_cutoff is not None:
-        cfg = replace(cfg, omega_cutoff=cfg.omega_cutoff / omega_scale)
-    res = integrate_semi_infinite(kernel, cfg, scale=scale)
-    s4 = omega_scale**4
+    res = integrate_semi_infinite(kernel, scale=scale)
+    s4 = thermal_frequency_scale(t, units) ** 4
     return QuadratureResult(s4 * res.value, s4 * res.error_estimate, res.n_panels, res.n_evaluations)
 
 
-def energy_density_rest(
-    T,
-    component: Component = Component.THERMAL,
-    cfg: QuadratureConfig | None = None,
-    units: UnitSystem = NATURAL,
-) -> float:
-    """Energy density of the isotropic rest-frame field, by quadrature.
+def energy_density_rest(T, units: UnitSystem = NATURAL) -> float:
+    """Thermal energy density of the rest-frame field, by quadrature.
 
-    The thermal part needs no cutoff and is the quadrature check of the
-    Stefan-Boltzmann closed form thermal_energy_density_closed_form, which
-    both W' routes take as W.  The zero-point part grows as the fourth power
-    of the cutoff and refuses to run without one; a configured cutoff also
-    truncates the thermal part, consistently.
+    It is the quadrature check of the Stefan-Boltzmann closed form
+    thermal_energy_density_closed_form, which both W' routes take as W.
+    No zero-point energy is computed: its spectral density grows as
+    omega^3 and integrates to infinity, and a cutoff would make it depend
+    on the cutoff, not on T.  The zero-point part's frame independence is
+    checked pointwise instead, by spectrum.rho_moving_mu and u_moving.
     """
-    cfg = _DEFAULT_CFG if cfg is None else cfg
     t = temperature_value(T)
-    if component is not Component.THERMAL and cfg.omega_cutoff is None:
-        raise ValueError(
-            "the zero-point spectral density integrates to a divergent energy; "
-            "set QuadratureConfig.omega_cutoff to request the truncated value"
-        )
-    four_pi_pref = 4.0 * np.pi * spectral_prefactor(units)
-    w_thermal = 0.0
-    if component is not Component.ZERO_POINT and t > 0.0:
-        # integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega
-        freq = _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, cfg, units)
-        w_thermal = four_pi_pref * freq.value
-    w_zero_point = 0.0
-    if component is not Component.THERMAL:
-        lam = cfg.omega_cutoff
-        zp = integrate_semi_infinite(lambda om: om**3, cfg, scale=lam).value
-        w_zero_point = four_pi_pref * zp
-    return w_zero_point + w_thermal
+    if t == 0.0:
+        return 0.0
+    # integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega
+    freq = _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, units)
+    return 4.0 * np.pi * spectral_prefactor(units) * freq.value
 
 
-def energy_density_moving_spectral(
-    T,
-    v: BoostVelocity,
-    cfg: QuadratureConfig | None = None,
-    units: UnitSystem = NATURAL,
-    component: Component = Component.THERMAL,
-) -> EnergyDensityReport:
+def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATURAL) -> EnergyDensityReport:
     """W' by integrating the boosted thermal spectral density.
 
     The direction integral is analytic (the thermal part of
-    spectrum.u_moving); one adaptive quadrature over frequency remains, on
-    the scale of the hottest direction, k_B T / (hbar gamma (1 - |beta|)).
-    W is the Stefan-Boltzmann closed form, so the ratio holds that one
-    quadrature against an exact value.  A cutoff would truncate W' but not
-    W, so cfg.omega_cutoff is refused.
+    spectrum.u_moving); one quadrature over frequency remains, on the scale
+    of the hottest direction, k_B T / (hbar gamma (1 - |beta|)).  W is the
+    Stefan-Boltzmann closed form, so the ratio holds that one quadrature
+    against an exact value.
     """
-    if component is not Component.THERMAL:
-        raise ValueError("only the thermal component is frame-comparable without a cutoff")
-    cfg = _DEFAULT_CFG if cfg is None else cfg
-    if cfg.omega_cutoff is not None:
-        raise ValueError("W' is compared with the untruncated W; omega_cutoff must be None")
     t = temperature_value(T)
     if t == 0.0:
         raise ValueError("thermal energy comparison requires T > 0")
     pref = spectral_prefactor(units)
     hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
     moving = _thermal_x_integral(
-        lambda x: x**2 * _direction_integrated_x_occupation(x, v), t, cfg, units, hottest
+        lambda x: x**2 * _direction_integrated_x_occupation(x, v), t, units, hottest
     )
     two_pi_pref = 2.0 * np.pi * pref
     w_moving = two_pi_pref * moving.value

@@ -2,8 +2,11 @@
 
 Each check exercises one identity the package is built around and reports
 a residual against a tolerance.  Randomized sweeps use a fixed seed, so a
-given build either always passes or always fails.  quick=True skips the
-two statistically expensive Monte Carlo checks.
+given build either always passes or always fails.  The battery has 20
+checks; quick=True skips the two statistically expensive Monte Carlo
+checks and runs the other 18.  None integrates a zero-point energy, which
+is infinite without a cutoff: the T = 0 invariance of the spectrum is
+checked pointwise by zero-T-invariance instead.
 """
 
 from __future__ import annotations
@@ -247,22 +250,10 @@ def _check_multipoles(rng) -> CheckResult:
 def _check_stefan_boltzmann(rng) -> CheckResult:
     worst = 0.0
     for t in (0.5, 1.0, 3.0):
-        w = radiometry.energy_density_rest(t, Component.THERMAL)
+        w = radiometry.energy_density_rest(t)
         exact = radiometry.thermal_energy_density_closed_form(t)
         worst = max(worst, abs(w - exact) / exact)
     return _result("stefan-boltzmann", worst, 1e-8, "thermal quadrature vs pi^2 T^4/15")
-
-
-def _check_cutoff_scaling(rng) -> CheckResult:
-    w1 = radiometry.energy_density_rest(
-        0.0, Component.ZERO_POINT, radiometry.QuadratureConfig(omega_cutoff=1.0)
-    )
-    w2 = radiometry.energy_density_rest(
-        0.0, Component.ZERO_POINT, radiometry.QuadratureConfig(omega_cutoff=2.0)
-    )
-    exact = 1.0 / (8.0 * math.pi**2)
-    worst = max(abs(w1 - exact) / exact, abs(w2 / w1 - 16.0) / 16.0)
-    return _result("cutoff-scaling", worst, 1e-10, "zero-point energy grows as cutoff^4")
 
 
 def _check_route_agreement(rng) -> CheckResult:
@@ -364,7 +355,6 @@ def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:
         _check_direction_integral,
         _check_multipoles,
         _check_stefan_boltzmann,
-        _check_cutoff_scaling,
         _check_route_agreement,
         _check_quadrature_honesty,
         _check_mc_determinism,

@@ -96,7 +96,7 @@ def _planck_density(om, z_of_om, t, component, units):
         raise TypeError(f"component must be a Component, got {component!r}")
     pref = spectral_prefactor(units)
     if component is Component.ZERO_POINT:
-        return pref * om**3
+        return _zero_point(pref, om)
     if t == 0.0:
         thermal = np.zeros_like(om)
     else:
@@ -116,7 +116,20 @@ def _planck_density(om, z_of_om, t, component, units):
         thermal = np.where(pz >= tiny, pz * om_occ, pref * om_occ * om_t * om_t)
     if component is Component.THERMAL:
         return thermal
-    return pref * om**3 + thermal
+    return _zero_point(pref, om) + thermal
+
+
+def _zero_point(pref, om):
+    """pref * om^3, the zero-point density, or ValueError where it overflows.
+
+    Formed as pref * om * om * om, left to right like the thermal part, so
+    a prefactor below 1 keeps it finite where om^3 alone overflows.
+    """
+    with np.errstate(over="ignore"):
+        out = pref * om * om * om
+    if np.any(np.isinf(out)):
+        raise ValueError("the zero-point density overflows a double at this frequency")
+    return out
 
 
 def _maybe_scalar(out, *inputs):
@@ -128,7 +141,8 @@ def _maybe_scalar(out, *inputs):
 def rho_rest(omega, T, component: Component = Component.TOTAL, units: UnitSystem = NATURAL):
     """Rest-frame spectral density; isotropic, so no direction argument.
 
-    Vectorized over omega.  The total is exactly zero-point + thermal.
+    Vectorized over omega.  The total is exactly zero-point + thermal.  The
+    zero-point part raises ValueError where it exceeds the largest double.
     """
     om = np.asarray(omega, dtype=float)
     _check_nonneg_omega(om, "omega")
@@ -256,7 +270,7 @@ def u_moving(
     t = temperature_value(T)
     pref = spectral_prefactor(units)
     if component is Component.ZERO_POINT:
-        return _maybe_scalar(4.0 * np.pi * pref * om**3, omega_prime)
+        return _maybe_scalar(_zero_point(4.0 * np.pi * pref, om), omega_prime)
     thermal = np.zeros_like(om)
     if t > 0.0:
         scale = units.k_B * t / units.hbar
@@ -274,7 +288,7 @@ def u_moving(
         thermal = 2.0 * np.pi * pref * (scale * x_occ) * om * om
     if component is Component.THERMAL:
         return _maybe_scalar(thermal, omega_prime)
-    return _maybe_scalar(4.0 * np.pi * pref * om**3 + thermal, omega_prime)
+    return _maybe_scalar(_zero_point(4.0 * np.pi * pref, om) + thermal, omega_prime)
 
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):

@@ -113,7 +113,7 @@ class TestSpectrumCommand:
             assert code == 0
             res = json.loads(out)["results"]
             omega = np.array(res["omega_prime"])
-            assert res["u_prime"] == (4.0 * np.pi * spectral_prefactor() * omega**3).tolist()
+            assert res["u_prime"] == (4.0 * np.pi * spectral_prefactor() * omega * omega * omega).tolist()
 
     def test_json_envelope_shape_and_determinism(self, capsys):
         args = ("spectrum", "--temperature", "1", "--points", "4", "--format", "json")
@@ -139,6 +139,9 @@ class TestSpectrumCommand:
             ("spectrum", "--temperature", "1", "--points", "0"),
             ("spectrum", "--temperature", "1", "--omega-min", "5", "--omega-max", "1"),
             ("spectrum", "--temperature", "1", "--grid", "log", "--omega-min", "0"),
+            ("spectrum", "--temperature", "1", "--omega-max", "inf"),
+            ("spectrum", "--temperature", "1", "--omega-max", "nan"),
+            ("spectrum", "--temperature", "1", "--omega-min", "nan", "--omega-max", "1"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -366,7 +369,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest", "--quick")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 19
+        assert len(lines) == 18
         assert all(line.startswith("PASS") for line in lines)
 
     def test_json_battery(self, capsys):
@@ -374,7 +377,7 @@ class TestSelftestCommand:
         assert code == 0
         res = json.loads(out)["results"]
         assert res["all_passed"] is True
-        assert len(res["checks"]) == 19
+        assert len(res["checks"]) == 18
         assert {"name", "passed", "residual", "tolerance", "detail"} <= set(res["checks"][0])
 
     def test_injected_failure_exits_1(self, capsys, monkeypatch):

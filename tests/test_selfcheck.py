@@ -10,7 +10,7 @@ QUICK_NAMES = [
     "jacobian-solid-angle", "lightcone", "field-invariants", "aberration-bounds",
     "zero-T-invariance", "pullback-identity", "occupation-invariance",
     "teff-factorization", "direction-integral", "multipoles", "stefan-boltzmann",
-    "cutoff-scaling", "route-agreement", "quadrature-honesty", "mc-determinism",
+    "route-agreement", "quadrature-honesty", "mc-determinism",
 ]
 
 # checks whose identity a wrong kinematics.aberrate_mu breaks, directly or

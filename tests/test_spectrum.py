@@ -194,7 +194,7 @@ class TestDirectionIntegrated:
 
     def test_zero_point_is_invariant(self):
         omega = np.linspace(0.0, 50.0, 101)
-        want = 4.0 * np.pi * spectral_prefactor() * omega**3
+        want = 4.0 * np.pi * spectral_prefactor() * omega * omega * omega
         for beta in (0.0, 0.6, 1.0 - 1e-9):
             for t in (0.0, 1.0):
                 got = u_moving(omega, make_boost([0.0, 0.0, beta]), t, Component.ZERO_POINT)
@@ -342,10 +342,31 @@ def test_wien_tail_where_omega_squared_overflows_is_zero(units):
         for comp in (Component.TOTAL, Component.ZERO_POINT):
             with pytest.raises(ValueError, match="omega must be finite"):
                 rho_moving_pullback_mu(1.7e308, 0.5, V06, 1.0, comp, units)
-    # the total is the zero-point part alone, which overflows to inf
-    with np.errstate(over="ignore"):
-        assert rho_rest(1e160, 1.0) == math.inf
-        assert rho_moving_mu(1e160, 0.2, V06, 1.0) == math.inf
+    # the total is the zero-point part alone, which overflows a double
+    for total in (lambda: rho_rest(1e160, 1.0), lambda: rho_moving_mu(1e160, 0.2, V06, 1.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            total()
+
+
+def test_zero_point_past_the_overflow_of_omega_cubed():
+    # om^3 overflows from om ~ 5.6e102 on; the zero-point part is formed
+    # as pref * om * om * om, which is finite while the density is and
+    # raises where the density itself exceeds the largest double
+    si = UnitSystem.si()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rho_rest(1e103, 300.0, units=si)
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(spectral_prefactor(si)) * mpmath.mpf(1e103) ** 3)
+        assert got == pytest.approx(want, rel=1e-15)  # 1.58e247
+        for density in (
+            lambda: rho_rest(1e104, 1.0),
+            lambda: rho_moving_mu(1e104, 0.2, V06, 1.0),
+            lambda: rho_moving_pullback_mu(1e104, 0.2, V06, 1.0),
+            lambda: u_moving(1e104, V06, 1.0),
+        ):
+            with pytest.raises(ValueError, match="overflows"):
+                density()
 
 
 class TestPullbackRoute:

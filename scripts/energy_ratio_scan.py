@@ -1,9 +1,9 @@
 """Scan the thermal energy-density ratio W'/W over boost speed.
 
 Runs both computation routes (spectral quadrature of the boosted density
-and the field-correlation trace assembly) against the closed form
-gamma^2 (1 + beta^2/3) and prints the residual of each, so any drift in
-either route shows up immediately.
+and the Lorentz boost of the rest-frame field correlation) against the
+closed form gamma^2 (1 + beta^2/3) and prints the residual of each, so any
+drift in either route shows up immediately.
 
     python3 scripts/energy_ratio_scan.py
     python3 scripts/energy_ratio_scan.py --beta-max 0.995 --points 20 --csv

@@ -39,11 +39,9 @@ from .montecarlo import (
     sample_rest_modes,
 )
 from .radiometry import (
-    CorrelationCoincidence,
     EnergyDensityReport,
     QuadratureConvergenceError,
     QuadratureResult,
-    correlation_coincidence,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
     energy_density_rest,

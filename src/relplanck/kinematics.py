@@ -1,4 +1,4 @@
-"""Lorentz transformation of photon modes and electromagnetic field pairs.
+"""Lorentz transformation of photon modes and electromagnetic fields.
 
 Conventions: primed quantities live in the frame moving with velocity
 ``beta`` relative to the radiation rest frame, and mu = khat . vhat is the
@@ -18,10 +18,16 @@ vectorized over (omega, mu) pairs.
 ``boost_mode`` is built on it: it takes mu from the 3-vector, calls
 ``boost_mu`` once, and rebuilds the direction from the boost-invariant
 transverse wavevector.
+
+Fields transform linearly, (E', B') = L (E, B) with L the 6x6 matrix of
+``_field_boost_matrix``, the one implementation of the field boost:
+``field_boost`` applies it to (E, B) pairs, and the correlation route of
+``radiometry`` to the rest-frame field correlation as L C L^T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,24 +143,42 @@ def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
     return ModeTransformResult(PhotonMode(omega_p, khat_p), jac_freq, jac_solid_angle)
 
 
-def field_boost(f: FieldPair, v: BoostVelocity) -> FieldPair:
-    """Boost an (E, B) pair: longitudinal parts fixed, transverse mixed with gamma.
+def _field_boost_matrix(v: BoostVelocity) -> np.ndarray:
+    """The 6x6 L with (E', B') = L (E, B): the one implementation of the field boost.
 
         E' = (vhat.E) vhat + gamma [E - (vhat.E) vhat + beta x B]
         B' = (vhat.B) vhat + gamma [B - (vhat.B) vhat - beta x E]
 
+    so L = [[A, gamma [beta]x], [-gamma [beta]x, A]] with
+    A = gamma I + (1 - gamma) vhat vhat^T and [beta]x the cross-product
+    matrix.  Built from Python floats in one np.array call, the cheapest
+    way to fill a 6x6 on this path; identity at beta = 0.
+    """
+    g = v.gamma
+    hx, hy, hz = v.vhat.tolist()
+    bx, by, bz = (g * b for b in v.beta.tolist())
+    p = 1.0 - g
+    ax, ay, az = p * hx, p * hy, p * hz
+    return np.array([
+        [g + ax * hx, ax * hy, ax * hz, 0.0, -bz, by],
+        [ay * hx, g + ay * hy, ay * hz, bz, 0.0, -bx],
+        [az * hx, az * hy, g + az * hz, -by, bx, 0.0],
+        [0.0, bz, -by, g + ax * hx, ax * hy, ax * hz],
+        [-bz, 0.0, bx, ay * hx, g + ay * hy, ay * hz],
+        [by, -bx, 0.0, az * hx, az * hy, g + az * hz],
+    ])
+
+
+def field_boost(f: FieldPair, v: BoostVelocity) -> FieldPair:
+    """Boost an (E, B) pair by the matrix of _field_boost_matrix.
+
+    Longitudinal parts are fixed and transverse ones mixed with gamma.
     Row by row for a stacked pair; identity at beta = 0.
     """
     if v.is_rest:
         return f
-    vh = v.vhat
-    g = v.gamma
-    E, B = f.E, f.B
-    E_par = (E @ vh)[..., None] * vh
-    B_par = (B @ vh)[..., None] * vh
-    E_p = E_par + g * (E - E_par + np.cross(v.beta, B))
-    B_p = B_par + g * (B - B_par - np.cross(v.beta, E))
-    return FieldPair(E_p, B_p)
+    eb = np.concatenate((f.E, f.B), axis=-1) @ _field_boost_matrix(v).T
+    return FieldPair(eb[..., :3], eb[..., 3:])
 
 
 def direction_with_cosine(mu, v: BoostVelocity, azimuth: float = 0.0) -> np.ndarray:
@@ -162,6 +186,8 @@ def direction_with_cosine(mu, v: BoostVelocity, azimuth: float = 0.0) -> np.ndar
     mu = float(mu)
     if not -1.0 <= mu <= 1.0:
         raise ValueError(f"cosine must lie in [-1, 1], got {mu}")
+    if not math.isfinite(azimuth):
+        raise ValueError(f"azimuth must be finite, got {azimuth!r}")
     vh = v.vhat
     helper = np.array([1.0, 0.0, 0.0]) if abs(vh[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(vh, helper)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value
 from .kinematics import boost_mu, inverse_doppler_factor
-from .radiometry import expected_energy_ratio, thermal_energy_density_closed_form
+from .radiometry import _normal, expected_energy_ratio, thermal_energy_density_closed_form
 from .spectrum import rho_moving_mu
 
 __all__ = [
@@ -341,6 +341,11 @@ def run_identity_check(
     shape = (cfg.n_omega_bins, cfg.n_mu_bins)
     n_flat = shape[0] * shape[1]
     w_rest = thermal_energy_density_closed_form(t, units)
+    ratio_expected = expected_energy_ratio(v)
+    # each draw's weight D^2 is at most gamma^2 (1 + |beta|)^2, so with W
+    # times that in range neither the W' estimate nor the expected W' overflows
+    largest = w_rest * (v.gamma * (1.0 + v.beta_mag)) ** 2
+    _normal(largest, "the largest W' estimate, W gamma^2 (1 + |beta|)^2,")
 
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_total - i * _CHUNK) for i in range(n_chunks)]
@@ -407,7 +412,6 @@ def run_identity_check(
     var_w = max(s2 / n_total - mean_w**2, 0.0)
     w_prime_est = w_rest * mean_w
     w_prime_se = w_rest * math.sqrt(var_w / n_total)
-    ratio_expected = expected_energy_ratio(v)
 
     warnings = []
     n_excluded = included.size - dof

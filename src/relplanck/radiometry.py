@@ -1,4 +1,4 @@
-"""Frequency quadrature, coincidence field correlations, and energy densities.
+"""Frequency quadrature, the rest-frame field correlation, and energy densities.
 
 Semi-infinite frequency integrals go through the substitution
 omega = s t / (1 - t) (s a characteristic scale of the integrand) and one
@@ -11,27 +11,26 @@ tolerance max(1e-14, 1e-10 |value|) on these panels; an integrand that does
 not raises QuadratureConvergenceError rather than return an unconverged
 number.  The estimate is deliberately conservative; tests hold the
 integrator to |value - exact| <= reported error on known integrals.
-Thermal integrals run in x = hbar omega / (k_B T) and are scaled by
-(k_B T / hbar)^4 after, so the integrator's absolute tolerance is relative
-to the integrand at any temperature and in any unit system.
+Thermal integrals run in x = hbar omega / (k_B T), so the integrator's
+absolute tolerance is relative to the integrand at any temperature and in
+any unit system.
 
 The rest-frame thermal energy density W is the Stefan-Boltzmann closed form
 pi^2 (k_B T)^4 / (15 hbar^3 c^3) of thermal_energy_density_closed_form in
-both routes below; energy_density_rest is its quadrature check.  The
-moving-frame energy density W' is computed by two genuinely different
-routes that must agree:
+both routes below; energy_density_rest is its quadrature check.  Each
+route computes the scale-free ratio W'/W and reports W' = W W'/W, and
+raises ValueError where W or W' is not a finite normal double.  The two
+routes are genuinely different and must agree:
 
   * spectral: integrate the boosted thermal spectral density, analytically
     over direction (the closed-form u'(omega') of spectrum.u_moving) and by
-    one quadrature over frequency, the only one either route runs;
-  * correlation: build the equal-point field correlation tensors in the
-    rest frame and assemble the boosted energy density from their traces,
+    one quadrature over x, the only one either route runs;
+  * correlation: Lorentz-transform the rest-frame field.  C is the 6x6
+    equal-point correlation of (E, B), built once per unit scale from an
+    angular rule, and L the 6x6 field boost of kinematics, the same matrix
+    kinematics.field_boost applies, so
 
-        W' = [C_jj + 2 (gamma^2 - 1)(C_jj - C_vv) + 2 gamma^2 |beta| A_v] / 4 pi,
-
-    with C the electric-electric coincidence tensor, C_vv its component
-    along the boost axis, and A_v the (identically vanishing, by isotropy)
-    electric-magnetic axial vector projected on the boost axis.
+        W'/W = tr(L C L^T) / tr(C).
 
 Both must land on the closed form W'/W = gamma^2 (1 + beta^2 / 3).
 """
@@ -39,11 +38,13 @@ Both must land on the closed form W'/W = gamma^2 (1 + beta^2 / 3).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from . import kinematics
 from .core import NATURAL, BoostVelocity, UnitSystem, temperature_value, thermal_frequency_scale
 from .spectrum import (
     _direction_integrated_x_occupation,
@@ -58,8 +59,6 @@ __all__ = [
     "EnergyDensityReport",
     "energy_density_rest",
     "energy_density_moving_spectral",
-    "CorrelationCoincidence",
-    "correlation_coincidence",
     "energy_density_moving_correlation",
     "thermal_energy_density_closed_form",
     "expected_energy_ratio",
@@ -73,6 +72,7 @@ _ABS_TOL = 1e-14
 # kernels, x^3 n(x) and the direction-integrated moving one up to
 # beta = 1 - 1e-9, meet the tolerance
 _N_PANELS = 32
+_PI2_15 = math.pi**2 / 15.0
 
 
 @dataclass(frozen=True)
@@ -114,48 +114,43 @@ def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CORRELATION_NODES = 16  # per angular axis: Gauss-Legendre in mu, uniform in phi
 
 
-def _correlation_angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(khat, weights) of the n x n Gauss-Legendre-in-mu x uniform-phi rule on the sphere."""
+@cache
+def _rest_correlation() -> tuple[np.ndarray, float]:
+    """The rest-frame 6x6 equal-point correlation <(E, B)(E, B)^T> per unit scale, and its trace.
+
+    A plane wave along khat has E transverse and B = khat x E, so the
+    polarization-averaged E-E and B-B blocks are the transverse tensor
+    (delta_jm - khat_j khat_m) and the E-B block is eps_jml khat_l, each
+    averaged over directions on the _CORRELATION_NODES x _CORRELATION_NODES
+    Gauss-Legendre-in-mu x uniform-phi rule, exact for these polynomials.
+    Isotropy makes the first (8 pi / 3) delta and the second zero; both are
+    computed, not assumed.  The trace is taken as the boosted trace at
+    L = I, so the ratio is exactly 1 at rest.  Read-only; it does not
+    depend on T.
+    """
+    n = _CORRELATION_NODES
     mu, wmu = np.polynomial.legendre.leggauss(n)
     phi = 2.0 * np.pi * np.arange(n) / n
     smu = np.sqrt(1.0 - mu**2)
     khat = np.stack(
-        [
-            np.outer(smu, np.cos(phi)).ravel(),
-            np.outer(smu, np.sin(phi)).ravel(),
-            np.outer(mu, np.ones(n)).ravel(),
-        ],
+        [np.outer(smu, np.cos(phi)).ravel(), np.outer(smu, np.sin(phi)).ravel(), np.repeat(mu, n)],
         axis=1,
     )
-    return khat, np.repeat(wmu, n) * (2.0 * np.pi / n)
-
-
-_EPS_LC = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS_LC[_i, _j, _k] = 1.0
-    _EPS_LC[_i, _k, _j] = -1.0
-
-
-@cache
-def _correlation_angular_tensors() -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
-    """The angular averages in the coincidence tensors and their contractions, independent of T.
-
-    (delta_jm - khat_j khat_m), which isotropy makes (8 pi / 3) delta; its
-    diagonal, whose sum is the trace; and the axial vector contracted with
-    the Levi-Civita symbol from the one power of khat the electric-magnetic
-    tensor carries, which averages to zero.  A caller scales all three by
-    the T-dependent constant.  Summing the scaled diagonal in np.trace's
-    order gives the trace of the scaled tensor, and the electric-magnetic
-    tensor is exactly antisymmetric, so the scaled axial vector is the
-    contraction of the scaled tensor, both bit for bit.
-    """
-    khat, wts = _correlation_angular_rule(_CORRELATION_NODES)
+    wts = np.repeat(wmu, n) * (2.0 * np.pi / n)
     transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
-    elmag = np.einsum("jml,n,nl->jm", _EPS_LC, wts, khat)
-    axial = np.einsum("ljm,jm->l", _EPS_LC, elmag)
-    transverse.setflags(write=False)
-    axial.setflags(write=False)
-    return transverse, tuple(np.diag(transverse).tolist()), axial
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k] = 1.0
+        eps[i, k, j] = -1.0
+    elmag = np.einsum("jml,n,nl->jm", eps, wts, khat)
+    corr = np.block([[transverse, elmag], [elmag.T, transverse]])
+    corr.setflags(write=False)
+    return corr, _boosted_trace(np.eye(6), corr)
+
+
+def _boosted_trace(boost: np.ndarray, corr: np.ndarray) -> float:
+    """tr(L C L^T), as the dot product of L C with L."""
+    return float(np.vdot(boost @ corr, boost))
 
 
 @cache
@@ -221,15 +216,32 @@ class EnergyDensityReport:
     n_evaluations: int | None = None
 
 
+def _normal(x: float, what: str) -> float:
+    """x, if it is a finite normal double; ValueError otherwise."""
+    if not (math.isfinite(x) and abs(x) >= sys.float_info.min):
+        raise ValueError(f"{what} is {x!r}, not a finite normal double")
+    return x
+
+
 def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
     """pi^2 (k_B T)^4 / (15 hbar^3 c^3), the closed-form thermal energy density.
 
     Both W' routes take it as W, energy_density_rest must reproduce it by
     quadrature, and the Monte Carlo sampler uses it as the normalization of
-    the thermal spectrum.
+    the thermal spectrum.  The mantissas and binary exponents of k_B T and
+    hbar c are combined apart, so no power overflows or underflows where W
+    itself is representable.  Raises ValueError unless W is a finite normal
+    double: at T = 0, and at temperatures so low or high that W underflows
+    or overflows.
     """
     t = temperature_value(T)
-    return math.pi**2 * (units.k_B * t) ** 4 / (15.0 * units.hbar**3 * units.c**3)
+    m, e = math.frexp(units.k_B * t)
+    mhc, ehc = math.frexp(units.hbar * units.c)
+    try:
+        w = math.ldexp(_PI2_15 * m**4 / mhc**3, 4 * e - 3 * ehc)
+    except OverflowError:
+        w = math.inf
+    return _normal(w, "thermal energy density W")
 
 
 def expected_energy_ratio(v: BoostVelocity) -> float:
@@ -237,17 +249,10 @@ def expected_energy_ratio(v: BoostVelocity) -> float:
     return v.gamma**2 * (1.0 + v.beta_mag**2 / 3.0)
 
 
-def _thermal_x_integral(kernel, t: float, units: UnitSystem, scale: float = 1.0) -> QuadratureResult:
-    """(k_B t / hbar)^4 times the integral of kernel(x) over x = hbar omega / (k_B t).
-
-    Thermal kernels are O(1) in x at any temperature and in any unit
-    system, so the absolute tolerance means the same thing at T = 1e-3 as
-    at T = 1e3.  The value and the error estimate are both scaled; the
-    prefactor is applied outside.
-    """
-    res = integrate_semi_infinite(kernel, scale=scale)
-    s4 = thermal_frequency_scale(t, units) ** 4
-    return QuadratureResult(s4 * res.value, s4 * res.error_estimate, res.n_panels, res.n_evaluations)
+def _report(w_rest: float, ratio: float, method: str, *quadrature) -> EnergyDensityReport:
+    """The report for W' = W ratio; ValueError unless W' is a finite normal double."""
+    w_moving = _normal(w_rest * ratio, "moving-frame energy density W'")
+    return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, method, *quadrature)
 
 
 def energy_density_rest(T, units: UnitSystem = NATURAL) -> float:
@@ -255,111 +260,58 @@ def energy_density_rest(T, units: UnitSystem = NATURAL) -> float:
 
     It is the quadrature check of the Stefan-Boltzmann closed form
     thermal_energy_density_closed_form, which both W' routes take as W.
-    No zero-point energy is computed: its spectral density grows as
-    omega^3 and integrates to infinity, and a cutoff would make it depend
-    on the cutoff, not on T.  The zero-point part's frame independence is
-    checked pointwise instead, by spectrum.rho_moving_mu and u_moving.
+    The integral runs in x = hbar omega / (k_B T), where the kernel is O(1)
+    at any temperature and in any unit system, and is scaled by
+    (k_B T / hbar)^4 after.  No zero-point energy is computed: its spectral
+    density grows as omega^3 and integrates to infinity, and a cutoff would
+    make it depend on the cutoff, not on T.  The zero-point part's frame
+    independence is checked pointwise instead, by spectrum.rho_moving_mu
+    and u_moving.
     """
     t = temperature_value(T)
     if t == 0.0:
         return 0.0
     # integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega
-    freq = _thermal_x_integral(lambda x: x**3 * thermal_occupation(x), t, units)
-    return 4.0 * np.pi * spectral_prefactor(units) * freq.value
+    freq = integrate_semi_infinite(lambda x: x**3 * thermal_occupation(x)).value
+    return 4.0 * np.pi * spectral_prefactor(units) * thermal_frequency_scale(t, units) ** 4 * freq
 
 
 def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATURAL) -> EnergyDensityReport:
     """W' by integrating the boosted thermal spectral density.
 
     The direction integral is analytic (the thermal part of
-    spectrum.u_moving); one quadrature over frequency remains, on the scale
-    of the hottest direction, k_B T / (hbar gamma (1 - |beta|)).  W is the
-    Stefan-Boltzmann closed form, so the ratio holds that one quadrature
-    against an exact value.
+    spectrum.u_moving); one quadrature I over x = hbar omega' / (k_B T)
+    remains, on the scale of the hottest direction,
+    1 / (gamma (1 - |beta|)).  With s = k_B T / hbar, W' = 2 pi pref s^4 I
+    and W = 4 pi pref s^4 J, J = integral x^3 2 / (e^x - 1) dx = 2 pi^4 / 15,
+    so W'/W = 15 I / (4 pi^4) at any temperature and in any unit system.
+    W' = W W'/W with W the Stefan-Boltzmann closed form, and the error
+    estimate is the integral's, carried to W' the same way.
     """
-    t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("thermal energy comparison requires T > 0")
-    pref = spectral_prefactor(units)
+    w_rest = thermal_energy_density_closed_form(T, units)
     hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
-    moving = _thermal_x_integral(
-        lambda x: x**2 * _direction_integrated_x_occupation(x, v), t, units, hottest
+    moving = integrate_semi_infinite(
+        lambda x: x**2 * _direction_integrated_x_occupation(x, v), scale=hottest
     )
-    two_pi_pref = 2.0 * np.pi * pref
-    w_moving = two_pi_pref * moving.value
-    w_rest = thermal_energy_density_closed_form(t, units)
-    return EnergyDensityReport(
-        w_rest, w_moving, w_moving / w_rest, "spectral",
-        two_pi_pref * moving.error_estimate, moving.n_panels, moving.n_evaluations,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationCoincidence:
-    """Equal-point thermal field correlation data.
-
-    elel_tensor[j, m] is the electric-electric coincidence tensor; isotropy
-    makes it (trace / 3) times the identity.  elmag_axial[l] is the axial
-    vector contracted from the electric-magnetic tensor with the
-    Levi-Civita symbol; the angular average of khat makes it vanish, and it
-    is kept so the assembly of W' uses the full expression rather than a
-    pre-simplified one.  elmag_axial_trace is its z component.
-    """
-
-    elel_tensor: np.ndarray
-    elel_trace: float
-    elmag_axial: np.ndarray
-    elmag_axial_trace: float
-
-    def __post_init__(self):
-        for name in ("elel_tensor", "elmag_axial"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def correlation_coincidence(T, units: UnitSystem = NATURAL) -> CorrelationCoincidence:
-    """Coincidence-limit correlation tensors of the rest-frame thermal field.
-
-    The frequency integral of omega^3 2 / (e^{hbar omega / k_B T} - 1) is
-    the closed form (k_B T / hbar)^4 2 pi^4 / 15.  The angular averages over
-    propagation directions do not depend on T; they come once from a
-    Gauss-Legendre x uniform-phi product rule with _CORRELATION_NODES nodes
-    per axis, exact for the low-order angular polynomials involved, and so
-    do their trace and axial contraction; each call only scales them.
-    """
-    t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("coincidence correlations are computed for the thermal part; T > 0 required")
-    freq = thermal_frequency_scale(t, units) ** 4 * (2.0 * math.pi**4 / 15.0)
-    const = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3)
-    transverse, diagonal, axial = _correlation_angular_tensors()
-    scale = const * freq
-    axial = scale * axial
-    return CorrelationCoincidence(
-        elel_tensor=scale * transverse,
-        elel_trace=scale * diagonal[0] + scale * diagonal[1] + scale * diagonal[2],
-        elmag_axial=axial,
-        elmag_axial_trace=float(axial[2]),
+    per_ratio = 15.0 / (4.0 * math.pi**4)
+    return _report(
+        w_rest, per_ratio * moving.value, "spectral",
+        w_rest * per_ratio * moving.error_estimate, moving.n_panels, moving.n_evaluations,
     )
 
 
 def energy_density_moving_correlation(
     T, v: BoostVelocity, units: UnitSystem = NATURAL
 ) -> EnergyDensityReport:
-    """W' assembled from rest-frame coincidence correlations.
+    """W' by Lorentz-transforming the rest-frame field correlations.
 
-    Boosting the fields and taking the equal-point average turns the
-    moving-frame energy density into traces of the rest-frame tensors; see
-    the module docstring for the assembled expression.  No boosted spectrum
-    is evaluated anywhere on this route, and no quadrature: W = C_jj / 4 pi
-    is the Stefan-Boltzmann closed form.
+    The boosted equal-point correlation is L C L^T, with L the field boost
+    of kinematics._field_boost_matrix and C the rest-frame 6x6 correlation,
+    so W'/W = tr(L C L^T) / tr(C): the energy density is (<E^2> + <B^2>) /
+    8 pi in either frame.  No boosted spectrum is evaluated on this route,
+    and no quadrature: W is the Stefan-Boltzmann closed form.
     """
-    corr = correlation_coincidence(T, units)
-    g2 = v.gamma**2
-    c_jj = corr.elel_trace
-    c_vv = float(v.vhat @ corr.elel_tensor @ v.vhat)
-    a_v = float(v.vhat @ corr.elmag_axial)
-    w_moving = (c_jj + 2.0 * (g2 - 1.0) * (c_jj - c_vv) + 2.0 * g2 * v.beta_mag * a_v) / (4.0 * np.pi)
-    w_rest = c_jj / (4.0 * np.pi)
-    return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, "correlation")
+    w_rest = thermal_energy_density_closed_form(T, units)
+    corr, trace = _rest_correlation()
+    ratio = _boosted_trace(kinematics._field_boost_matrix(v), corr) / trace
+    return _report(w_rest, ratio, "correlation")

@@ -142,6 +142,8 @@ class TestSpectrumCommand:
             ("spectrum", "--temperature", "1", "--omega-max", "inf"),
             ("spectrum", "--temperature", "1", "--omega-max", "nan"),
             ("spectrum", "--temperature", "1", "--omega-min", "nan", "--omega-max", "1"),
+            ("boost-mode", "--omega", "1", "--mu", "0.2", "--beta", "0.5", "--azimuth", "inf"),
+            ("boost-mode", "--omega", "1", "--mu", "0.2", "--beta", "0.5", "--azimuth", "nan"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):

@@ -258,7 +258,35 @@ class TestJacobians:
             )
 
 
+def _vector_field_boost(E, B, v):
+    """The field boost written out as vectors, row by row: the reference for the matrix.
+
+        E' = (vhat.E) vhat + gamma [E - (vhat.E) vhat + beta x B]
+        B' = (vhat.B) vhat + gamma [B - (vhat.B) vhat - beta x E]
+    """
+    vh, g = v.vhat, v.gamma
+    E_par = (E @ vh)[..., None] * vh
+    B_par = (B @ vh)[..., None] * vh
+    E_p = E_par + g * (E - E_par + np.cross(v.beta, B))
+    B_p = B_par + g * (B - B_par - np.cross(v.beta, E))
+    return E_p, B_p
+
+
 class TestFieldBoost:
+    def test_matrix_matches_the_vector_formula(self):
+        # random oblique boosts up to 1 - 1e-9, gamma up to 2.2e4
+        rng = np.random.default_rng(19)
+        E, B = rng.normal(size=(64, 3)), rng.normal(size=(64, 3))
+        scale = np.linalg.norm(E, axis=1) + np.linalg.norm(B, axis=1)
+        mags = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0, 40)
+        for b, d in zip(mags, random_unit_vectors(rng, 40)):
+            v = make_boost(b * d)
+            fb = field_boost(FieldPair(E, B), v)
+            E_ref, B_ref = _vector_field_boost(E, B, v)
+            bound = 1e-15 * v.gamma * scale
+            assert np.all(np.max(np.abs(fb.E - E_ref), axis=1) <= bound)
+            assert np.all(np.max(np.abs(fb.B - B_ref), axis=1) <= bound)
+
     def test_transverse_example(self):
         f = FieldPair([0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
         fb = field_boost(f, make_boost([0.6, 0.0, 0.0]))
@@ -376,6 +404,9 @@ class TestDirectionWithCosine:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             direction_with_cosine(1.5, V06)
+        for azimuth in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="azimuth"):
+                direction_with_cosine(0.2, V06, azimuth)
 
     def test_works_for_x_axis_boost(self):
         v = make_boost([0.7, 0.0, 0.0])

@@ -5,11 +5,11 @@ import types
 import relplanck
 
 PUBLIC_NAMES = [
-    "BoostVelocity", "CheckResult", "Component", "CorrelationCoincidence",
-    "EnergyDensityReport", "FieldPair", "McConfig", "McReport", "ModeTransformResult",
+    "BoostVelocity", "CheckResult", "Component", "EnergyDensityReport",
+    "FieldPair", "McConfig", "McReport", "ModeTransformResult",
     "MultipoleCoefficients", "NATURAL", "PLANCK_ENERGY_MEAN_X", "PLANCK_ENERGY_MEDIAN_X",
     "PhotonMode", "QuadratureConvergenceError", "QuadratureResult", "UnitSystem",
-    "aberrate_mu", "boost_mode", "boost_mu", "correlation_coincidence",
+    "aberrate_mu", "boost_mode", "boost_mu",
     "direction_with_cosine", "doppler_factor", "effective_temperature_mu",
     "energy_density_moving_correlation", "energy_density_moving_spectral",
     "energy_density_rest", "expected_energy_ratio", "field_boost",
@@ -27,4 +27,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(relplanck, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 46
+    assert len(names) == 44

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from relplanck import (
-    CorrelationCoincidence,
     QuadratureConvergenceError,
     UnitSystem,
-    correlation_coincidence,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
     energy_density_rest,
@@ -19,7 +17,7 @@ from relplanck import (
     thermal_energy_density_closed_form,
     thermal_occupation,
 )
-from relplanck import radiometry
+from relplanck import kinematics, radiometry
 from relplanck.spectrum import _direction_integrated_x_occupation
 
 # closed-form reference values, frozen after independent evaluation:
@@ -212,51 +210,59 @@ class TestMovingSpectral:
             energy_density_moving_spectral(0.0, v)
 
 
+def _correlation_scale(t, units):
+    """hbar / ((2 pi)^2 c^3) (k_B t / hbar)^4 2 pi^4 / 15, the rest correlation's physical scale.
+
+    The library needs no such scale, since W'/W is a ratio of traces; the
+    test applies it to check that the scaled matrix's trace gives W.
+    """
+    freq = (units.k_B * t / units.hbar) ** 4 * (2.0 * math.pi**4 / 15.0)
+    return units.hbar / ((2.0 * math.pi) ** 2 * units.c**3) * freq
+
+
 class TestCorrelations:
     def test_isotropy_of_electric_tensor(self):
-        corr = correlation_coincidence(1.0)
-        tens = corr.elel_tensor
-        scale = corr.elel_trace
-        off = tens - np.diag(np.diag(tens))
-        assert np.max(np.abs(off)) <= 1e-15 * scale
-        assert np.max(np.abs(np.diag(tens) - scale / 3.0)) <= 1e-14 * scale
-        assert isinstance(corr, CorrelationCoincidence)
+        # the E-E and B-B blocks are both (trace / 6) times the identity
+        corr, trace = radiometry._rest_correlation()
+        assert trace == pytest.approx(16.0 * math.pi, rel=1e-15)
+        for block in (corr[:3, :3], corr[3:, 3:]):
+            assert np.max(np.abs(block - trace / 6.0 * np.eye(3))) <= 1e-15 * trace
 
     def test_trace_reproduces_energy_density(self):
-        corr = correlation_coincidence(1.0)
-        assert corr.elel_trace / (4.0 * math.pi) == pytest.approx(
-            W_THERMAL_NATURAL_T1, rel=1e-10
-        )
+        _, trace = radiometry._rest_correlation()
+        w = _correlation_scale(1.0, UnitSystem()) * trace / (8.0 * math.pi)
+        assert w == pytest.approx(W_THERMAL_NATURAL_T1, rel=1e-10)
 
     def test_electric_magnetic_average_vanishes(self):
-        corr = correlation_coincidence(1.3)
-        assert np.max(np.abs(corr.elmag_axial)) <= 1e-14 * corr.elel_trace
-        assert corr.elmag_axial_trace == corr.elmag_axial[2]
+        # computed from the angular rule, not set to zero
+        corr, trace = radiometry._rest_correlation()
+        assert np.max(np.abs(corr[:3, 3:])) <= 1e-14 * trace
+        assert np.array_equal(corr[3:, :3], corr[:3, 3:].T)
 
     @pytest.mark.parametrize("units, t", [(UnitSystem(), 1e-3), (UnitSystem(), 1.3),
                                           (UnitSystem(), 1e3), (UnitSystem.si(), 300.0)])
     def test_contractions_equal_those_of_the_scaled_tensors(self, units, t):
-        # the trace and the axial vector are contracted once and scaled per
-        # call; they must equal the contractions of each call's tensors bitwise
-        corr = correlation_coincidence(t, units)
-        assert corr.elel_trace == float(np.trace(corr.elel_tensor))
-        eps = radiometry._EPS_LC
-        khat, wts = radiometry._correlation_angular_rule(radiometry._CORRELATION_NODES)
-        transverse = wts.sum() * np.eye(3) - np.einsum("n,nj,nm->jm", wts, khat, khat)
-        freq = (units.k_B * t / units.hbar) ** 4 * (2.0 * math.pi**4 / 15.0)
-        scale = units.hbar / ((2.0 * np.pi) ** 2 * units.c**3) * freq
-        assert np.array_equal(corr.elel_tensor, scale * transverse)
-        elmag = np.einsum("jml,n,nl->jm", eps, wts, khat)
-        assert np.array_equal(corr.elmag_axial, np.einsum("ljm,jm->l", eps, scale * elmag))
+        # the route contracts the per-unit-scale matrix; the traces of the
+        # physically scaled rest and boosted matrices must give its W and W'
+        corr, _ = radiometry._rest_correlation()
+        scaled = _correlation_scale(t, units) * corr
+        n = np.array([1.0, -2.0, 2.0]) / 3.0
+        for beta in (0.0, 0.6, 1.0 - 1e-9):
+            v = make_boost(beta * n)
+            boost = kinematics._field_boost_matrix(v)
+            rep = energy_density_moving_correlation(t, v, units)
+            assert rep.W_rest == pytest.approx(np.trace(scaled) / (8.0 * math.pi), rel=1e-14)
+            w_moving = np.trace(boost @ scaled @ boost.T) / (8.0 * math.pi)
+            assert rep.W_moving == pytest.approx(w_moving, rel=1e-14)
 
     def test_tensor_is_read_only(self):
-        corr = correlation_coincidence(1.0)
+        corr, _ = radiometry._rest_correlation()
         with pytest.raises(ValueError):
-            corr.elel_tensor[0, 0] = 0.0
+            corr[0, 0] = 0.0
 
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):
-            correlation_coincidence(0.0)
+            energy_density_moving_correlation(0.0, make_boost([0.0, 0.0, 0.5]))
 
 
 class TestRouteAgreement:
@@ -315,13 +321,16 @@ class TestRouteAgreement:
         assert (corr.error_estimate, corr.n_panels, corr.n_evaluations) == (None, None, None)
 
     def test_correlation_route_hits_closed_form_algebraically(self):
-        # the trace assembly reduces to gamma^2 (1 + beta^2/3) exactly; only
-        # angular-rule rounding can move it
-        for beta in (0.2, 0.75):
-            v = make_boost([0.0, 0.0, beta])
-            rep = energy_density_moving_correlation(1.0, v)
-            assert rep.method == "correlation"
-            assert rep.ratio == pytest.approx(expected_energy_ratio(v), rel=1e-13)
+        # tr(L C L^T) / tr(C) reduces to gamma^2 (1 + beta^2/3) exactly; only
+        # angular-rule and matrix-product rounding can move it
+        n = np.array([1.0, -2.0, 2.0]) / 3.0
+        for axis in (np.array([0.0, 0.0, 1.0]), n):
+            for beta in (0.0, 0.2, 0.6, 0.75, 0.9, 0.99, 0.999, 0.999999, 1.0 - 1e-9):
+                v = make_boost(beta * axis)
+                rep = energy_density_moving_correlation(1.0, v)
+                assert rep.method == "correlation"
+                assert rep.ratio == pytest.approx(expected_energy_ratio(v), rel=1e-15)
+        assert energy_density_moving_correlation(1.0, make_boost([0.0, 0.0, 0.0])).ratio == 1.0
 
     def test_two_routes_agree(self):
         for beta in (0.1, 0.6, 0.9):
@@ -364,3 +373,33 @@ class TestAcrossTheDomain:
                 assert abs(rep.ratio / want - 1.0) <= 1e-12, (rep.method, beta)
                 w_rest = thermal_energy_density_closed_form(t, u)
                 assert abs(rep.W_rest / w_rest - 1.0) <= 1e-15, (rep.method, beta)
+
+
+class TestExtremeTemperatures:
+    """W is formed without an intermediate overflow, and an unrepresentable W or W' raises."""
+
+    def test_w_near_the_largest_double(self):
+        # pi^2 (k_B T)^4 alone would overflow before the division by 15
+        assert thermal_energy_density_closed_form(1e77) == pytest.approx(
+            math.pi**2 / 15.0 * 1e308, rel=1e-15
+        )
+        v = make_boost([0.0, 0.0, 0.6])
+        for rep in (energy_density_moving_spectral(1e77, v),
+                    energy_density_moving_correlation(1e77, v)):
+            assert math.isfinite(rep.W_moving)
+            assert rep.ratio == pytest.approx(1.75, rel=1e-12), rep.method
+
+    @pytest.mark.parametrize("t", [0.0, 1e-320, 1e-81, 1e200])
+    def test_unrepresentable_w_raises(self, t):
+        v = make_boost([0.0, 0.0, 0.6])
+        for route in (thermal_energy_density_closed_form,
+                      lambda t: energy_density_moving_spectral(t, v),
+                      lambda t: energy_density_moving_correlation(t, v)):
+            with pytest.raises(ValueError, match="not a finite normal double"):
+                route(t)
+
+    def test_unrepresentable_w_moving_raises(self):
+        v = make_boost([0.0, 0.0, 1.0 - 1e-9])
+        for route in (energy_density_moving_spectral, energy_density_moving_correlation):
+            with pytest.raises(ValueError, match="W' is inf"):
+                route(1e77, v)

@@ -1,5 +1,7 @@
 """The selftest battery: it runs on the array mode map and still catches faults."""
 
+import types
+
 from relplanck import kinematics
 from relplanck.cli import main
 from relplanck.core import PhotonMode
@@ -56,3 +58,23 @@ def test_injected_aberration_error_fails_the_battery(monkeypatch, capsys):
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL  mode-roundtrip") for line in out.splitlines())
+
+
+def test_injected_field_boost_error_fails_both_field_checks(monkeypatch, capsys):
+    # field_boost and the correlation route share kinematics._field_boost_matrix,
+    # so a wrong gamma there must fail the field invariants and the W' routes
+    exact = kinematics._field_boost_matrix
+
+    def wrong_gamma(v):
+        return exact(types.SimpleNamespace(beta=v.beta, vhat=v.vhat, gamma=v.gamma * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(kinematics, "_field_boost_matrix", wrong_gamma)
+    results = {r.name: r for r in run_selfcheck(quick=True)}
+    for name in ("field-invariants", "route-agreement"):
+        assert not results[name].passed, name
+        assert results[name].residual > results[name].tolerance, name
+    assert results["lightcone"].passed
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL  field-invariants") for line in out)
+    assert any(line.startswith("FAIL  route-agreement") for line in out)

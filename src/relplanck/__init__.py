@@ -16,7 +16,6 @@ from .core import (
     UnitSystem,
     make_boost,
     temperature_value,
-    thermal_frequency_scale,
 )
 from .kinematics import (
     FieldPair,

@@ -116,7 +116,7 @@ def _units_from(args) -> UnitSystem:
     return NATURAL if args.units == "natural" else UnitSystem.si()
 
 
-def _boost_from(args, explicit=False):
+def _boost_from(args):
     if args.beta_vec is not None:
         parts = args.beta_vec.split(",")
         if len(parts) != 3:
@@ -128,8 +128,6 @@ def _boost_from(args, explicit=False):
     elif args.beta is not None:
         vec = [0.0, 0.0, args.beta]
     else:
-        if explicit:
-            raise UsageError("a boost is required: pass --beta or --beta-vec")
         vec = [0.0, 0.0, 0.0]
     try:
         return make_boost(vec)

@@ -25,7 +25,6 @@ __all__ = [
     "make_boost",
     "PhotonMode",
     "temperature_value",
-    "thermal_frequency_scale",
 ]
 
 
@@ -155,16 +154,4 @@ def temperature_value(T) -> float:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"temperature must be finite and >= 0, got {T!r}")
     return t
-
-
-def thermal_frequency_scale(T, units: UnitSystem = NATURAL):
-    """Characteristic angular frequency k_B T / hbar of the thermal spectrum.
-
-    Returns None at T = 0, where the thermal part vanishes and no scale
-    exists; callers must branch rather than divide.
-    """
-    t = temperature_value(T)
-    if t == 0.0:
-        return None
-    return units.k_B * t / units.hbar
 

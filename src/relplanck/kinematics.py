@@ -133,12 +133,16 @@ def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
 
     which keeps the azimuth about vhat and needs no special case near the
     axis.  At beta = 0 the input mode is returned unchanged with unit
-    Jacobians; the inverse map is boost_mode(mode', v.reversed()).
+    Jacobians; the inverse map is boost_mode(mode', v.reversed()).  Raises
+    ValueError where omega' overflows a double.
     """
     if v.is_rest:
         return ModeTransformResult(mode, 1.0, 1.0)
     mu = min(1.0, max(-1.0, float(mode.khat @ v.vhat)))
-    omega_p, mu_p, jac_freq, jac_solid_angle = map(float, boost_mu(mode.omega, mu, v))
+    with np.errstate(over="ignore"):
+        omega_p, mu_p, jac_freq, jac_solid_angle = map(float, boost_mu(mode.omega, mu, v))
+    if math.isinf(omega_p):
+        raise ValueError("the boosted frequency omega' overflows a double")
     khat_p = (mode.khat - mu * v.vhat) / float(doppler_factor(mu, v)) + mu_p * v.vhat
     return ModeTransformResult(PhotonMode(omega_p, khat_p), jac_freq, jac_solid_angle)
 

@@ -45,7 +45,7 @@ from functools import cache
 import numpy as np
 
 from . import kinematics
-from .core import NATURAL, BoostVelocity, UnitSystem, temperature_value, thermal_frequency_scale
+from .core import NATURAL, BoostVelocity, UnitSystem, temperature_value
 from .spectrum import (
     _direction_integrated_x_occupation,
     spectral_prefactor,
@@ -273,7 +273,8 @@ def energy_density_rest(T, units: UnitSystem = NATURAL) -> float:
         return 0.0
     # integral omega^3 2 / (e^{hbar omega / k_B t} - 1) d omega
     freq = integrate_semi_infinite(lambda x: x**3 * thermal_occupation(x)).value
-    return 4.0 * np.pi * spectral_prefactor(units) * thermal_frequency_scale(t, units) ** 4 * freq
+    s = units.k_B * t / units.hbar
+    return 4.0 * np.pi * spectral_prefactor(units) * s**4 * freq
 
 
 def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATURAL) -> EnergyDensityReport:

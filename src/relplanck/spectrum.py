@@ -21,6 +21,18 @@ distribution u'(omega') = 2 pi integral rho'(omega', mu') d mu' (u_moving).
 The mu' integral is elementary, because 2 ln(1 - e^{-u}) is an
 antiderivative of 2 / (e^u - 1); its zero-point part is 4 pi times the
 rest-frame one at every beta.
+
+All three densities go through one assembly, _density: the zero-point
+part pref omega omega omega and the thermal part
+
+    pref * s * omega * omega * x_occ(omega / s),   s = k_B T / (hbar D),
+
+multiplied left to right, with D = 1 at rest and x_occ(x) = 2 x / (e^x - 1)
+<= 2 (u_moving passes 4 pi pref and the mean of x_occ over mu').  Neither
+omega^3 nor the occupation is formed on its own, so the thermal part
+survives where omega^3 underflows and where the occupation overflows.  Left
+to right, an intermediate is subnormal only where the density is below
+twice the smallest normal double; one that overflows raises ValueError.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ __all__ = [
     "MultipoleCoefficients",
     "temperature_multipoles",
 ]
+
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 def spectral_prefactor(units: UnitSystem = NATURAL) -> float:
@@ -78,45 +92,35 @@ def _check_mu(mu) -> np.ndarray:
     return mu
 
 
-def _planck_density(om, z_of_om, t, component, units):
-    """Assemble prefactor * om^3 * {1, occupation, coth} from the z map.
+def _x_occupation(x):
+    """x times the occupation, 2 e^{-x} (x / (1 - e^{-x})), for x > 0: at most 2,
+    finite for subnormal x and an exact 0 deep in the Wien tail."""
+    return 2.0 * np.exp(-x) * (x / -np.expm1(-x))
 
-    z_of_om maps frequencies to the coth argument; for the rest frame that
-    is hbar om / (k_B T), for the moving frame it carries the extra Doppler
-    factor.  om = 0, T = 0 and a zero om * occupation (the deep Wien tail,
-    where om^2 may overflow) give a thermal part of exactly 0.  The thermal
-    part is formed as prefactor * om^2 * (om * occupation): om * occupation
-    tends to 2 k_B T_eff / hbar, so it survives where om^3 underflows.  The
-    occupation overflows only for subnormal z, where e^{-z} rounds to 1 and
-    -expm1(-z) to z, so om * occupation is 2 om / z there.  Where
-    prefactor * om^2 is subnormal it has lost digits, and the product is
-    taken in the order prefactor * (om * occupation) * om * om instead.
+
+def _density(om, s, x_occ, component, pref):
+    """pref om^3 {1, occupation, coth}, assembled as the module docstring says.
+
+    om / s is taken as at least the smallest subnormal, where x_occ has
+    reached its limit.  The thermal part is exactly 0 at om = 0, at T = 0
+    (s = 0) and wherever x_occ is 0 or NaN.  pref s om^2 overflows ahead of
+    the density only where x_occ < 1 would bring it back, deep in the Wien
+    tail of a scale s above about 1e101 in natural units.  Raises
+    ValueError wherever the density is not a finite double, so also there
+    and where s is not.
     """
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")
-    pref = spectral_prefactor(units)
     if component is Component.ZERO_POINT:
         return _zero_point(pref, om)
-    if t == 0.0:
-        thermal = np.zeros_like(om)
-    else:
-        tiny = np.finfo(float).tiny
-        # z may round up to inf near the largest double; the occupation
-        # is exactly 0 there
-        with np.errstate(over="ignore"):
-            z = z_of_om(om)
-        normal = z >= tiny
-        occ = thermal_occupation(np.where(normal, z, 1.0))
-        # 2 (om / z), not 2 om / z: 2 om overflows near the largest double
-        om_occ = np.where(normal, om * occ, 2.0 * (om / np.where(z > 0.0, z, np.inf)))
-        # om * occupation is 0 at om = 0 and deep in the Wien tail, and so
-        # is the thermal part, also where om^2 would overflow
-        om_t = np.where(om_occ > 0.0, om, 0.0)
-        pz = pref * om_t**2
-        thermal = np.where(pz >= tiny, pz * om_occ, pref * om_occ * om_t * om_t)
-    if component is Component.THERMAL:
-        return thermal
-    return _zero_point(pref, om) + thermal
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        occ = x_occ(np.maximum(om / s, _SMALLEST))
+        out = np.where(occ > 0.0, pref * s * om * om * occ, 0.0)
+        if component is Component.TOTAL:
+            out = _zero_point(pref, om) + out
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the spectral density overflows a double at this frequency and T")
+    return out
 
 
 def _zero_point(pref, om):
@@ -141,14 +145,15 @@ def _maybe_scalar(out, *inputs):
 def rho_rest(omega, T, component: Component = Component.TOTAL, units: UnitSystem = NATURAL):
     """Rest-frame spectral density; isotropic, so no direction argument.
 
-    Vectorized over omega.  The total is exactly zero-point + thermal.  The
-    zero-point part raises ValueError where it exceeds the largest double.
+    Vectorized over omega.  The total is exactly zero-point + thermal.
+    The thermal part is within 4 eps (1 + z) relative, z = hbar omega / k_B T,
+    wherever it is a normal double and z < 708 (tests/test_oracle.py).
+    Raises ValueError where the density overflows a double.
     """
     om = np.asarray(omega, dtype=float)
     _check_nonneg_omega(om, "omega")
-    t = temperature_value(T)
-    scale = units.k_B * t / units.hbar if t > 0.0 else 1.0
-    out = _planck_density(om, lambda w: w / scale, t, component, units)
+    s = units.k_B * temperature_value(T) / units.hbar
+    out = _density(om, s, _x_occupation, component, spectral_prefactor(units))
     return _maybe_scalar(out, omega)
 
 
@@ -164,16 +169,19 @@ def rho_moving_mu(
 
     Broadcasts omega_prime against mu_prime.  The zero-point part is
     unchanged by the boost; the thermal part is the rest-frame Planck law
-    at T_eff = T / (gamma (1 + |beta| mu')).
+    at T_eff = T / (gamma (1 + |beta| mu')), within 4 eps (1 + z) relative,
+    z = hbar omega' / k_B T_eff, wherever it is a normal double and z < 708
+    (tests/test_oracle.py).  Raises ValueError where the density, or
+    k_B T_eff / hbar, overflows a double.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
     mu = _check_mu(mu_prime)
     t = temperature_value(T)
-    d = inverse_doppler_factor(mu, v)
-    om_b, d_b = np.broadcast_arrays(om, d)
-    scale = units.k_B * t / units.hbar if t > 0.0 else 1.0
-    out = _planck_density(om_b, lambda w: d_b * w / scale, t, component, units)
+    om_b, d_b = np.broadcast_arrays(om, inverse_doppler_factor(mu, v))
+    with np.errstate(over="ignore"):  # where T_eff overflows, the thermal part raises
+        s = units.k_B * t / units.hbar / d_b
+    out = _density(om_b, s, _x_occupation, component, spectral_prefactor(units))
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
@@ -220,12 +228,11 @@ def _direction_integrated_x_occupation(x, v: BoostVelocity):
     beta or small x, the Wien tail underflows to 0, and the value tends to
     (2 / (gamma |beta|)) ln((1 + |beta|) / (1 - |beta|)) as x -> 0 without
     overflowing.  At rest, and where a underflows, the integrand is flat in
-    mu' and the value is 2 x thermal_occupation(x), formed as
-    4 e^{-x} (x / (1 - e^{-x})).  Vectorized.
+    mu' and the value is 2 _x_occupation(x).  Vectorized.
     """
     x = np.asarray(x, dtype=float)
     if v.is_rest:
-        return _flat_x_occupation(x)
+        return 2.0 * _x_occupation(x)
     neg_lo = -(v.gamma * (1.0 - v.beta_mag)) * x
     a = v.gamma * v.beta_mag * x
     # (1 - e^{-2a}) / (1 - e^{-lo}) with both signs flipped, which is exact
@@ -233,13 +240,8 @@ def _direction_integrated_x_occupation(x, v: BoostVelocity):
     value = np.asarray(2.0 * log_ratio / (v.gamma * v.beta_mag))
     flat = a == 0.0
     if flat.any():
-        value[flat] = _flat_x_occupation(x[flat])
+        value[flat] = 2.0 * _x_occupation(x[flat])
     return value
-
-
-def _flat_x_occupation(x):
-    """2 x thermal_occupation(x) as 4 e^{-x} (x / (1 - e^{-x})), the value at rest."""
-    return 4.0 * np.exp(-x) * (x / -np.expm1(-x))
 
 
 def u_moving(
@@ -252,52 +254,47 @@ def u_moving(
     """Moving-frame spectral density integrated over directions, u'(omega').
 
     u'(omega') = 2 pi integral_{-1}^{1} rho'(omega', mu') d mu', energy per unit
-    volume per unit angular frequency.  The zero-point part is exactly
-    4 pi (hbar / (2 pi c)^3) omega'^3 at every beta, the T = 0 invariance of
-    the spectral distribution.  The thermal part is elementary,
+    volume per unit angular frequency: the assembly of rho_rest with the
+    prefactor 4 pi (hbar / (2 pi c)^3) and, as x times the occupation, its
+    mean over mu'.  The zero-point part is 4 pi (hbar / (2 pi c)^3) omega'^3
+    at every beta, the T = 0 invariance of the spectral distribution.  The
+    thermal part is elementary,
 
         2 pi (hbar / (2 pi c)^3) omega'^3 (2 k_B T / (hbar gamma |beta| omega'))
             ln[(1 - e^{-gamma (1 + |beta|) x}) / (1 - e^{-gamma (1 - |beta|) x})]
 
     with x = hbar omega' / (k_B T), and 4 pi (hbar / (2 pi c)^3) omega'^3
-    2 / (e^x - 1) at rest.  omega' = 0 and T = 0 give a thermal part of
-    exactly 0.  Vectorized over omega_prime.
+    2 / (e^x - 1) at rest.  It is exactly 0 at omega' = 0, at T = 0, and
+    where the hottest direction's z = gamma (1 - |beta|) x is 0 or past 800,
+    where e^{-z} is 0; within 4 eps (1 + z) relative wherever it is a normal
+    double and z < 708 (tests/test_oracle.py).  Raises ValueError where the
+    density overflows a double.  Vectorized over omega_prime.
     """
-    if not isinstance(component, Component):
-        raise TypeError(f"component must be a Component, got {component!r}")
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
-    t = temperature_value(T)
-    pref = spectral_prefactor(units)
-    if component is Component.ZERO_POINT:
-        return _maybe_scalar(_zero_point(4.0 * np.pi * pref, om), omega_prime)
-    thermal = np.zeros_like(om)
-    if t > 0.0:
-        scale = units.k_B * t / units.hbar
-        # x may round up to inf near the largest double, deep in the Wien tail
-        with np.errstate(over="ignore"):
-            x = om / scale
-        # lo is the hottest direction's argument: 0 where x underflows; past
-        # 800, e^{-lo}, and with it the thermal part, is exactly 0
+    s = units.k_B * temperature_value(T) / units.hbar
+
+    def mean_x_occ(x):
         lo = v.gamma * (1.0 - v.beta_mag) * x
         live = (lo > 0.0) & (lo < 800.0)
-        x_occ = np.where(live, _direction_integrated_x_occupation(np.where(live, x, 1.0), v), 0.0)
-        # om * occupation = scale * x_occ stays finite as om -> 0, where
-        # om^3 underflows first; om^2 is multiplied in last, so no
-        # subnormal intermediate drops digits
-        thermal = 2.0 * np.pi * pref * (scale * x_occ) * om * om
-    if component is Component.THERMAL:
-        return _maybe_scalar(thermal, omega_prime)
-    return _maybe_scalar(_zero_point(4.0 * np.pi * pref, om) + thermal, omega_prime)
+        kernel = _direction_integrated_x_occupation(np.where(live, x, 1.0), v)
+        return np.where(live, 0.5 * kernel, 0.0)
+
+    out = _density(om, s, mean_x_occ, component, 4.0 * np.pi * spectral_prefactor(units))
+    return _maybe_scalar(out, omega_prime)
 
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     """T / (gamma (1 + |beta| mu')): the rest-frame temperature whose Planck law
     equals the moving-frame thermal spectrum at cosine mu'.  Vectorized;
-    raises ValueError unless mu' is finite and in [-1, 1]."""
+    raises ValueError unless mu' is finite and in [-1, 1], and where T_eff
+    overflows a double."""
     mu = _check_mu(mu_prime)
     t = temperature_value(T)
-    out = t / inverse_doppler_factor(mu, v)
+    with np.errstate(over="ignore"):
+        out = t / inverse_doppler_factor(mu, v)
+    if np.any(np.isinf(out)):
+        raise ValueError("the effective temperature overflows a double at this cosine")
     return _maybe_scalar(out, mu_prime)
 
 
@@ -365,7 +362,9 @@ def temperature_multipoles(
 
     The pole of T_eff at mu' = -1/beta makes its error decay like
     rho^{-2 n_nodes}, and rounding leaves an absolute floor near 1e-14 T on
-    every coefficient; it is kept as an independent cross-check.
+    every coefficient; it is kept as an independent cross-check.  The
+    recurrence raises ValueError where a coefficient overflows a double,
+    the projection where T_eff does.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
@@ -394,10 +393,18 @@ def temperature_multipoles(
     for k in map(float, range(l_max, 0, -1)):
         r = k * beta / ((2.0 * k + 1.0) - (k + 1.0) * beta * r)
         ratios.append(-r)
-    # the running product from l = 1 up, in the order of np.cumprod
-    p = t * atanh_over_beta / v.gamma
+    # the running product from l = 1 up, in the order of np.cumprod; a_0
+    # scales T's mantissa, so T atanh(beta) / beta cannot overflow before
+    # the division by gamma, and every |r_k| < 1
+    m, e = math.frexp(t)
+    try:
+        p = math.ldexp(m * atanh_over_beta / v.gamma, e)
+    except OverflowError:  # a_0 rounds up to 2^1024 at T near the largest double
+        p = math.inf
     a = [p]
     for l, q in enumerate(reversed(ratios), 1):
         p *= q
         a.append((2 * l + 1) * p)
+    if not all(map(math.isfinite, a)):
+        raise ValueError("a multipole coefficient overflows a double")
     return MultipoleCoefficients(l_max, a, "recurrence", n)

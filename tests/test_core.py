@@ -13,7 +13,6 @@ from relplanck import (
     UnitSystem,
     make_boost,
     temperature_value,
-    thermal_frequency_scale,
 )
 
 
@@ -136,14 +135,6 @@ class TestTemperature:
             temperature_value(-2.0)
         with pytest.raises(ValueError):
             temperature_value(float("nan"))
-
-    def test_thermal_frequency_scale(self):
-        assert thermal_frequency_scale(1.0) == 1.0
-        assert thermal_frequency_scale(2.0) == 2.0
-        assert thermal_frequency_scale(0.0) is None
-        si = UnitSystem.si()
-        expected = 1.380649e-23 * 2.725 / 1.054571817e-34
-        assert thermal_frequency_scale(2.725, si) == pytest.approx(expected, rel=1e-15)
 
 
 def test_component_enum_members():

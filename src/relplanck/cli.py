@@ -8,11 +8,15 @@ photon mode, `energy-density` compares the two moving-frame energy routes,
 `mc-verify` runs the Monte Carlo identity check, and `selftest` runs the
 built-in battery.
 
-Results go to stdout, either as CSV (17 significant digits, LF endings) or
-as one JSON envelope per run; progress and input echoes go to stderr, so
-stdout stays machine-readable.  Exit codes: 0 success, 1 a numeric
-verification failed, 2 bad usage.  All configuration is via flags; no
-environment variables are read.
+Each subcommand returns an _Output, and one function, _emit, writes it.
+JSON mode writes one envelope per run with five keys: schema_version,
+command, inputs, results and warnings.  CSV mode writes one or more tables
+(17 significant digits, LF endings, one blank line between tables) and
+echoes the inputs to stderr as `# key=value` lines and each warning as a
+`# warning:` line, so stdout stays machine-readable.  Exit codes: 0
+success, 1 a numeric verification failed or a quadrature did not converge
+(QuadratureConvergenceError), 2 bad usage.  All configuration is via
+flags; no environment variables are read.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,56 +48,51 @@ from .spectrum import (
     u_moving,
 )
 
-__all__ = ["main", "OutputEnvelope", "UsageError"]
+__all__ = ["main", "UsageError"]
 
 _SCHEMA_VERSION = "1"
 
-_COMPONENTS = {
-    "total": Component.TOTAL,
-    "thermal": Component.THERMAL,
-    "zero-point": Component.ZERO_POINT,
-}
+# upper bounds on the size flags, so a large value exits 2 instead of
+# allocating until the process dies
+_MAX_POINTS = 10**6
+_MAX_LMAX = 10**4
 
 
 class UsageError(Exception):
     """Bad flag values; mapped to exit code 2."""
 
 
-@dataclasses.dataclass(frozen=True)
-class OutputEnvelope:
-    """The single JSON document emitted per run in JSON mode."""
+class _Output(NamedTuple):
+    """One run's output: JSON results, the same numbers as CSV {column: values} tables."""
 
-    schema_version: str
-    command: str
     inputs: dict
     results: dict
-    warnings: list
-
-    def to_json(self) -> str:
-        # the fields as they are: asdict would deep-copy every nested list
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
+    tables: Sequence[dict] = ()
+    warnings: tuple = ()
+    code: int = 0
 
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
+def _cell(x) -> str:
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
-def _emit_csv(header, rows):
-    sys.stdout.write(",".join(header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(row) + "\n")
-
-
-def _emit_envelope(command: str, inputs: dict, results: dict, warnings: list):
-    env = OutputEnvelope(_SCHEMA_VERSION, command, inputs, results, list(warnings))
-    sys.stdout.write(env.to_json())
-
-
-def _echo_inputs(inputs: dict):
+def _emit(command: str, fmt: str, out: _Output):
+    """Write one run's output to stdout: a JSON envelope, or its CSV tables."""
+    if fmt == "json":
+        envelope = {"schema_version": _SCHEMA_VERSION, "command": command,
+                    "inputs": out.inputs, "results": out.results, "warnings": list(out.warnings)}
+        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        return
     # keeps CSV stdout parseable while still recording the resolved inputs
-    for key, value in inputs.items():
+    for key, value in out.inputs.items():
         sys.stderr.write(f"# {key}={value}\n")
+    for w in out.warnings:
+        sys.stderr.write(f"# warning: {w}\n")
+    # each table is a header line and its rows; one blank line between tables
+    sys.stdout.write("\n".join(
+        "".join(",".join(map(_cell, row)) + "\n" for row in [table, *zip(*table.values())])
+        for table in out.tables
+    ))
 
 
 def _add_format_flag(p: argparse.ArgumentParser, default: str):
@@ -146,12 +147,18 @@ def _temperature_from(args) -> float:
         raise UsageError(str(exc))
 
 
-def _cmd_spectrum(args) -> int:
+def _check_size(flag: str, value: int, low: int, high: int):
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+    if value > high:
+        raise UsageError(f"{flag} must be <= {high}, got {value}")
+
+
+def _cmd_spectrum(args) -> _Output:
     units = _units_from(args)
     t = _temperature_from(args)
-    component = _COMPONENTS[args.component]
-    if args.points < 1:
-        raise UsageError(f"--points must be >= 1, got {args.points}")
+    component = Component(args.component)
+    _check_size("--points", args.points, 1, _MAX_POINTS)
     if not (np.isfinite(args.omega_min) and np.isfinite(args.omega_max)):
         raise UsageError("--omega-min and --omega-max must be finite")
     if args.omega_min < 0.0 or args.omega_max < args.omega_min:
@@ -187,16 +194,10 @@ def _cmd_spectrum(args) -> int:
     inputs.update(omega_min=args.omega_min, omega_max=args.omega_max,
                   points=args.points, grid=args.grid, units=args.units)
     columns = {name: np.atleast_1d(col) for name, col in columns.items()}
-    if args.format == "json":
-        _emit_envelope("spectrum", inputs,
-                       {name: col.tolist() for name, col in columns.items()}, [])
-    else:
-        _echo_inputs(inputs)
-        _emit_csv(list(columns), ([_g17(x) for x in row] for row in zip(*columns.values())))
-    return 0
+    return _Output(inputs, {name: col.tolist() for name, col in columns.items()}, [columns])
 
 
-def _cmd_boost_mode(args) -> int:
+def _cmd_boost_mode(args) -> _Output:
     if args.omega < 0.0:
         raise UsageError(f"--omega must be >= 0, got {args.omega}")
     if not -1.0 <= args.mu <= 1.0:
@@ -204,98 +205,68 @@ def _cmd_boost_mode(args) -> int:
     v = _boost_from(args)
     khat = direction_with_cosine(args.mu, v, args.azimuth)
     res = boost_mode(PhotonMode(args.omega, khat), v)
-    mu_p = float(res.mode_prime.khat @ v.vhat)
     inputs = {"omega": args.omega, "mu": args.mu, "azimuth": args.azimuth,
               "beta": _beta_list(v)}
     results = {
         "omega_prime": res.mode_prime.omega,
-        "mu_prime": mu_p,
+        "mu_prime": float(res.mode_prime.khat @ v.vhat),
         "khat_prime": res.mode_prime.khat.tolist(),
         "jac_freq": res.jac_freq,
         "jac_solid_angle": res.jac_solid_angle,
     }
-    if args.format == "json":
-        _emit_envelope("boost-mode", inputs, results, [])
-    else:
-        _echo_inputs(inputs)
-        _emit_csv(["omega_prime", "mu_prime", "jac_freq", "jac_solid_angle"],
-                  [[_g17(res.mode_prime.omega), _g17(mu_p),
-                    _g17(res.jac_freq), _g17(res.jac_solid_angle)]])
-    return 0
+    table = {k: [results[k]] for k in ("omega_prime", "mu_prime", "jac_freq", "jac_solid_angle")}
+    return _Output(inputs, results, [table])
 
 
-def _cmd_energy_density(args) -> int:
+def _cmd_energy_density(args) -> _Output:
     units = _units_from(args)
     t = _temperature_from(args)
     if t == 0.0:
         raise UsageError("energy-density compares thermal densities; temperature must be > 0")
     v = _boost_from(args)
-    methods = ["spectral", "correlation"] if args.method == "both" else [args.method]
-    reports = []
-    for name in methods:
-        if name == "spectral":
-            reports.append(energy_density_moving_spectral(t, v, units=units))
-        else:
-            reports.append(energy_density_moving_correlation(t, v, units=units))
+    routes = {"spectral": energy_density_moving_spectral,
+              "correlation": energy_density_moving_correlation}
+    names = list(routes) if args.method == "both" else [args.method]
+    reports = [routes[name](t, v, units=units) for name in names]
     expected = expected_energy_ratio(v)
     inputs = {"temperature": t, "beta": _beta_list(v), "method": args.method,
               "units": args.units}
-    if args.format == "json":
-        results = {
-            "expected_ratio": expected,
-            "methods": [
-                {"method": r.method, "w_rest": r.W_rest, "w_moving": r.W_moving,
-                 "ratio": r.ratio, "ratio_minus_expected": r.ratio - expected,
-                 "error_estimate": r.error_estimate, "n_panels": r.n_panels,
-                 "n_evaluations": r.n_evaluations}
-                for r in reports
-            ],
-        }
-        _emit_envelope("energy-density", inputs, results, [])
-    else:
-        _echo_inputs(inputs)
-        _emit_csv(
-            ["method", "w_rest", "w_moving", "ratio", "expected_ratio", "ratio_minus_expected"],
-            ([r.method, _g17(r.W_rest), _g17(r.W_moving), _g17(r.ratio),
-              _g17(expected), _g17(r.ratio - expected)] for r in reports),
-        )
-    return 0
+    rows = [
+        {"method": r.method, "w_rest": r.W_rest, "w_moving": r.W_moving,
+         "ratio": r.ratio, "ratio_minus_expected": r.ratio - expected,
+         "error_estimate": r.error_estimate, "n_panels": r.n_panels,
+         "n_evaluations": r.n_evaluations}
+        for r in reports
+    ]
+    table = {k: [row[k] for row in rows] for k in ("method", "w_rest", "w_moving", "ratio")}
+    table["expected_ratio"] = [expected] * len(rows)
+    table["ratio_minus_expected"] = [row["ratio_minus_expected"] for row in rows]
+    return _Output(inputs, {"expected_ratio": expected, "methods": rows}, [table])
 
 
-def _cmd_anisotropy(args) -> int:
+def _cmd_anisotropy(args) -> _Output:
     units = _units_from(args)
     t = _temperature_from(args)
-    if args.lmax < 0:
-        raise UsageError(f"--lmax must be >= 0, got {args.lmax}")
-    if args.map_points is not None and args.map_points < 2:
-        raise UsageError(f"--map-points must be >= 2, got {args.map_points}")
+    _check_size("--lmax", args.lmax, 0, _MAX_LMAX)
+    if args.map_points is not None:
+        _check_size("--map-points", args.map_points, 2, _MAX_POINTS)
     v = _boost_from(args)
     coeffs = temperature_multipoles(v, t, args.lmax)
-    mu_map = teff_map = None
+    inputs = {"temperature": t, "beta": _beta_list(v), "lmax": args.lmax,
+              "map_points": args.map_points, "units": args.units}
+    results = {"l": list(range(args.lmax + 1)), "a": coeffs.a.tolist(),
+               "convention": coeffs.convention, "method": coeffs.method,
+               "n_evaluations": coeffs.n_evaluations}
+    tables = [{"l": results["l"], "a_l": coeffs.a}]
     if args.map_points is not None:
         mu_map = np.linspace(-1.0, 1.0, args.map_points)
         teff_map = np.atleast_1d(effective_temperature_mu(mu_map, v, t))
-    inputs = {"temperature": t, "beta": _beta_list(v), "lmax": args.lmax,
-              "map_points": args.map_points, "units": args.units}
-    if args.format == "json":
-        results = {"l": list(range(args.lmax + 1)), "a": coeffs.a.tolist(),
-                   "convention": coeffs.convention, "method": coeffs.method,
-                   "n_evaluations": coeffs.n_evaluations}
-        if mu_map is not None:
-            results["map"] = {"mu_prime": mu_map.tolist(), "t_eff": teff_map.tolist()}
-        _emit_envelope("anisotropy", inputs, results, [])
-    else:
-        _echo_inputs(inputs)
-        _emit_csv(["l", "a_l"],
-                  ([str(l), _g17(a)] for l, a in enumerate(coeffs.a)))
-        if mu_map is not None:
-            sys.stdout.write("\n")
-            _emit_csv(["mu_prime", "t_eff"],
-                      ([_g17(m), _g17(te)] for m, te in zip(mu_map, teff_map)))
-    return 0
+        results["map"] = {"mu_prime": mu_map.tolist(), "t_eff": teff_map.tolist()}
+        tables.append({"mu_prime": mu_map, "t_eff": teff_map})
+    return _Output(inputs, results, tables)
 
 
-def _cmd_mc_verify(args) -> int:
+def _cmd_mc_verify(args) -> _Output:
     units = _units_from(args)
     t = _temperature_from(args)
     if t == 0.0:
@@ -308,14 +279,10 @@ def _cmd_mc_verify(args) -> int:
         # far enough into the Wien tail of the hottest direction to cover
         # all but a negligible weight fraction
         omega_max = 15.0 * v.gamma * (1.0 + v.beta_mag) * t * units.k_B / units.hbar
-    try:
-        cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
-                       n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
+                   n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
     rep = run_identity_check(t, v, cfg, units=units, n_threads=args.threads)
 
-    ok = rep.dof >= 1 and 0.5 <= rep.chi2_per_dof <= 1.5 and rep.max_abs_z < 6.0
     sys.stderr.write(
         f"chi2/dof = {rep.chi2_per_dof:.4f} (dof {rep.dof}), max|z| = {rep.max_abs_z:.2f}, "
         f"W'/W = {rep.ratio_estimate:.6f} +- {rep.ratio_std_error:.6f} "
@@ -324,74 +291,47 @@ def _cmd_mc_verify(args) -> int:
     inputs = {"temperature": t, "beta": _beta_list(v), "n": args.n, "seed": args.seed,
               "bins_omega": args.bins_omega, "bins_mu": args.bins_mu,
               "omega_prime_max": omega_max, "threads": rep.n_threads, "units": args.units}
-    if args.format == "json":
-        chi2_per_dof = rep.chi2_per_dof if np.isfinite(rep.chi2_per_dof) else None
-        results = {
-            "chi2": rep.chi2, "dof": rep.dof, "chi2_per_dof": chi2_per_dof,
-            "max_abs_z": rep.max_abs_z, "n_excluded": rep.n_excluded,
-            "in_grid_fraction": rep.in_grid_fraction,
-            "w_prime_estimate": rep.w_prime_estimate,
-            "w_prime_std_error": rep.w_prime_std_error,
-            "w_prime_expected": rep.w_prime_expected,
-            "ratio_estimate": rep.ratio_estimate,
-            "ratio_std_error": rep.ratio_std_error,
-            "ratio_expected": rep.ratio_expected,
-            "omega_edges": rep.omega_edges.tolist(),
-            "mu_edges": rep.mu_edges.tolist(),
-            "counts": rep.counts.tolist(),
-            "estimated": rep.estimated.tolist(),
-            "analytic": rep.analytic.tolist(),
-            "std_error": rep.std_error.tolist(),
-            "expected_counts": rep.expected_counts.tolist(),
-            "z_scores": [[z if np.isfinite(z) else None for z in row]
-                         for row in rep.z_scores.tolist()],
-            "passed": ok,
-        }
-        _emit_envelope("mc-verify", inputs, results, list(rep.warnings))
-    else:
-        _echo_inputs(inputs)
-        for w in rep.warnings:
-            sys.stderr.write(f"# warning: {w}\n")
-        rows = []
-        nb_om, nb_mu = rep.config.n_omega_bins, rep.config.n_mu_bins
-        for i in range(nb_om):
-            for j in range(nb_mu):
-                z = rep.z_scores[i, j]
-                rows.append([
-                    _g17(rep.omega_edges[i]), _g17(rep.omega_edges[i + 1]),
-                    _g17(rep.mu_edges[j]), _g17(rep.mu_edges[j + 1]),
-                    str(int(rep.counts[i, j])),
-                    _g17(rep.estimated[i, j]), _g17(rep.analytic[i, j]),
-                    _g17(rep.std_error[i, j]), _g17(rep.expected_counts[i, j]),
-                    "1" if rep.included[i, j] else "0",
-                    _g17(z) if np.isfinite(z) else "nan",
-                ])
-        _emit_csv(["omega_lo", "omega_hi", "mu_lo", "mu_hi", "count", "estimated",
-                   "analytic", "std_error", "expected_count", "included", "z"], rows)
-    return 0 if ok else 1
+    results = {k: getattr(rep, k) for k in (
+        "chi2", "dof", "max_abs_z", "n_excluded", "in_grid_fraction", "w_prime_estimate",
+        "w_prime_std_error", "w_prime_expected", "ratio_estimate", "ratio_std_error",
+        "ratio_expected", "passed")}
+    results.update({k: getattr(rep, k).tolist() for k in (
+        "omega_edges", "mu_edges", "counts", "estimated", "analytic", "std_error",
+        "expected_counts")})
+    results["chi2_per_dof"] = rep.chi2_per_dof if np.isfinite(rep.chi2_per_dof) else None
+    results["z_scores"] = [[z if np.isfinite(z) else None for z in row]
+                           for row in rep.z_scores.tolist()]
+    # one row per bin, the mu' bins of each omega' bin in turn
+    om, mu = rep.omega_edges, rep.mu_edges
+    table = {
+        "omega_lo": np.repeat(om[:-1], cfg.n_mu_bins), "omega_hi": np.repeat(om[1:], cfg.n_mu_bins),
+        "mu_lo": np.tile(mu[:-1], cfg.n_omega_bins), "mu_hi": np.tile(mu[1:], cfg.n_omega_bins),
+        "count": rep.counts.ravel(), "estimated": rep.estimated.ravel(),
+        "analytic": rep.analytic.ravel(), "std_error": rep.std_error.ravel(),
+        "expected_count": rep.expected_counts.ravel(), "included": rep.included.ravel(),
+        "z": rep.z_scores.ravel(),
+    }
+    return _Output(inputs, results, [table], rep.warnings, 0 if rep.passed else 1)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> _Output:
     results = run_selfcheck(quick=args.quick, seed=args.seed)
-    all_passed = all(r.passed for r in results)
+    code = 0 if all(r.passed for r in results) else 1
     if args.format == "json":
-        _emit_envelope(
-            "selftest",
-            {"quick": args.quick, "seed": args.seed},
-            {"checks": [dataclasses.asdict(r) for r in results], "all_passed": all_passed},
-            [],
+        return _Output({"quick": args.quick, "seed": args.seed},
+                       {"checks": [dataclasses.asdict(r) for r in results],
+                        "all_passed": code == 0}, code=code)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        sys.stdout.write(
+            f"{status}  {r.name:<24s}  residual={r.residual:10.3e}  "
+            f"tol={r.tolerance:10.3e}  {r.detail}\n"
         )
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(
-                f"{status}  {r.name:<24s}  residual={r.residual:10.3e}  "
-                f"tol={r.tolerance:10.3e}  {r.detail}\n"
-            )
-        n_fail = sum(not r.passed for r in results)
-        if n_fail:
-            sys.stderr.write(f"{n_fail} of {len(results)} checks failed\n")
-    return 0 if all_passed else 1
+    n_fail = sum(not r.passed for r in results)
+    if n_fail:
+        sys.stderr.write(f"{n_fail} of {len(results)} checks failed\n")
+    # the text report is written; nothing is left to emit
+    return _Output({}, {}, code=code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -405,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="evaluate the spectral density on a frequency grid")
     p.add_argument("--temperature", type=float, required=True, help="rest-frame temperature")
     p.add_argument("--frame", choices=["rest", "moving"], default="rest")
-    p.add_argument("--component", choices=sorted(_COMPONENTS), default="total")
+    p.add_argument("--component", choices=sorted(c.value for c in Component), default="total")
     p.add_argument("--mu", type=float, default=None,
                    help="propagation cosine vs the boost axis (moving frame only); "
                         "without it the moving frame prints the direction-integrated "
@@ -481,11 +421,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+        out = args.func(args)
+        _emit(args.command, args.format, out)
+        return out.code
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except QuadratureConvergenceError as exc:

@@ -57,6 +57,8 @@ _ZETA4 = math.pi**4 / 90.0
 # 2.6e-13 short of zeta(4); this many terms reach past that
 _K_SUM_TERMS = 1 << 14
 _CHUNK = 1 << 17
+# _bin_averages holds 9 doubles per bin; this caps it at 4.5 MiB
+_MAX_BINS = 1 << 16
 
 # moments of the dimensionless thermal energy spectrum: the mean is
 # Gamma(5) zeta(5) / (Gamma(4) zeta(4)) = 360 zeta(5) / pi^4, the median
@@ -194,6 +196,9 @@ class McConfig:
             )
         if self.n_omega_bins < 4 or self.n_mu_bins < 4:
             raise ValueError("need at least 4 bins per axis")
+        if self.n_omega_bins * self.n_mu_bins > _MAX_BINS:
+            raise ValueError(f"need at most {_MAX_BINS} bins in all, "
+                             f"got {self.n_omega_bins} x {self.n_mu_bins}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +207,8 @@ class McReport:
 
     Bins with expected occupancy below 10 are excluded from the chi-square;
     z_scores holds NaN there.  chi2_per_dof is NaN when every bin is
-    excluded, which the CLI treats as a failed verification.  n_threads is
-    the number of threads the chunks ran on.
+    excluded, and passed is then False.  n_threads is the number of threads
+    the chunks ran on.
     """
 
     config: McConfig
@@ -233,6 +238,11 @@ class McReport:
     @property
     def n_excluded(self) -> int:
         return int(self.included.size - np.count_nonzero(self.included))
+
+    @property
+    def passed(self) -> bool:
+        """The gate: at least one bin, 0.5 <= chi2/dof <= 1.5 and max|z| < 6."""
+        return bool(self.dof >= 1 and 0.5 <= self.chi2_per_dof <= 1.5 and self.max_abs_z < 6.0)
 
 
 @cache

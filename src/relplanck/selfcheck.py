@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinematics, montecarlo, radiometry, spectrum
-from .core import Component, make_boost
+from .core import NATURAL, Component, UnitSystem, make_boost
 
 __all__ = ["CheckResult", "run_selfcheck"]
 
@@ -249,9 +249,9 @@ def _check_multipoles(rng) -> CheckResult:
 
 def _check_stefan_boltzmann(rng) -> CheckResult:
     worst = 0.0
-    for t in (0.5, 1.0, 3.0):
-        w = radiometry.energy_density_rest(t)
-        exact = radiometry.thermal_energy_density_closed_form(t)
+    for t, units in ((0.5, NATURAL), (1.0, NATURAL), (3.0, NATURAL), (300.0, UnitSystem.si())):
+        w = radiometry.energy_density_rest(t, units)
+        exact = radiometry.thermal_energy_density_closed_form(t, units)
         worst = max(worst, abs(w - exact) / exact)
     return _result("stefan-boltzmann", worst, 1e-8, "thermal quadrature vs pi^2 T^4/15")
 
@@ -326,10 +326,9 @@ def _check_mc_identity(rng) -> CheckResult:
     v = make_boost([0.0, 0.0, 0.6])
     cfg = montecarlo.McConfig(n_samples=400_000, seed=int(rng.integers(2**31)), omega_prime_max=24.0)
     rep = montecarlo.run_identity_check(1.0, v, cfg)
-    ok = rep.dof >= 50 and 0.5 <= rep.chi2_per_dof <= 1.5 and rep.max_abs_z < 6.0
     detail = f"chi2/dof={rep.chi2_per_dof:.3f} dof={rep.dof} max|z|={rep.max_abs_z:.2f}"
     residual = abs(rep.chi2_per_dof - 1.0) if rep.dof else float("inf")
-    return CheckResult("mc-identity", ok, residual, 0.5, detail)
+    return CheckResult("mc-identity", rep.dof >= 50 and rep.passed, residual, 0.5, detail)
 
 
 def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:

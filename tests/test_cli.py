@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -19,7 +18,6 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
 )
-from relplanck import cli
 from relplanck.cli import main
 from relplanck.montecarlo import _CHUNK, _usable_cpus
 from relplanck.selfcheck import CheckResult
@@ -407,21 +405,113 @@ class TestSelftestCommand:
     ids=["spectrum", "boost-mode", "energy-density", "anisotropy", "mc-verify",
          "mc-verify-sparse", "selftest"],
 )
-def test_envelope_json_equals_the_deep_copied_form(capsys, monkeypatch, argv):
-    # to_json serializes the fields as they are; the bytes must be those of
-    # dataclasses.asdict, which deep-copies every nested container first
-    emitted = []
-
-    class Recording(cli.OutputEnvelope):
-        def to_json(self):
-            emitted.append(self)
-            return super().to_json()
-
-    monkeypatch.setattr(cli, "OutputEnvelope", Recording)
+def test_envelope_json_equals_the_deep_copied_form(capsys, argv):
+    # one plain dict per run, dumped with sorted keys and indent 2
     main(list(argv))
     out = capsys.readouterr().out
-    env, = emitted
-    assert out == json.dumps(dataclasses.asdict(env), sort_keys=True, indent=2) + "\n"
+    env = json.loads(out)
+    assert out == json.dumps(env, sort_keys=True, indent=2) + "\n"
+    assert set(env) == {"schema_version", "command", "inputs", "results", "warnings"}
+    assert env["schema_version"] == "1"
+    assert env["command"] == argv[0]
+
+
+def _csv_tables(out):
+    """CSV stdout as a list of {column: [cells]}, tables split at blank lines."""
+    tables = []
+    for block in out.split("\n\n"):
+        header, *rows = block.splitlines()
+        tables.append(dict(zip(header.split(","), zip(*(r.split(",") for r in rows)))))
+    return tables
+
+
+def _json_tables(command, res):
+    """The CSV tables as the JSON results give them, cell for cell."""
+    if command == "spectrum":
+        return [res]
+    if command == "boost-mode":
+        return [{k: [res[k]] for k in ("omega_prime", "mu_prime", "jac_freq", "jac_solid_angle")}]
+    if command == "energy-density":
+        rows = [dict(r, expected_ratio=res["expected_ratio"]) for r in res["methods"]]
+        return [{k: [r[k] for r in rows] for k in ("method", "w_rest", "w_moving", "ratio",
+                                                   "expected_ratio", "ratio_minus_expected")}]
+    if command == "anisotropy":
+        return [{"l": res["l"], "a_l": res["a"]}, res["map"]]
+    om, mu = res["omega_edges"], res["mu_edges"]
+    bins = [(i, j) for i in range(len(om) - 1) for j in range(len(mu) - 1)]
+    z = [res["z_scores"][i][j] for i, j in bins]
+    return [{
+        "omega_lo": [om[i] for i, _ in bins], "omega_hi": [om[i + 1] for i, _ in bins],
+        "mu_lo": [mu[j] for _, j in bins], "mu_hi": [mu[j + 1] for _, j in bins],
+        **{col: [res[key][i][j] for i, j in bins] for col, key in (
+            ("count", "counts"), ("estimated", "estimated"), ("analytic", "analytic"),
+            ("std_error", "std_error"), ("expected_count", "expected_counts"))},
+        "included": [x is not None for x in z],
+        "z": [math.nan if x is None else x for x in z],
+    }]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--temperature", "1.3", "--frame", "moving", "--mu", "-0.4",
+         "--beta", "0.6", "--points", "7"),
+        ("boost-mode", "--omega", "1.5", "--mu", "-0.3", "--beta-vec", "0.1,0.2,0.3"),
+        ("energy-density", "--temperature", "1", "--beta", "0.6"),
+        ("anisotropy", "--temperature", "2.72548", "--beta", "0.00123", "--lmax", "3",
+         "--map-points", "5"),
+        ("mc-verify", "--beta", "0.6", "--n", "20000", "--bins-omega", "8", "--bins-mu", "4"),
+    ],
+    ids=["spectrum", "boost-mode", "energy-density", "anisotropy", "mc-verify"],
+)
+def test_every_csv_cell_equals_the_json_value(capsys, argv):
+    code_json, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code_csv == code_json
+    want = _json_tables(argv[0], json.loads(out_json)["results"])
+    got = _csv_tables(out_csv)
+    assert [list(t) for t in got] == [list(t) for t in want]
+    for got_table, want_table in zip(got, want):
+        for col, cells in got_table.items():
+            assert len(cells) == len(want_table[col])
+            for cell, value in zip(cells, want_table[col]):
+                if isinstance(value, str):
+                    assert cell == value
+                elif math.isnan(value):
+                    assert math.isnan(float(cell))
+                else:
+                    assert float(cell) == value, (col, cell, value)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("spectrum", "--temperature", "1", "--points", "1000001"),
+         "--points must be <= 1000000, got 1000001"),
+        (("anisotropy", "--temperature", "1", "--map-points", "1000001"),
+         "--map-points must be <= 1000000, got 1000001"),
+        (("anisotropy", "--temperature", "1", "--lmax", "10001"),
+         "--lmax must be <= 10000, got 10001"),
+        # 2^16 + 1 is prime: 4 x 16385 is the least bin count over 2^16
+        (("mc-verify", "--n", "100", "--bins-omega", "4", "--bins-mu", "16385"),
+         "need at most 65536 bins in all, got 4 x 16385"),
+    ],
+    ids=["points", "map-points", "lmax", "bins"],
+)
+def test_size_flags_over_their_limit_exit_2_before_computing(capsys, monkeypatch, argv, message):
+    def boom(*args, **kwargs):
+        raise AssertionError("computed with an over-limit size flag")
+
+    for name in ("rho_rest", "temperature_multipoles", "run_identity_check"):
+        monkeypatch.setattr(f"relplanck.cli.{name}", boom)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_size_flags_at_their_limit_run(capsys):
+    code, out, _ = run_cli(capsys, "anisotropy", "--temperature", "1", "--beta", "0.5",
+                           "--lmax", "10000")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 10001
 
 
 class TestParserLevel:

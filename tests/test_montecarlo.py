@@ -177,6 +177,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McConfig(n_samples=100, seed=1, omega_prime_max=30.0, n_mu_bins=3)
 
+    def test_bin_count_is_capped_at_2_to_the_16(self):
+        assert McConfig(n_samples=100, seed=1, omega_prime_max=30.0,
+                        n_omega_bins=4, n_mu_bins=1 << 14).n_mu_bins == 1 << 14
+        # 2^16 + 1 is prime: 4 x 16385 is the least product over the cap
+        # with at least 4 bins per axis
+        with pytest.raises(ValueError, match="at most 65536 bins"):
+            McConfig(n_samples=100, seed=1, omega_prime_max=30.0,
+                     n_omega_bins=4, n_mu_bins=(1 << 14) + 1)
+
     def test_non_finite_grid_rejected(self):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="omega_prime_max"):
@@ -404,6 +413,17 @@ class TestIdentityCheck:
         assert rep.dof == 0
         assert math.isnan(rep.chi2_per_dof)
         assert any("no chi2 verdict" in w for w in rep.warnings)
+
+    def test_a_report_without_bins_does_not_pass(self):
+        cfg = McConfig(n_samples=100, seed=5, omega_prime_max=30.0)
+        rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg)
+        assert rep.dof == 0
+        assert rep.passed is False
+
+    def test_a_matching_report_passes(self):
+        rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), CFG_4E5)
+        assert rep.dof > 50
+        assert rep.passed is True
 
     def test_undersized_grid_warns(self):
         cfg = McConfig(n_samples=2_000, seed=5, omega_prime_max=1.5)

@@ -2,9 +2,9 @@
 
 import types
 
-from relplanck import kinematics
+from relplanck import kinematics, radiometry
 from relplanck.cli import main
-from relplanck.core import PhotonMode
+from relplanck.core import NATURAL, PhotonMode
 from relplanck.selfcheck import run_selfcheck
 
 QUICK_NAMES = [
@@ -78,3 +78,13 @@ def test_injected_field_boost_error_fails_both_field_checks(monkeypatch, capsys)
     out = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL  field-invariants") for line in out)
     assert any(line.startswith("FAIL  route-agreement") for line in out)
+
+
+def test_closed_form_fault_in_si_units_fails_the_quick_battery(monkeypatch, capsys):
+    # a fault that is a power of c is invisible in natural units, where c = 1
+    exact = radiometry.thermal_energy_density_closed_form
+    monkeypatch.setattr(radiometry, "thermal_energy_density_closed_form",
+                        lambda T, units=NATURAL: exact(T, units) * units.c**6)
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL  stefan-boltzmann") for line in out.splitlines())

@@ -279,6 +279,11 @@ def _cmd_mc_verify(args) -> _Output:
         # far enough into the Wien tail of the hottest direction to cover
         # all but a negligible weight fraction
         omega_max = 15.0 * v.gamma * (1.0 + v.beta_mag) * t * units.k_B / units.hbar
+        if not 0.0 < omega_max < np.inf:
+            raise UsageError(
+                f"the default --omega-prime-max, 15 gamma (1 + |beta|) k_B T / hbar, is "
+                f"{omega_max} at --temperature {t}; pass a finite positive --omega-prime-max"
+            )
     cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
                    n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
     rep = run_identity_check(t, v, cfg, units=units, n_threads=args.threads)
@@ -398,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-prime-max", type=float, default=None,
                    help="upper edge of the moving-frame frequency grid")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the sample chunks (default: every usable CPU)")
+                   help="worker threads for the sample chunks, at most one per chunk "
+                        "(default: every usable CPU)")
     _add_boost_flags(p)
     _add_units_flag(p)
     _add_format_flag(p, "json")

@@ -337,10 +337,11 @@ class TestMcVerifyCommand:
             _, out, _ = run_cli(capsys, "mc-verify", "--beta", "0.6", *extra)
             return json.loads(out)["inputs"]["threads"]
 
-        # one chunk of draws runs on one thread; three on up to three
+        # one chunk of draws runs on one thread, however many are asked for;
+        # three on up to three
         assert threads("--n", "1000") == 1
         assert threads("--n", str(2 * _CHUNK + 1)) == min(_usable_cpus(), 3)
-        assert threads("--n", "1000", "--threads", "5") == 5
+        assert threads("--n", "1000", "--threads", "5") == 1
 
     def test_validation(self, capsys):
         assert run_cli(capsys, "mc-verify", "--n", "0")[0] == 2

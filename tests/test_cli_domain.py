@@ -96,3 +96,18 @@ def test_spectrum_at_the_largest_temperature_is_finite(capsys):
     pref = 1.0 / (8.0 * math.pi**3)
     assert rho[0] == 0.0
     assert rho[1:] == pytest.approx([2.0 * pref * 1.7e308 * w * w for w in (5.0, 10.0)], rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--temperature", "1.7e308"],
+    ["--temperature", "1e-320", "--units", "si"],
+], ids=["overflow", "underflow"])
+def test_mc_verify_names_the_temperature_when_its_default_grid_is_not_finite(capsys, argv):
+    # the default grid edge 15 gamma (1 + |beta|) k_B T / hbar overflows or
+    # underflows: the error names the flag the user passed and the one to add
+    assert main(["mc-verify", "--n", "2000", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the default --omega-prime-max")
+    assert "--temperature" in err
+    assert "omega_prime_max must be finite" not in err

@@ -334,12 +334,12 @@ class TestIdentityCheck:
         assert np.all(np.isnan(rep.z_scores[~rep.included]))
 
     def test_bitwise_reproducibility_across_runs_and_threads(self):
-        # four chunks, the last one short; 8 threads is more than chunks
+        # four chunks, the last one short; 8 threads is more than chunks, so 4 run
         cfg = McConfig(n_samples=3 * _CHUNK + 17, seed=42, omega_prime_max=30.0)
         for beta in ([0.0, 0.0, 0.6], [0.3, -0.5, 0.6]):
             v = make_boost(beta)
             reports = [run_identity_check(1.0, v, cfg, n_threads=n) for n in (None, None, 1, 8)]
-            assert [r.n_threads for r in reports] == [min(_usable_cpus(), 4)] * 2 + [1, 8]
+            assert [r.n_threads for r in reports] == [min(_usable_cpus(), 4)] * 2 + [1, 4]
             for rep in reports[1:]:
                 for field in dataclasses.fields(rep):
                     a, b = getattr(reports[0], field.name), getattr(rep, field.name)
@@ -348,10 +348,20 @@ class TestIdentityCheck:
                     elif field.name != "n_threads":
                         assert repr(a) == repr(b), field.name
 
+    def test_thread_count_is_capped_at_the_chunk_count(self):
+        # one chunk runs on the calling thread, however many threads are asked for
+        v = make_boost([0, 0, 0.6])
+        cfg = McConfig(n_samples=1000, seed=3, omega_prime_max=30.0)
+        rep = run_identity_check(1.0, v, cfg, n_threads=100_000)
+        assert rep.n_threads == 1
+        assert rep.counts.tobytes() == run_identity_check(1.0, v, cfg).counts.tobytes()
+
     def test_chunk_working_set_stays_small(self):
-        # each chunk drops or reuses its arrays as soon as they are spent:
-        # the traced peak is about six arrays of _CHUNK doubles (6.6 MB),
-        # where keeping every temporary to the end of the chunk reads 11.7 MB
+        # each chunk boosts and bins its draws in blocks of _BLOCK, writing
+        # the weights over the spent frequencies and the bin indices over the
+        # spent cosines: the traced peak is about two arrays of _CHUNK doubles
+        # plus one block's temporaries (3.1 MB), where whole-chunk temporaries
+        # read 6.6 MB
         v = make_boost([0, 0, 0.6])
         cfg = McConfig(n_samples=3 * _CHUNK + 17, seed=8, omega_prime_max=40.0)
         # a small run first builds the cached tables outside the trace
@@ -362,20 +372,24 @@ class TestIdentityCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7e6
+        assert peak < 3.5e6
 
-    @pytest.mark.parametrize("beta", [[0.0, 0.0, 0.6], [0.3, -0.5, 0.6]], ids=["z", "oblique"])
+    @pytest.mark.parametrize("beta, n", [
+        ([0.0, 0.0, 0.6], 3 * _CHUNK + 17),
+        ([0.3, -0.5, 0.6], 3 * _CHUNK + 17),
+        # one chunk whose last block is 3 short of _BLOCK
+        ([0.3, -0.5, 0.6], _CHUNK - 3),
+    ], ids=["z", "oblique", "partial-block"])
     @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_report_equals_histogram2d_recomputation(self, beta, n_threads):
+    def test_report_equals_histogram2d_recomputation(self, beta, n, n_threads):
         # rebuild the report's sums from the same chunk streams with histogram2d
         v = make_boost(beta)
-        n = 3 * _CHUNK + 17
         cfg = McConfig(n_samples=n, seed=8, omega_prime_max=40.0)
         rep = run_identity_check(1.0, v, cfg, n_threads=n_threads)
         bins = (rep.omega_edges, rep.mu_edges)
-        sizes = [_CHUNK, _CHUNK, _CHUNK, 17]
+        sizes = [_CHUNK] * (n // _CHUNK) + [n % _CHUNK]
         h1 = h2 = counts = 0
-        for child, size in zip(np.random.SeedSequence(cfg.seed).spawn(4), sizes):
+        for child, size in zip(np.random.SeedSequence(cfg.seed).spawn(len(sizes)), sizes):
             rng = np.random.Generator(np.random.Philox(child))
             omega, mu = sample_rest_modes(1.0, size, rng)
             om_p, mu_p, _, _ = boost_mu(omega, mu, v)

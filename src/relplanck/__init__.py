@@ -33,7 +33,6 @@ from .montecarlo import (
     PLANCK_ENERGY_MEDIAN_X,
     McConfig,
     McReport,
-    planck_energy_cdf,
     run_identity_check,
     sample_rest_modes,
 )

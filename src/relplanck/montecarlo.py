@@ -48,7 +48,6 @@ from .spectrum import rho_moving_mu
 __all__ = [
     "PLANCK_ENERGY_MEAN_X",
     "PLANCK_ENERGY_MEDIAN_X",
-    "planck_energy_cdf",
     "sample_rest_modes",
     "McConfig",
     "McReport",
@@ -63,13 +62,14 @@ _CHUNK = 1 << 17
 # draws per boost-and-bin block: its half-dozen temporaries, 128 KiB each,
 # fit in a 2 MiB L2 cache
 _BLOCK = 1 << 14
-# _bin_averages holds 9 doubles per bin; this caps it at 4.5 MiB
+# _bin_averages holds 18 doubles per bin (the density and its weighted copy): 9 MiB at this cap
 _MAX_BINS = 1 << 16
 
 # moments of the dimensionless thermal energy spectrum: the mean is
 # Gamma(5) zeta(5) / (Gamma(4) zeta(4)) = 360 zeta(5) / pi^4, the median
-# was frozen from inverting planck_energy_cdf by bisection (cross-checked
-# in the tests)
+# was frozen by bisection on the CDF sum_k k^-4 P(4, k x) / zeta(4), with P
+# the regularized lower incomplete gamma (the tests check it against
+# scipy's)
 PLANCK_ENERGY_MEAN_X = 360.0 * 1.0369277551433699 / math.pi**4
 PLANCK_ENERGY_MEDIAN_X = 3.503018825884851
 
@@ -83,59 +83,6 @@ def _k_mixture_cdf() -> np.ndarray:
     cdf = cdf[: np.flatnonzero(cdf[1:] == cdf[:-1])[0] + 1].copy()
     cdf.setflags(write=False)
     return cdf
-
-
-# below this argument P(4, y) is summed as a series: the closed form
-# 1 - e^{-y}(1 + y + y^2/2 + y^3/6) cancels away two digits near y = 1
-# and every digit as y -> 0
-_P4_SERIES_MAX = 1.0
-
-
-def _regularized_gamma4(y) -> np.ndarray:
-    """P(4, y), the regularized lower incomplete gamma of shape 4, for y >= 0.
-
-    Closed form -expm1(-y) - e^{-y} y (1 + y/2 + y^2/6) for y >= 1, series
-    e^{-y} sum_{n>=4} y^n / n! below; within 6e-15 relative of a 40-digit
-    evaluation on [1e-12, 1e3].  P(4, inf) = 1 and NaN propagates.
-    Vectorized.
-    """
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < _P4_SERIES_MAX
-    ys = y[small]
-    # Horner form of sum_{n=4}^{21} y^n/n! = (y^4/24)(1 + y/5 (1 + y/6 (...)));
-    # the dropped remainder is below 1e-19 relative for y < 1
-    s = np.ones_like(ys)
-    for n in range(21, 4, -1):
-        s = 1.0 + ys / n * s
-    out[small] = np.exp(-ys) * ys**4 / 24.0 * s
-    # P(4, y) rounds to 1 for y >= 700, where e^{-y} is still a normal
-    # double: the cap maps inf to 1 without 0 * inf and keeps exp from
-    # underflowing
-    yl = np.minimum(y[~small], 700.0)
-    out[~small] = -np.expm1(-yl) - np.exp(-yl) * yl * (1.0 + yl * (0.5 + yl / 6.0))
-    return out
-
-
-def planck_energy_cdf(x, n_terms: int = 200):
-    """CDF of the dimensionless thermal energy spectrum x^3/(e^x - 1)/(pi^4/15).
-
-    Exact term-by-term form: F(x) = sum_k k^-4 P(4, k x) / zeta(4) with P
-    the regularized lower incomplete gamma.  Truncation error at the
-    default term count is below 4e-8 absolute, so F(inf) = 1 - 3.8e-8;
-    F is 0 for x <= 0 and NaN for NaN.  Vectorized.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.clip(np.atleast_1d(x), 0.0, None)
-    k = np.arange(1, n_terms + 1, dtype=float)
-    out = np.empty_like(xv)
-    step = 4096
-    for lo in range(0, xv.size, step):
-        seg = xv[lo : lo + step]
-        out[lo : lo + step] = (k**-4.0) @ _regularized_gamma4(np.outer(k, seg))
-    out = np.clip(out / _ZETA4, 0.0, 1.0)
-    return float(out[0]) if scalar else out
 
 
 def _sample_planck_x(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -256,8 +203,8 @@ def _gauss3() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(3)
 
 
-def _bin_averages(f, om_edges: np.ndarray, mu_edges: np.ndarray) -> np.ndarray:
-    """Average f(omega', mu') over each rectangular bin, 3-node Gauss per axis."""
+def _bin_averages(f, g, om_edges: np.ndarray, mu_edges: np.ndarray):
+    """Averages of f(omega', mu') and f g(mu') over each bin, f once on 3-node Gauss per axis."""
     # halves summed, not the sum halved: edges near the largest double
     # would overflow, and halving is exact for normal edges
     oc = 0.5 * om_edges[1:] + 0.5 * om_edges[:-1]
@@ -269,7 +216,8 @@ def _bin_averages(f, om_edges: np.ndarray, mu_edges: np.ndarray) -> np.ndarray:
     mu_pts = mc[:, None] + mh[:, None] * x
     vals = f(om_pts[:, :, None, None], mu_pts[None, None, :, :])
     w = w / 2.0
-    return np.einsum("aibj,i,j->ab", vals, w, w)
+    return (np.einsum("aibj,i,j->ab", vals, w, w),
+            np.einsum("aibj,i,j->ab", vals * g(mu_pts), w, w))
 
 
 def _axis_bins(edges: np.ndarray, x: np.ndarray, fold_last_edge: bool) -> np.ndarray:
@@ -408,12 +356,12 @@ def run_identity_check(
     var_contrib = np.maximum(h2 / n_total - mean_contrib**2, 0.0)
     std_error = w_rest / (vol * 2.0 * np.pi) * np.sqrt(var_contrib / n_total)
 
-    def density(om, mu):
-        return rho_moving_mu(om, mu, v, t, Component.THERMAL, units)
-
-    analytic = _bin_averages(density, om_edges, mu_edges)
-    count_density = _bin_averages(
-        lambda om, mu: density(om, mu) * inverse_doppler_factor(mu, v) ** 2, om_edges, mu_edges
+    # a draw's weight is D^2 = 1 / (gamma (1 + |beta| mu'))^2, so the density of
+    # draws is the energy density divided by it
+    analytic, count_density = _bin_averages(
+        lambda om, mu: rho_moving_mu(om, mu, v, t, Component.THERMAL, units),
+        lambda mu: inverse_doppler_factor(mu, v) ** 2,
+        om_edges, mu_edges,
     )
     expected_counts = n_total * (2.0 * np.pi / w_rest) * count_density * vol
 

@@ -198,9 +198,12 @@ def rho_moving_pullback_mu(
     rho'(omega', mu') = rho(D omega') / D^3 with D = gamma (1 + |beta| mu'):
     the rest-frame density at the pulled-back frequency, divided by the
     cubed frequency ratio.  Agrees with rho_moving_mu identically; the two
-    are kept as separate code paths on purpose.  Where D omega' overflows,
-    the thermal part is 0 if it is 0 at the largest double, because the
-    Wien tail only falls beyond it; the zero-point part raises ValueError.
+    are kept as separate code paths on purpose.  Its domain is narrower:
+    the zero-point and total parts raise ValueError where pref (D omega')^3
+    overflows, even where rho_moving_mu is finite (6.30e307 at omega'
+    2.5e103, mu' 1, beta 0.6), and where the quotient overflows.  Where
+    D omega' overflows, the thermal part is 0 if it is 0 at the largest
+    double, because the Wien tail only falls beyond it.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
@@ -215,7 +218,10 @@ def rho_moving_pullback_mu(
         and rho_rest(np.finfo(float).max, T, component, units) == 0.0
     ):
         om_rest = np.where(overflow, 0.0, om_rest)  # rho_rest's thermal part is 0 at 0 too
-    out = rho_rest(om_rest, T, component, units) / d**3
+    with np.errstate(over="ignore"):
+        out = rho_rest(om_rest, T, component, units) / d**3
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the spectral density overflows a double at this frequency and T")
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
@@ -265,10 +271,10 @@ def u_moving(
 
     with x = hbar omega' / (k_B T), and 4 pi (hbar / (2 pi c)^3) omega'^3
     2 / (e^x - 1) at rest.  It is exactly 0 at omega' = 0, at T = 0, and
-    where the hottest direction's z = gamma (1 - |beta|) x is 0 or past 800,
-    where e^{-z} is 0; within 4 eps (1 + z) relative wherever it is a normal
-    double and z < 708 (tests/test_oracle.py).  Raises ValueError where the
-    density overflows a double.  Vectorized over omega_prime.
+    where the hottest direction's z = gamma (1 - |beta|) x is 0 or past
+    745.2, where e^{-z} is 0; within 4 eps (1 + z) relative wherever it is
+    a normal double and z < 708 (tests/test_oracle.py).  Raises ValueError
+    where the density overflows a double.  Vectorized over omega_prime.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_nonneg_omega(om, "omega_prime")
@@ -276,7 +282,7 @@ def u_moving(
 
     def mean_x_occ(x):
         lo = v.gamma * (1.0 - v.beta_mag) * x
-        live = (lo > 0.0) & (lo < 800.0)
+        live = lo > 0.0
         kernel = _direction_integrated_x_occupation(np.where(live, x, 1.0), v)
         return np.where(live, 0.5 * kernel, 0.0)
 
@@ -286,9 +292,10 @@ def u_moving(
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     """T / (gamma (1 + |beta| mu')): the rest-frame temperature whose Planck law
-    equals the moving-frame thermal spectrum at cosine mu'.  Vectorized;
-    raises ValueError unless mu' is finite and in [-1, 1], and where T_eff
-    overflows a double."""
+    equals the moving-frame thermal spectrum at cosine mu'.  Within 3 eps
+    relative, eps = 2^-52, wherever T_eff is a normal double
+    (tests/test_oracle.py).  Vectorized; raises ValueError unless mu' is
+    finite and in [-1, 1], and where T_eff overflows a double."""
     mu = _check_mu(mu_prime)
     t = temperature_value(T)
     with np.errstate(over="ignore"):

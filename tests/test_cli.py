@@ -554,9 +554,11 @@ def test_help_exits_cleanly():
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; importing scipy.special would
-    # add about 0.3 s to the start-up of every command.  Quadrature rules are
-    # built on first use and the thread pool's module is loaded only by a
-    # threaded run, so the import builds no rule and loads no thread pool
+    # add about 0.3 s to the start-up of every command.  The tests take
+    # references from scipy and mpmath, and neither may leak into the
+    # library.  Quadrature rules are built on first use and the thread
+    # pool's module is loaded only by a threaded run, so the import builds
+    # no rule and loads no thread pool
     code = (
         "import json, sys\n"
         "import numpy.polynomial.legendre as legendre\n"
@@ -565,7 +567,7 @@ def test_cli_import_loads_no_scipy():
         "import relplanck.cli\n"
         "def loaded(name):\n"
         "    return sorted(m for m in sys.modules if m == name or m.startswith(name + '.'))\n"
-        "print(json.dumps({'scipy': loaded('scipy'),\n"
+        "print(json.dumps({'scipy': loaded('scipy'), 'mpmath': loaded('mpmath'),\n"
         "                  'concurrent.futures': loaded('concurrent.futures'),\n"
         "                  'leggauss': calls}))"
     )
@@ -573,4 +575,6 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"scipy": [], "concurrent.futures": [], "leggauss": []}
+    assert json.loads(proc.stdout) == {
+        "scipy": [], "mpmath": [], "concurrent.futures": [], "leggauss": [],
+    }

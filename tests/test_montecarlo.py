@@ -14,18 +14,15 @@ from relplanck import (
     PLANCK_ENERGY_MEDIAN_X,
     McConfig,
     make_boost,
-    planck_energy_cdf,
     run_identity_check,
     sample_rest_modes,
 )
 from relplanck.kinematics import boost_mu, doppler_factor
 from relplanck.montecarlo import (
     _CHUNK,
-    _P4_SERIES_MAX,
     _flat_bin_index,
     _isotropic_directions,
     _k_mixture_cdf,
-    _regularized_gamma4,
     _sample_planck_x,
     _usable_cpus,
 )
@@ -35,6 +32,24 @@ from relplanck.radiometry import thermal_energy_density_closed_form
 # Gamma(6) zeta(6) / (Gamma(4) zeta(4)) = 40 pi^2 / 21
 X_SECOND_MOMENT = 40.0 * math.pi**2 / 21.0
 X_VARIANCE = X_SECOND_MOMENT - PLANCK_ENERGY_MEAN_X**2
+
+
+def energy_cdf(x, n_terms=200):
+    """CDF of the dimensionless thermal energy spectrum x^3/(e^x - 1)/(pi^4/15).
+
+    The reference for the sampler's Kolmogorov-Smirnov test, independent of
+    the sampler's mixture table: F(x) = sum_{k<=n_terms} k^-4 P(4, k x) /
+    zeta(4), with P scipy's regularized lower incomplete gamma, in blocks
+    of 4096 arguments.  The truncation leaves F(inf) 3.8e-8 short of 1 at
+    200 terms.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    k = np.arange(1, n_terms + 1, dtype=float)
+    out = np.empty_like(x)
+    for lo in range(0, x.size, 4096):
+        seg = x[lo : lo + 4096]
+        out[lo : lo + 4096] = (k**-4.0) @ special.gammainc(4.0, np.outer(k, seg))
+    return out / (math.pi**4 / 90.0)
 
 
 def _rng(seed):
@@ -87,7 +102,7 @@ class TestSampler:
     def test_energy_distribution_kolmogorov_smirnov(self, big_sample):
         omega, _ = big_sample
         x = omega[:100_000]
-        res = stats.kstest(x, planck_energy_cdf)
+        res = stats.kstest(x, energy_cdf)
         # 1% critical value for the one-sample statistic
         assert res.statistic <= 1.63 / math.sqrt(x.size)
 
@@ -110,62 +125,31 @@ class TestSampler:
 
 
 class TestEnergyCdf:
+    """The Kolmogorov-Smirnov reference is right, so the test can see a wrong sampler."""
+
     def test_limits_and_monotonicity(self):
         x = np.linspace(0.0, 40.0, 801)
-        f = planck_energy_cdf(x)
+        f = energy_cdf(x)
         assert f[0] == 0.0
         assert np.all(np.diff(f) >= 0.0)
         # the residual at large x is the documented series truncation
         assert f[-1] >= 1.0 - 1e-7
 
     def test_median_value(self):
-        assert abs(planck_energy_cdf(PLANCK_ENERGY_MEDIAN_X) - 0.5) <= 2e-7
+        assert abs(energy_cdf(PLANCK_ENERGY_MEDIAN_X)[0] - 0.5) <= 2e-7
 
     def test_derivative_matches_density(self):
         h = 1e-4
         for x in (0.7, 2.0, 3.5, 8.0):
-            deriv = (planck_energy_cdf(x + h) - planck_energy_cdf(x - h)) / (2.0 * h)
+            deriv = (energy_cdf(x + h)[0] - energy_cdf(x - h)[0]) / (2.0 * h)
             pdf = x**3 / math.expm1(x) / (math.pi**4 / 15.0)
             assert deriv == pytest.approx(pdf, rel=1e-6)
 
     def test_term_count_convergence(self):
         x = np.array([0.5, 3.5, 12.0])
-        coarse = planck_energy_cdf(x, n_terms=200)
-        fine = planck_energy_cdf(x, n_terms=800)
+        coarse = energy_cdf(x, n_terms=200)
+        fine = energy_cdf(x, n_terms=800)
         assert np.max(np.abs(coarse - fine)) <= 5e-8
-
-    def test_scalar_and_array_forms(self):
-        val = planck_energy_cdf(2.0)
-        assert isinstance(val, float)
-        arr = planck_energy_cdf(np.array([2.0, 3.0]))
-        assert arr.shape == (2,)
-        # batched evaluation may differ by an ulp from the scalar path
-        assert arr[0] == pytest.approx(val, rel=1e-14)
-        assert planck_energy_cdf(-1.0) == 0.0
-
-    def test_infinite_and_nan_arguments(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            top = planck_energy_cdf(np.inf)
-            arr = planck_energy_cdf(np.array([np.inf, np.nan, -3.0]))
-        # the 200-term truncation: sum_{k<=200} k^-4 / zeta(4)
-        truncated = math.fsum(k**-4.0 for k in range(1, 201)) / (math.pi**4 / 90.0)
-        assert top == pytest.approx(truncated, rel=1e-15)
-        assert 1.0 - 4e-8 <= top < 1.0
-        assert arr[0] == pytest.approx(top, rel=1e-14)
-        assert math.isnan(arr[1])
-        assert arr[2] == 0.0
-
-    def test_regularized_gamma4_matches_scipy(self):
-        edge = _P4_SERIES_MAX
-        y = np.concatenate([
-            np.logspace(-12, 3, 3001),
-            [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0 * edge)],
-        ])
-        got = _regularized_gamma4(y)
-        want = special.gammainc(4.0, y)
-        assert np.max(np.abs(got - want) / want) <= 1e-13
-        assert np.array_equal(_regularized_gamma4(np.array([0.0, np.inf])), [0.0, 1.0])
 
 
 class TestConfigValidation:

@@ -32,6 +32,21 @@ and 2.5 for u_moving (3.0 on 40,000 random points).  The points at
 x = 600 .. 700 in SI hold u_moving to a density near 1e-294, which an
 assembly with a subnormal intermediate flushes to 0.  The oracle takes the
 library's pref, k_B, hbar and |beta|.
+
+effective_temperature_mu, boost_mu and the correlation route's W'/W: on
+the same temperatures and cosines (mu' for the first, the rest-frame mu
+for boost_mu), at the betas of both grids above, each along z and along
+the oblique axis (1, -2, 2) / 3.  boost_mu takes the frequencies of the
+density grid.  The bounds, each stated by its function, in eps = 2^-52:
+
+    T_eff, omega', jac_freq = 1 / D     3 eps relative
+    D^2                                 5 eps relative
+    mu'                                 3 eps absolute
+    W'/W = gamma^2 (1 + beta^2 / 3)     4e-16 relative
+
+mu' is held absolutely because mu - |beta| cancels near mu = |beta|.  The
+worst measured on 20,000 random points is 1.9, 2.1, 2.1, 3.7 and 1.5 eps
+in the order of the table; W'/W reads 3.0e-16 at worst on this grid.
 """
 
 import mpmath
@@ -42,6 +57,9 @@ from relplanck import (
     NATURAL,
     Component,
     UnitSystem,
+    boost_mu,
+    effective_temperature_mu,
+    energy_density_moving_correlation,
     make_boost,
     rho_moving_mu,
     rho_rest,
@@ -140,3 +158,48 @@ def test_densities_match_mpmath(t, units):
                     want = 2 * mpmath.pi * p * 2 / (gamma * b * xi) * log_ratio
                 checked += _check(g, want, float(lo))
     assert checked >= 400
+
+
+ORACLE_BETAS = sorted(set(MULTIPOLE_BOUNDS) | set(DENSITY_BETAS))
+AXES = {"z": np.array([0.0, 0.0, 1.0]), "oblique": np.array([1.0, -2.0, 2.0]) / 3.0}
+
+
+def _boosts():
+    """(v, |beta|, gamma) at every oracle beta on both axes, |beta| and gamma at 50 digits."""
+    for axis in AXES.values():
+        for beta in ORACLE_BETAS:
+            v = make_boost(beta * axis)
+            b = mpmath.mpf(v.beta_mag)
+            yield v, b, 1 / mpmath.sqrt(1 - b * b)
+
+
+@pytest.mark.parametrize("t,units", DENSITY_CASES, ids=["1e-3", "1", "1e3", "si-300K"])
+def test_effective_temperature_and_boost_match_mpmath(t, units):
+    om = DENSITY_X * units.k_B * t / units.hbar
+    checked = 0
+    with mpmath.workdps(50):
+        om_mp = [mpmath.mpf(o) for o in om]
+        for v, b, gamma in _boosts():
+            for mu in DENSITY_MUS:
+                m = mpmath.mpf(mu)
+                want = t / (gamma * (1 + b * m))
+                assert abs(effective_temperature_mu(mu, v, t) - want) <= 3 * EPS * want
+                d = gamma * (1 - b * m)
+                om_p, mu_p, jac_freq, d2 = boost_mu(om, mu, v)
+                assert abs(float(mu_p) - (m - b) / (1 - b * m)) <= 3 * EPS
+                assert abs(float(jac_freq) - 1 / d) <= 3 * EPS / d
+                assert abs(float(d2) - d * d) <= 5 * EPS * d * d
+                for g, o in zip(om_p, om_mp):
+                    exact = o * d
+                    if exact >= TINY:
+                        assert abs(g - exact) <= 3 * EPS * exact, (float(o), mu)
+                        checked += 1
+    assert checked >= 3000
+
+
+def test_correlation_ratio_matches_mpmath():
+    with mpmath.workdps(50):
+        for v, b, gamma in _boosts():
+            want = gamma**2 * (1 + b * b / 3)
+            got = energy_density_moving_correlation(1.0, v).ratio
+            assert abs(got - want) <= 4e-16 * want, (v.beta_mag, got)

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "energy_density_moving_correlation", "energy_density_moving_spectral",
     "energy_density_rest", "expected_energy_ratio", "field_boost",
     "integrate_semi_infinite", "inverse_doppler_factor", "make_boost",
-    "planck_energy_cdf", "rho_moving_mu", "rho_moving_pullback_mu", "rho_rest",
+    "rho_moving_mu", "rho_moving_pullback_mu", "rho_rest",
     "run_identity_check", "run_selfcheck", "sample_rest_modes", "spectral_prefactor",
     "temperature_multipoles", "temperature_value", "thermal_energy_density_closed_form",
     "thermal_occupation", "u_moving",
@@ -27,4 +27,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(relplanck, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 43
+    assert len(names) == 42

@@ -234,7 +234,7 @@ class TestCorrelations:
         assert w == pytest.approx(W_THERMAL_NATURAL_T1, rel=1e-10)
 
     def test_electric_magnetic_average_vanishes(self):
-        # computed from the angular rule, not set to zero
+        # the E-B block is odd in khat, so isotropy makes it zero
         corr, trace = radiometry._rest_correlation()
         assert np.max(np.abs(corr[:3, 3:])) <= 1e-14 * trace
         assert np.array_equal(corr[3:, :3], corr[:3, 3:].T)
@@ -322,7 +322,7 @@ class TestRouteAgreement:
 
     def test_correlation_route_hits_closed_form_algebraically(self):
         # tr(L C L^T) / tr(C) reduces to gamma^2 (1 + beta^2/3) exactly; only
-        # angular-rule and matrix-product rounding can move it
+        # the rounding of L and of the matrix products can move it
         n = np.array([1.0, -2.0, 2.0]) / 3.0
         for axis in (np.array([0.0, 0.0, 1.0]), n):
             for beta in (0.0, 0.2, 0.6, 0.75, 0.9, 0.99, 0.999, 0.999999, 1.0 - 1e-9):

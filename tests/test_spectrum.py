@@ -388,6 +388,18 @@ class TestPullbackRoute:
         b = rho_rest(omega, 0.0)
         assert np.max(np.abs(a - b) / b) <= 1e-14
 
+    def test_narrower_domain_raises_and_never_overflows(self):
+        # pref (D omega')^3 overflows at D = 2 where the moving density does not
+        assert rho_moving_mu(2.5e103, 1.0, V06, 1.0) == pytest.approx(6.30e307, rel=1e-3)
+        with pytest.raises(ValueError):
+            rho_moving_pullback_mu(2.5e103, 1.0, V06, 1.0)
+        # at D = 1/2 the rest density is finite and the quotient overflows
+        for comp in (Component.ZERO_POINT, Component.TOTAL):
+            with pytest.raises(ValueError):
+                rho_moving_mu(4e103, -1.0, V06, 1.0, comp)
+            with pytest.raises(ValueError):
+                rho_moving_pullback_mu(4e103, -1.0, V06, 1.0, comp)
+
 
 class TestEffectiveTemperature:
     def test_head_on_and_receding(self):

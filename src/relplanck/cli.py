@@ -108,7 +108,7 @@ def _add_units_flag(p: argparse.ArgumentParser):
 def _add_boost_flags(p: argparse.ArgumentParser):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float, default=None,
-                       help="boost speed along +z, |beta| < 1")
+                       help="boost speed along +z, |beta| <= 1 - 1e-9")
     group.add_argument("--beta-vec", metavar="BX,BY,BZ", default=None,
                        help="boost velocity as three comma-separated components")
 
@@ -130,21 +130,11 @@ def _boost_from(args):
         vec = [0.0, 0.0, args.beta]
     else:
         vec = [0.0, 0.0, 0.0]
-    try:
-        return make_boost(vec)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return make_boost(vec)
 
 
 def _beta_list(v) -> list:
     return [float(b) for b in v.beta]
-
-
-def _temperature_from(args) -> float:
-    try:
-        return temperature_value(args.temperature)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def _check_size(flag: str, value: int, low: int, high: int):
@@ -156,7 +146,7 @@ def _check_size(flag: str, value: int, low: int, high: int):
 
 def _cmd_spectrum(args) -> _Output:
     units = _units_from(args)
-    t = _temperature_from(args)
+    t = temperature_value(args.temperature)
     component = Component(args.component)
     _check_size("--points", args.points, 1, _MAX_POINTS)
     if not (np.isfinite(args.omega_min) and np.isfinite(args.omega_max)):
@@ -220,7 +210,7 @@ def _cmd_boost_mode(args) -> _Output:
 
 def _cmd_energy_density(args) -> _Output:
     units = _units_from(args)
-    t = _temperature_from(args)
+    t = temperature_value(args.temperature)
     if t == 0.0:
         raise UsageError("energy-density compares thermal densities; temperature must be > 0")
     v = _boost_from(args)
@@ -246,7 +236,7 @@ def _cmd_energy_density(args) -> _Output:
 
 def _cmd_anisotropy(args) -> _Output:
     units = _units_from(args)
-    t = _temperature_from(args)
+    t = temperature_value(args.temperature)
     _check_size("--lmax", args.lmax, 0, _MAX_LMAX)
     if args.map_points is not None:
         _check_size("--map-points", args.map_points, 2, _MAX_POINTS)
@@ -268,7 +258,7 @@ def _cmd_anisotropy(args) -> _Output:
 
 def _cmd_mc_verify(args) -> _Output:
     units = _units_from(args)
-    t = _temperature_from(args)
+    t = temperature_value(args.temperature)
     if t == 0.0:
         raise UsageError("mc-verify samples the thermal spectrum; temperature must be > 0")
     if args.threads is not None and args.threads < 1:
@@ -279,11 +269,6 @@ def _cmd_mc_verify(args) -> _Output:
         # far enough into the Wien tail of the hottest direction to cover
         # all but a negligible weight fraction
         omega_max = 15.0 * v.gamma * (1.0 + v.beta_mag) * t * units.k_B / units.hbar
-        if not 0.0 < omega_max < np.inf:
-            raise UsageError(
-                f"the default --omega-prime-max, 15 gamma (1 + |beta|) k_B T / hbar, is "
-                f"{omega_max} at --temperature {t}; pass a finite positive --omega-prime-max"
-            )
     cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
                    n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
     rep = run_identity_check(t, v, cfg, units=units, n_threads=args.threads)

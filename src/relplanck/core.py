@@ -6,6 +6,13 @@ natural (hbar = c = k_B = 1); SI constants are available via
 after construction and safe to share across threads.  Temperature always
 means the temperature in the radiation rest frame; nothing in this package
 ever boosts a temperature, only the spectrum.
+
+The accepted input domain is stated here once (README, "Domain"): T = 0 or
+1e-3 <= T <= 1e5, |beta| <= 1 - 1e-9, 0 <= omega <= 1e30 in the unit
+system's own frequency unit, and the natural or SI unit system.
+temperature_value, BoostVelocity, UnitSystem and _check_omega reject
+anything outside it with a ValueError naming the input and its range, so
+no density, energy density or multipole inside the package can overflow.
 """
 
 from __future__ import annotations
@@ -16,6 +23,13 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
+
+# the accepted input domain; README's "Domain" section states the same numbers
+_T_MIN = 1e-3
+_T_MAX = 1e5
+_BETA_MAX = 1.0 - 1e-9
+_OMEGA_MAX = 1e30
+_SI_CONSTANTS = (1.054571817e-34, 299792458.0, 1.380649e-23)
 
 __all__ = [
     "Component",
@@ -44,8 +58,10 @@ class Component(Enum):
 class UnitSystem:
     """Values of hbar, c and k_B fixing the unit system.
 
-    The defaults are natural units, hbar = c = k_B = 1; any other positive,
-    finite values, such as ``UnitSystem.si()``, are accepted.
+    The defaults are natural units, hbar = c = k_B = 1; the only other
+    accepted values are those of ``UnitSystem.si()``.  Any other constants
+    raise ValueError: the domain's ranges for T and omega are stated in
+    these two systems.
     """
 
     hbar: float = 1.0
@@ -53,16 +69,18 @@ class UnitSystem:
     k_B: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "c", "k_B"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        constants = (self.hbar, self.c, self.k_B)
+        if constants not in ((1.0, 1.0, 1.0), _SI_CONSTANTS):
+            raise ValueError(
+                f"units must be natural (hbar, c, k_B) = (1, 1, 1) or SI {_SI_CONSTANTS}, "
+                f"got {constants}"
+            )
 
     @classmethod
     @cache
     def si(cls) -> "UnitSystem":
         """CODATA 2018 values in J s, m/s, J/K; one shared frozen instance."""
-        return cls(1.054571817e-34, 299792458.0, 1.380649e-23)
+        return cls(*_SI_CONSTANTS)
 
 
 NATURAL = UnitSystem()
@@ -70,7 +88,7 @@ NATURAL = UnitSystem()
 
 @dataclass(frozen=True, eq=False)
 class BoostVelocity:
-    """Dimensionless frame velocity beta = v/c with |beta| < 1.
+    """Dimensionless frame velocity beta = v/c with |beta| <= 1 - 1e-9.
 
     gamma is computed once at construction as 1/sqrt((1 - |b|)(1 + |b|));
     the factored form loses no precision as |beta| approaches 1.  ``vhat``
@@ -91,8 +109,8 @@ class BoostVelocity:
             raise ValueError("beta components must be finite")
         # np.linalg.norm's own formula for a vector, without its dispatch
         bmag = math.sqrt(b.dot(b))
-        if bmag >= 1.0:
-            raise ValueError(f"|beta| = {bmag} must be < 1")
+        if not bmag <= _BETA_MAX:
+            raise ValueError(f"|beta| must lie in [0, 1 - 1e-9], got {bmag!r}")
         vhat = b / bmag if bmag > 0.0 else np.array([0.0, 0.0, 1.0])
         gamma = 1.0 / math.sqrt((1.0 - bmag) * (1.0 + bmag))
         b.setflags(write=False)
@@ -112,7 +130,7 @@ class BoostVelocity:
 
 
 def make_boost(beta) -> BoostVelocity:
-    """Build a BoostVelocity from any 3-sequence; rejects |beta| >= 1."""
+    """Build a BoostVelocity from any 3-sequence; rejects |beta| > 1 - 1e-9."""
     return BoostVelocity(np.asarray(beta, dtype=float))
 
 
@@ -149,9 +167,17 @@ class PhotonMode:
 
 
 def temperature_value(T) -> float:
-    """The rest-frame temperature T as a float; rejects NaN, inf and T < 0."""
+    """The rest-frame temperature T as a float; rejects any T but 0 and [1e-3, 1e5].
+
+    The range is the same in both unit systems, natural units and kelvin.
+    """
     t = float(T)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"temperature must be finite and >= 0, got {T!r}")
+    if not (t == 0.0 or _T_MIN <= t <= _T_MAX):
+        raise ValueError(f"temperature must be 0 or lie in [1e-3, 1e5], got {T!r}")
     return t
 
+
+def _check_omega(om, label: str):
+    """Raise ValueError unless every frequency in om lies in [0, 1e30]; NaN fails too."""
+    if not np.all((om >= 0.0) & (om <= _OMEGA_MAX)):
+        raise ValueError(f"{label} must be finite and lie in [0, 1e30]")

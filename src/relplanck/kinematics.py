@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoostVelocity, PhotonMode
+from .core import BoostVelocity, PhotonMode, _check_omega
 
 __all__ = [
     "ModeTransformResult",
@@ -136,15 +136,14 @@ def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
     which keeps the azimuth about vhat and needs no special case near the
     axis.  At beta = 0 the input mode is returned unchanged with unit
     Jacobians; the inverse map is boost_mode(mode', v.reversed()).  Raises
-    ValueError where omega' overflows a double.
+    ValueError for a mode frequency outside the domain (README, "Domain");
+    omega' may exceed that range by the Doppler factor, up to about 4.5e4.
     """
+    _check_omega(mode.omega, "omega")
     if v.is_rest:
         return ModeTransformResult(mode, 1.0, 1.0)
     mu = min(1.0, max(-1.0, float(mode.khat @ v.vhat)))
-    with np.errstate(over="ignore"):
-        omega_p, mu_p, jac_freq, jac_solid_angle = map(float, boost_mu(mode.omega, mu, v))
-    if math.isinf(omega_p):
-        raise ValueError("the boosted frequency omega' overflows a double")
+    omega_p, mu_p, jac_freq, jac_solid_angle = map(float, boost_mu(mode.omega, mu, v))
     khat_p = (mode.khat - mu * v.vhat) / float(doppler_factor(mu, v)) + mu_p * v.vhat
     return ModeTransformResult(PhotonMode(omega_p, khat_p), jac_freq, jac_solid_angle)
 

@@ -18,9 +18,9 @@ any unit system.
 The rest-frame thermal energy density W is the Stefan-Boltzmann closed form
 pi^2 (k_B T)^4 / (15 hbar^3 c^3) of thermal_energy_density_closed_form in
 both routes below; energy_density_rest is its quadrature check.  Each
-route computes the scale-free ratio W'/W and reports W' = W W'/W, and
-raises ValueError where W or W' is not a finite normal double.  The two
-routes are genuinely different and must agree:
+route computes the scale-free ratio W'/W and reports W' = W W'/W; inside
+the input domain of core (README, "Domain") W and W' are normal doubles.
+The two routes are genuinely different and must agree:
 
   * spectral: integrate the boosted thermal spectral density, analytically
     over direction (the closed-form u'(omega') of spectrum.u_moving) and by
@@ -39,7 +39,6 @@ Both must land on the closed form W'/W = gamma^2 (1 + beta^2 / 3).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -197,32 +196,18 @@ class EnergyDensityReport:
     n_evaluations: int | None = None
 
 
-def _normal(x: float, what: str) -> float:
-    """x, if it is a finite normal double; ValueError otherwise."""
-    if not (math.isfinite(x) and abs(x) >= sys.float_info.min):
-        raise ValueError(f"{what} is {x!r}, not a finite normal double")
-    return x
-
-
 def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
     """pi^2 (k_B T)^4 / (15 hbar^3 c^3), the closed-form thermal energy density.
 
     Both W' routes take it as W, energy_density_rest must reproduce it by
     quadrature, and the Monte Carlo sampler uses it as the normalization of
-    the thermal spectrum.  The mantissas and binary exponents of k_B T and
-    hbar c are combined apart, so no power overflows or underflows where W
-    itself is representable.  Raises ValueError unless W is a finite normal
-    double: at T = 0, and at temperatures so low or high that W underflows
-    or overflows.
+    the thermal spectrum.  Raises ValueError at T = 0, where W = 0 cannot
+    normalize a ratio, and for a T outside the domain (README, "Domain").
     """
     t = temperature_value(T)
-    m, e = math.frexp(units.k_B * t)
-    mhc, ehc = math.frexp(units.hbar * units.c)
-    try:
-        w = math.ldexp(_PI2_15 * m**4 / mhc**3, 4 * e - 3 * ehc)
-    except OverflowError:
-        w = math.inf
-    return _normal(w, "thermal energy density W")
+    if t == 0.0:
+        raise ValueError("the thermal energy density W is 0 at T = 0; T > 0 required")
+    return _PI2_15 * (units.k_B * t) ** 4 / (units.hbar * units.c) ** 3
 
 
 def expected_energy_ratio(v: BoostVelocity) -> float:
@@ -231,8 +216,8 @@ def expected_energy_ratio(v: BoostVelocity) -> float:
 
 
 def _report(w_rest: float, ratio: float, method: str, *quadrature) -> EnergyDensityReport:
-    """The report for W' = W ratio; ValueError unless W' is a finite normal double."""
-    w_moving = _normal(w_rest * ratio, "moving-frame energy density W'")
+    """The report for W' = W ratio."""
+    w_moving = w_rest * ratio
     return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, method, *quadrature)
 
 

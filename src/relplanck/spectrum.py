@@ -32,7 +32,9 @@ multiplied left to right, with D = 1 at rest and x_occ(x) = 2 x / (e^x - 1)
 omega^3 nor the occupation is formed on its own, so the thermal part
 survives where omega^3 underflows and where the occupation overflows.  Left
 to right, an intermediate is subnormal only where the density is below
-twice the smallest normal double; one that overflows raises ValueError.
+twice the smallest normal double.  Inside the input domain of core (README,
+"Domain") no density overflows; every public function here rejects inputs
+outside it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, BoostVelocity, Component, UnitSystem, temperature_value
+from .core import NATURAL, BoostVelocity, Component, UnitSystem, _check_omega, temperature_value
 from .kinematics import inverse_doppler_factor
 
 __all__ = [
@@ -76,11 +78,6 @@ def thermal_occupation(z):
     return 2.0 * np.exp(-z) / (-np.expm1(-z))
 
 
-def _check_nonneg_omega(om: np.ndarray, label: str):
-    if np.any(om < 0.0) or not np.all(np.isfinite(om)):
-        raise ValueError(f"{label} must be finite and >= 0")
-
-
 def _check_mu(mu) -> np.ndarray:
     """mu_prime as a float array; raises unless every cosine is finite and in [-1, 1].
 
@@ -103,36 +100,19 @@ def _density(om, s, x_occ, component, pref):
 
     om / s is taken as at least the smallest subnormal, where x_occ has
     reached its limit.  The thermal part is exactly 0 at om = 0, at T = 0
-    (s = 0) and wherever x_occ is 0 or NaN.  pref s om^2 overflows ahead of
-    the density only where x_occ < 1 would bring it back, deep in the Wien
-    tail of a scale s above about 1e101 in natural units.  Raises
-    ValueError wherever the density is not a finite double, so also there
-    and where s is not.
+    (s = 0, where om / s is inf or NaN) and wherever x_occ is 0 or NaN.
+    The zero-point part is pref * om * om * om, left to right like the
+    thermal part.
     """
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")
     if component is Component.ZERO_POINT:
-        return _zero_point(pref, om)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return pref * om * om * om
+    with np.errstate(divide="ignore", invalid="ignore"):
         occ = x_occ(np.maximum(om / s, _SMALLEST))
         out = np.where(occ > 0.0, pref * s * om * om * occ, 0.0)
-        if component is Component.TOTAL:
-            out = _zero_point(pref, om) + out
-    if not np.all(np.isfinite(out)):
-        raise ValueError("the spectral density overflows a double at this frequency and T")
-    return out
-
-
-def _zero_point(pref, om):
-    """pref * om^3, the zero-point density, or ValueError where it overflows.
-
-    Formed as pref * om * om * om, left to right like the thermal part, so
-    a prefactor below 1 keeps it finite where om^3 alone overflows.
-    """
-    with np.errstate(over="ignore"):
-        out = pref * om * om * om
-    if np.any(np.isinf(out)):
-        raise ValueError("the zero-point density overflows a double at this frequency")
+    if component is Component.TOTAL:
+        out = pref * om * om * om + out
     return out
 
 
@@ -148,10 +128,10 @@ def rho_rest(omega, T, component: Component = Component.TOTAL, units: UnitSystem
     Vectorized over omega.  The total is exactly zero-point + thermal.
     The thermal part is within 4 eps (1 + z) relative, z = hbar omega / k_B T,
     wherever it is a normal double and z < 708 (tests/test_oracle.py).
-    Raises ValueError where the density overflows a double.
+    Raises ValueError for an omega or T outside the domain (README, "Domain").
     """
     om = np.asarray(omega, dtype=float)
-    _check_nonneg_omega(om, "omega")
+    _check_omega(om, "omega")
     s = units.k_B * temperature_value(T) / units.hbar
     out = _density(om, s, _x_occupation, component, spectral_prefactor(units))
     return _maybe_scalar(out, omega)
@@ -171,16 +151,15 @@ def rho_moving_mu(
     unchanged by the boost; the thermal part is the rest-frame Planck law
     at T_eff = T / (gamma (1 + |beta| mu')), within 4 eps (1 + z) relative,
     z = hbar omega' / k_B T_eff, wherever it is a normal double and z < 708
-    (tests/test_oracle.py).  Raises ValueError where the density, or
-    k_B T_eff / hbar, overflows a double.
+    (tests/test_oracle.py).  Raises ValueError for an omega' or T outside
+    the domain (README, "Domain").
     """
     om = np.asarray(omega_prime, dtype=float)
-    _check_nonneg_omega(om, "omega_prime")
+    _check_omega(om, "omega_prime")
     mu = _check_mu(mu_prime)
     t = temperature_value(T)
     om_b, d_b = np.broadcast_arrays(om, inverse_doppler_factor(mu, v))
-    with np.errstate(over="ignore"):  # where T_eff overflows, the thermal part raises
-        s = units.k_B * t / units.hbar / d_b
+    s = units.k_B * t / units.hbar / d_b
     out = _density(om_b, s, _x_occupation, component, spectral_prefactor(units))
     return _maybe_scalar(out, omega_prime, mu_prime)
 
@@ -198,30 +177,16 @@ def rho_moving_pullback_mu(
     rho'(omega', mu') = rho(D omega') / D^3 with D = gamma (1 + |beta| mu'):
     the rest-frame density at the pulled-back frequency, divided by the
     cubed frequency ratio.  Agrees with rho_moving_mu identically; the two
-    are kept as separate code paths on purpose.  Its domain is narrower:
-    the zero-point and total parts raise ValueError where pref (D omega')^3
-    overflows, even where rho_moving_mu is finite (6.30e307 at omega'
-    2.5e103, mu' 1, beta 0.6), and where the quotient overflows.  Where
-    D omega' overflows, the thermal part is 0 if it is 0 at the largest
-    double, because the Wien tail only falls beyond it.
+    are kept as separate code paths on purpose.  The rest-frame density is
+    rho_rest's assembly, without its check of the pulled-back frequency,
+    which may lie above the domain's omega where omega' does not.
     """
     om = np.asarray(omega_prime, dtype=float)
-    _check_nonneg_omega(om, "omega_prime")
+    _check_omega(om, "omega_prime")
     mu = _check_mu(mu_prime)
+    s = units.k_B * temperature_value(T) / units.hbar
     d = inverse_doppler_factor(mu, v)
-    with np.errstate(over="ignore"):
-        om_rest = d * om
-    overflow = np.isinf(om_rest)
-    if (
-        component is Component.THERMAL
-        and overflow.any()
-        and rho_rest(np.finfo(float).max, T, component, units) == 0.0
-    ):
-        om_rest = np.where(overflow, 0.0, om_rest)  # rho_rest's thermal part is 0 at 0 too
-    with np.errstate(over="ignore"):
-        out = rho_rest(om_rest, T, component, units) / d**3
-    if not np.all(np.isfinite(out)):
-        raise ValueError("the spectral density overflows a double at this frequency and T")
+    out = _density(d * om, s, _x_occupation, component, spectral_prefactor(units)) / d**3
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
@@ -274,10 +239,11 @@ def u_moving(
     where the hottest direction's z = gamma (1 - |beta|) x is 0 or past
     745.2, where e^{-z} is 0; within 4 eps (1 + z) relative wherever it is
     a normal double and z < 708 (tests/test_oracle.py).  Raises ValueError
-    where the density overflows a double.  Vectorized over omega_prime.
+    for an omega' or T outside the domain (README, "Domain").  Vectorized
+    over omega_prime.
     """
     om = np.asarray(omega_prime, dtype=float)
-    _check_nonneg_omega(om, "omega_prime")
+    _check_omega(om, "omega_prime")
     s = units.k_B * temperature_value(T) / units.hbar
 
     def mean_x_occ(x):
@@ -295,13 +261,9 @@ def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     equals the moving-frame thermal spectrum at cosine mu'.  Within 3 eps
     relative, eps = 2^-52, wherever T_eff is a normal double
     (tests/test_oracle.py).  Vectorized; raises ValueError unless mu' is
-    finite and in [-1, 1], and where T_eff overflows a double."""
+    finite and in [-1, 1], and for a T outside the domain (README, "Domain")."""
     mu = _check_mu(mu_prime)
-    t = temperature_value(T)
-    with np.errstate(over="ignore"):
-        out = t / inverse_doppler_factor(mu, v)
-    if np.any(np.isinf(out)):
-        raise ValueError("the effective temperature overflows a double at this cosine")
+    out = temperature_value(T) / inverse_doppler_factor(mu, v)
     return _maybe_scalar(out, mu_prime)
 
 
@@ -369,9 +331,7 @@ def temperature_multipoles(
 
     The pole of T_eff at mu' = -1/beta makes its error decay like
     rho^{-2 n_nodes}, and rounding leaves an absolute floor near 1e-14 T on
-    every coefficient; it is kept as an independent cross-check.  The
-    recurrence raises ValueError where a coefficient overflows a double,
-    the projection where T_eff does.
+    every coefficient; it is kept as an independent cross-check.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
@@ -400,18 +360,10 @@ def temperature_multipoles(
     for k in map(float, range(l_max, 0, -1)):
         r = k * beta / ((2.0 * k + 1.0) - (k + 1.0) * beta * r)
         ratios.append(-r)
-    # the running product from l = 1 up, in the order of np.cumprod; a_0
-    # scales T's mantissa, so T atanh(beta) / beta cannot overflow before
-    # the division by gamma, and every |r_k| < 1
-    m, e = math.frexp(t)
-    try:
-        p = math.ldexp(m * atanh_over_beta / v.gamma, e)
-    except OverflowError:  # a_0 rounds up to 2^1024 at T near the largest double
-        p = math.inf
+    # the running product from l = 1 up, in the order of np.cumprod
+    p = t * atanh_over_beta / v.gamma
     a = [p]
     for l, q in enumerate(reversed(ratios), 1):
         p *= q
         a.append((2 * l + 1) * p)
-    if not all(map(math.isfinite, a)):
-        raise ValueError("a multipole coefficient overflows a double")
     return MultipoleCoefficients(l_max, a, "recurrence", n)

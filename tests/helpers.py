@@ -16,3 +16,10 @@ def random_modes(rng, n, omega_lo=1e-2, omega_hi=1e2):
     omega = np.exp(rng.uniform(np.log(omega_lo), np.log(omega_hi), n))
     dirs = random_unit_vectors(rng, n)
     return [PhotonMode(w, d) for w, d in zip(omega, dirs)]
+
+
+# the edge checks' messages, each naming its input and range (README, "Domain")
+T_RANGE = "temperature must be 0 or lie in [1e-3, 1e5]"
+BETA_RANGE = "|beta| must lie in [0, 1 - 1e-9]"
+OMEGA_RANGE = "must be finite and lie in [0, 1e30]"
+UNITS_RANGE = "units must be natural (hbar, c, k_B) = (1, 1, 1) or SI"

@@ -1,32 +1,85 @@
-"""The commands at the edges of the temperature domain: a finite answer or a clean exit.
+"""The accepted input domain (README, "Domain"): finite answers at its corners, one error outside.
 
-energy-density, mc-verify, boost-mode, spectrum and anisotropy run
-in-process at temperatures where W = pi^2 T^4 / 15 underflows (1e-320,
-1e-81), is near the largest double (1e77) or overflows (1e200), at the
-largest temperature the CLI accepts (1.7e308), and at boosts from rest to
-1 - 1e-9.  boost-mode takes no temperature; it boosts a mode of frequency T,
-the thermal frequency scale in natural units.  spectrum runs in the rest
-frame, in the moving frame at mu' = -0.5, and integrated over directions;
-anisotropy with a three-point T_eff map.  Each run must exit 0 with only
-finite numbers in its output, exit 2 with an ``error:`` line, or, for
-mc-verify alone, exit 1 with its chi2 verdict on stderr.  A RuntimeWarning
-is an error, and no exception may escape main.
+At the corners, T 0, 1e-3 and 1e5 in both unit systems, beta 0 and
+1 - 1e-9 along z and along an oblique axis, mu' = +-1, and omega 0, 1e-300
+and 1e30, every command exits 0 with only finite numbers in its JSON
+output, and every public entry point returns finite values.  Two
+exceptions are by design: energy-density and mc-verify compare thermal
+densities and exit 2 at T = 0, and mc-verify may exit 1 with its chi2
+verdict on stderr, the gate's known defect near beta = 1 (ROADMAP item 1).
+Just outside, each input raises one ValueError that names the input and
+its range, and the CLI exits 2 with one ``error:`` line and nothing on
+stdout.  A RuntimeWarning is an error throughout, and README's domain
+numbers are those of core.
 """
 
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import BETA_RANGE, OMEGA_RANGE, T_RANGE, UNITS_RANGE
+from relplanck import (
+    NATURAL,
+    Component,
+    McConfig,
+    PhotonMode,
+    UnitSystem,
+    boost_mode,
+    boost_mu,
+    core,
+    direction_with_cosine,
+    effective_temperature_mu,
+    energy_density_moving_correlation,
+    energy_density_moving_spectral,
+    energy_density_rest,
+    make_boost,
+    rho_moving_mu,
+    rho_moving_pullback_mu,
+    rho_rest,
+    run_identity_check,
+    temperature_multipoles,
+    temperature_value,
+    thermal_energy_density_closed_form,
+    u_moving,
+)
 from relplanck.cli import main
 
+# temperatures outside the domain that earlier versions ran on: W underflows
+# (1e-320, 1e-81), is near the largest double (1e77) or overflows (1e200),
+# and the largest the flag parses (1.7e308).  boost-mode boosts a mode of
+# that frequency instead, which lies inside the domain up to 1e30
 TEMPERATURES = ["1e-320", "1e-81", "1e77", "1e200", "1.7e308"]
 BETAS = ["0", "0.6", "0.999999999"]
 COMMANDS = [
     "energy-density", "mc-verify", "boost-mode", "spectrum-moving-mu", "spectrum-moving",
     "anisotropy",
 ]
+
+CORNER_TEMPERATURES = ["0", "1e-3", "1e5"]
+UNITS = {"natural": NATURAL, "si": UnitSystem.si()}
+BETA_MAX = 1.0 - 1e-9
+CORNER_BOOSTS = {
+    "rest": [0.0, 0.0, 0.0],
+    "z": [0.0, 0.0, BETA_MAX],
+    "oblique": (BETA_MAX * np.array([1.0, -2.0, 2.0]) / 3.0).tolist(),
+}
+# both grids end at 1e30; the linear one starts at 0, the log one at 1e-300
+GRIDS = {
+    "linear": ["--omega-min", "0", "--omega-max", "1e30", "--points", "3"],
+    "log": ["--omega-min", "1e-300", "--omega-max", "1e30", "--points", "3", "--grid", "log"],
+}
+# the moving-frame spectrum integrated over directions, and at mu' = -1 and 1
+SPECTRA = {
+    f"spectrum-moving{name}-{grid}": [*mu, *GRIDS[grid]]
+    for name, mu in (("", []), ("-mu-1", ["--mu", "-1"]), ("-mu+1", ["--mu", "1"]))
+    for grid in GRIDS
+}
+CORNER_COMMANDS = ["energy-density", "mc-verify", "anisotropy", *SPECTRA]
 
 
 def _argv(command, t):
@@ -43,6 +96,21 @@ def _argv(command, t):
     return ["boost-mode", "--omega", t, "--mu", "-0.5"]
 
 
+def _boost_flags(boost):
+    return ["--beta-vec", ",".join(map(repr, CORNER_BOOSTS[boost]))]
+
+
+def _corner_argv(command, t, units, boost):
+    common = ["--temperature", t, "--units", units, *_boost_flags(boost)]
+    if command == "energy-density":
+        return ["energy-density", *common]
+    if command == "mc-verify":
+        return ["mc-verify", *common, "--n", "2000"]
+    if command == "anisotropy":
+        return ["anisotropy", *common, "--map-points", "3"]  # mu' = -1, 0 and 1
+    return ["spectrum", "--frame", "moving", *common, *SPECTRA[command]]
+
+
 def _numbers(node):
     if isinstance(node, dict):
         for value in node.values():
@@ -54,48 +122,50 @@ def _numbers(node):
         yield node
 
 
-def _assert_finite_or_clean_exit(capsys, command, argv):
+def _run(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(argv + ["--format", "json"])
+        code = main(argv)
     out, err = capsys.readouterr()
-    if code == 0:
-        env = json.loads(out)
-        numbers = list(_numbers(env["results"]))
-        assert numbers and all(math.isfinite(x) for x in numbers)
-    elif code == 2:
-        assert out == ""
-        assert any(line.startswith("error: ") for line in err.splitlines())
-    else:
-        assert (command, code) == ("mc-verify", 1)
+    return code, out, err
+
+
+def _assert_finite(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    if code == 1:
+        assert argv[0] == "mc-verify"
         assert err.startswith("chi2/dof = ")
         assert json.loads(out)["results"]["passed"] is False
+    else:
+        assert code == 0, err
+    numbers = list(_numbers(json.loads(out)["results"]))
+    assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+def _assert_rejected(capsys, argv, message) -> str:
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    return err
 
 
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("t", TEMPERATURES)
 @pytest.mark.parametrize("command", COMMANDS)
 def test_finite_answer_or_clean_exit(capsys, command, t, beta):
-    _assert_finite_or_clean_exit(capsys, command, _argv(command, t) + ["--beta", beta])
+    argv = _argv(command, t) + ["--beta", beta]
+    if command == "boost-mode" and float(t) <= 1e30:
+        _assert_finite(capsys, argv)
+    else:
+        message = OMEGA_RANGE if command == "boost-mode" else T_RANGE
+        _assert_rejected(capsys, argv + ["--format", "json"], message)
 
 
 @pytest.mark.parametrize("t", TEMPERATURES)
 def test_rest_spectrum_finite_answer_or_clean_exit(capsys, t):
     # the rest frame takes no boost
-    _assert_finite_or_clean_exit(capsys, "spectrum", ["spectrum", "--temperature", t])
-
-
-def test_spectrum_at_the_largest_temperature_is_finite(capsys):
-    # rho = 2 pref T omega^2 in the Rayleigh-Jeans limit: 3.4e307 and 1.4e308
-    # at omega 5 and 10, which neither omega^3 nor the occupation can carry
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["spectrum", "--temperature", "1.7e308", "--points", "3",
-                     "--format", "json"]) == 0
-    rho = json.loads(capsys.readouterr().out)["results"]["rho"]
-    pref = 1.0 / (8.0 * math.pi**3)
-    assert rho[0] == 0.0
-    assert rho[1:] == pytest.approx([2.0 * pref * 1.7e308 * w * w for w in (5.0, 10.0)], rel=1e-15)
+    _assert_rejected(capsys, ["spectrum", "--temperature", t], T_RANGE)
 
 
 @pytest.mark.parametrize("argv", [
@@ -103,11 +173,174 @@ def test_spectrum_at_the_largest_temperature_is_finite(capsys):
     ["--temperature", "1e-320", "--units", "si"],
 ], ids=["overflow", "underflow"])
 def test_mc_verify_names_the_temperature_when_its_default_grid_is_not_finite(capsys, argv):
-    # the default grid edge 15 gamma (1 + |beta|) k_B T / hbar overflows or
-    # underflows: the error names the flag the user passed and the one to add
-    assert main(["mc-verify", "--n", "2000", *argv]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: the default --omega-prime-max")
-    assert "--temperature" in err
-    assert "omega_prime_max must be finite" not in err
+    # the default grid edge 15 gamma (1 + |beta|) k_B T / hbar would overflow
+    # or underflow: the error names the temperature the user passed and its
+    # range, not the grid edge derived from it
+    err = _assert_rejected(capsys, ["mc-verify", "--n", "2000", *argv], T_RANGE)
+    assert "omega_prime_max" not in err
+
+
+@pytest.mark.parametrize("boost", CORNER_BOOSTS)
+@pytest.mark.parametrize("units", UNITS)
+@pytest.mark.parametrize("t", CORNER_TEMPERATURES)
+@pytest.mark.parametrize("command", CORNER_COMMANDS)
+def test_commands_are_finite_at_the_corners(capsys, command, t, units, boost):
+    argv = _corner_argv(command, t, units, boost)
+    if t == "0" and command in ("energy-density", "mc-verify"):
+        _assert_rejected(capsys, argv, "temperature must be > 0")
+    else:
+        _assert_finite(capsys, argv)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("units", UNITS)
+@pytest.mark.parametrize("t", CORNER_TEMPERATURES)
+def test_rest_spectrum_is_finite_at_the_corners(capsys, t, units, grid):
+    _assert_finite(capsys, ["spectrum", "--temperature", t, "--units", units, *GRIDS[grid]])
+
+
+@pytest.mark.parametrize("boost", CORNER_BOOSTS)
+@pytest.mark.parametrize("mu", ["-1", "1"])
+@pytest.mark.parametrize("omega", ["0", "1e-300", "1e30"])
+def test_boost_mode_is_finite_at_the_corners(capsys, omega, mu, boost):
+    _assert_finite(capsys, ["boost-mode", "--omega", omega, "--mu", mu, *_boost_flags(boost)])
+
+
+def test_the_corner_boosts_are_at_the_bound():
+    assert [make_boost(b).beta_mag for b in CORNER_BOOSTS.values()] == [0.0, BETA_MAX, BETA_MAX]
+
+
+@pytest.mark.parametrize("boost", CORNER_BOOSTS)
+@pytest.mark.parametrize("units", UNITS)
+@pytest.mark.parametrize("t", [0.0, 1e-3, 1e5])
+def test_library_is_finite_at_the_corners(t, units, boost):
+    u, v = UNITS[units], make_boost(CORNER_BOOSTS[boost])
+    omega = np.array([0.0, 1e-300, 1e30])
+    mu = np.array([-1.0, 1.0])[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [
+            effective_temperature_mu(mu, v, t),
+            temperature_multipoles(v, t, 16).a,
+            temperature_multipoles(v, t, 16, n_nodes=64).a,
+            *boost_mu(omega, mu, v),
+            [boost_mode(PhotonMode(w, direction_with_cosine(m, v)), v).mode_prime.omega
+             for w in omega for m in (-1.0, 1.0)],
+        ]
+        for comp in Component:
+            values += [
+                rho_rest(omega, t, comp, u),
+                rho_moving_mu(omega, mu, v, t, comp, u),
+                rho_moving_pullback_mu(omega, mu, v, t, comp, u),
+                u_moving(omega, v, t, comp, u),
+            ]
+        if t > 0.0:
+            values += [thermal_energy_density_closed_form(t, u), energy_density_rest(t, u)]
+            for route in (energy_density_moving_spectral, energy_density_moving_correlation):
+                rep = route(t, v, u)
+                values += [rep.W_rest, rep.W_moving, rep.ratio]
+    for value in values:
+        assert np.all(np.isfinite(value))
+
+
+V06 = make_boost([0.0, 0.0, 0.6])
+SI = UnitSystem.si()
+
+# each call raises one ValueError naming its input's range.  The first block
+# lies just outside each bound; the rest are inputs that earlier versions
+# handled behind interior overflow guards, which the edge check replaces
+REJECTED = {
+    "temperature_value-T-5e-4": (lambda: temperature_value(5e-4), T_RANGE),
+    "temperature_value-T-2e5": (lambda: temperature_value(2e5), T_RANGE),
+    "temperature_value-T-nan": (lambda: temperature_value(math.nan), T_RANGE),
+    "make_boost-beta-1-5e-10": (lambda: make_boost([0.0, 0.0, 1.0 - 5e-10]), BETA_RANGE),
+    "rho_rest-omega-2e30": (lambda: rho_rest(2e30, 1.0), OMEGA_RANGE),
+    "boost_mode-omega-2e30": (lambda: boost_mode(PhotonMode(2e30, [0.0, 0.0, 1.0]), V06),
+                              OMEGA_RANGE),
+    "McConfig-omega_prime_max-2e30": (lambda: McConfig(1000, 1, 2e30), OMEGA_RANGE),
+    "UnitSystem-custom": (lambda: UnitSystem(1.0, 2.0, 1.0), UNITS_RANGE),
+    "UnitSystem-hbar-1e-300": (lambda: UnitSystem(1e-300, 1.0, 1.0), UNITS_RANGE),
+    # spectrum._density: omega^2 overflows, the density overflows, or k_B T / hbar does
+    "rho_rest-omega-1e160-natural": (
+        lambda: rho_rest(1e160, 1.0, Component.THERMAL), OMEGA_RANGE),
+    "rho_rest-omega-1e160-si": (
+        lambda: rho_rest(1e160, 1.0, Component.THERMAL, SI), OMEGA_RANGE),
+    "rho_moving_mu-omega_prime-1e160": (
+        lambda: rho_moving_mu(1e160, 0.2, V06, 1.0), OMEGA_RANGE),
+    "u_moving-omega_prime-1e160": (
+        lambda: u_moving(1e160, V06, 1.0, Component.THERMAL), OMEGA_RANGE),
+    "u_moving-T-1e200": (lambda: u_moving(1.0, make_boost([0.0, 0.0, BETA_MAX]), 1e200),
+                         T_RANGE),
+    "rho_rest-T-1.7e308": (lambda: rho_rest(5.0, 1.7e308), T_RANGE),
+    "rho_moving_mu-T-1.7e308": (lambda: rho_moving_mu(1.0, -0.5, V06, 1.7e308), T_RANGE),
+    # the pull-back's overflowing D omega' and pref (D omega')^3
+    "rho_moving_pullback_mu-omega_prime-1.7e308": (
+        lambda: rho_moving_pullback_mu(1.7e308, 0.5, V06, 1.0, Component.THERMAL), OMEGA_RANGE),
+    "rho_moving_mu-omega_prime-2.5e103": (
+        lambda: rho_moving_mu(2.5e103, 1.0, V06, 1.0), OMEGA_RANGE),
+    "rho_moving_pullback_mu-omega_prime-2.5e103": (
+        lambda: rho_moving_pullback_mu(2.5e103, 1.0, V06, 1.0), OMEGA_RANGE),
+    "rho_moving_pullback_mu-omega_prime-4e103": (
+        lambda: rho_moving_pullback_mu(4e103, -1.0, V06, 1.0, Component.ZERO_POINT),
+        OMEGA_RANGE),
+    # T_eff, the multipoles' a_0 and the boosted frequency overflowing
+    "effective_temperature_mu-T-1.7e308": (
+        lambda: effective_temperature_mu(-1.0, V06, 1.7e308), T_RANGE),
+    "temperature_multipoles-T-1.7e308": (
+        lambda: temperature_multipoles(V06, 1.7e308, 4), T_RANGE),
+    "boost_mode-omega-1.7e308": (
+        lambda: boost_mode(PhotonMode(1.7e308, [0.0, 0.0, -1.0]), V06), OMEGA_RANGE),
+    # the Monte Carlo W' bound and the bin centres near the largest double
+    "run_identity_check-T-1e77": (
+        lambda: run_identity_check(1e77, V06, McConfig(1000, 1, 1.0)), T_RANGE),
+    "McConfig-omega_prime_max-1e300": (lambda: McConfig(20_000, 1, 1e300), OMEGA_RANGE),
+    "McConfig-omega_prime_max-1.7e308": (lambda: McConfig(20_000, 1, 1.7e308), OMEGA_RANGE),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_out_of_domain_input_is_rejected(case):
+    call, message = REJECTED[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+REJECTED_FLAGS = {
+    "spectrum-T-5e-4": (["spectrum", "--temperature", "5e-4"], T_RANGE),
+    "anisotropy-T-2e5": (["anisotropy", "--temperature", "2e5"], T_RANGE),
+    "mc-verify-T-2e5": (["mc-verify", "--temperature", "2e5", "--n", "2000"], T_RANGE),
+    "energy-density-beta-1-5e-10": (
+        ["energy-density", "--temperature", "1", "--beta", "0.9999999995"], BETA_RANGE),
+    "spectrum-beta-vec-1-5e-10": (
+        ["spectrum", "--temperature", "1", "--frame", "moving", "--beta-vec",
+         ",".join(map(repr, ((1.0 - 5e-10) * np.array([1.0, -2.0, 2.0]) / 3.0).tolist()))],
+        BETA_RANGE),
+    "spectrum-omega-2e30": (["spectrum", "--temperature", "1", "--omega-max", "2e30"],
+                            OMEGA_RANGE),
+    "boost-mode-omega-2e30": (["boost-mode", "--omega", "2e30", "--mu", "0"], OMEGA_RANGE),
+    "mc-verify-omega-prime-max-2e30": (
+        ["mc-verify", "--n", "2000", "--omega-prime-max", "2e30"], OMEGA_RANGE),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_FLAGS)
+def test_out_of_domain_flag_exits_2_naming_the_range(capsys, case):
+    argv, message = REJECTED_FLAGS[case]
+    _assert_rejected(capsys, argv, message)
+
+
+def test_readme_states_the_domain_of_core():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Domain\n", 1)[1].split("\n## ", 1)[0]
+    t_min, t_max = re.search(r"`(\S+) <= T <= (\S+)`", section).groups()
+    beta = re.search(r"`\|beta\| <= 1 - (\S+)`", section).group(1)
+    omega = re.search(r"`0 <= omega <= (\S+)`", section).group(1)
+    assert (float(t_min), float(t_max)) == (core._T_MIN, core._T_MAX)
+    assert 1.0 - float(beta) == core._BETA_MAX
+    assert float(omega) == core._OMEGA_MAX
+    # the edge checks' messages quote the same numbers
+    assert T_RANGE.endswith(f"[{t_min}, {t_max}]")
+    assert BETA_RANGE.endswith(f"[0, 1 - {beta}]")
+    assert OMEGA_RANGE.endswith(f"[0, {omega}]")

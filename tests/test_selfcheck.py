@@ -2,17 +2,16 @@
 
 import types
 
-from relplanck import kinematics, radiometry
+from relplanck import kinematics, radiometry, spectrum
 from relplanck.cli import main
-from relplanck.core import NATURAL, PhotonMode
+from relplanck.core import NATURAL, Component, PhotonMode
 from relplanck.selfcheck import run_selfcheck
 
 QUICK_NAMES = [
-    "gamma-identity", "component-additivity", "mode-roundtrip", "jacobian-freq",
+    "gamma-identity", "coth-amplitude", "mode-roundtrip", "jacobian-freq",
     "jacobian-solid-angle", "lightcone", "field-invariants", "aberration-bounds",
-    "zero-T-invariance", "pullback-identity", "occupation-invariance",
-    "teff-factorization", "direction-integral", "multipoles", "stefan-boltzmann",
-    "route-agreement", "quadrature-honesty", "mc-determinism",
+    "pullback-identity", "occupation-invariance", "direction-integral", "multipoles",
+    "stefan-boltzmann", "route-agreement", "quadrature-honesty", "mc-determinism",
 ]
 
 # checks whose identity a wrong kinematics.aberrate_mu breaks, directly or
@@ -53,7 +52,7 @@ def test_injected_aberration_error_fails_the_battery(monkeypatch, capsys):
     for name in ABERRATION_DEPENDENT:
         assert not results[name].passed, name
         assert results[name].residual > results[name].tolerance, name
-    assert results["component-additivity"].passed
+    assert results["coth-amplitude"].passed
     assert results["lightcone"].passed  # raw wavevector boost, no aberrate_mu
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
@@ -88,3 +87,24 @@ def test_closed_form_fault_in_si_units_fails_the_quick_battery(monkeypatch, caps
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL  stefan-boltzmann") for line in out.splitlines())
+
+
+def test_zero_point_amplitude_fault_fails_the_quick_battery(monkeypatch, capsys):
+    # a zero-point density 1.001 times too large, in every density that
+    # carries one; only coth-amplitude compares the amplitude with a formula
+    # of its own
+    exact = spectrum._density
+
+    def scaled_zero_point(om, s, x_occ, component, pref):
+        out = exact(om, s, x_occ, component, pref)
+        if component is Component.THERMAL:
+            return out
+        return out + 1e-3 * pref * om * om * om
+
+    monkeypatch.setattr(spectrum, "_density", scaled_zero_point)
+    results = {r.name: r for r in run_selfcheck(quick=True)}
+    assert not results["coth-amplitude"].passed
+    assert results["coth-amplitude"].residual > 1e-4
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL  coth-amplitude") for line in out.splitlines())

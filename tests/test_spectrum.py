@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_boosts, random_modes
+from helpers import OMEGA_RANGE, random_boosts, random_modes
 from relplanck import (
     Component,
     UnitSystem,
@@ -315,57 +316,19 @@ def test_subnormal_coth_argument_gives_rayleigh_jeans(units, t):
         assert np.all(np.abs(got[normal] - rj[normal]) <= 1e-13 * rj[normal])
 
 
-@pytest.mark.parametrize("units", [UnitSystem(), UnitSystem.si()], ids=["natural", "si"])
-def test_wien_tail_where_omega_squared_overflows_is_zero(units):
-    # om^2 overflows from om ~ 1.3e154 on, while om * occupation is exactly 0
-    om = np.array([1e154, 1e160, 1e200, 1e300, 1.7e308])
-    mu = np.array([-1.0, 0.2, 1.0])[:, None]
-    for t in (1e-3, 1.0, 1e3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = [rho_rest(om, t, Component.THERMAL, units)]
-            for v in (V06, make_boost([0.3, -0.4, 0.7])):
-                got.append(rho_moving_mu(om, mu, v, t, Component.THERMAL, units))
-                # D om' overflows at 1.7e308 on the pullback route
-                got.append(rho_moving_pullback_mu(om, mu, v, t, Component.THERMAL, units))
-            for v in (make_boost([0, 0, 0]), V06, make_boost([0.0, 0.0, 1.0 - 1e-9])):
-                got.append(u_moving(om, v, t, Component.THERMAL, units))
-        for thermal in got:
-            assert np.all(thermal == 0.0)
-    assert rho_rest(1e160, 1.0, Component.THERMAL) == 0.0
-    assert rho_moving_mu(1e160, 0.2, V06, 1.0, Component.THERMAL) == 0.0
-    # the zero-point part at an overflowing D om' cannot be formed and says so
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # THERMAL never forms the zero-point om'^3, which overflows here
-        assert u_moving(1e160, V06, 1.0, Component.THERMAL) == 0.0
-        for comp in (Component.TOTAL, Component.ZERO_POINT):
-            with pytest.raises(ValueError, match="omega must be finite"):
-                rho_moving_pullback_mu(1.7e308, 0.5, V06, 1.0, comp, units)
-    # the total is the zero-point part alone, which overflows a double
-    for total in (lambda: rho_rest(1e160, 1.0), lambda: rho_moving_mu(1e160, 0.2, V06, 1.0)):
-        with pytest.raises(ValueError, match="overflows"):
-            total()
-
-
 def test_zero_point_past_the_overflow_of_omega_cubed():
-    # om^3 overflows from om ~ 5.6e102 on; the zero-point part is formed
-    # as pref * om * om * om, which is finite while the density is and
-    # raises where the density itself exceeds the largest double
-    si = UnitSystem.si()
+    # om^3 overflows from om ~ 5.6e102 on, far above the domain's 1e30:
+    # every density rejects such a frequency at the edge, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = rho_rest(1e103, 300.0, units=si)
-        with mpmath.workdps(30):
-            want = float(mpmath.mpf(spectral_prefactor(si)) * mpmath.mpf(1e103) ** 3)
-        assert got == pytest.approx(want, rel=1e-15)  # 1.58e247
         for density in (
+            lambda: rho_rest(1e103, 300.0, units=UnitSystem.si()),
             lambda: rho_rest(1e104, 1.0),
             lambda: rho_moving_mu(1e104, 0.2, V06, 1.0),
             lambda: rho_moving_pullback_mu(1e104, 0.2, V06, 1.0),
             lambda: u_moving(1e104, V06, 1.0),
         ):
-            with pytest.raises(ValueError, match="overflows"):
+            with pytest.raises(ValueError, match=re.escape(OMEGA_RANGE)):
                 density()
 
 
@@ -387,18 +350,6 @@ class TestPullbackRoute:
         a = rho_moving_pullback_mu(omega, -0.7, V06, 0.0)
         b = rho_rest(omega, 0.0)
         assert np.max(np.abs(a - b) / b) <= 1e-14
-
-    def test_narrower_domain_raises_and_never_overflows(self):
-        # pref (D omega')^3 overflows at D = 2 where the moving density does not
-        assert rho_moving_mu(2.5e103, 1.0, V06, 1.0) == pytest.approx(6.30e307, rel=1e-3)
-        with pytest.raises(ValueError):
-            rho_moving_pullback_mu(2.5e103, 1.0, V06, 1.0)
-        # at D = 1/2 the rest density is finite and the quotient overflows
-        for comp in (Component.ZERO_POINT, Component.TOTAL):
-            with pytest.raises(ValueError):
-                rho_moving_mu(4e103, -1.0, V06, 1.0, comp)
-            with pytest.raises(ValueError):
-                rho_moving_pullback_mu(4e103, -1.0, V06, 1.0, comp)
 
 
 class TestEffectiveTemperature:

@@ -11,6 +11,7 @@ rest-frame temperature; it is never transformed.
 from .core import (
     NATURAL,
     BoostVelocity,
+    CheckResult,
     Component,
     PhotonMode,
     UnitSystem,
@@ -47,7 +48,7 @@ from .radiometry import (
     integrate_semi_infinite,
     thermal_energy_density_closed_form,
 )
-from .selfcheck import CheckResult, run_selfcheck
+from .selfcheck import run_selfcheck
 from .spectrum import (
     MultipoleCoefficients,
     effective_temperature_mu,

@@ -13,10 +13,12 @@ JSON mode writes one envelope per run with five keys: schema_version,
 command, inputs, results and warnings.  CSV mode writes one or more tables
 (17 significant digits, LF endings, one blank line between tables) and
 echoes the inputs to stderr as `# key=value` lines and each warning as a
-`# warning:` line, so stdout stays machine-readable.  Exit codes: 0
-success, 1 a numeric verification failed or a quadrature did not converge
-(QuadratureConvergenceError), 2 bad usage.  All configuration is via
-flags; no environment variables are read.
+`# warning:` line, so stdout stays machine-readable.  Each verdict, a
+CheckResult, is one `PASS|FAIL  name  residual=  tol=  detail` line: on
+stdout for `selftest --format text`, else on stderr.  main alone picks the
+exit code: 2 when a flag or the library rejects an input, 1 when a
+quadrature did not converge or a verdict failed, 0 otherwise.  All
+configuration is via flags; no environment variables are read.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NATURAL, Component, PhotonMode, UnitSystem, make_boost, temperature_value
+from .core import (
+    NATURAL, CheckResult, Component, PhotonMode, UnitSystem, make_boost, temperature_value,
+)
 from .kinematics import boost_mode, direction_with_cosine
 from .montecarlo import McConfig, run_identity_check
 from .radiometry import (
@@ -63,13 +67,13 @@ class UsageError(Exception):
 
 
 class _Output(NamedTuple):
-    """One run's output: JSON results, the same numbers as CSV {column: values} tables."""
+    """One run's output: JSON results, the same numbers as CSV tables, and its verdicts."""
 
     inputs: dict
     results: dict
     tables: Sequence[dict] = ()
     warnings: tuple = ()
-    code: int = 0
+    checks: Sequence[CheckResult] = ()
 
 
 def _cell(x) -> str:
@@ -77,22 +81,29 @@ def _cell(x) -> str:
 
 
 def _emit(command: str, fmt: str, out: _Output):
-    """Write one run's output to stdout: a JSON envelope, or its CSV tables."""
+    """Write one run's output: a JSON envelope or CSV tables, then its verdicts."""
     if fmt == "json":
         envelope = {"schema_version": _SCHEMA_VERSION, "command": command,
                     "inputs": out.inputs, "results": out.results, "warnings": list(out.warnings)}
         sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-        return
-    # keeps CSV stdout parseable while still recording the resolved inputs
-    for key, value in out.inputs.items():
-        sys.stderr.write(f"# {key}={value}\n")
-    for w in out.warnings:
-        sys.stderr.write(f"# warning: {w}\n")
-    # each table is a header line and its rows; one blank line between tables
-    sys.stdout.write("\n".join(
-        "".join(",".join(map(_cell, row)) + "\n" for row in [table, *zip(*table.values())])
-        for table in out.tables
-    ))
+    elif fmt == "csv":
+        # keeps CSV stdout parseable while still recording the resolved inputs
+        for key, value in out.inputs.items():
+            sys.stderr.write(f"# {key}={value}\n")
+        for w in out.warnings:
+            sys.stderr.write(f"# warning: {w}\n")
+        # each table is a header line and its rows; one blank line between tables
+        sys.stdout.write("\n".join(
+            "".join(",".join(map(_cell, row)) + "\n" for row in [table, *zip(*table.values())])
+            for table in out.tables
+        ))
+    # the verdicts are the whole text report; beside JSON or CSV they go to stderr
+    verdicts = sys.stdout if fmt == "text" else sys.stderr
+    for r in out.checks:
+        verdicts.write(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<24s}  "
+                       f"residual={r.residual:10.3e}  tol={r.tolerance:10.3e}  {r.detail}\n")
+    if n_fail := sum(not r.passed for r in out.checks):
+        sys.stderr.write(f"{n_fail} of {len(out.checks)} checks failed\n")
 
 
 def _add_format_flag(p: argparse.ArgumentParser, default: str):
@@ -188,10 +199,6 @@ def _cmd_spectrum(args) -> _Output:
 
 
 def _cmd_boost_mode(args) -> _Output:
-    if args.omega < 0.0:
-        raise UsageError(f"--omega must be >= 0, got {args.omega}")
-    if not -1.0 <= args.mu <= 1.0:
-        raise UsageError(f"--mu must lie in [-1, 1], got {args.mu}")
     v = _boost_from(args)
     khat = direction_with_cosine(args.mu, v, args.azimuth)
     res = boost_mode(PhotonMode(args.omega, khat), v)
@@ -211,8 +218,6 @@ def _cmd_boost_mode(args) -> _Output:
 def _cmd_energy_density(args) -> _Output:
     units = _units_from(args)
     t = temperature_value(args.temperature)
-    if t == 0.0:
-        raise UsageError("energy-density compares thermal densities; temperature must be > 0")
     v = _boost_from(args)
     routes = {"spectral": energy_density_moving_spectral,
               "correlation": energy_density_moving_correlation}
@@ -261,8 +266,6 @@ def _cmd_mc_verify(args) -> _Output:
     t = temperature_value(args.temperature)
     if t == 0.0:
         raise UsageError("mc-verify samples the thermal spectrum; temperature must be > 0")
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     v = _boost_from(args)
     omega_max = args.omega_prime_max
     if omega_max is None:
@@ -272,19 +275,14 @@ def _cmd_mc_verify(args) -> _Output:
     cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
                    n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
     rep = run_identity_check(t, v, cfg, units=units, n_threads=args.threads)
-
-    sys.stderr.write(
-        f"chi2/dof = {rep.chi2_per_dof:.4f} (dof {rep.dof}), max|z| = {rep.max_abs_z:.2f}, "
-        f"W'/W = {rep.ratio_estimate:.6f} +- {rep.ratio_std_error:.6f} "
-        f"(expected {rep.ratio_expected:.6f})\n"
-    )
     inputs = {"temperature": t, "beta": _beta_list(v), "n": args.n, "seed": args.seed,
               "bins_omega": args.bins_omega, "bins_mu": args.bins_mu,
               "omega_prime_max": omega_max, "threads": rep.n_threads, "units": args.units}
     results = {k: getattr(rep, k) for k in (
         "chi2", "dof", "max_abs_z", "n_excluded", "in_grid_fraction", "w_prime_estimate",
         "w_prime_std_error", "w_prime_expected", "ratio_estimate", "ratio_std_error",
-        "ratio_expected", "passed")}
+        "ratio_expected")}
+    results["passed"] = rep.check.passed
     results.update({k: getattr(rep, k).tolist() for k in (
         "omega_edges", "mu_edges", "counts", "estimated", "analytic", "std_error",
         "expected_counts")})
@@ -301,27 +299,14 @@ def _cmd_mc_verify(args) -> _Output:
         "expected_count": rep.expected_counts.ravel(), "included": rep.included.ravel(),
         "z": rep.z_scores.ravel(),
     }
-    return _Output(inputs, results, [table], rep.warnings, 0 if rep.passed else 1)
+    return _Output(inputs, results, [table], rep.warnings, [rep.check])
 
 
 def _cmd_selftest(args) -> _Output:
-    results = run_selfcheck(quick=args.quick, seed=args.seed)
-    code = 0 if all(r.passed for r in results) else 1
-    if args.format == "json":
-        return _Output({"quick": args.quick, "seed": args.seed},
-                       {"checks": [dataclasses.asdict(r) for r in results],
-                        "all_passed": code == 0}, code=code)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(
-            f"{status}  {r.name:<24s}  residual={r.residual:10.3e}  "
-            f"tol={r.tolerance:10.3e}  {r.detail}\n"
-        )
-    n_fail = sum(not r.passed for r in results)
-    if n_fail:
-        sys.stderr.write(f"{n_fail} of {len(results)} checks failed\n")
-    # the text report is written; nothing is left to emit
-    return _Output({}, {}, code=code)
+    checks = run_selfcheck(quick=args.quick, seed=args.seed)
+    return _Output({"quick": args.quick, "seed": args.seed},
+                   {"checks": [dataclasses.asdict(r) for r in checks],
+                    "all_passed": all(r.passed for r in checks)}, checks=checks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -414,13 +399,13 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
         _emit(args.command, args.format, out)
-        return out.code
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except QuadratureConvergenceError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 1
+    return 0 if all(r.passed for r in out.checks) else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Unit systems, boost velocities, photon modes, and the spectral split.
+"""Unit systems, boost velocities, photon modes, the spectral split, and check records.
 
 Shared domain types for the whole package.  The default unit system is
 natural (hbar = c = k_B = 1); SI constants are available via
@@ -36,6 +36,7 @@ __all__ = [
     "UnitSystem",
     "NATURAL",
     "BoostVelocity",
+    "CheckResult",
     "make_boost",
     "PhotonMode",
     "temperature_value",
@@ -175,6 +176,17 @@ def temperature_value(T) -> float:
     if not (t == 0.0 or _T_MIN <= t <= _T_MAX):
         raise ValueError(f"temperature must be 0 or lie in [1e-3, 1e5], got {T!r}")
     return t
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verdict: a residual against a tolerance, and what was checked."""
+
+    name: str
+    passed: bool
+    residual: float
+    tolerance: float
+    detail: str = ""
 
 
 def _check_omega(om, label: str):

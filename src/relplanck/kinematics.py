@@ -114,11 +114,14 @@ def boost_mu(omega, mu, v: BoostVelocity):
     jac_freq = 1 / D and jac_solid_angle = D^2 with D = doppler_factor(mu, v),
     so no rounding of mu' enters them.  With eps = 2^-52, omega', jac_freq
     and D^2 are within 3, 3 and 5 eps relative where normal, and mu' within
-    3 eps absolute, as mu - |beta| cancels (tests/test_oracle.py).
+    3 eps absolute, as mu - |beta| cancels (tests/test_oracle.py).  Raises
+    ValueError for a frequency outside the domain (README, "Domain").
     """
+    omega = np.asarray(omega, dtype=float)
+    _check_omega(omega, "omega")
     mu_p = aberrate_mu(mu, v)
     d = doppler_factor(mu, v)
-    omega_p = np.asarray(omega, dtype=float) * d
+    omega_p = omega * d
     jac_freq = 1.0 / d
     d *= d
     return omega_p, mu_p, jac_freq, d
@@ -135,9 +138,11 @@ def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
 
     which keeps the azimuth about vhat and needs no special case near the
     axis.  At beta = 0 the input mode is returned unchanged with unit
-    Jacobians; the inverse map is boost_mode(mode', v.reversed()).  Raises
-    ValueError for a mode frequency outside the domain (README, "Domain");
-    omega' may exceed that range by the Doppler factor, up to about 4.5e4.
+    Jacobians.  Raises ValueError for a mode frequency outside the domain
+    (README, "Domain"); omega' may exceed that range by the Doppler factor,
+    up to about 4.5e4.  So boost_mode(mode', v.reversed()) inverts the map
+    only where omega' <= 1e30: omega 1e30 at mu = -1 and beta 1 - 1e-9
+    boosts to 4.47e34, which the inverse rejects.
     """
     _check_omega(mode.omega, "omega")
     if v.is_rest:

@@ -40,7 +40,9 @@ from functools import cache
 
 import numpy as np
 
-from .core import NATURAL, BoostVelocity, Component, UnitSystem, _check_omega, temperature_value
+from .core import (
+    NATURAL, BoostVelocity, CheckResult, Component, UnitSystem, _check_omega, temperature_value,
+)
 from .kinematics import boost_mu, inverse_doppler_factor
 from .radiometry import expected_energy_ratio, thermal_energy_density_closed_form
 from .spectrum import rho_moving_mu
@@ -159,7 +161,7 @@ class McReport:
 
     Bins with expected occupancy below 10 are excluded from the chi-square;
     z_scores holds NaN there.  chi2_per_dof is NaN when every bin is
-    excluded, and passed is then False.  n_threads is the number of threads
+    excluded, and the check then fails.  n_threads is the number of threads
     the chunks ran on.
     """
 
@@ -192,9 +194,14 @@ class McReport:
         return int(self.included.size - np.count_nonzero(self.included))
 
     @property
-    def passed(self) -> bool:
-        """The gate: at least one bin, 0.5 <= chi2/dof <= 1.5 and max|z| < 6."""
-        return bool(self.dof >= 1 and 0.5 <= self.chi2_per_dof <= 1.5 and self.max_abs_z < 6.0)
+    def check(self) -> CheckResult:
+        """The gate, mc-identity: residual |chi2/dof - 1| <= 0.5 (inf without bins), max|z| < 6."""
+        residual = abs(self.chi2_per_dof - 1.0) if self.dof else math.inf
+        detail = (f"chi2/dof = {self.chi2_per_dof:.4f} (dof {self.dof}), "
+                  f"max|z| = {self.max_abs_z:.2f}, W'/W = {self.ratio_estimate:.6f} "
+                  f"+- {self.ratio_std_error:.6f} (expected {self.ratio_expected:.6f})")
+        return CheckResult("mc-identity", bool(residual <= 0.5 and self.max_abs_z < 6.0),
+                           residual, 0.5, detail)
 
 
 @cache
@@ -291,8 +298,6 @@ def run_identity_check(
     bit for bit whatever the thread count.
     """
     t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("the identity check runs on the thermal spectrum; T > 0 required")
     if n_threads is not None and n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
 
@@ -301,7 +306,7 @@ def run_identity_check(
     mu_edges = np.linspace(-1.0, 1.0, cfg.n_mu_bins + 1)
     shape = (cfg.n_omega_bins, cfg.n_mu_bins)
     n_flat = shape[0] * shape[1]
-    w_rest = thermal_energy_density_closed_form(t, units)
+    w_rest = thermal_energy_density_closed_form(t, units)  # raises at T = 0, before sampling
     ratio_expected = expected_energy_ratio(v)
 
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK

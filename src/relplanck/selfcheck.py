@@ -2,7 +2,9 @@
 
 Each check exercises one identity the package is built around and reports
 a residual against a tolerance.  Randomized sweeps use a fixed seed, so a
-given build either always passes or always fails.  The battery has 18
+given build either always passes or always fails, and each check draws
+from its own stream, keyed by the seed and the check function's name, so
+adding or deleting a check moves no other residual.  The battery has 18
 checks; quick=True skips the two statistically expensive Monte Carlo
 checks and runs the other 16.  None integrates a zero-point energy, which
 is infinite without a cutoff: coth-amplitude checks the zero-point
@@ -11,24 +13,15 @@ amplitude pointwise instead, at T = 0 and T > 0.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kinematics, montecarlo, radiometry, spectrum
-from .core import NATURAL, Component, UnitSystem, make_boost
+from .core import NATURAL, CheckResult, Component, UnitSystem, make_boost
 
 __all__ = ["CheckResult", "run_selfcheck"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    detail: str = ""
 
 
 def _result(name: str, residual: float, tolerance: float, detail: str = "") -> CheckResult:
@@ -235,7 +228,8 @@ def _check_stefan_boltzmann(rng) -> CheckResult:
         w = radiometry.energy_density_rest(t, units)
         exact = radiometry.thermal_energy_density_closed_form(t, units)
         worst = max(worst, abs(w - exact) / exact)
-    return _result("stefan-boltzmann", worst, 1e-8, "thermal quadrature vs pi^2 T^4/15")
+    # the residual is 2.7e-16; a 1e-10 fault in pi^2/15 must fail
+    return _result("stefan-boltzmann", worst, 1e-13, "thermal quadrature vs pi^2 T^4/15")
 
 
 def _check_route_agreement(rng) -> CheckResult:
@@ -251,8 +245,9 @@ def _check_route_agreement(rng) -> CheckResult:
             abs(spec.ratio - expect) / expect,
             abs(corr.ratio - expect) / expect,
         )
+    # the residual is 9.8e-16; a 1e-10 fault in the closed form must fail
     return _result(
-        "route-agreement", worst, 1e-8, "spectral vs correlation vs gamma^2(1 + beta^2/3)"
+        "route-agreement", worst, 1e-13, "spectral vs correlation vs gamma^2(1 + beta^2/3)"
     )
 
 
@@ -276,19 +271,13 @@ def _check_quadrature_honesty(rng) -> CheckResult:
 
 
 def _check_mc_determinism(rng) -> CheckResult:
+    # one chunk, so one thread; tests/test_montecarlo.py pins the thread invariance
     cfg = montecarlo.McConfig(n_samples=20_000, seed=7, omega_prime_max=24.0)
     v = make_boost([0.0, 0.0, 0.6])
     a = montecarlo.run_identity_check(1.0, v, cfg)
     b = montecarlo.run_identity_check(1.0, v, cfg)
-    c = montecarlo.run_identity_check(1.0, v, cfg, n_threads=2)
-    same = (
-        np.array_equal(a.estimated, b.estimated)
-        and np.array_equal(a.estimated, c.estimated)
-        and np.array_equal(a.counts, c.counts)
-    )
-    return CheckResult(
-        "mc-determinism", same, 0.0 if same else 1.0, 0.0, "same seed, serial vs threaded"
-    )
+    same = np.array_equal(a.estimated, b.estimated) and np.array_equal(a.counts, b.counts)
+    return CheckResult("mc-determinism", same, float(not same), 0.0, "same seed, same report")
 
 
 def _check_sampler_moments(rng) -> CheckResult:
@@ -308,9 +297,30 @@ def _check_mc_identity(rng) -> CheckResult:
     v = make_boost([0.0, 0.0, 0.6])
     cfg = montecarlo.McConfig(n_samples=400_000, seed=int(rng.integers(2**31)), omega_prime_max=24.0)
     rep = montecarlo.run_identity_check(1.0, v, cfg)
-    detail = f"chi2/dof={rep.chi2_per_dof:.3f} dof={rep.dof} max|z|={rep.max_abs_z:.2f}"
-    residual = abs(rep.chi2_per_dof - 1.0) if rep.dof else float("inf")
-    return CheckResult("mc-identity", rep.dof >= 50 and rep.passed, residual, 0.5, detail)
+    # the report's own gate, on enough bins to mean something
+    gate = rep.check
+    return dataclasses.replace(gate, passed=gate.passed and rep.dof >= 50)
+
+
+_QUICK_CHECKS = (
+    _check_gamma_identity,
+    _check_coth_amplitude,
+    _check_mode_roundtrip,
+    _check_jacobian_freq,
+    _check_jacobian_solid_angle,
+    _check_lightcone,
+    _check_field_invariants,
+    _check_aberration_bounds,
+    _check_pullback_identity,
+    _check_occupation_invariance,
+    _check_direction_integral,
+    _check_multipoles,
+    _check_stefan_boltzmann,
+    _check_route_agreement,
+    _check_quadrature_honesty,
+    _check_mc_determinism,
+)
+_HEAVY_CHECKS = (_check_sampler_moments, _check_mc_identity)
 
 
 def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:
@@ -319,25 +329,5 @@ def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:
     quick=True skips the statistically heavy sampler checks, leaving a
     battery that runs in well under a second.
     """
-    rng = np.random.default_rng(seed)
-    checks = [
-        _check_gamma_identity,
-        _check_coth_amplitude,
-        _check_mode_roundtrip,
-        _check_jacobian_freq,
-        _check_jacobian_solid_angle,
-        _check_lightcone,
-        _check_field_invariants,
-        _check_aberration_bounds,
-        _check_pullback_identity,
-        _check_occupation_invariance,
-        _check_direction_integral,
-        _check_multipoles,
-        _check_stefan_boltzmann,
-        _check_route_agreement,
-        _check_quadrature_honesty,
-        _check_mc_determinism,
-    ]
-    if not quick:
-        checks += [_check_sampler_moments, _check_mc_identity]
-    return [c(rng) for c in checks]
+    checks = _QUICK_CHECKS if quick else _QUICK_CHECKS + _HEAVY_CHECKS
+    return [c(np.random.default_rng([seed, *c.__name__.encode()])) for c in checks]

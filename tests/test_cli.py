@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import ast
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
 )
+from relplanck import cli
 from relplanck.cli import main
-from relplanck.montecarlo import _CHUNK, _usable_cpus
+from relplanck.montecarlo import _CHUNK, _usable_cpus, run_identity_check
 from relplanck.selfcheck import CheckResult
 
 
@@ -304,7 +308,9 @@ class TestMcVerifyCommand:
         args = ("mc-verify", "--beta", "0.6", "--n", "200000")
         code, out, err = run_cli(capsys, *args)
         assert code == 0
-        assert "chi2/dof" in err
+        # the verdict is one record line, with the Monte Carlo numbers
+        assert err.startswith("PASS  mc-identity ") and err.count("\n") == 1
+        assert "chi2/dof = " in err
         env = json.loads(out)
         assert env["results"]["passed"] is True
         assert 0.5 <= env["results"]["chi2_per_dof"] <= 1.5
@@ -321,6 +327,21 @@ class TestMcVerifyCommand:
         assert env["results"]["chi2_per_dof"] is None
         assert env["results"]["dof"] == 0
         assert env["warnings"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failing_gate_exits_1_with_its_record_on_stderr(self, capsys, monkeypatch, fmt):
+        # a bin 7 sigma off fails the gate whatever chi2/dof reads
+        def off_by_7_sigma(*args, **kwargs):
+            return dataclasses.replace(run_identity_check(*args, **kwargs), max_abs_z=7.0)
+
+        monkeypatch.setattr("relplanck.cli.run_identity_check", off_by_7_sigma)
+        code, out, err = run_cli(capsys, "mc-verify", "--beta", "0.6", "--n", "20000",
+                                 "--format", fmt)
+        assert code == 1
+        *_, record, tally = err.splitlines()
+        assert record.startswith("FAIL  mc-identity ") and "max|z| = 7.00" in record
+        assert tally == "1 of 1 checks failed"
+        assert out and ("passed" not in out or json.loads(out)["results"]["passed"] is False)
 
     def test_csv_bin_table(self, capsys):
         code, out, _ = run_cli(capsys, "mc-verify", "--beta", "0.6",
@@ -379,6 +400,25 @@ class TestSelftestCommand:
         assert res["all_passed"] is True
         assert len(res["checks"]) == 16
         assert {"name", "passed", "residual", "tolerance", "detail"} <= set(res["checks"][0])
+
+    def test_text_report_is_the_json_runs_stderr(self, capsys):
+        # one emitter writes the records: to stdout as the text report, to
+        # stderr beside the JSON envelope
+        code, text_out, text_err = run_cli(capsys, "selftest", "--quick")
+        json_code, json_out, json_err = run_cli(capsys, "selftest", "--quick", "--format", "json")
+        assert (code, json_code, text_err) == (0, 0, "")
+        assert json_err == text_out
+        names = [c["name"] for c in json.loads(json_out)["results"]["checks"]]
+        assert [line.split()[1] for line in text_out.splitlines()] == names
+
+    def test_injected_failure_in_json_exits_1(self, capsys, monkeypatch):
+        fake = [CheckResult(name="x", passed=False, residual=1.0, tolerance=0.1,
+                            detail="injected")]
+        monkeypatch.setattr("relplanck.cli.run_selfcheck", lambda **k: fake)
+        code, out, err = run_cli(capsys, "selftest", "--quick", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["results"]["all_passed"] is False
+        assert err.startswith("FAIL  x ") and err.endswith("\n1 of 1 checks failed\n")
 
     def test_injected_failure_exits_1(self, capsys, monkeypatch):
         fake = [CheckResult(name="x", passed=False, residual=1.0, tolerance=0.1,
@@ -577,3 +617,27 @@ def test_cli_import_loads_no_scipy():
     assert json.loads(proc.stdout) == {
         "scipy": [], "mpmath": [], "concurrent.futures": [], "leggauss": [],
     }
+
+
+def test_only_emit_writes_and_only_main_picks_the_exit_code():
+    # the one-emitter rule: a subcommand returns its output and its
+    # CheckResult records; it never writes to a stream or picks an exit code
+    tree = ast.parse(Path(cli.__file__).read_text())
+    banned = {"sys", "stdout", "stderr", "print", "code", "exit", "SystemExit"}
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 6
+    for node in commands:
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, (ast.keyword, ast.arg)):
+                names.add(n.arg)
+        assert not names & banned, (node.name, sorted(names & banned))
+    (output,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Output"]
+    fields = [n.target.id for n in output.body if isinstance(n, ast.AnnAssign)]
+    assert "code" not in fields and "checks" in fields

@@ -5,8 +5,9 @@ At the corners, T 0, 1e-3 and 1e5 in both unit systems, beta 0 and
 and 1e30, every command exits 0 with only finite numbers in its JSON
 output, and every public entry point returns finite values.  Two
 exceptions are by design: energy-density and mc-verify compare thermal
-densities and exit 2 at T = 0, and mc-verify may exit 1 with its chi2
-verdict on stderr, the gate's known defect near beta = 1 (ROADMAP item 1).
+densities and exit 2 at T = 0, and mc-verify may exit 1 with its
+`FAIL  mc-identity` verdict on stderr, the gate's known defect near
+beta = 1 (ROADMAP item 1).
 Just outside, each input raises one ValueError that names the input and
 its range, and the CLI exits 2 with one ``error:`` line and nothing on
 stdout.  A RuntimeWarning is an error throughout, and README's domain
@@ -134,7 +135,7 @@ def _assert_finite(capsys, argv):
     code, out, err = _run(capsys, argv + ["--format", "json"])
     if code == 1:
         assert argv[0] == "mc-verify"
-        assert err.startswith("chi2/dof = ")
+        assert err.startswith("FAIL  mc-identity ") and err.endswith("1 of 1 checks failed\n")
         assert json.loads(out)["results"]["passed"] is False
     else:
         assert code == 0, err
@@ -186,7 +187,9 @@ def test_mc_verify_names_the_temperature_when_its_default_grid_is_not_finite(cap
 @pytest.mark.parametrize("command", CORNER_COMMANDS)
 def test_commands_are_finite_at_the_corners(capsys, command, t, units, boost):
     argv = _corner_argv(command, t, units, boost)
-    if t == "0" and command in ("energy-density", "mc-verify"):
+    if t == "0" and command == "energy-density":
+        _assert_rejected(capsys, argv, "T > 0 required")  # the library's W = 0 check
+    elif t == "0" and command == "mc-verify":
         _assert_rejected(capsys, argv, "temperature must be > 0")
     else:
         _assert_finite(capsys, argv)
@@ -290,6 +293,7 @@ REJECTED = {
         lambda: temperature_multipoles(V06, 1.7e308, 4), T_RANGE),
     "boost_mode-omega-1.7e308": (
         lambda: boost_mode(PhotonMode(1.7e308, [0.0, 0.0, -1.0]), V06), OMEGA_RANGE),
+    "boost_mu-omega-1e308": (lambda: boost_mu(1e308, -1.0, V06), OMEGA_RANGE),
     # the Monte Carlo W' bound and the bin centres near the largest double
     "run_identity_check-T-1e77": (
         lambda: run_identity_check(1e77, V06, McConfig(1000, 1, 1.0)), T_RANGE),
@@ -322,6 +326,15 @@ REJECTED_FLAGS = {
     "boost-mode-omega-2e30": (["boost-mode", "--omega", "2e30", "--mu", "0"], OMEGA_RANGE),
     "mc-verify-omega-prime-max-2e30": (
         ["mc-verify", "--n", "2000", "--omega-prime-max", "2e30"], OMEGA_RANGE),
+    # inputs the library alone rejects, with its own message
+    "boost-mode-omega-negative": (["boost-mode", "--omega", "-1", "--mu", "0"],
+                                  "omega must be finite and >= 0"),
+    "boost-mode-mu-2": (["boost-mode", "--omega", "1", "--mu", "2"], "cosine must lie in [-1, 1]"),
+    "boost-mode-mu-nan": (["boost-mode", "--omega", "1", "--mu", "nan"],
+                          "cosine must lie in [-1, 1]"),
+    "energy-density-T-0": (["energy-density", "--temperature", "0"], "T > 0 required"),
+    "mc-verify-threads-0": (["mc-verify", "--n", "2000", "--threads", "0"],
+                            "n_threads must be >= 1"),
 }
 
 

@@ -176,7 +176,7 @@ class TestConfigValidation:
 
     def test_bad_run_arguments(self):
         cfg = McConfig(n_samples=100, seed=1, omega_prime_max=30.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="T > 0 required"):
             run_identity_check(0.0, make_boost([0, 0, 0.5]), cfg)
         with pytest.raises(ValueError):
             run_identity_check(1.0, make_boost([0, 0, 0.5]), cfg, n_threads=0)
@@ -415,12 +415,16 @@ class TestIdentityCheck:
         cfg = McConfig(n_samples=100, seed=5, omega_prime_max=30.0)
         rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg)
         assert rep.dof == 0
-        assert rep.passed is False
+        assert rep.check.passed is False
+        assert rep.check.residual == math.inf
 
     def test_a_matching_report_passes(self):
         rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), CFG_4E5)
         assert rep.dof > 50
-        assert rep.passed is True
+        check = rep.check
+        assert (check.name, check.passed, check.tolerance) == ("mc-identity", True, 0.5)
+        assert check.residual == abs(rep.chi2_per_dof - 1.0)
+        assert check.detail.startswith(f"chi2/dof = {rep.chi2_per_dof:.4f} (dof {rep.dof})")
 
     def test_undersized_grid_warns(self):
         cfg = McConfig(n_samples=2_000, seed=5, omega_prime_max=1.5)

@@ -2,7 +2,10 @@
 
 import types
 
-from relplanck import kinematics, radiometry, spectrum
+import numpy as np
+import pytest
+
+from relplanck import kinematics, radiometry, selfcheck, spectrum
 from relplanck.cli import main
 from relplanck.core import NATURAL, Component, PhotonMode
 from relplanck.selfcheck import run_selfcheck
@@ -108,3 +111,41 @@ def test_zero_point_amplitude_fault_fails_the_quick_battery(monkeypatch, capsys)
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL  coth-amplitude") for line in out.splitlines())
+
+
+def test_each_check_draws_from_its_own_stream(monkeypatch):
+    # a check run alone gives the record it gives in the battery, so adding
+    # or deleting a check moves no other residual
+    full = run_selfcheck()
+    assert run_selfcheck(quick=True) == full[:len(QUICK_NAMES)]
+    checks = selfcheck._QUICK_CHECKS + selfcheck._HEAVY_CHECKS
+    monkeypatch.setattr(selfcheck, "_HEAVY_CHECKS", ())
+    for check, want in zip(checks, full, strict=True):
+        monkeypatch.setattr(selfcheck, "_QUICK_CHECKS", (check,))
+        assert run_selfcheck(quick=True) == [want], want.name
+
+
+@pytest.mark.parametrize("fault", ["expected_energy_ratio", "_PI2_15"])
+def test_a_1e_10_closed_form_fault_fails_the_quick_battery(monkeypatch, capsys, fault):
+    # the two tolerances sit above the measured residuals (1e-15), far
+    # below a fault in the closed forms the routes are held against
+    if fault == "_PI2_15":
+        monkeypatch.setattr(radiometry, "_PI2_15", radiometry._PI2_15 * (1.0 + 1e-10))
+        failing = "stefan-boltzmann"
+    else:
+        exact = radiometry.expected_energy_ratio
+        monkeypatch.setattr(radiometry, "expected_energy_ratio",
+                            lambda v: exact(v) * (1.0 + 1e-10))
+        failing = "route-agreement"
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith(f"FAIL  {failing}") for line in out.splitlines())
+
+
+def test_unseeded_generator_fails_the_quick_battery(monkeypatch, capsys):
+    # chunks that ignore their seed give two reports for one seed
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda seed=None: philox())
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL  mc-determinism") for line in out.splitlines())

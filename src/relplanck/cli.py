@@ -60,6 +60,10 @@ _SCHEMA_VERSION = "1"
 # allocating until the process dies
 _MAX_POINTS = 10**6
 _MAX_LMAX = 10**4
+# the thermal densities' docstrings state a 4 eps (1 + z) relative bound
+# where z < 708 and the value is a normal double; past z = 708 e^{-z} is
+# subnormal and the thermal part loses digits
+_BOUND_Z_MAX = 708.0
 
 
 class UsageError(Exception):
@@ -155,6 +159,26 @@ def _check_size(flag: str, value: int, low: int, high: int):
         raise UsageError(f"{flag} must be <= {high}, got {value}")
 
 
+def _thermal_bound_warnings(label: str, omega, t_z: float, units: UnitSystem, thermal) -> tuple:
+    """One warning naming the rows where the thermal part's stated bound does not hold.
+
+    z = hbar omega / k_B t_z, with t_z the temperature of the Planck law the
+    row evaluates (the hottest direction's for u').  Rows are named by
+    their frequency, in runs of consecutive rows.
+    """
+    mag = np.abs(thermal)
+    z = units.hbar * omega / (units.k_B * t_z)
+    rows = np.flatnonzero((z >= _BOUND_Z_MAX) | ((mag > 0.0) & (mag < np.finfo(float).tiny)))
+    if not rows.size:
+        return ()
+    cut = np.flatnonzero(np.diff(rows) > 1) + 1
+    runs = ", ".join(_cell(omega[r[0]]) + ("" if r.size == 1 else f" to {_cell(omega[r[-1]])}")
+                     for r in np.split(rows, cut))
+    return (f"{rows.size} of {len(omega)} rows lie outside the thermal density's 4 eps (1 + z) "
+            f"relative bound, which holds for z = hbar {label} / k_B T_eff < 708 and a "
+            f"normal double: {label} {runs}",)
+
+
 def _cmd_spectrum(args) -> _Output:
     units = _units_from(args)
     t = temperature_value(args.temperature)
@@ -178,24 +202,32 @@ def _cmd_spectrum(args) -> _Output:
         if args.beta is not None or args.beta_vec is not None:
             raise UsageError("a boost only applies to --frame moving")
         columns = {"omega": omega, "rho": rho_rest(omega, t, component, units)}
+        t_z = t
     else:
         v = _boost_from(args)
         if args.mu is None:
             columns = {"omega_prime": omega, "u_prime": u_moving(omega, v, t, component, units)}
+            t_z = effective_temperature_mu(-1.0, v, t)
         else:
             if not -1.0 <= args.mu <= 1.0:
                 raise UsageError(f"--mu must lie in [-1, 1], got {args.mu}")
             inputs["mu"] = args.mu
+            t_z = effective_temperature_mu(args.mu, v, t)
             columns = {
                 "omega_prime": omega,
                 "rho_prime": rho_moving_mu(omega, args.mu, v, t, component, units),
-                "t_eff": np.full(len(omega), effective_temperature_mu(args.mu, v, t)),
+                "t_eff": np.full(len(omega), t_z),
             }
         inputs["beta"] = _beta_list(v)
     inputs.update(omega_min=args.omega_min, omega_max=args.omega_max,
                   points=args.points, grid=args.grid, units=args.units)
     columns = {name: np.atleast_1d(col) for name, col in columns.items()}
-    return _Output(inputs, {name: col.tolist() for name, col in columns.items()}, [columns])
+    (label, freq), (_, density) = list(columns.items())[:2]
+    warnings = ()
+    if component is Component.THERMAL and t > 0.0:
+        warnings = _thermal_bound_warnings(label, freq, t_z, units, density)
+    return _Output(inputs, {name: col.tolist() for name, col in columns.items()}, [columns],
+                   warnings)
 
 
 def _cmd_boost_mode(args) -> _Output:

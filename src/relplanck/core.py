@@ -189,6 +189,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _check_seed(seed):
+    """Raise ValueError unless the random seed is >= 0, the range numpy's SeedSequence accepts."""
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _check_omega(om, label: str):
     """Raise ValueError unless every frequency in om lies in [0, 1e30]; NaN fails too."""
     if not np.all((om >= 0.0) & (om <= _OMEGA_MAX)):

@@ -16,13 +16,19 @@ x^3/(e^x - 1) = sum_k x^3 e^{-k x} gives a mixture in which the integer k
 carries weight k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  The
 generator is counter-based (Philox) with one spawned child stream per
 fixed-size chunk.  By default the chunks run on every CPU the process may
-use; each chunk's sums are reduced in chunk order, so a run is reproducible
-bit for bit for a given seed whatever the number of threads.  A chunk
-draws all its frequencies and cosines at once, then boosts and bins them in
-blocks of _BLOCK draws: each block's weight D^2 overwrites its spent
-frequencies and its flat bin index its spent cosines.  So a chunk holds two
-arrays of _CHUNK doubles plus one block's temporaries, which fit in a core's
-L2 cache, and its sums run over the whole chunk as one pass would.
+use, on plain threads that take the chunks in turn (of n threads, thread k
+runs chunks k, k + n, ...); each chunk's sums are reduced in chunk order,
+so a run is reproducible bit for bit for a given seed whatever the number
+of threads.  A chunk draws all its frequencies and cosines at once, then
+boosts and bins them in blocks of _BLOCK draws: each block's weight D^2
+overwrites its spent frequencies and its flat bin index its spent cosines.
+So a chunk holds two arrays of _CHUNK doubles plus one block's temporaries,
+which fit in a core's L2 cache, and its sums run over the whole chunk as
+one pass would.
+
+The reference bin averages use the 3-node Gauss-Legendre rule per axis,
+held as constants equal bit for bit to numpy's leggauss(3), so no run
+builds it.
 
 Each draw is binned once: one flat index over the (omega', mu') grid, by
 histogram2d's own edge rule, with one overflow slot for draws outside it,
@@ -35,13 +41,15 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .core import (
-    NATURAL, BoostVelocity, CheckResult, Component, UnitSystem, _check_omega, temperature_value,
+    NATURAL, BoostVelocity, CheckResult, Component, UnitSystem, _check_omega, _check_seed,
+    temperature_value,
 )
 from .kinematics import boost_mu, inverse_doppler_factor
 from .radiometry import expected_energy_ratio, thermal_energy_density_closed_form
@@ -145,6 +153,7 @@ class McConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        _check_seed(self.seed)
         _check_omega(self.omega_prime_max, "omega_prime_max")
         if self.omega_prime_max == 0.0:
             raise ValueError("omega_prime_max must be > 0")
@@ -204,9 +213,10 @@ class McReport:
                            residual, 0.5, detail)
 
 
-@cache
 def _gauss3() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(3)
+    """The 3-node Gauss-Legendre rule on [-1, 1]: leggauss(3)'s floats, which a test holds it to."""
+    return np.array([-0.7745966692414834, 0.0, 0.7745966692414834]), np.array(
+        [0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
 
 
 def _bin_averages(f, g, om_edges: np.ndarray, mu_edges: np.ndarray):
@@ -295,7 +305,8 @@ def run_identity_check(
 
     Chunks run on n_threads threads, None meaning every CPU this process
     may use; either is capped at the chunk count.  The report is the same
-    bit for bit whatever the thread count.
+    bit for bit whatever the thread count.  An exception in a chunk is
+    raised here once every thread has ended.
     """
     t = temperature_value(T)
     if n_threads is not None and n_threads < 1:
@@ -312,7 +323,7 @@ def run_identity_check(
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_total - i * _CHUNK) for i in range(n_chunks)]
     children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    # a thread pool starts at most one thread per chunk
+    # at most one thread per chunk
     n_threads = min(_usable_cpus() if n_threads is None else n_threads, n_chunks)
 
     def hist(idx, weights):
@@ -337,10 +348,27 @@ def run_identity_check(
     if n_threads == 1:
         parts = [run_chunk(i) for i in range(n_chunks)]
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        parts, failed = [None] * n_chunks, {}
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
+        def run_share(k: int):
+            # chunks k, k + n_threads, ...: each slot of parts has one writer
+            for i in range(k, n_chunks, n_threads):
+                try:
+                    parts[i] = run_chunk(i)
+                except BaseException as exc:  # re-raised in the caller
+                    failed[i] = exc
+                    return
+
+        threads = [threading.Thread(target=run_share, args=(k,)) for k in range(n_threads)]
+        try:
+            for th in threads:
+                th.start()
+        finally:
+            for th in threads:
+                if th.ident is not None:
+                    th.join()
+        if failed:
+            raise failed[min(failed)]
     # reduce in chunk order: the result must not depend on thread scheduling
     h1 = sum(p[0] for p in parts)
     h2 = sum(p[1] for p in parts)

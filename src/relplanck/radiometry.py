@@ -4,12 +4,14 @@ Semi-infinite frequency integrals go through the substitution
 omega = s t / (1 - t) (s a characteristic scale of the integrand) and one
 fixed rule on t in [0, 1]: 32 uniform panels, each valued with 15-node
 Gauss-Legendre and its error estimated from the difference against a
-7-node rule, all 704 nodes in one call of the integrand.  The nodes,
-half-widths, 1 - t and (1 - t)^2 are the same for every integral, so they
-are built once.  Every thermal kernel in the accepted domain meets the
-tolerance max(1e-14, 1e-10 |value|) on these panels; an integrand that does
-not raises QuadratureConvergenceError rather than return an unconverged
-number.  The estimate is deliberately conservative; tests hold the
+7-node rule, all 704 nodes in one call of the integrand.  Both rules are
+constants, numpy's leggauss(15) and leggauss(7) bit for bit (a test holds
+them to it), so no integral builds a rule.  The panels' nodes,
+half-widths, 1 - t and (1 - t)^2 are the same for every integral and are
+tabulated on first use.  Every thermal kernel in the accepted domain meets
+the tolerance max(1e-14, 1e-10 |value|) on these panels; an integrand that
+does not raises QuadratureConvergenceError rather than return an
+unconverged number.  The estimate is deliberately conservative; tests hold the
 integrator to |value - exact| <= reported error on known integrals.
 Thermal integrals run in x = hbar omega / (k_B T), so the integrator's
 absolute tolerance is relative to the integrand at any temperature and in
@@ -99,6 +101,27 @@ class QuadratureConvergenceError(RuntimeError):
         self.error = error
 
 
+# the nonnegative halves of the 15- and 7-node Gauss-Legendre rules, node 0
+# first: the floats numpy.polynomial.legendre.leggauss returns, which a test
+# holds them to bit for bit, so no run builds a rule or calls LAPACK
+_GL15_HALF = (
+    (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+     0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854),
+    (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+     0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203),
+)
+_GL7_HALF = (
+    (0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+    (0.4179591836734693, 0.3818300505051187, 0.27970539148927687, 0.12948496616886973),
+)
+
+
+def _mirrored(half: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes, ascending, and weights of a symmetric odd-order rule from its nonnegative half."""
+    x, w = (np.array(a) for a in half)
+    return np.concatenate((-x[:0:-1], x)), np.concatenate((w[:0:-1], w))
+
+
 @cache
 def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nodes, GL15 weights, GL7 weights) on [-1, 1].
@@ -106,8 +129,7 @@ def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nodes holds both rules' nodes, GL15 then GL7, so one call of the
     integrand values a panel for both.
     """
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    x7, w7 = np.polynomial.legendre.leggauss(7)
+    (x15, w15), (x7, w7) = _mirrored(_GL15_HALF), _mirrored(_GL7_HALF)
     return np.concatenate((x15, x7)), w15, w7
 
 

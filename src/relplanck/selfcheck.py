@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import kinematics, montecarlo, radiometry, spectrum
-from .core import NATURAL, CheckResult, Component, UnitSystem, make_boost
+from .core import NATURAL, CheckResult, Component, UnitSystem, _check_seed, make_boost
 
 __all__ = ["CheckResult", "run_selfcheck"]
 
@@ -327,7 +327,9 @@ def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:
     """Run the whole battery; returns one CheckResult per check.
 
     quick=True skips the statistically heavy sampler checks, leaving a
-    battery that runs in well under a second.
+    battery that runs in well under a second.  Raises ValueError for a
+    seed below 0.
     """
+    _check_seed(seed)
     checks = _QUICK_CHECKS if quick else _QUICK_CHECKS + _HEAVY_CHECKS
     return [c(np.random.default_rng([seed, *c.__name__.encode()])) for c in checks]

@@ -23,3 +23,4 @@ T_RANGE = "temperature must be 0 or lie in [1e-3, 1e5]"
 BETA_RANGE = "|beta| must lie in [0, 1 - 1e-9]"
 OMEGA_RANGE = "must be finite and lie in [0, 1e30]"
 UNITS_RANGE = "units must be natural (hbar, c, k_B) = (1, 1, 1) or SI"
+SEED_RANGE = "seed must be an integer >= 0"

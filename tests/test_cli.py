@@ -641,3 +641,64 @@ def test_only_emit_writes_and_only_main_picks_the_exit_code():
                  if isinstance(node, ast.ClassDef) and node.name == "_Output"]
     fields = [n.target.id for n in output.body if isinstance(n, ast.AnnAssign)]
     assert "code" not in fields and "checks" in fields
+
+
+WIEN_TAIL = ["spectrum", "--temperature", "1", "--component", "thermal",
+             "--omega-min", "700", "--omega-max", "750", "--points", "6"]
+
+
+def _warnings(err):
+    return [line.removeprefix("# warning: ") for line in err.splitlines()
+            if line.startswith("# warning: ")]
+
+
+class TestThermalBoundWarning:
+    def test_wien_tail_rows_are_named_once_in_csv_and_json(self, capsys):
+        code, out, err = run_cli(capsys, *WIEN_TAIL)
+        assert code == 0
+        (warning,) = _warnings(err)
+        # z = omega here: 710 to 750 lie past 708, where e^{-z} is subnormal
+        assert warning.startswith("5 of 6 rows ") and warning.endswith(": omega 710 to 750")
+        omega = np.linspace(700.0, 750.0, 6)
+        rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+        assert rows[:, 0].tolist() == omega.tolist()
+        assert rows[:, 1].tolist() == rho_rest(omega, 1.0, Component.THERMAL).tolist()
+        code, out, err = run_cli(capsys, *WIEN_TAIL, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["warnings"] == [warning]
+
+    @pytest.mark.parametrize("frame, grid", [
+        ([], (707.0, 709.0)),
+        # D = gamma (1 + beta mu') = 2, so z = 2 omega'
+        (["--frame", "moving", "--beta", "0.6", "--mu", "1"], (353.0, 355.0)),
+        # u' is bounded by its hottest direction, D = gamma (1 - beta) = 0.5
+        (["--frame", "moving", "--beta", "0.6"], (1414.0, 1418.0)),
+        # the thermal value at omega 1e-160 is subnormal, at z far below 708
+        (["--grid", "log"], (1e-160, 1.0)),
+    ], ids=["rest", "moving-mu", "moving-u", "subnormal"])
+    def test_the_warning_names_the_row_past_z_708_or_subnormal(self, capsys, frame, grid):
+        lo, hi = grid
+        code, _, err = run_cli(capsys, "spectrum", "--temperature", "1", "--component", "thermal",
+                               *frame, "--omega-min", repr(lo), "--omega-max", repr(hi),
+                               "--points", "2")
+        assert code == 0
+        (warning,) = _warnings(err)
+        named = lo if lo < 1e-100 else hi
+        assert warning.startswith("1 of 2 rows ") and warning.endswith(f" {named:.17g}")
+
+    @pytest.mark.parametrize("argv", [
+        # the benchmark's spectra reach z = 12 gamma (1 + beta) < 540
+        ["--component", "thermal", "--omega-max", "540"],
+        ["--component", "thermal", "--frame", "moving", "--beta", "0.999", "--mu", "1",
+         "--omega-max", "12"],
+        # the zero-point part dominates the total; at T = 0 the thermal part is exactly 0
+        ["--omega-min", "700", "--omega-max", "750", "--points", "6"],
+        ["--component", "thermal", "--omega-min", "700", "--omega-max", "750", "--points", "6",
+         "--temperature", "0"],
+    ])
+    def test_no_warning_inside_the_bound(self, capsys, argv):
+        if "--temperature" not in argv:
+            argv = argv + ["--temperature", "1"]
+        code, _, err = run_cli(capsys, "spectrum", *argv)
+        assert code == 0
+        assert _warnings(err) == []

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BETA_RANGE, OMEGA_RANGE, T_RANGE, UNITS_RANGE
+from helpers import BETA_RANGE, OMEGA_RANGE, SEED_RANGE, T_RANGE, UNITS_RANGE
 from relplanck import (
     NATURAL,
     Component,
@@ -357,3 +357,9 @@ def test_readme_states_the_domain_of_core():
     assert T_RANGE.endswith(f"[{t_min}, {t_max}]")
     assert BETA_RANGE.endswith(f"[0, 1 - {beta}]")
     assert OMEGA_RANGE.endswith(f"[0, {omega}]")
+
+
+@pytest.mark.parametrize("command", ["selftest", "mc-verify"])
+def test_negative_seed_exits_2_naming_its_range(capsys, command):
+    err = _assert_rejected(capsys, [command, "--seed", "-1"], SEED_RANGE)
+    assert err == f"error: {SEED_RANGE}, got -1\n"

@@ -2,17 +2,23 @@
 
 import dataclasses
 import math
+import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from helpers import SEED_RANGE
 from relplanck import (
     PLANCK_ENERGY_MEAN_X,
     PLANCK_ENERGY_MEDIAN_X,
     McConfig,
     make_boost,
+    montecarlo,
     run_identity_check,
     sample_rest_modes,
 )
@@ -431,3 +437,78 @@ class TestIdentityCheck:
         rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg)
         assert rep.in_grid_fraction < 0.95
         assert any("omega_prime_max" in w for w in rep.warnings)
+
+
+def test_negative_seed_is_rejected_naming_its_range():
+    with pytest.raises(ValueError, match=re.escape(f"{SEED_RANGE}, got -1")):
+        McConfig(n_samples=100, seed=-1, omega_prime_max=30.0)
+    assert McConfig(n_samples=100, seed=0, omega_prime_max=30.0).seed == 0
+
+
+def test_three_node_rule_is_leggauss_bit_for_bit():
+    # tobytes also tells -0.0 from 0.0
+    for got, want in zip(montecarlo._gauss3(), np.polynomial.legendre.leggauss(3)):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestPlainThreads:
+    def test_run_paths_load_no_polynomial_module_or_thread_pool(self):
+        # a fresh interpreter, so no other test has loaded either module
+        code = (
+            "import sys\n"
+            "from relplanck import (McConfig, energy_density_moving_spectral,\n"
+            "                       energy_density_rest, make_boost, run_identity_check)\n"
+            "from relplanck.montecarlo import _CHUNK\n"
+            "v = make_boost([0.0, 0.0, 0.6])\n"
+            "energy_density_rest(1.0)\n"
+            "energy_density_moving_spectral(1.0, v)\n"
+            "cfg = McConfig(n_samples=_CHUNK + 1000, seed=3, omega_prime_max=24.0)\n"
+            "assert run_identity_check(1.0, v, cfg, n_threads=2).n_threads == 2\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('numpy.polynomial', 'concurrent.futures'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("failing_chunk", [0, 3])
+    def test_a_failing_chunk_raises_in_the_caller_after_every_thread_ends(
+        self, monkeypatch, failing_chunk
+    ):
+        # four chunks on two threads; a chunk's stream is the seed's child
+        # spawned at its index, and the failing one raises inside its thread
+        cfg = McConfig(n_samples=3 * _CHUNK + 10, seed=11, omega_prime_max=24.0)
+        sample = montecarlo.sample_rest_modes
+        threads_used = set()
+
+        def flaky(t, n, rng, units):
+            threads_used.add(threading.current_thread())
+            if rng.bit_generator.seed_seq.spawn_key == (failing_chunk,):
+                raise RuntimeError("chunk failed")
+            return sample(t, n, rng, units)
+
+        monkeypatch.setattr(montecarlo, "sample_rest_modes", flaky)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg, n_threads=2)
+        assert set(threading.enumerate()) == before
+        assert threading.current_thread() not in threads_used
+        assert len(threads_used) == 2
+
+    def test_more_threads_than_cores_switching_often_give_the_serial_report(self):
+        # every thread writes its own slots of one shared list; a lost or
+        # misplaced result would change the sums
+        cfg = McConfig(n_samples=5 * _CHUNK + 77, seed=23, omega_prime_max=24.0)
+        v = make_boost([0.0, 0.0, 0.6])
+        serial = run_identity_check(1.0, v, cfg, n_threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_identity_check(1.0, v, cfg, n_threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.n_threads == 6
+        for name in ("counts", "estimated", "std_error"):
+            assert getattr(threaded, name).tobytes() == getattr(serial, name).tobytes()
+        assert (threaded.chi2, threaded.ratio_estimate) == (serial.chi2, serial.ratio_estimate)

@@ -28,3 +28,10 @@ def test_public_names_are_pinned():
     )
     assert names == PUBLIC_NAMES
     assert len(names) == 42
+
+
+def test_star_import_binds_the_public_names_and_no_submodule():
+    namespace = {}
+    exec("from relplanck import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    assert sorted(relplanck.__all__) == PUBLIC_NAMES

@@ -406,3 +406,12 @@ class TestExtremeTemperatures:
         for route in (energy_density_moving_spectral, energy_density_moving_correlation):
             with pytest.raises(ValueError, match=re.escape(T_RANGE)):
                 route(1e77, v)
+
+
+def test_quadrature_rules_are_leggauss_bit_for_bit():
+    # tobytes also tells -0.0 from 0.0
+    nodes, w15, w7 = radiometry._gl_rules()
+    x15, v15 = np.polynomial.legendre.leggauss(15)
+    x7, v7 = np.polynomial.legendre.leggauss(7)
+    for got, want in ((nodes, np.concatenate((x15, x7))), (w15, v15), (w7, v7)):
+        assert got.tobytes() == want.tobytes()

@@ -1,10 +1,12 @@
 """The selftest battery: it runs on the array mode map and still catches faults."""
 
+import re
 import types
 
 import numpy as np
 import pytest
 
+from helpers import SEED_RANGE
 from relplanck import kinematics, radiometry, selfcheck, spectrum
 from relplanck.cli import main
 from relplanck.core import NATURAL, Component, PhotonMode
@@ -149,3 +151,8 @@ def test_unseeded_generator_fails_the_quick_battery(monkeypatch, capsys):
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL  mc-determinism") for line in out.splitlines())
+
+
+def test_negative_seed_is_rejected_before_any_check_runs():
+    with pytest.raises(ValueError, match=re.escape(f"{SEED_RANGE}, got -1")):
+        run_selfcheck(quick=True, seed=-1)

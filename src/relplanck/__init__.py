@@ -19,14 +19,12 @@ from .core import (
     temperature_value,
 )
 from .kinematics import (
-    FieldPair,
     ModeTransformResult,
     aberrate_mu,
     boost_mode,
     boost_mu,
     direction_with_cosine,
     doppler_factor,
-    field_boost,
     inverse_doppler_factor,
 )
 from .montecarlo import (
@@ -39,7 +37,6 @@ from .montecarlo import (
 )
 from .radiometry import (
     EnergyDensityReport,
-    QuadratureConvergenceError,
     QuadratureResult,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
@@ -57,7 +54,6 @@ from .spectrum import (
     rho_rest,
     spectral_prefactor,
     temperature_multipoles,
-    thermal_occupation,
     u_moving,
 )
 
@@ -67,16 +63,16 @@ __version__ = "0.1.0"
 __all__ = [
     "NATURAL", "BoostVelocity", "CheckResult", "Component", "PhotonMode", "UnitSystem",
     "make_boost", "temperature_value",
-    "FieldPair", "ModeTransformResult", "aberrate_mu", "boost_mode", "boost_mu",
-    "direction_with_cosine", "doppler_factor", "field_boost", "inverse_doppler_factor",
+    "ModeTransformResult", "aberrate_mu", "boost_mode", "boost_mu",
+    "direction_with_cosine", "doppler_factor", "inverse_doppler_factor",
     "PLANCK_ENERGY_MEAN_X", "PLANCK_ENERGY_MEDIAN_X", "McConfig", "McReport",
     "run_identity_check", "sample_rest_modes",
-    "EnergyDensityReport", "QuadratureConvergenceError", "QuadratureResult",
+    "EnergyDensityReport", "QuadratureResult",
     "energy_density_moving_correlation", "energy_density_moving_spectral",
     "energy_density_rest", "expected_energy_ratio", "integrate_semi_infinite",
     "thermal_energy_density_closed_form",
     "run_selfcheck",
     "MultipoleCoefficients", "effective_temperature_mu", "rho_moving_mu",
     "rho_moving_pullback_mu", "rho_rest", "spectral_prefactor", "temperature_multipoles",
-    "thermal_occupation", "u_moving",
+    "u_moving",
 ]

@@ -190,8 +190,8 @@ class CheckResult:
 
 
 def _check_seed(seed):
-    """Raise ValueError unless the random seed is >= 0, the range numpy's SeedSequence accepts."""
-    if seed < 0:
+    """Raise ValueError unless the seed is an integer >= 0 and not a bool, as SeedSequence needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 

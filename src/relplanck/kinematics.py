@@ -20,9 +20,9 @@ vectorized over (omega, mu) pairs.
 transverse wavevector.
 
 Fields transform linearly, (E', B') = L (E, B) with L the 6x6 matrix of
-``_field_boost_matrix``, the one implementation of the field boost:
-``field_boost`` applies it to (E, B) pairs, and the correlation route of
-``radiometry`` to the rest-frame field correlation as L C L^T.
+``_field_boost_matrix``, the one implementation of the field boost: the
+correlation route of ``radiometry`` applies it to the rest-frame field
+correlation as L C L^T, and the selftest to stacked (E, B) rows.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from .core import BoostVelocity, PhotonMode, _check_omega
 
 __all__ = [
     "ModeTransformResult",
-    "FieldPair",
     "doppler_factor",
     "inverse_doppler_factor",
     "aberrate_mu",
     "boost_mode",
     "boost_mu",
-    "field_boost",
     "direction_with_cosine",
 ]
 
@@ -54,27 +52,6 @@ class ModeTransformResult:
     mode_prime: PhotonMode
     jac_freq: float
     jac_solid_angle: float
-
-
-@dataclass(frozen=True, eq=False)
-class FieldPair:
-    """An (E, B) amplitude pair at a point, or a stack of n pairs as (n, 3)
-    arrays of the same shape; no normalization implied."""
-
-    E: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        for name in ("E", "B"):
-            v = np.array(getattr(self, name), dtype=float, copy=True)
-            if v.ndim not in (1, 2) or v.shape[-1] != 3:
-                raise ValueError(f"{name} must have shape (3,) or (n, 3), got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} components must be finite")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        if self.E.shape != self.B.shape:
-            raise ValueError(f"E and B shapes differ: {self.E.shape} vs {self.B.shape}")
 
 
 def _doppler_sum(one_pm_mu, b: float):
@@ -177,18 +154,6 @@ def _field_boost_matrix(v: BoostVelocity) -> np.ndarray:
         [-bz, 0.0, bx, ay * hx, g + ay * hy, ay * hz],
         [by, -bx, 0.0, az * hx, az * hy, g + az * hz],
     ])
-
-
-def field_boost(f: FieldPair, v: BoostVelocity) -> FieldPair:
-    """Boost an (E, B) pair by the matrix of _field_boost_matrix.
-
-    Longitudinal parts are fixed and transverse ones mixed with gamma.
-    Row by row for a stacked pair; identity at beta = 0.
-    """
-    if v.is_rest:
-        return f
-    eb = np.concatenate((f.E, f.B), axis=-1) @ _field_boost_matrix(v).T
-    return FieldPair(eb[..., :3], eb[..., 3:])
 
 
 def direction_with_cosine(mu, v: BoostVelocity, azimuth: float = 0.0) -> np.ndarray:

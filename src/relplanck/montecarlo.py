@@ -204,13 +204,23 @@ class McReport:
 
     @property
     def check(self) -> CheckResult:
-        """The gate, mc-identity: residual |chi2/dof - 1| <= 0.5 (inf without bins), max|z| < 6."""
+        """The gate, mc-identity: residual |chi2/dof - 1| <= 0.5 (inf without bins), max|z| < 6,
+        and |z_ratio| < 6 for W'/W against gamma^2 (1 + beta^2/3).
+
+        s2/n - mean^2 gives the weights' variance only to a few eps mean^2
+        (0 at rest and at |beta| 1e-9), so z_ratio divides by at least the
+        standard error of a variance of 64 eps mean^2.
+        """
         residual = abs(self.chi2_per_dof - 1.0) if self.dof else math.inf
+        n = self.config.n_samples
+        se = max(self.ratio_std_error, 8.0 * self.ratio_estimate * math.sqrt(math.ulp(1.0) / n))
+        z_ratio = (self.ratio_estimate - self.ratio_expected) / se
         detail = (f"chi2/dof = {self.chi2_per_dof:.4f} (dof {self.dof}), "
                   f"max|z| = {self.max_abs_z:.2f}, W'/W = {self.ratio_estimate:.6f} "
-                  f"+- {self.ratio_std_error:.6f} (expected {self.ratio_expected:.6f})")
-        return CheckResult("mc-identity", bool(residual <= 0.5 and self.max_abs_z < 6.0),
-                           residual, 0.5, detail)
+                  f"+- {self.ratio_std_error:.6f} (expected {self.ratio_expected:.6f}), "
+                  f"z_ratio = {z_ratio:.2f}")
+        passed = residual <= 0.5 and self.max_abs_z < 6.0 and abs(z_ratio) < 6.0
+        return CheckResult("mc-identity", bool(passed), residual, 0.5, detail)
 
 
 def _gauss3() -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,6 @@ from .kinematics import inverse_doppler_factor
 
 __all__ = [
     "spectral_prefactor",
-    "thermal_occupation",
     "rho_rest",
     "rho_moving_mu",
     "rho_moving_pullback_mu",
@@ -65,17 +64,6 @@ _SMALLEST = np.finfo(float).smallest_subnormal
 def spectral_prefactor(units: UnitSystem = NATURAL) -> float:
     """hbar / (2 pi c)^3, the overall scale of the spectral density."""
     return units.hbar / (2.0 * np.pi * units.c) ** 3
-
-
-def thermal_occupation(z):
-    """The thermal factor 2 / (e^z - 1) of the coth split, for z > 0.
-
-    Written as 2 e^{-z} / (1 - e^{-z}): no overflow at large z (the
-    numerator underflows smoothly to an exact 0 in the deep Wien tail) and
-    expm1 keeps full precision at small z.  Vectorized.
-    """
-    z = np.asarray(z, dtype=float)
-    return 2.0 * np.exp(-z) / (-np.expm1(-z))
 
 
 def _check_mu(mu) -> np.ndarray:
@@ -276,10 +264,8 @@ class MultipoleCoefficients:
     convention: an observer scanning arrival directions sees the sign of
     every odd multipole flipped.  The dipole a[1] is negative.
 
-    method says how the coefficients were computed: "recurrence" (the
-    closed form, with n_evaluations the number of backward-recurrence
-    steps) or "projection" (Gauss-Legendre, with n_evaluations the node
-    count, one T_eff evaluation each).
+    method is "recurrence", the closed form, and n_evaluations the number
+    of its backward-recurrence steps.
     """
 
     l_max: int
@@ -294,12 +280,10 @@ class MultipoleCoefficients:
         object.__setattr__(self, "a", arr)
 
 
-def temperature_multipoles(
-    v: BoostVelocity, T, l_max: int, n_nodes: int | None = None
-) -> MultipoleCoefficients:
+def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoefficients:
     """Legendre coefficients of T_eff(mu') = T / (gamma (1 + |beta| mu')).
 
-    By default they come from the closed form.  The generating expansion
+    They come from the closed form.  The generating expansion
     1/(z + mu') = sum_l (-1)^l (2l + 1) Q_l(z) P_l(mu') at z = 1/|beta|,
     with Q_l the Legendre function of the second kind, gives
 
@@ -322,27 +306,9 @@ def temperature_multipoles(
     a_l is within 1e-15 relative of 40-digit mpmath up to beta = 0.9,
     2e-15 at 0.99, 1e-14 at 0.999, 1e-13 at 0.999999 and 1e-11 at
     1 - 1e-9 (tests/test_oracle.py).
-
-    Given n_nodes, the coefficients are instead projected by Gauss-Legendre
-    quadrature with exactly that many nodes (n_nodes > l_max, else
-    ValueError):
-
-        a_l = (2l + 1)/2 * integral_{-1}^{1} T_eff(mu') P_l(mu') d mu'
-
-    The pole of T_eff at mu' = -1/beta makes its error decay like
-    rho^{-2 n_nodes}, and rounding leaves an absolute floor near 1e-14 T on
-    every coefficient; it is kept as an independent cross-check.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
-    if n_nodes is not None:
-        if n_nodes <= l_max:
-            raise ValueError("need more quadrature nodes than l_max")
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
-        teff = effective_temperature_mu(x, v, T)
-        vander = np.polynomial.legendre.legvander(x, l_max)
-        a = (2.0 * np.arange(l_max + 1) + 1.0) / 2.0 * (vander.T @ (w * teff))
-        return MultipoleCoefficients(l_max, a, "projection", n_nodes)
     t = temperature_value(T)
     beta = v.beta_mag
     if beta > 0.0:

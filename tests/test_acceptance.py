@@ -18,7 +18,6 @@ from relplanck import (
     Component,
     McConfig,
     PhotonMode,
-    QuadratureConvergenceError,
     aberrate_mu,
     boost_mode,
     boost_mu,
@@ -35,6 +34,7 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
 )
+from relplanck import radiometry
 from relplanck.cli import main as cli_main
 
 from helpers import random_boosts, random_modes, random_unit_vectors
@@ -226,17 +226,17 @@ def test_cli_contract(capsys, monkeypatch):
     assert cli_main(args) == 0
     assert capsys.readouterr().out == first
 
-    # exit taxonomy: bad usage is 2, numeric failure is 1
+    # exit taxonomy: bad usage is 2, a failed verdict is 1
     assert cli_main(["spectrum", "--temperature", "-1"]) == 2
     assert cli_main(["energy-density", "--temperature", "1", "--beta", "1.0"]) == 2
     capsys.readouterr()
 
-    def boom(*a, **k):
-        raise QuadratureConvergenceError(0.0, 1.0, "injected")
-
-    monkeypatch.setattr("relplanck.cli.energy_density_moving_spectral", boom)
+    # a quadrature that misses its tolerance (0 here) fails its record
+    monkeypatch.setattr(radiometry, "_REL_TOL", 0.0)
+    monkeypatch.setattr(radiometry, "_ABS_TOL", 0.0)
     assert cli_main(["energy-density", "--temperature", "1", "--beta", "0.6",
                      "--method", "spectral"]) == 1
-    capsys.readouterr()
+    fails = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL  quadrature ")
     elapsed = time.perf_counter() - t0
     _report("CLI contract", 0.0, 1.0, elapsed, 60)

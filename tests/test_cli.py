@@ -14,7 +14,6 @@ import pytest
 from helpers import OMEGA_RANGE
 from relplanck import (
     Component,
-    QuadratureConvergenceError,
     effective_temperature_mu,
     make_boost,
     rho_moving_mu,
@@ -22,7 +21,7 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
 )
-from relplanck import cli
+from relplanck import cli, radiometry
 from relplanck.cli import main
 from relplanck.montecarlo import _CHUNK, _usable_cpus, run_identity_check
 from relplanck.selfcheck import CheckResult
@@ -232,15 +231,37 @@ class TestEnergyDensityCommand:
     def test_zero_temperature_rejected(self, capsys):
         assert run_cli(capsys, "energy-density", "--temperature", "0")[0] == 2
 
-    def test_quadrature_failure_exits_1(self, capsys, monkeypatch):
-        def boom(*a, **k):
-            raise QuadratureConvergenceError(1.0, 1.0, "injected")
+    @pytest.mark.parametrize("units, t", [("natural", "1"), ("si", "300")])
+    @pytest.mark.parametrize("method", ["both", "spectral"])
+    def test_spectral_route_writes_its_quadrature_verdict(self, capsys, units, t, method):
+        code, out, err = run_cli(capsys, "energy-density", "--temperature", t, "--beta", "0.6",
+                                 "--units", units, "--method", method)
+        assert code == 0
+        verdicts = [line for line in err.splitlines() if not line.startswith("# ")]
+        assert len(verdicts) == 1
+        assert verdicts[0].startswith("PASS  quadrature ")
+        assert verdicts[0].endswith("W' on 32 panels, 704 evaluations")
+        assert "PASS" not in out
 
-        monkeypatch.setattr("relplanck.cli.energy_density_moving_spectral", boom)
-        code, _, err = run_cli(capsys, "energy-density", "--temperature", "1",
-                               "--beta", "0.6", "--method", "spectral")
+    def test_correlation_route_writes_no_verdict(self, capsys):
+        code, _, err = run_cli(capsys, "energy-density", "--temperature", "1", "--beta", "0.6",
+                               "--method", "correlation")
+        assert code == 0
+        assert all(line.startswith("# ") for line in err.splitlines())
+
+    def test_quadrature_failure_exits_1(self, capsys, monkeypatch):
+        # a tolerance of 0 makes the real quadrature miss it; the numbers are
+        # still written, and the failed record sets the exit code
+        monkeypatch.setattr(radiometry, "_REL_TOL", 0.0)
+        monkeypatch.setattr(radiometry, "_ABS_TOL", 0.0)
+        code, out, err = run_cli(capsys, "energy-density", "--temperature", "1",
+                                 "--beta", "0.6", "--method", "spectral")
         assert code == 1
-        assert "numeric failure" in err
+        assert out.startswith("method,w_rest,")
+        verdicts = [line for line in err.splitlines() if not line.startswith("# ")]
+        assert len(verdicts) == 2
+        assert verdicts[0].startswith("FAIL  quadrature ")
+        assert verdicts[1] == "1 of 1 checks failed"
 
 
 class TestAnisotropyCommand:
@@ -595,9 +616,8 @@ def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; importing scipy.special would
     # add about 0.3 s to the start-up of every command.  The tests take
     # references from scipy and mpmath, and neither may leak into the
-    # library.  Quadrature rules are built on first use and the thread
-    # pool's module is loaded only by a threaded run, so the import builds
-    # no rule and loads no thread pool
+    # library.  The run paths' quadrature rules are constants and their
+    # threads plain ones, so the import builds no rule and loads no thread pool
     code = (
         "import json, sys\n"
         "import numpy.polynomial.legendre as legendre\n"

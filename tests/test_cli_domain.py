@@ -43,6 +43,7 @@ from relplanck import (
     rho_moving_pullback_mu,
     rho_rest,
     run_identity_check,
+    selfcheck,
     temperature_multipoles,
     temperature_value,
     thermal_energy_density_closed_form,
@@ -225,7 +226,7 @@ def test_library_is_finite_at_the_corners(t, units, boost):
         values = [
             effective_temperature_mu(mu, v, t),
             temperature_multipoles(v, t, 16).a,
-            temperature_multipoles(v, t, 16, n_nodes=64).a,
+            selfcheck._projected_multipoles(v, t, 16, 64),
             *boost_mu(omega, mu, v),
             [boost_mode(PhotonMode(w, direction_with_cosine(m, v)), v).mode_prime.omega
              for w in omega for m in (-1.0, 1.0)],

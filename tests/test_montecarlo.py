@@ -445,6 +445,51 @@ def test_negative_seed_is_rejected_naming_its_range():
     assert McConfig(n_samples=100, seed=0, omega_prime_max=30.0).seed == 0
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None])
+def test_non_integer_seed_is_rejected_naming_its_range(seed):
+    # numpy would fail later, in SeedSequence, with a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{SEED_RANGE}, got {seed!r}")):
+        McConfig(n_samples=1000, seed=seed, omega_prime_max=20.0)
+    assert McConfig(n_samples=1000, seed=np.int64(7), omega_prime_max=20.0).seed == 7
+
+
+class TestEnergyRatioGate:
+    """mc-identity also holds W'/W to 6 standard errors of gamma^2 (1 + beta^2/3)."""
+
+    CFG = McConfig(n_samples=1_000_000, seed=42, omega_prime_max=15.0 * 1.25 * 1.6)
+
+    def test_correct_weights_pass(self):
+        rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), self.CFG)
+        assert rep.check.passed is True
+        assert rep.check.detail.endswith("z_ratio = -0.44")
+
+    def test_a_one_percent_weight_fault_fails(self, monkeypatch):
+        # D^2 x 1.01 moves the histogram too little for chi2 and max|z| to see
+        # it, but W'/W by 15 standard errors
+        exact = montecarlo.boost_mu
+
+        def heavy(omega, mu, v):
+            om_p, mu_p, jac_freq, d2 = exact(omega, mu, v)
+            return om_p, mu_p, jac_freq, d2 * 1.01
+
+        monkeypatch.setattr(montecarlo, "boost_mu", heavy)
+        rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), self.CFG)
+        assert rep.check.residual <= 0.5 and rep.max_abs_z < 6.0
+        assert rep.check.passed is False
+        assert rep.check.detail.endswith("z_ratio = 15.38")
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 1e-8])
+    def test_a_rounded_away_variance_still_passes(self, beta):
+        # at rest every weight is 1; at 1e-9 the weights' variance, 1.3e-18,
+        # is below the rounding of s2/n - mean^2, which leaves 0 at seed 99,
+        # while W'/W is off by 7e-13
+        rep = run_identity_check(1.0, make_boost([0, 0, beta]), CFG_4E5)
+        assert rep.check.passed is True
+        if beta < 1e-8:
+            assert rep.ratio_std_error == 0.0
+        assert abs(float(rep.check.detail.rsplit("= ", 1)[1])) < 1.0
+
+
 def test_three_node_rule_is_leggauss_bit_for_bit():
     # tobytes also tells -0.0 from 0.0
     for got, want in zip(montecarlo._gauss3(), np.polynomial.legendre.leggauss(3)):

@@ -156,3 +156,9 @@ def test_unseeded_generator_fails_the_quick_battery(monkeypatch, capsys):
 def test_negative_seed_is_rejected_before_any_check_runs():
     with pytest.raises(ValueError, match=re.escape(f"{SEED_RANGE}, got -1")):
         run_selfcheck(quick=True, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_non_integer_seed_is_rejected_before_any_check_runs(seed):
+    with pytest.raises(ValueError, match=re.escape(f"{SEED_RANGE}, got {seed!r}")):
+        run_selfcheck(quick=True, seed=seed)

@@ -21,10 +21,10 @@ from relplanck import (
     rho_rest,
     spectral_prefactor,
     temperature_multipoles,
-    thermal_occupation,
     u_moving,
 )
-from relplanck.spectrum import _direction_integrated_x_occupation
+from relplanck.selfcheck import _projected_multipoles
+from relplanck.spectrum import _direction_integrated_x_occupation, _x_occupation
 
 V06 = make_boost([0.0, 0.0, 0.6])
 
@@ -33,33 +33,40 @@ RHO_REST_TOTAL_AT_1_1 = 0.008723852254378968
 
 
 class TestThermalOccupation:
+    """x times the thermal factor 2 / (e^x - 1), the form every density integrates."""
+
     def test_matches_definition_midrange(self):
         for z in (0.1, 0.5, 1.0, 3.0, 10.0):
-            assert thermal_occupation(z) == pytest.approx(2.0 / math.expm1(z), rel=1e-14)
+            assert _x_occupation(z) == pytest.approx(2.0 * z / math.expm1(z), rel=1e-14)
 
     def test_small_z_series(self):
         z = 1e-8
-        # 2/(e^z - 1) = (2/z)(1 - z/2 + z^2/12 - ...)
-        expected = (2.0 / z) * (1.0 - z / 2.0 + z**2 / 12.0)
-        assert thermal_occupation(z) == pytest.approx(expected, rel=1e-12)
+        # 2 z/(e^z - 1) = 2 (1 - z/2 + z^2/12 - ...)
+        expected = 2.0 * (1.0 - z / 2.0 + z**2 / 12.0)
+        assert _x_occupation(z) == pytest.approx(expected, rel=1e-12)
 
     def test_wien_tail_no_overflow(self):
-        assert thermal_occupation(100.0) == pytest.approx(2.0 * math.exp(-100.0), rel=1e-12)
-        assert thermal_occupation(800.0) == 0.0  # graceful underflow, no warning
+        assert _x_occupation(100.0) == pytest.approx(200.0 * math.exp(-100.0), rel=1e-12)
+        assert _x_occupation(800.0) == 0.0  # graceful underflow, no warning
 
     def test_no_branch_discontinuity(self):
-        # relative step between adjacent arguments stays smooth through the
-        # region where a naive guard would switch formulas; stay below
-        # z ~ 708 where the values themselves leave the normal float range
+        # relative step between adjacent arguments, less the factor z, stays
+        # smooth through the region where a naive guard would switch
+        # formulas; stay below z ~ 708 where e^{-z} leaves the normal range
         z = np.linspace(600.0, 650.0, 501)
-        occ = thermal_occupation(z)
-        ratios = occ[:-1] / occ[1:]
-        assert np.max(np.abs(ratios / math.exp(0.1) - 1.0)) < 1e-13
+        occ = _x_occupation(z)
+        ratios = occ[:-1] / occ[1:] * (z[1:] / z[:-1])
+        assert np.max(np.abs(ratios / math.exp(0.1) - 1.0)) < 1e-12
 
-    def test_subnormal_tail_monotone(self):
+    def test_subnormal_tail_falls_to_zero(self):
+        # strictly falling while e^{-z} is normal; past z = 708 its subnormal
+        # rounding can hold it flat over a step while z grows, so the
+        # product may rise there, by a subnormal ulp or two
         z = np.linspace(700.0, 760.0, 301)
-        occ = thermal_occupation(z)
-        assert np.all(np.diff(occ) <= 0.0)
+        occ = _x_occupation(z)
+        step = np.diff(occ)
+        assert np.all(step[z[1:] < 708.0] < 0.0)
+        assert np.all(step <= 2.0 * np.finfo(float).smallest_subnormal)
         assert occ[0] > 0.0
         assert occ[-1] == 0.0
 
@@ -525,14 +532,15 @@ class TestMultipoles:
         assert coeffs.n_evaluations == 16 + 2 + math.ceil(19.0 / math.acosh(1.0 / 0.6))
         rest = temperature_multipoles(make_boost([0, 0, 0]), 1.0, 16)
         assert (rest.method, rest.n_evaluations) == ("recurrence", 18)
-        projected = temperature_multipoles(V06, 1.0, 16, n_nodes=64)
-        assert (projected.method, projected.n_evaluations) == ("projection", 64)
+
+    def test_closed_form_agrees_with_the_selftest_projection(self):
+        # 64 Gauss-Legendre nodes converge the projection to its rounding floor at beta 0.6
+        closed = temperature_multipoles(V06, 1.0, 16).a
+        assert np.max(np.abs(closed - _projected_multipoles(V06, 1.0, 16, 64))) <= 1e-13
 
     def test_validation(self):
         with pytest.raises(ValueError):
             temperature_multipoles(V06, 1.0, -1)
-        with pytest.raises(ValueError):
-            temperature_multipoles(V06, 1.0, 8, n_nodes=4)
 
     def test_coefficients_read_only(self):
         coeffs = temperature_multipoles(V06, 1.0, 2)

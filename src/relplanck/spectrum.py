@@ -264,8 +264,11 @@ class MultipoleCoefficients:
     convention: an observer scanning arrival directions sees the sign of
     every odd multipole flipped.  The dipole a[1] is negative.
 
-    method is "recurrence", the closed form, and n_evaluations the number
-    of its backward-recurrence steps.
+    method names the branch of the closed form that ran: "recurrence",
+    Miller's backward recurrence, or "forward-recurrence" near beta = 1
+    (temperature_multipoles).  n_evaluations is that branch's number of
+    recurrence steps: l_max + 2 + ceil(19 / acosh(1/beta)) backward, l_max
+    forward.
     """
 
     l_max: int
@@ -287,29 +290,86 @@ def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoeffici
     1/(z + mu') = sum_l (-1)^l (2l + 1) Q_l(z) P_l(mu') at z = 1/|beta|,
     with Q_l the Legendre function of the second kind, gives
 
-        a_l = (-1)^l (2l + 1) T Q_l(1/beta) / (gamma beta)
-            = (-1)^l (2l + 1) (T atanh(beta) / (gamma beta)) prod_{k<=l} r_k
+        a_l = (-1)^l (2l + 1) T Q_l(1/beta) / (gamma beta),
 
-    with Q_0(1/beta) = atanh(beta) and r_k = Q_k / Q_{k-1}.  The ratios
-    come from Miller's backward recurrence (Gautschi 1967, SIAM Rev. 9:24),
-    written in beta so that it holds down to beta = 0:
+    with Q_0(1/beta) = atanh(beta), so a_0 = T (atanh(beta) / beta) / gamma
+    on both branches below, bit for bit.  Q_l(1/beta) decays like rho^{-2l}
+    relative to the other solution of its recurrence, ln rho =
+    acosh(1/beta), and the branch is chosen by how far that matters up to
+    l_max:
 
-        r_k = k beta / ((2k + 1) - (k + 1) beta r_{k+1}),   r_{n+1} = 0,
+    - Where l_max >= 1 and 2 l_max acosh(1/beta) <= 2 (beta >= 0.99805 at
+      l_max 16, 0.9469 at l_max 3), the forward recurrence written in beta,
 
-    started at n = l_max + 2 + ceil(19 / acosh(1/beta)).  The truncation
-    error of the start decays like rho^{-2(n - k)} with
-    ln rho = acosh(1/beta), so 19 / ln rho extra terms put it below double
-    rounding; memory stays O(l_max) and no ratio can overflow.  At rest
-    every r_k is exactly 0 and the removable limit atanh(beta)/beta -> 1
-    gives a_l = T delta_l0 exactly.  Each step damps the rounding of the
-    ones before it only by rho^{-2}, so it accumulates as beta -> 1: every
-    a_l is within 1e-15 relative of 40-digit mpmath up to beta = 0.9,
-    2e-15 at 0.99, 1e-14 at 0.999, 1e-13 at 0.999999 and 1e-11 at
-    1 - 1e-9 (tests/test_oracle.py).
+          (l + 1) Q_{l+1} = (2l + 1) Q_l / beta - l Q_{l-1},
+          Q_0 = atanh(beta),   Q_1 = atanh(beta) / beta - 1,
+
+      is stable: rounding grows at most like rho^{2 l} <= e^2.  It runs on
+      the differences d_l = Q_l - Q_{l-1}, which tend to -1/l as beta -> 1,
+
+          d_1 = Q_0 delta - 1,   d_{l+1} = (l d_l + (2l + 1) delta Q_l) / (l + 1),
+
+      with delta = (1 - beta) / beta, whose 1 - beta is exact, so each Q_l
+      is one rounded sum; method "forward-recurrence", l_max steps.
+    - Everywhere else, Miller's backward recurrence (Gautschi 1967, SIAM
+      Rev. 9:24) for the ratios r_k = Q_k / Q_{k-1}, written in beta so
+      that it holds down to beta = 0,
+
+          r_k = k beta / ((2k + 1) - (k + 1) beta r_{k+1}),   r_{n+1} = 0,
+
+      started at n = l_max + 2 + ceil(19 / acosh(1/beta)), and a_l =
+      (-1)^l (2l + 1) a_0 prod_{k<=l} r_k; method "recurrence", n steps.
+      The truncation error of the start decays like rho^{-2(n - k)}, so
+      19 / ln rho extra terms put it below double rounding, and no ratio
+      can overflow.  Below the switch n <= 20 l_max + 2 for l_max >= 1
+      (322 at l_max 16, 152 at beta 0.99); at l_max 0 n still grows like
+      19 / acosh(1/beta) as beta -> 1.  At rest every r_k is exactly 0 and
+      the removable limit atanh(beta)/beta -> 1 gives a_l = T delta_l0
+      exactly.
+
+    Memory is O(l_max) on both.  Against 40-digit mpmath every a_l at
+    l_max 16 is within 1e-15 relative up to beta = 0.9, 2e-15 at 0.99,
+    1e-14 on either side of the switch and 1e-15 from 0.999 to 1 - 1e-9
+    (tests/test_oracle.py).
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     t = temperature_value(T)
+    beta = v.beta_mag
+    if l_max >= 1 and beta > 0.0 and 2 * l_max * math.acosh(1.0 / beta) <= 2.0:
+        a = _forward_recurrence(t, v, l_max)
+        return MultipoleCoefficients(l_max, a, "forward-recurrence", l_max)
+    a, n = _backward_recurrence(t, v, l_max)
+    return MultipoleCoefficients(l_max, a, "recurrence", n)
+
+
+def _forward_recurrence(t: float, v: BoostVelocity, l_max: int) -> list:
+    """a_0 .. a_l_max from the forward recurrence in differences (temperature_multipoles).
+
+    Accurate only where l_max acosh(1/beta) <= 1; needs beta > 0.
+    """
+    beta = v.beta_mag
+    q = math.atanh(beta)
+    delta = (1.0 - beta) / beta
+    scale = t / (v.gamma * beta)
+    a = [t * (q / beta) / v.gamma]
+    d = q * delta - 1.0
+    sign = 1.0
+    # l runs as a float, as k does in _backward_recurrence
+    for l in map(float, range(1, l_max + 1)):
+        q += d
+        sign = -sign
+        a.append(sign * (2.0 * l + 1.0) * scale * q)
+        d = (l * d + (2.0 * l + 1.0) * delta * q) / (l + 1.0)
+    return a
+
+
+def _backward_recurrence(t: float, v: BoostVelocity, l_max: int) -> tuple[list, int]:
+    """a_0 .. a_l_max and the step count of Miller's backward recurrence (temperature_multipoles).
+
+    Accurate at every beta, in a number of steps that grows like
+    19 / acosh(1/beta) as beta -> 1.
+    """
     beta = v.beta_mag
     if beta > 0.0:
         n = l_max + 2 + math.ceil(19.0 / math.acosh(1.0 / beta))
@@ -332,4 +392,4 @@ def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoeffici
     for l, q in enumerate(reversed(ratios), 1):
         p *= q
         a.append((2 * l + 1) * p)
-    return MultipoleCoefficients(l_max, a, "recurrence", n)
+    return a, n

@@ -306,6 +306,18 @@ class TestAnisotropyCommand:
         # the recurrence's start index is its number of steps
         assert res["n_evaluations"] == lmax + 2 + math.ceil(19.0 / math.acosh(1.0 / beta))
 
+    def test_json_near_light_speed_takes_the_forward_branch(self, capsys):
+        # the backward recurrence took 424,871 steps here
+        code, out, _ = run_cli(capsys, "anisotropy", "--temperature", "1",
+                               "--beta", "0.999999999", "--lmax", "16", "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["method"] == "forward-recurrence"
+        assert res["n_evaluations"] <= 16
+        v = make_boost([0, 0, 0.999999999])
+        assert res["a"][0] == pytest.approx(math.atanh(v.beta_mag) / (v.gamma * v.beta_mag),
+                                            rel=1e-15)
+
     def test_csv_bytes_are_unchanged_by_the_diagnostics(self, capsys):
         # frozen from the output before the coefficients carried their method
         code, out, _ = run_cli(capsys, "anisotropy", "--temperature", "2.725",

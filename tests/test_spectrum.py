@@ -28,6 +28,15 @@ from relplanck.spectrum import _direction_integrated_x_occupation, _x_occupation
 
 V06 = make_boost([0.0, 0.0, 0.6])
 
+# the bitwise reference loops of TestMultipoles
+REFERENCE_BETAS = [0.0, 1e-12, 0.3, 0.6, 0.9, 0.99, 0.999, 0.999999]
+REFERENCE_L_MAX = (0, 1, 16)
+
+
+def _runs_forward(beta: float, l_max: int) -> bool:
+    """Whether temperature_multipoles takes its forward branch: 2 l_max acosh(1/beta) <= 2."""
+    return l_max >= 1 and beta > 0.0 and 2 * l_max * math.acosh(1.0 / beta) <= 2.0
+
 # coth(1/2) / (2 pi)^3, frozen from a 30-digit evaluation
 RHO_REST_TOTAL_AT_1_1 = 0.008723852254378968
 
@@ -510,13 +519,16 @@ class TestMultipoles:
         coeffs = temperature_multipoles(V06, 1.0, 2)
         assert "propagation" in coeffs.convention
 
-    @pytest.mark.parametrize("beta", [0.0, 1e-12, 0.3, 0.6, 0.9, 0.99, 0.999, 0.999999])
+    @pytest.mark.parametrize("beta", REFERENCE_BETAS)
     def test_recurrence_equals_the_reference_loop(self, beta):
         # one loop over every k with a branch and an array store, then
-        # np.cumprod: the same arithmetic in the same order, so equal bits
+        # np.cumprod: the same arithmetic in the same order, so equal bits;
+        # l_max 0 at every beta and every l_max below the forward switch
         v = make_boost([0.0, 0.0, beta])
-        for l_max in (0, 1, 16):
-            n = temperature_multipoles(v, 1.0, l_max).n_evaluations
+        for l_max in (l for l in REFERENCE_L_MAX if not _runs_forward(beta, l)):
+            coeffs = temperature_multipoles(v, 2.7, l_max)
+            assert coeffs.method == "recurrence"
+            n = coeffs.n_evaluations
             r, ratios = 0.0, np.empty(l_max)
             for k in range(n, 0, -1):
                 r = k * v.beta_mag / ((2 * k + 1) - (k + 1) * v.beta_mag * r)
@@ -524,7 +536,47 @@ class TestMultipoles:
                     ratios[k - 1] = r
             a0 = 2.7 * (math.atanh(beta) / beta if beta else 1.0) / v.gamma
             want = (2.0 * np.arange(l_max + 1) + 1.0) * np.cumprod(np.concatenate(([a0], -ratios)))
-            assert np.array_equal(temperature_multipoles(v, 2.7, l_max).a, want)
+            assert np.array_equal(coeffs.a, want)
+
+    @pytest.mark.parametrize(
+        "beta,l_max",
+        [(b, l) for b in REFERENCE_BETAS for l in REFERENCE_L_MAX if _runs_forward(b, l)],
+    )
+    def test_forward_recurrence_equals_the_reference_loop(self, beta, l_max):
+        # Q_l and d_l = Q_l - Q_{l-1} stored in arrays, then the coefficients
+        # as one array expression: the same arithmetic in the same order
+        v = make_boost([0.0, 0.0, beta])
+        coeffs = temperature_multipoles(v, 2.7, l_max)
+        assert coeffs.method == "forward-recurrence"
+        b = v.beta_mag
+        delta = (1.0 - b) / b
+        q, d = np.empty(l_max + 1), np.empty(l_max + 2)
+        q[0] = math.atanh(b)
+        d[1] = q[0] * delta - 1.0
+        for l in range(1, l_max + 1):
+            q[l] = q[l - 1] + d[l]
+            d[l + 1] = (l * d[l] + (2 * l + 1) * delta * q[l]) / (l + 1)
+        ls = np.arange(l_max + 1)
+        want = (-1.0) ** ls * (2.0 * ls + 1.0) * (2.7 / (v.gamma * b)) * q
+        want[0] = 2.7 * (q[0] / b) / v.gamma
+        assert np.array_equal(coeffs.a, want)
+
+    @pytest.mark.parametrize("l_max", [1, 2, 3, 16, 40])
+    def test_branch_and_step_count_on_both_sides_of_the_switch(self, l_max):
+        # the forward branch takes at most l_max steps wherever it runs, 1 - 1e-9
+        # included (the backward recurrence took 424,871 there at l_max 16);
+        # below the switch the backward branch keeps its start index
+        switch = 1.0 / math.cosh(1.0 / l_max)
+        for beta in (0.0, 1e-12, 0.6, 0.9, 0.99, switch - 1e-6, switch + 1e-6, 0.999,
+                     0.999999, 1.0 - 1e-9):
+            v = make_boost([0.0, 0.0, beta])
+            coeffs = temperature_multipoles(v, 1.0, l_max)
+            if beta >= switch + 1e-6:
+                assert coeffs.method == "forward-recurrence", beta
+                assert coeffs.n_evaluations <= l_max, beta
+            else:
+                extra = math.ceil(19.0 / math.acosh(1.0 / beta)) if beta else 0
+                assert (coeffs.method, coeffs.n_evaluations) == ("recurrence", l_max + 2 + extra)
 
     def test_method_and_evaluation_count_recorded(self):
         coeffs = temperature_multipoles(V06, 1.0, 16)

@@ -37,13 +37,6 @@ from .core import (
     NATURAL, CheckResult, Component, PhotonMode, UnitSystem, make_boost, temperature_value,
 )
 from .kinematics import boost_mode, direction_with_cosine
-from .montecarlo import McConfig, run_identity_check
-from .radiometry import (
-    energy_density_moving_correlation,
-    energy_density_moving_spectral,
-    expected_energy_ratio,
-)
-from .selfcheck import run_selfcheck
 from .spectrum import (
     effective_temperature_mu,
     rho_moving_mu,
@@ -51,6 +44,10 @@ from .spectrum import (
     temperature_multipoles,
     u_moving,
 )
+
+# the commands that run montecarlo, radiometry or selfcheck import them; the
+# package's hook resolves their names here too, as relplanck.cli.run_selfcheck
+from . import __getattr__  # noqa: F401
 
 __all__ = ["main", "UsageError"]
 
@@ -248,6 +245,10 @@ def _cmd_boost_mode(args) -> _Output:
 
 
 def _cmd_energy_density(args) -> _Output:
+    from .radiometry import (
+        energy_density_moving_correlation, energy_density_moving_spectral, expected_energy_ratio,
+    )
+
     units = _units_from(args)
     t = temperature_value(args.temperature)
     v = _boost_from(args)
@@ -296,6 +297,8 @@ def _cmd_anisotropy(args) -> _Output:
 
 
 def _cmd_mc_verify(args) -> _Output:
+    from .montecarlo import McConfig, run_identity_check
+
     units = _units_from(args)
     t = temperature_value(args.temperature)
     if t == 0.0:
@@ -337,6 +340,8 @@ def _cmd_mc_verify(args) -> _Output:
 
 
 def _cmd_selftest(args) -> _Output:
+    from .selfcheck import run_selfcheck
+
     checks = run_selfcheck(quick=args.quick, seed=args.seed)
     return _Output({"quick": args.quick, "seed": args.seed},
                    {"checks": [dataclasses.asdict(r) for r in checks],

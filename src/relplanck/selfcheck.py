@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cache
 
 import numpy as np
 
@@ -190,10 +191,18 @@ def _check_occupation_invariance(rng) -> CheckResult:
     return _result("occupation-invariance", worst, 1e-12, "rho/omega^3 equal along the mode map")
 
 
+@cache
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-node Gauss-Legendre rule, built once, read-only; not the library's constants."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _check_direction_integral(rng) -> CheckResult:
     omega = 10.0 ** rng.uniform(-2.0, 2.0, 50)
     # 64 nodes converge the mu' rule to rounding for beta <= 0.9
-    mu, w = np.polynomial.legendre.leggauss(64)
+    mu, w = _gauss_legendre(64)
     worst = 0.0
     for beta, t in ((0.0, 1.0), (0.3, 0.5), (0.6, 1.0), (0.9, 2.0), (0.6, 0.0)):
         v = make_boost([0.0, 0.0, beta])
@@ -215,7 +224,7 @@ def _projected_multipoles(v, T, l_max: int, n_nodes: int) -> np.ndarray:
     it; the error decays like rho^{-2 n_nodes}, ln rho = acosh(1/beta), to a
     floor near 1e-14 T.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     teff = spectrum.effective_temperature_mu(x, v, T)
     vander = np.polynomial.legendre.legvander(x, l_max)
     return (2.0 * np.arange(l_max + 1) + 1.0) / 2.0 * (vander.T @ (w * teff))

@@ -267,8 +267,8 @@ class MultipoleCoefficients:
     method names the branch of the closed form that ran: "recurrence",
     Miller's backward recurrence, or "forward-recurrence" near beta = 1
     (temperature_multipoles).  n_evaluations is that branch's number of
-    recurrence steps: l_max + 2 + ceil(19 / acosh(1/beta)) backward, l_max
-    forward.
+    recurrence steps: l_max + 2 + ceil(19 / acosh(1/beta)) backward (0 at
+    l_max 0), l_max forward.
     """
 
     l_max: int
@@ -322,10 +322,9 @@ def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoeffici
       The truncation error of the start decays like rho^{-2(n - k)}, so
       19 / ln rho extra terms put it below double rounding, and no ratio
       can overflow.  Below the switch n <= 20 l_max + 2 for l_max >= 1
-      (322 at l_max 16, 152 at beta 0.99); at l_max 0 n still grows like
-      19 / acosh(1/beta) as beta -> 1.  At rest every r_k is exactly 0 and
-      the removable limit atanh(beta)/beta -> 1 gives a_l = T delta_l0
-      exactly.
+      (322 at l_max 16, 152 at beta 0.99); at l_max 0 a_0 needs no ratio
+      and n = 0.  At rest every r_k is exactly 0 and the removable limit
+      atanh(beta)/beta -> 1 gives a_l = T delta_l0 exactly.
 
     Memory is O(l_max) on both.  Against 40-digit mpmath every a_l at
     l_max 16 is within 1e-15 relative up to beta = 0.9, 2e-15 at 0.99,
@@ -368,7 +367,7 @@ def _backward_recurrence(t: float, v: BoostVelocity, l_max: int) -> tuple[list, 
     """a_0 .. a_l_max and the step count of Miller's backward recurrence (temperature_multipoles).
 
     Accurate at every beta, in a number of steps that grows like
-    19 / acosh(1/beta) as beta -> 1.
+    19 / acosh(1/beta) as beta -> 1 where l_max >= 1, and none at l_max 0.
     """
     beta = v.beta_mag
     if beta > 0.0:
@@ -377,6 +376,8 @@ def _backward_recurrence(t: float, v: BoostVelocity, l_max: int) -> tuple[list, 
     else:  # removable limit; every ratio below is then exactly 0
         n = l_max + 2
         atanh_over_beta = 1.0
+    if l_max == 0:  # a_0 takes no ratio
+        n = 0
     # k runs as a float, which holds every k exactly and keeps the loop on
     # float arithmetic; the tail above l_max stores nothing
     r = 0.0

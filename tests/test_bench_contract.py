@@ -9,7 +9,10 @@ counts, and change nothing under ``bench/``.
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -92,3 +95,32 @@ def test_one_sampling_span_per_monte_carlo_chunk(bench, n_threads):
     boosted = [s[6]["elements"] for s in tracer.spans if s[0] == "kinematics.boost_mu"]
     assert len(boosted) == sum(-(-size // montecarlo._BLOCK) for size in sampled)
     assert sum(boosted) == n
+
+
+def test_traced_cli_session_sees_the_deferred_layers():
+    # bench/cli_child.py's order: import relplanck.cli, install the tracer,
+    # then run the command, so a module the command imports late must still
+    # be wrapped; the last stdout line is this script's report
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import relplanck.cli\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "with tracer.installed():\n"
+        "    codes = [relplanck.cli.main(['mc-verify', '--n', '1000']),\n"
+        "             relplanck.cli.main(['selftest', '--quick'])]\n"
+        "import relplanck.montecarlo\n"
+        "print(json.dumps({'codes': codes, 'spans': sorted({s[0] for s in tracer.spans}),\n"
+        "                  'resolves': relplanck.cli.run_identity_check\n"
+        "                  is relplanck.montecarlo.run_identity_check}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    # 1000 draws leave no bin to test, so the Monte Carlo gate fails; selftest passes
+    assert out["codes"] == [1, 0]
+    assert {"cli.main", "montecarlo.run_identity_check", "selfcheck.run_selfcheck"} <= set(
+        out["spans"])
+    assert out["resolves"]

@@ -367,7 +367,7 @@ class TestMcVerifyCommand:
         def off_by_7_sigma(*args, **kwargs):
             return dataclasses.replace(run_identity_check(*args, **kwargs), max_abs_z=7.0)
 
-        monkeypatch.setattr("relplanck.cli.run_identity_check", off_by_7_sigma)
+        monkeypatch.setattr("relplanck.montecarlo.run_identity_check", off_by_7_sigma)
         code, out, err = run_cli(capsys, "mc-verify", "--beta", "0.6", "--n", "20000",
                                  "--format", fmt)
         assert code == 1
@@ -447,7 +447,7 @@ class TestSelftestCommand:
     def test_injected_failure_in_json_exits_1(self, capsys, monkeypatch):
         fake = [CheckResult(name="x", passed=False, residual=1.0, tolerance=0.1,
                             detail="injected")]
-        monkeypatch.setattr("relplanck.cli.run_selfcheck", lambda **k: fake)
+        monkeypatch.setattr("relplanck.selfcheck.run_selfcheck", lambda **k: fake)
         code, out, err = run_cli(capsys, "selftest", "--quick", "--format", "json")
         assert code == 1
         assert json.loads(out)["results"]["all_passed"] is False
@@ -456,7 +456,7 @@ class TestSelftestCommand:
     def test_injected_failure_exits_1(self, capsys, monkeypatch):
         fake = [CheckResult(name="x", passed=False, residual=1.0, tolerance=0.1,
                             detail="injected")]
-        monkeypatch.setattr("relplanck.cli.run_selfcheck", lambda **k: fake)
+        monkeypatch.setattr("relplanck.selfcheck.run_selfcheck", lambda **k: fake)
         code, out, err = run_cli(capsys, "selftest", "--quick")
         assert code == 1
         assert out.startswith("FAIL")
@@ -575,8 +575,8 @@ def test_size_flags_over_their_limit_exit_2_before_computing(capsys, monkeypatch
     def boom(*args, **kwargs):
         raise AssertionError("computed with an over-limit size flag")
 
-    for name in ("rho_rest", "temperature_multipoles", "run_identity_check"):
-        monkeypatch.setattr(f"relplanck.cli.{name}", boom)
+    for target in ("cli.rho_rest", "cli.temperature_multipoles", "montecarlo.run_identity_check"):
+        monkeypatch.setattr(f"relplanck.{target}", boom)
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

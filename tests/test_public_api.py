@@ -1,8 +1,15 @@
 """The public names of the package, pinned so that adding or dropping one is a visible change."""
 
+import json
+import re
+import subprocess
+import sys
 import types
 
+import pytest
+
 import relplanck
+import relplanck.cli
 
 PUBLIC_NAMES = [
     "BoostVelocity", "CheckResult", "Component", "EnergyDensityReport",
@@ -35,3 +42,81 @@ def test_star_import_binds_the_public_names_and_no_submodule():
     exec("from relplanck import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
     assert sorted(relplanck.__all__) == PUBLIC_NAMES
+
+
+# the modules only some commands run; `import relplanck` loads none of them
+DEFERRED = ["montecarlo", "radiometry", "selfcheck"]
+
+
+def _fresh(*args):
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["spectrum", "--temperature", "1", "--points", "4"], []),
+        (["boost-mode", "--omega", "1", "--mu", "0", "--beta", "0.6"], []),
+        (["anisotropy", "--temperature", "1", "--beta", "0.6", "--lmax", "3"], []),
+        (["energy-density", "--temperature", "1", "--beta", "0.6"], ["radiometry"]),
+        (["mc-verify", "--beta", "0.6", "--n", "20000", "--seed", "7"],
+         ["montecarlo", "radiometry"]),
+    ],
+    ids=["spectrum", "boost-mode", "anisotropy", "energy-density", "mc-verify"],
+)
+def test_each_command_imports_only_the_modules_it_runs(argv, loaded):
+    # -X importtime names every module the run imports, on stderr
+    proc = _fresh("-X", "importtime", "-m", "relplanck", *argv)
+    modules = set(re.findall(r"^import time:.*\| +relplanck\.(\w+)$", proc.stderr, re.M))
+    assert {"cli", "core", "kinematics", "spectrum"} <= modules
+    assert sorted(modules & set(DEFERRED)) == loaded
+
+
+def test_deferred_names_resolve_on_access_and_nothing_else_imports():
+    code = (
+        "import json, sys, types\n"
+        "import relplanck, relplanck.cli\n"
+        "def loaded():\n"
+        "    return sorted(m[10:] for m in sys.modules if m.startswith('relplanck.'))\n"
+        "# vars() reads the submodules without calling the hook\n"
+        "out = {'import': loaded(), 'dir': sorted(\n"
+        "    n for n in dir(relplanck)\n"
+        "    if n[0] != '_' and not isinstance(vars(relplanck).get(n), types.ModuleType))}\n"
+        "out['dir_loaded'] = loaded()\n"
+        "probes = {'relplanck.no_such_name': lambda: relplanck.no_such_name,\n"
+        "          'relplanck.__getattr__(__path__)': lambda: relplanck.__getattr__('__path__'),\n"
+        "          'relplanck.cli.no_such_name': lambda: relplanck.cli.no_such_name,\n"
+        "          'relplanck.cli.__path__': lambda: relplanck.cli.__path__}\n"
+        "missing = []\n"
+        "for label, probe in probes.items():\n"
+        "    try:\n"
+        "        probe()\n"
+        "    except AttributeError:\n"
+        "        missing.append(label)\n"
+        "out['missing'], out['missing_loaded'] = missing, loaded()\n"
+        "namespace = {}\n"
+        "exec('from relplanck import *', namespace)\n"
+        "out['star'] = sorted(set(namespace) - {'__builtins__'})\n"
+        "out['star_loaded'] = loaded()\n"
+        "print(json.dumps(out))\n"
+    )
+    out = json.loads(_fresh("-c", code).stdout)
+    assert out["import"] == out["dir_loaded"] == out["missing_loaded"] == [
+        "cli", "core", "kinematics", "spectrum",
+    ]
+    assert out["dir"] == out["star"] == PUBLIC_NAMES
+    # importlib probes __path__ on every `from relplanck.cli import ...`
+    assert out["missing"] == ["relplanck.no_such_name", "relplanck.__getattr__(__path__)",
+                              "relplanck.cli.no_such_name", "relplanck.cli.__path__"]
+    assert out["star_loaded"] == ["cli", "core", "kinematics", *DEFERRED, "spectrum"]
+
+
+def test_a_deferred_name_is_the_defining_modules_object():
+    from relplanck import montecarlo, radiometry, selfcheck
+
+    assert relplanck.run_identity_check is montecarlo.run_identity_check
+    assert relplanck.cli.run_identity_check is montecarlo.run_identity_check
+    assert relplanck.integrate_semi_infinite is radiometry.integrate_semi_infinite
+    assert relplanck.run_selfcheck is selfcheck.run_selfcheck

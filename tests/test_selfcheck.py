@@ -182,3 +182,15 @@ def test_negative_seed_is_rejected_before_any_check_runs():
 def test_non_integer_seed_is_rejected_before_any_check_runs(seed):
     with pytest.raises(ValueError, match=re.escape(f"{SEED_RANGE}, got {seed!r}")):
         run_selfcheck(quick=True, seed=seed)
+
+
+def test_battery_builds_its_gauss_legendre_reference_once(monkeypatch):
+    # direction-integral and the four multipole projections share one
+    # 64-node rule; numpy builds it in 0.7-0.9 ms
+    calls, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    selfcheck._gauss_legendre.cache_clear()
+    run_selfcheck(quick=True)
+    run_selfcheck(quick=True)
+    assert calls == [64]

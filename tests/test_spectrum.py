@@ -578,6 +578,16 @@ class TestMultipoles:
                 extra = math.ceil(19.0 / math.acosh(1.0 / beta)) if beta else 0
                 assert (coeffs.method, coeffs.n_evaluations) == ("recurrence", l_max + 2 + extra)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.6, 0.999999, 1.0 - 1e-9])
+    def test_monopole_alone_takes_no_recurrence_step(self, beta):
+        # a_0 needs no ratio; the backward recurrence ran 13,438 steps at
+        # 0.999999 and 424,855 at 1 - 1e-9 and discarded them
+        v = make_boost([0.0, 0.0, beta])
+        coeffs = temperature_multipoles(v, 2.7, 0)
+        assert (coeffs.method, coeffs.n_evaluations) == ("recurrence", 0)
+        a0 = 2.7 * (math.atanh(v.beta_mag) / v.beta_mag if beta else 1.0) / v.gamma
+        assert coeffs.a.tolist() == [a0]
+
     def test_method_and_evaluation_count_recorded(self):
         coeffs = temperature_multipoles(V06, 1.0, 16)
         assert coeffs.method == "recurrence"

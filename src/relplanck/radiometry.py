@@ -1,19 +1,22 @@
-"""Frequency quadrature, the rest-frame field correlation, and energy densities.
+"""Frequency quadrature, the correlation route, and energy densities.
 
 Semi-infinite frequency integrals go through the substitution
-omega = s t / (1 - t) (s a characteristic scale of the integrand) and one
-fixed rule on t in [0, 1]: 32 uniform panels, each valued with 15-node
-Gauss-Legendre and its error estimated from the difference against a
-7-node rule, all 704 nodes in one call of the integrand.  Both rules are
-constants, numpy's leggauss(15) and leggauss(7) bit for bit (a test holds
-them to it), so no integral builds a rule.  The panels' nodes,
-half-widths, 1 - t and (1 - t)^2 are the same for every integral and are
-tabulated on first use.  Every thermal kernel in the accepted domain meets
-the tolerance max(1e-14, 1e-10 |value|) on these panels.  The integrator
-returns its value with its error estimate and that tolerance, whether or
-not the estimate meets it; the spectral route's report states the verdict
-as a check record.  The estimate is deliberately conservative; tests hold the
-integrator to |value - exact| <= reported error on known integrals.
+omega = scale e^s (scale a characteristic frequency of the integrand) and
+one fixed rule on s in [-13, 4.5]: 4 equal panels of 32-node
+Gauss-Legendre for the value, and the same panels at 20 nodes for the
+error estimate, all 208 nodes in one call of the integrand.  The rules
+are constants, numpy's leggauss(32) and leggauss(20) bit for bit (a test
+holds them to it), and the nodes e^s and the weights, with the panels'
+half-width and d omega = omega ds folded in, are tabulated on first use,
+so an integral is one integrand call and one matvec.  In s the thermal
+kernels are smooth and fall off exponentially at both ends, so the rule
+meets them to rounding at every beta up to 1 - 1e-9.  The estimate is
+QUADPACK's scaled difference of the two rules plus |omega f| at the
+outermost nodes, which bounds what the finite range drops.  The
+integrator returns its value with its error estimate and the tolerance
+max(1e-14, 1e-10 |value|), whether or not the estimate meets it; the
+spectral route's report states the verdict as a check record.  Tests hold
+the integrator to |value - exact| <= reported error on known integrals.
 Thermal integrals run in x = hbar omega / (k_B T), so the integrator's
 absolute tolerance is relative to the integrand at any temperature and in
 any unit system.
@@ -33,7 +36,9 @@ The two routes are genuinely different and must agree:
     the absence of polarization fix in closed form as (8 pi / 3) I_6, and
     L the 6x6 field boost of kinematics._field_boost_matrix, so
 
-        W'/W = tr(L C L^T) / tr(C).
+        W'/W = tr(L C L^T) / tr(C),
+
+    which is the sum of L's 36 squared entries over 6.
 
 Both must land on the closed form W'/W = gamma^2 (1 + beta^2 / 3).
 """
@@ -65,10 +70,12 @@ __all__ = [
 # the integrator's tolerance: |error| <= max(_ABS_TOL, _REL_TOL |value|)
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
-# 32 panels on [0, 1]: the fewest (of 8, 16, 24, 32) on which both thermal
-# kernels, x^3 n(x) and the direction-integrated moving one up to
-# beta = 1 - 1e-9, meet the tolerance
-_N_PANELS = 32
+# the rule's range in s = ln(omega / scale), in 4 equal panels: the fewest
+# (3 are off by 4e-12) on which both thermal kernels, x^3 n(x) and the
+# direction-integrated moving one up to beta = 1 - 1e-9, are right to rounding
+_S_LO, _S_HI = -13.0, 4.5
+_N_PANELS = 4
+_EPS = 2.0**-52
 _PI2_15 = math.pi**2 / 15.0
 
 
@@ -83,101 +90,92 @@ class QuadratureResult:
     tolerance: float
 
 
-# the nonnegative halves of the 15- and 7-node Gauss-Legendre rules, node 0
-# first: the floats numpy.polynomial.legendre.leggauss returns, which a test
-# holds them to bit for bit, so no run builds a rule or calls LAPACK
-_GL15_HALF = (
-    (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
-     0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854),
-    (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
-     0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203),
+# the positive halves of the 32- and 20-node Gauss-Legendre rules, smallest
+# node first: the floats numpy.polynomial.legendre.leggauss returns, which a
+# test holds them to bit for bit, so no run builds a rule or calls LAPACK
+_GL32_HALF = (
+    (0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+     0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+     0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+     0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+    (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+     0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+     0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+     0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506),
 )
-_GL7_HALF = (
-    (0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
-    (0.4179591836734693, 0.3818300505051187, 0.27970539148927687, 0.12948496616886973),
+_GL20_HALF = (
+    (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+     0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+     0.9639719272779138, 0.993128599185095),
+    (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+     0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+     0.040601429800386446, 0.017614007139150893),
 )
 
 
-def _mirrored(half: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes, ascending, and weights of a symmetric odd-order rule from its nonnegative half."""
-    x, w = (np.array(a) for a in half)
-    return np.concatenate((-x[:0:-1], x)), np.concatenate((w[:0:-1], w))
-
-
 @cache
-def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nodes, GL15 weights, GL7 weights) on [-1, 1].
+def _log_rule() -> tuple[np.ndarray, np.ndarray]:
+    """(u, table): the nodes u = omega / scale = e^s of both rules, and their weights, read-only.
 
-    nodes holds both rules' nodes, GL15 then GL7, so one call of the
-    integrand values a panel for both.
+    u holds the 4 x 32 nodes of the value's rule, ascending, then the
+    4 x 20 of the estimate's, so one call of the integrand values both.
+    With y = f(scale u), scale (y @ table) is in one matvec the value's 4
+    panels, the estimate rule's whole integral, and omega f(omega) at the
+    value rule's lowest and highest node.  The weights fold in the panels'
+    half-width and d omega = omega ds.
     """
-    (x15, w15), (x7, w7) = _mirrored(_GL15_HALF), _mirrored(_GL7_HALF)
-    return np.concatenate((x15, x7)), w15, w7
-
-
-@cache
-def _rest_correlation() -> tuple[np.ndarray, float]:
-    """The rest-frame 6x6 equal-point correlation <(E, B)(E, B)^T> per unit scale, and its trace.
-
-    A plane wave along khat has E transverse and B = khat x E, so the
-    polarization-averaged E-E and B-B blocks are the transverse tensor
-    delta_jm - khat_j khat_m and the E-B block is eps_jml khat_l.  Over
-    isotropic directions the first integrates to (8 pi / 3) delta_jm and the
-    second, odd in khat, to 0, so C = (8 pi / 3) I_6 with trace 16 pi.  The
-    trace is taken as the boosted trace at L = I, so the ratio is exactly 1
-    at rest.  Read-only; it does not depend on T.
-    """
-    corr = (8.0 * math.pi / 3.0) * np.eye(6)
-    corr.setflags(write=False)
-    return corr, _boosted_trace(np.eye(6), corr)
-
-
-def _boosted_trace(boost: np.ndarray, corr: np.ndarray) -> float:
-    """tr(L C L^T), as the dot product of L C with L."""
-    return float(np.vdot(boost @ corr, boost))
-
-
-@cache
-def _seed_panels() -> tuple[np.ndarray, ...]:
-    """(t, half, 1 - t, (1 - t)^2) of the 32 panels on [0, 1], every panel's 22 nodes flat, read-only."""
-    edges = np.linspace(0.0, 1.0, _N_PANELS + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    t = (mid[:, None] + half[:, None] * _gl_rules()[0]).ravel()
-    one_m = 1.0 - t
-    tables = (t, half, one_m, one_m**2)
-    for arr in tables:
+    half = 0.5 * (_S_HI - _S_LO) / _N_PANELS
+    mid = _S_LO + half * (2.0 * np.arange(_N_PANELS) + 1.0)
+    # each rule mirrored onto [-1, 1], nodes ascending
+    (x32, w32), (x20, w20) = ((np.concatenate((-x[::-1], x)), half * np.concatenate((w[::-1], w)))
+                              for x, w in (np.array(_GL32_HALF), np.array(_GL20_HALF)))
+    u = np.exp(np.concatenate([(mid[:, None] + half * x).ravel() for x in (x32, x20)]))
+    n32 = _N_PANELS * x32.size
+    table = np.zeros((u.size, _N_PANELS + 3))
+    table[:n32, :_N_PANELS] = np.kron(np.eye(_N_PANELS), w32[:, None])
+    table[n32:, _N_PANELS] = np.tile(w20, _N_PANELS)
+    table[0, -2] = table[n32 - 1, -1] = 1.0
+    table *= u[:, None]
+    for arr in (u, table):
         arr.setflags(write=False)
-    return tables
+    return u, table
 
 
 def integrate_semi_infinite(f, *, scale: float = 1.0) -> QuadratureResult:
-    """Integrate f(omega) over (0, infinity) on the 32-panel rule.
+    """Integrate f(omega) over (0, infinity) on one fixed rule in s = ln(omega / scale).
 
-    f must accept a 1-D numpy array and work elementwise; it is called
-    once, on all 704 nodes.  ``scale`` sets the map omega = s t/(1 - t);
-    pick the integrand's characteristic frequency (k_B T / hbar for thermal
-    kernels) so the panels straddle the peak.  The integrand must decay
-    fast enough for the mapped integral to be finite.
+    The rule covers s in [-13, 4.5], omega from scale e^-13 to scale e^4.5,
+    in 4 equal panels of 32-node Gauss-Legendre for the value and the same
+    panels at 20 nodes for the error estimate.  f must accept a 1-D numpy
+    array and work elementwise; it is called once, on all 208 nodes.  Pick
+    ``scale`` as the integrand's characteristic frequency (k_B T / hbar for
+    thermal kernels).  The contract is narrower than (0, infinity): omega
+    f(omega) must be negligible at both ends of the range, since the rule
+    drops what lies beyond them.  For omega f rising at least like omega
+    below the range and falling at least like e^-omega above it (omega in
+    units of scale), each dropped part is at most omega f at that end's
+    outermost node, which the estimate adds, so a truncated integrand is
+    reported as a miss, not as a wrong value.
 
-    The error estimate is the summed |GL15 - GL7|, and the tolerance
-    max(1e-14, 1e-10 |value|); the result is returned whether or not the
-    estimate meets it.
+    The error estimate is QUADPACK's (Piessens et al. 1983) scaled
+    difference of the two rules, max(d min(1, (200 d / resabs)^1.5),
+    50 eps resabs), with d = |I32 - I20| and resabs the sum of |panel
+    values|, plus |omega f(omega)| at the outermost node of each end.  The
+    tolerance is max(1e-14, 1e-10 |value|); the result is returned whether
+    or not the estimate meets it.
     """
     s = float(scale)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    t, half, one_m, one_m2 = _seed_panels()
-    _, w15, w7 = _gl_rules()
-    # f at omega = s t / (1 - t), weighted by d omega / dt = s / (1 - t)^2
-    y = (f(s * t / one_m) * (s / one_m2)).reshape(half.size, -1)
-    v15 = half * (y[:, :15] @ w15)
-    v7 = half * (y[:, 15:] @ w7)
-    # fsum rounds correctly, so the panels' order does not matter; it reads
-    # a list faster than an array
-    value = math.fsum(v15.tolist())
-    error = math.fsum(np.abs(v15 - v7).tolist())
-    return QuadratureResult(value, error, _N_PANELS, t.size, max(_ABS_TOL, _REL_TOL * abs(value)))
+    u, table = _log_rule()
+    *panels, coarse, lo, hi = (f(s * u) @ table).tolist()
+    # fsum rounds correctly, so the panels' order does not matter
+    value = s * math.fsum(panels)
+    resabs = s * sum(map(abs, panels))
+    d = abs(value - s * coarse)
+    scaled = d if 200.0 * d >= resabs else d * (200.0 * d / resabs) ** 1.5
+    error = max(scaled, 50.0 * _EPS * resabs) + s * (abs(lo) + abs(hi))
+    return QuadratureResult(value, error, _N_PANELS, u.size, max(_ABS_TOL, _REL_TOL * abs(value)))
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,8 @@ def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATU
     so W'/W = 15 I / (4 pi^4) at any temperature and in any unit system.
     W' = W W'/W with W the Stefan-Boltzmann closed form, and the error
     estimate and tolerance are the integral's, carried to W' the same way.
+    W'/W is within 2e-15 relative of gamma^2 (1 + beta^2 / 3) at every
+    beta up to 1 - 1e-9 (tests/test_oracle.py).
     """
     w_rest = thermal_energy_density_closed_form(T, units)
     hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
@@ -291,11 +291,12 @@ def energy_density_moving_correlation(
     The boosted equal-point correlation is L C L^T, with L the field boost
     of kinematics._field_boost_matrix and C the rest-frame 6x6 correlation,
     so W'/W = tr(L C L^T) / tr(C): the energy density is (<E^2> + <B^2>) /
-    8 pi in either frame.  No boosted spectrum is evaluated on this route,
-    and no quadrature: W is the Stefan-Boltzmann closed form.  W'/W is
-    within 4e-16 relative of gamma^2 (1 + beta^2 / 3) (tests/test_oracle.py).
+    8 pi in either frame.  C = (8 pi / 3) I_6, so the ratio is the sum of
+    L's 36 squared entries over 6, summed correctly rounded.  No boosted
+    spectrum is evaluated on this route, and no quadrature: W is the
+    Stefan-Boltzmann closed form.  W'/W is within 8e-16 relative of
+    gamma^2 (1 + beta^2 / 3) (tests/test_oracle.py).
     """
     w_rest = thermal_energy_density_closed_form(T, units)
-    corr, trace = _rest_correlation()
-    ratio = _boosted_trace(kinematics._field_boost_matrix(v), corr) / trace
-    return _report(w_rest, ratio, "correlation")
+    boost = kinematics._field_boost_matrix(v)
+    return _report(w_rest, math.fsum((boost * boost).ravel().tolist()) / 6.0, "correlation")

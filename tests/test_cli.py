@@ -224,7 +224,7 @@ class TestEnergyDensityCommand:
         assert code == 0
         methods = {m["method"]: m for m in json.loads(out)["results"]["methods"]}
         spec, corr = methods["spectral"], methods["correlation"]
-        assert (spec["n_panels"], spec["n_evaluations"]) == (32, 704)
+        assert (spec["n_panels"], spec["n_evaluations"]) == (4, 208)
         assert 0.0 < spec["error_estimate"] <= 1e-10 * spec["w_moving"]
         assert (corr["error_estimate"], corr["n_panels"], corr["n_evaluations"]) == (None, None, None)
 
@@ -240,7 +240,7 @@ class TestEnergyDensityCommand:
         verdicts = [line for line in err.splitlines() if not line.startswith("# ")]
         assert len(verdicts) == 1
         assert verdicts[0].startswith("PASS  quadrature ")
-        assert verdicts[0].endswith("W' on 32 panels, 704 evaluations")
+        assert verdicts[0].endswith("W' on 4 panels, 208 evaluations")
         assert "PASS" not in out
 
     def test_correlation_route_writes_no_verdict(self, capsys):

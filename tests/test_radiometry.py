@@ -1,4 +1,4 @@
-"""The 32-panel quadrature's honesty, energy densities, and the two W' routes."""
+"""The log-frequency quadrature's honesty, energy densities, and the two W' routes."""
 
 import math
 import re
@@ -33,8 +33,8 @@ W_THERMAL_NATURAL_T1 = math.pi**2 / 15.0
 
 
 def _gl128_reference(f, scale, n_panels=8):
-    """Composite 128-node Gauss-Legendre on the same t-map, as an
-    independently structured check on the 32-panel rule."""
+    """Composite 128-node Gauss-Legendre on the map omega = scale t / (1 - t),
+    as an independently structured check on the log-frequency rule."""
     x, w = np.polynomial.legendre.leggauss(128)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     total = 0.0
@@ -78,12 +78,12 @@ class TestIntegrator:
 
     @staticmethod
     def _misses_after_one_call(f, exact, scale=1.0):
-        # an integrand the 32 panels do not resolve is returned after its one
+        # an integrand the rule does not resolve is returned after its one
         # call with an error estimate above its tolerance, and the value is
         # within that estimate
         counted, sizes = _counting(f)
         res = integrate_semi_infinite(counted, scale=scale)
-        assert sizes == [704]
+        assert sizes == [res.n_evaluations]
         assert res.error_estimate > res.tolerance == max(1e-14, 1e-10 * abs(res.value))
         assert abs(res.value - exact) <= res.error_estimate
 
@@ -95,7 +95,7 @@ class TestIntegrator:
         assert math.isnan(res.error_estimate)
         assert not res.error_estimate <= res.tolerance
 
-    def test_against_fixed_rule_on_same_map(self):
+    def test_against_a_fixed_rule_on_another_map(self):
         f = lambda x: x**2 * _x_occupation(x) / (1.0 + 0.25 * x**2)
         res = integrate_semi_infinite(f)
         ref = _gl128_reference(f, 1.0)
@@ -103,26 +103,40 @@ class TestIntegrator:
 
     def test_scale_choice_does_not_move_the_value(self):
         # a scale well above the peak still resolves it; one well below it
-        # leaves the tail on too few panels, which the rule reports
+        # cuts the tail off at scale e^4.5, which the rule reports
         f = lambda x: x**3 * np.exp(-x)
         hi = integrate_semi_infinite(f, scale=11.0)
         assert hi.value == pytest.approx(GAMMA_4, rel=1e-11)
         self._misses_after_one_call(f, GAMMA_4, scale=0.37)
 
-    def test_seed_tables_are_built_once_per_upper_limit(self):
-        seed = radiometry._seed_panels
+    def test_truncated_integrand_is_a_miss_that_covers_its_error(self):
+        # e^{-x} does not vanish at 0: the rule drops integral_0^{e^-13} e^{-x}
+        # dx = 2.3e-6, and the estimate's end term reports it
+        self._misses_after_one_call(lambda x: np.exp(-x), 1.0)
+        res = integrate_semi_infinite(lambda x: np.exp(-x))
+        assert res.error_estimate <= 1.01 * abs(res.value - 1.0)
+
+    def test_rule_spans_s_from_minus_13_to_4_5(self):
+        # integral d omega / omega is the length of the range in s; the ends
+        # of 1/omega's omega f = 1 make it a miss of 2
+        res = integrate_semi_infinite(lambda x: 1.0 / x, scale=7.0)
+        assert res.value == pytest.approx(17.5, rel=1e-15)
+        assert res.error_estimate == pytest.approx(2.0, rel=1e-12)
+
+    def test_node_table_is_built_once_and_read_only(self):
+        rule = radiometry._log_rule
         first = integrate_semi_infinite(lambda x: x**2 * _x_occupation(x))
-        misses = seed.cache_info().misses
+        misses = rule.cache_info().misses
         again = integrate_semi_infinite(lambda x: x**2 * _x_occupation(x))
-        assert seed.cache_info().misses == misses
+        assert rule.cache_info().misses == misses
         assert (again.value, again.error_estimate) == (first.value, first.error_estimate)
-        for table in seed():
+        for table in rule():
             assert not table.flags.writeable
 
     def test_bookkeeping_fields(self):
-        # 32 panels at 15 + 7 evaluations each, and the tolerance the estimate met
+        # 4 panels at 32 + 20 evaluations each, and the tolerance the estimate met
         res = integrate_semi_infinite(lambda x: x**3 * np.exp(-x))
-        assert (res.n_panels, res.n_evaluations) == (32, 704)
+        assert (res.n_panels, res.n_evaluations) == (4, 208)
         assert res.tolerance == 1e-10 * res.value
         assert res.error_estimate <= res.tolerance
 
@@ -130,7 +144,7 @@ class TestIntegrator:
     def test_thermal_kernels_take_a_few_batched_calls(self, beta):
         # the rest kernel x^3 n(x) and the direction-integrated moving one,
         # on the scales the energy-density routes use, converge on the
-        # 32 panels in one call
+        # rule in one call
         v = make_boost([0.0, 0.0, beta])
         kernels = [
             (lambda x: x**2 * _x_occupation(x), 1.0),
@@ -142,7 +156,7 @@ class TestIntegrator:
             res = integrate_semi_infinite(f, scale=scale)
             assert sizes == [res.n_evaluations]
             counts.append((res.n_panels, res.n_evaluations))
-        assert counts == [(32, 704), (32, 704)]
+        assert counts == [(4, 208), (4, 208)]
 
     def test_bad_scale_rejected(self):
         f = lambda x: np.exp(-x)
@@ -225,32 +239,52 @@ def _correlation_scale(t, units):
     return units.hbar / ((2.0 * math.pi) ** 2 * units.c**3) * freq
 
 
+def _plane_wave_correlation():
+    """The rest-frame 6x6 <(E, B)(E, B)^T> per unit scale, summed over an isotropic set of plane waves.
+
+    Each direction khat carries two unit polarizations e with E = e and
+    B = khat x e, weighted by a product rule over the sphere (4-node
+    Gauss-Legendre in cos theta, 8 uniform azimuths), which is exact for
+    the degree-2 products.  The route takes the result to be
+    (8 pi / 3) I_6; this builds it independently.
+    """
+    mus, wmu = np.polynomial.legendre.leggauss(4)
+    corr = np.zeros((6, 6))
+    for mu, w in zip(mus, wmu):
+        for phi in np.arange(8) * (np.pi / 4.0):
+            sin = math.sqrt(1.0 - mu * mu)
+            k = np.array([sin * math.cos(phi), sin * math.sin(phi), mu])
+            e1 = np.array([mu * math.cos(phi), mu * math.sin(phi), -sin])
+            for e in (e1, np.cross(k, e1)):
+                field = np.concatenate((e, np.cross(k, e)))
+                corr += (w * np.pi / 4.0) * np.outer(field, field)
+    return corr
+
+
 class TestCorrelations:
     def test_isotropy_of_electric_tensor(self):
-        # the E-E and B-B blocks are both (trace / 6) times the identity
-        corr, trace = radiometry._rest_correlation()
-        assert trace == pytest.approx(16.0 * math.pi, rel=1e-15)
+        # the E-E and B-B blocks are both (8 pi / 3) I, the route's C
+        corr = _plane_wave_correlation()
+        assert np.trace(corr) == pytest.approx(16.0 * math.pi, rel=1e-15)
         for block in (corr[:3, :3], corr[3:, 3:]):
-            assert np.max(np.abs(block - trace / 6.0 * np.eye(3))) <= 1e-15 * trace
+            assert np.max(np.abs(block - 8.0 * math.pi / 3.0 * np.eye(3))) <= 1e-14
 
     def test_trace_reproduces_energy_density(self):
-        _, trace = radiometry._rest_correlation()
-        w = _correlation_scale(1.0, UnitSystem()) * trace / (8.0 * math.pi)
+        w = _correlation_scale(1.0, UnitSystem()) * np.trace(_plane_wave_correlation()) / (8.0 * math.pi)
         assert w == pytest.approx(W_THERMAL_NATURAL_T1, rel=1e-10)
 
     def test_electric_magnetic_average_vanishes(self):
         # the E-B block is odd in khat, so isotropy makes it zero
-        corr, trace = radiometry._rest_correlation()
-        assert np.max(np.abs(corr[:3, 3:])) <= 1e-14 * trace
-        assert np.array_equal(corr[3:, :3], corr[:3, 3:].T)
+        corr = _plane_wave_correlation()
+        assert np.max(np.abs(corr[:3, 3:])) <= 1e-14
+        assert np.allclose(corr[3:, :3], corr[:3, 3:].T, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("units, t", [(UnitSystem(), 1e-3), (UnitSystem(), 1.3),
                                           (UnitSystem(), 1e3), (UnitSystem.si(), 300.0)])
     def test_contractions_equal_those_of_the_scaled_tensors(self, units, t):
-        # the route contracts the per-unit-scale matrix; the traces of the
-        # physically scaled rest and boosted matrices must give its W and W'
-        corr, _ = radiometry._rest_correlation()
-        scaled = _correlation_scale(t, units) * corr
+        # the route sums L's squares; the traces of the physically scaled
+        # rest and boosted plane-wave correlations must give its W and W'
+        scaled = _correlation_scale(t, units) * _plane_wave_correlation()
         n = np.array([1.0, -2.0, 2.0]) / 3.0
         for beta in (0.0, 0.6, 1.0 - 1e-9):
             v = make_boost(beta * n)
@@ -259,11 +293,6 @@ class TestCorrelations:
             assert rep.W_rest == pytest.approx(np.trace(scaled) / (8.0 * math.pi), rel=1e-14)
             w_moving = np.trace(boost @ scaled @ boost.T) / (8.0 * math.pi)
             assert rep.W_moving == pytest.approx(w_moving, rel=1e-14)
-
-    def test_tensor_is_read_only(self):
-        corr, _ = radiometry._rest_correlation()
-        with pytest.raises(ValueError):
-            corr[0, 0] = 0.0
 
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):
@@ -293,9 +322,9 @@ class TestRouteAgreement:
     @pytest.mark.parametrize(
         "units, t", [("natural", 1e-3), ("natural", 1.0), ("natural", 1e3), ("si", 300.0)]
     )
-    def test_thermal_integrals_take_one_call_on_the_seed_panels(self, monkeypatch, units, t):
+    def test_thermal_integrals_take_one_call_on_the_rule(self, monkeypatch, units, t):
         # both energy routes' thermal kernels, on the scales they pass, meet
-        # the tolerance on the 32 panels: one integrand call of 32 x 22
+        # the tolerance on the rule: one integrand call of 4 x (32 + 20)
         # points at every beta up to 1 - 1e-9
         sizes = []
         integrate = radiometry.integrate_semi_infinite
@@ -304,7 +333,8 @@ class TestRouteAgreement:
             g, seen = _counting(f)
             res = integrate(g, *args, **kwargs)
             sizes.append(seen)
-            assert (res.n_panels, res.n_evaluations) == (32, 704)
+            assert (res.n_panels, res.n_evaluations) == (4, 208)
+            assert res.error_estimate <= res.tolerance
             return res
 
         monkeypatch.setattr(radiometry, "integrate_semi_infinite", counted)
@@ -312,12 +342,12 @@ class TestRouteAgreement:
         energy_density_rest(t, units=u)
         for beta in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1.0 - 1e-9):
             energy_density_moving_spectral(t, make_boost([0.0, 0.0, beta]), units=u)
-        assert sizes == [[32 * 22]] * 10
+        assert sizes == [[4 * (32 + 20)]] * 10
 
     def test_reports_carry_the_quadrature_diagnostics(self):
         v = make_boost([0.0, 0.0, 0.999])
         spec = energy_density_moving_spectral(1.0, v)
-        assert (spec.n_panels, spec.n_evaluations) == (32, 704)
+        assert (spec.n_panels, spec.n_evaluations) == (4, 208)
         # the error bound is on W_moving and covers its distance from the closed form
         exact = expected_energy_ratio(v) * spec.W_rest
         assert 0.0 < spec.error_estimate <= 1e-10 * spec.W_moving
@@ -333,7 +363,7 @@ class TestRouteAgreement:
         assert (check.residual, check.tolerance) == (rep.error_estimate, rep.tolerance)
         # the tolerance is the integrator's, carried to W' like the estimate
         assert rep.tolerance == pytest.approx(1e-10 * rep.W_moving, rel=1e-12)
-        assert check.detail == "W' on 32 panels, 704 evaluations"
+        assert check.detail == "W' on 4 panels, 208 evaluations"
         corr = energy_density_moving_correlation(300.0, make_boost([0.0, 0.0, 0.6]))
         assert (corr.tolerance, corr.check) == (None, None)
 
@@ -344,7 +374,7 @@ class TestRouteAgreement:
         rep = energy_density_moving_spectral(1.0, make_boost([0.0, 0.0, 0.6]))
         assert rep.check.passed is False
         assert rep.check.residual > rep.check.tolerance == 0.0
-        nan = EnergyDensityReport(1.0, 1.75, 1.75, "spectral", math.nan, 32, 704, 1e-10)
+        nan = EnergyDensityReport(1.0, 1.75, 1.75, "spectral", math.nan, 4, 208, 1e-10)
         assert nan.check.passed is False
 
     def test_correlation_route_hits_closed_form_algebraically(self):
@@ -434,9 +464,11 @@ class TestExtremeTemperatures:
 
 
 def test_quadrature_rules_are_leggauss_bit_for_bit():
-    # tobytes also tells -0.0 from 0.0
-    nodes, w15, w7 = radiometry._gl_rules()
-    x15, v15 = np.polynomial.legendre.leggauss(15)
-    x7, v7 = np.polynomial.legendre.leggauss(7)
-    for got, want in ((nodes, np.concatenate((x15, x7))), (w15, v15), (w7, v7)):
-        assert got.tobytes() == want.tobytes()
+    # the stored positive halves, mirrored, are leggauss(32) and (20); tobytes
+    # also tells -0.0 from 0.0
+    for half, n in ((radiometry._GL32_HALF, 32), (radiometry._GL20_HALF, 20)):
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array(half[0]).tobytes() == x[n // 2:].tobytes()
+        assert np.array(half[1]).tobytes() == w[n // 2:].tobytes()
+        assert np.array_equal(x[:n // 2], -x[:n // 2 - 1:-1])
+        assert np.array_equal(w[:n // 2], w[:n // 2 - 1:-1])

@@ -1,5 +1,6 @@
 """The study scripts run end to end against the public API they import."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,16 @@ def test_script_exits_cleanly(argv):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_bound_sweep_writes_every_ratio_within_its_bound(tmp_path):
+    out = tmp_path / "sweep.json"
+    proc = run_script("bound_sweep.py", "--seed", "0", "--count", "5", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert (report["seed"], report["count"]) == (0, 5)
+    assert sorted(report["results"]) == [
+        "energy_density_moving_correlation", "energy_density_moving_spectral",
+        "integrate_semi_infinite", "integrate_semi_infinite.estimate",
+    ]
+    assert all(0.0 <= r["max_ratio"] <= 1.0 for r in report["results"].values())

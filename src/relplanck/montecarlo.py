@@ -11,24 +11,25 @@ histogram is an unbiased estimate of the boosted thermal spectral density,
 bin by bin; the unweighted total checks the energy ratio
 W'/W = gamma^2 (1 + beta^2/3).
 
-Frequency sampling is exact and rejection-free: expanding
-x^3/(e^x - 1) = sum_k x^3 e^{-k x} gives a mixture in which the integer k
-carries weight k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  The
-generator is counter-based (Philox) with one spawned child stream per
-fixed-size chunk.  By default the chunks run on every CPU the process may
-use, on plain threads that take the chunks in turn (of n threads, thread k
-runs chunks k, k + n, ...); each chunk's sums are reduced in chunk order,
-so a run is reproducible bit for bit for a given seed whatever the number
-of threads.  A chunk draws all its frequencies and cosines at once, then
-boosts and bins them in blocks of _BLOCK draws: each block's weight D^2
-overwrites its spent frequencies and its flat bin index its spent cosines.
-So a chunk holds two arrays of _CHUNK doubles plus one block's temporaries,
-which fit in a core's L2 cache, and its sums run over the whole chunk as
-one pass would.
+Frequency sampling is exact and rejection-free: expanding x^3/(e^x - 1) =
+sum_k x^3 e^{-k x} gives a mixture in which the integer k carries weight
+k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  Each fixed-size chunk
+draws from SFC64 (named in _chunk_rng only) on its own child of
+SeedSequence(seed).spawn.  By default the chunks run on every CPU the
+process may use, on plain threads that take the chunks in turn (of n
+threads, thread k runs chunks k, k + n, ...); each chunk's sums are
+reduced in chunk order, so a run is reproducible bit for bit for a given
+seed whatever the number of threads.  A chunk draws all its frequencies
+and cosines at once, then boosts and bins them in blocks of _BLOCK draws:
+each block's weight D^2 overwrites its spent frequencies and its flat bin
+index its spent cosines.  So a chunk holds two arrays of _CHUNK doubles
+plus one block's temporaries, which fit in a core's L2 cache, and its sums
+run over the whole chunk as one pass would.
 
-The reference bin averages use the 3-node Gauss-Legendre rule per axis,
-held as constants equal bit for bit to numpy's leggauss(3), so no run
-builds it.
+The reference bin averages are exact in mu', by u_moving's kernel on each
+bin's [mu_a, mu_b], and take 20-node Gauss-Legendre in omega': 1.1e-8
+off 40-digit mpmath at worst (tests/test_oracle.py).  The expected counts, a
+threshold only, take 2-node Gauss-Legendre in mu' on the same nodes.
 
 Each draw is binned once: one flat index over the (omega', mu') grid, by
 histogram2d's own edge rule, with one overflow slot for draws outside it,
@@ -42,18 +43,19 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .core import (
-    NATURAL, BoostVelocity, CheckResult, Component, UnitSystem, _check_omega, _check_seed,
+    NATURAL, BoostVelocity, CheckResult, UnitSystem, _check_omega, _check_seed,
     temperature_value,
 )
-from .kinematics import boost_mu, inverse_doppler_factor
-from .radiometry import expected_energy_ratio, thermal_energy_density_closed_form
-from .spectrum import rho_moving_mu
+from .kinematics import boost_mu
+from .radiometry import _GL20_HALF, expected_energy_ratio, thermal_energy_density_closed_form
+from .spectrum import _direction_integrated_x_occupation, effective_temperature_mu, spectral_prefactor
 
 __all__ = [
     "PLANCK_ENERGY_MEAN_X",
@@ -72,8 +74,11 @@ _CHUNK = 1 << 17
 # draws per boost-and-bin block: its half-dozen temporaries, 128 KiB each,
 # fit in a 2 MiB L2 cache
 _BLOCK = 1 << 14
-# _bin_averages holds 18 doubles per bin (the density and its weighted copy): 9 MiB at this cap
+# _reference peaks at about 180 doubles per bin: 95 MB at this cap
 _MAX_BINS = 1 << 16
+# _reference's rules stop where u = D omega' / s has grown by this much: past 30 lies
+# 1e-10 of a bin, and the poles at u = 2 pi i hold 20 nodes to 1e-9 (6e-5 at 16)
+_SPAN_OMEGA, _SPAN_MU = 30.0, 3.0
 
 # moments of the dimensionless thermal energy spectrum: the mean is
 # Gamma(5) zeta(5) / (Gamma(4) zeta(4)) = 360 zeta(5) / pi^4, the median
@@ -171,7 +176,8 @@ class McReport:
     Bins with expected occupancy below 10 are excluded from the chi-square;
     z_scores holds NaN there.  chi2_per_dof is NaN when every bin is
     excluded, and the check then fails.  n_threads is the number of threads
-    the chunks ran on.
+    the chunks ran on.  timings holds each stage's seconds, which vary run to
+    run; sample, boost and bin (index and sums) are summed over the chunks.
     """
 
     config: McConfig
@@ -197,6 +203,7 @@ class McReport:
     in_grid_fraction: float
     warnings: tuple
     n_threads: int
+    timings: dict
 
     @property
     def n_excluded(self) -> int:
@@ -207,9 +214,9 @@ class McReport:
         """The gate, mc-identity: residual |chi2/dof - 1| <= 0.5 (inf without bins), max|z| < 6,
         and |z_ratio| < 6 for W'/W against gamma^2 (1 + beta^2/3).
 
-        s2/n - mean^2 gives the weights' variance only to a few eps mean^2
-        (0 at rest and at |beta| 1e-9), so z_ratio divides by at least the
-        standard error of a variance of 64 eps mean^2.
+        Near rest the standard error falls below the rounding of W'/W (it
+        is 0 at rest), so z_ratio divides by at least the standard error of
+        a variance of 64 eps mean^2.
         """
         residual = abs(self.chi2_per_dof - 1.0) if self.dof else math.inf
         n = self.config.n_samples
@@ -223,25 +230,45 @@ class McReport:
         return CheckResult("mc-identity", bool(passed), residual, 0.5, detail)
 
 
-def _gauss3() -> tuple[np.ndarray, np.ndarray]:
-    """The 3-node Gauss-Legendre rule on [-1, 1]: leggauss(3)'s floats, which a test holds it to."""
-    return np.array([-0.7745966692414834, 0.0, 0.7745966692414834]), np.array(
-        [0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+def _reference(om_edges, mu_edges, v: BoostVelocity, t: float, units: UnitSystem):
+    """Each bin's average of the thermal density rho' and of rho' D^2, the density of draws.
+
+    rho' is the Planck law at T_eff = T / D.  With y = hbar omega' / k_B T,
+    pref s^3 y^2 times the kernel is rho' integrated over the mu' bin, taken
+    on 20 Gauss-Legendre nodes in omega'; rho' D^2 takes 2 nodes in u = D y.
+    """
+    s = units.k_B * t / units.hbar
+    x, w = np.array(_GL20_HALF)
+    # the rule on [0, 1], nodes ascending, weights summing to 1
+    x, w = 0.5 + 0.5 * np.concatenate((-x[::-1], x)), 0.5 * np.concatenate((w[::-1], w))
+    # (mu' bin, omega' bin, node): mu'-only factors broadcast over long loops
+    mu_a, mu_b = mu_edges[:-1, None, None], mu_edges[1:, None, None]
+    d_a = t / effective_temperature_mu(mu_a, v, t)
+    width = np.diff(om_edges)[:, None]
+    span = np.minimum(width, _SPAN_OMEGA * s / d_a)
+    y = (om_edges[:-1, None] + span * x) / s
+    rho_mu = y * y * _direction_integrated_x_occupation(y, v, mu_a, mu_b)
+    # over pref s^3, rho' D^2 over mu' is integral u^2 2 / (e^u - 1) du / (gamma |beta|)
+    g_b = v.gamma * v.beta_mag
+    u_a, du = d_a * y, np.minimum(g_b * (mu_b - mu_a) * y, _SPAN_MU)
+    nodes = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
+    with np.errstate(over="ignore"):  # the Wien tail's occupation is 0
+        occ = sum(u * u / np.expm1(u) for u in (u_a + node * du for node in nodes))
+    rho_d2 = occ * (du / g_b if g_b else y * (mu_b - mu_a))
+    scale = spectral_prefactor(units) * s**3 * span[..., 0].T / width / np.diff(mu_edges)
+    return np.einsum("bai,i->ab", rho_mu, w) * scale, np.einsum("bai,i->ab", rho_d2, w) * scale
 
 
-def _bin_averages(f, g, om_edges: np.ndarray, mu_edges: np.ndarray):
-    """Averages of f(omega', mu') and f g(mu') over each bin, f once on 3-node Gauss per axis."""
-    oc = 0.5 * (om_edges[1:] + om_edges[:-1])
-    oh = 0.5 * np.diff(om_edges)
-    mc = 0.5 * (mu_edges[1:] + mu_edges[:-1])
-    mh = 0.5 * np.diff(mu_edges)
-    x, w = _gauss3()
-    om_pts = oc[:, None] + oh[:, None] * x
-    mu_pts = mc[:, None] + mh[:, None] * x
-    vals = f(om_pts[:, :, None, None], mu_pts[None, None, :, :])
-    w = w / 2.0
-    return (np.einsum("aibj,i,j->ab", vals, w, w),
-            np.einsum("aibj,i,j->ab", vals * g(mu_pts), w, w))
+def _chunk_rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    """The generator one chunk draws from: SFC64, seeded by the chunk's SeedSequence child."""
+    return np.random.Generator(np.random.SFC64(seed_seq))
+
+
+def _lap(times: dict, stage: str, since: float) -> float:
+    """Adds the perf_counter seconds since `since` to times[stage]; returns the time now."""
+    now = time.perf_counter()
+    times[stage] = times.get(stage, 0.0) + (now - since)
+    return now
 
 
 def _axis_bins(edges: np.ndarray, x: np.ndarray, fold_last_edge: bool) -> np.ndarray:
@@ -263,8 +290,8 @@ def _axis_bins(edges: np.ndarray, x: np.ndarray, fold_last_edge: bool) -> np.nda
     np.clip(guess, 0, n - 1, out=guess)
     b = guess.astype(np.intp)
     del guess
-    below = x < lo[b]
-    above = x >= hi[b]
+    below = x < lo.take(b)
+    above = x >= hi.take(b)
     b -= below
     b += above
     return b
@@ -283,7 +310,9 @@ def _flat_bin_index(
     n_om, n_mu = om_edges.size - 1, mu_edges.size - 1
     i = _axis_bins(om_edges, om_p, fold_last_edge=False)
     j = _axis_bins(mu_edges, mu_p, fold_last_edge=True)
-    outside = (i < 0) | (i >= n_om) | (j < 0) | (j >= n_mu)
+    # -1 viewed as unsigned is the largest value, so one comparison per axis
+    outside = i.view(np.uintp) >= n_om
+    outside |= j.view(np.uintp) >= n_mu
     i *= n_mu
     i += j
     i[outside] = n_om * n_mu
@@ -329,6 +358,12 @@ def run_identity_check(
     n_flat = shape[0] * shape[1]
     w_rest = thermal_energy_density_closed_form(t, units)  # raises at T = 0, before sampling
     ratio_expected = expected_energy_ratio(v)
+    # no draw enters the reference; before the chunks its caches are warm
+    times, t0 = {}, time.perf_counter()
+    vol = np.diff(om_edges)[:, None] * np.diff(mu_edges)[None, :]
+    analytic, count_density = _reference(om_edges, mu_edges, v, t, units)
+    expected_counts = n_total * (2.0 * np.pi / w_rest) * count_density * vol
+    _lap(times, "reference", t0)
 
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_total - i * _CHUNK) for i in range(n_chunks)]
@@ -340,20 +375,28 @@ def run_identity_check(
         return np.bincount(idx, weights, n_flat + 1)[:n_flat].reshape(shape)
 
     def run_chunk(i: int):
-        rng = np.random.Generator(np.random.Philox(children[i]))
-        omega, mu = sample_rest_modes(t, sizes[i], rng, units)
+        chunk_times, t0 = {}, time.perf_counter()
+        omega, mu = sample_rest_modes(t, sizes[i], _chunk_rng(children[i]), units)
+        t0 = _lap(chunk_times, "sample", t0)
         # each block's weight overwrites its spent omega and its bin index its
         # spent mu; int64 has float64's itemsize on every platform, intp not
         wgt, idx = omega, mu.view(np.int64)
+        s1 = s2 = 0.0
         for lo in range(0, sizes[i], _BLOCK):
             blk = slice(lo, lo + _BLOCK)
             # the weight gamma^2 (1 - khat . beta)^2 is the solid-angle Jacobian D^2
             om_p, mu_p, _, wgt[blk] = boost_mu(omega[blk], mu[blk], v)
+            t0 = _lap(chunk_times, "boost", t0)
             idx[blk] = _flat_bin_index(om_edges, mu_edges, om_p, mu_p)
-        h1, s1 = hist(idx, wgt), float(wgt.sum())
-        np.square(wgt, out=wgt)
-        h2, s2 = hist(idx, wgt), float(wgt.sum())
-        return h1, h2, hist(idx, None).astype(float), s1, s2
+            dev = wgt[blk] - 1.0  # sums of w and w^2 cancel where w's variance is below eps
+            s1 += float(dev.sum())
+            s2 += float(np.square(dev, out=dev).sum())
+            t0 = _lap(chunk_times, "bin", t0)
+        h1 = hist(idx, wgt)
+        h2 = hist(idx, np.square(wgt, out=wgt))
+        counts = hist(idx, None).astype(float)
+        _lap(chunk_times, "bin", t0)
+        return h1, h2, counts, s1, s2, chunk_times
 
     if n_threads == 1:
         parts = [run_chunk(i) for i in range(n_chunks)]
@@ -379,6 +422,7 @@ def run_identity_check(
                     th.join()
         if failed:
             raise failed[min(failed)]
+    t0 = time.perf_counter()
     # reduce in chunk order: the result must not depend on thread scheduling
     h1 = sum(p[0] for p in parts)
     h2 = sum(p[1] for p in parts)
@@ -386,20 +430,10 @@ def run_identity_check(
     s1 = math.fsum(p[3] for p in parts)
     s2 = math.fsum(p[4] for p in parts)
 
-    vol = np.diff(om_edges)[:, None] * np.diff(mu_edges)[None, :]
     mean_contrib = h1 / n_total
     estimated = w_rest * mean_contrib / (vol * 2.0 * np.pi)
     var_contrib = np.maximum(h2 / n_total - mean_contrib**2, 0.0)
     std_error = w_rest / (vol * 2.0 * np.pi) * np.sqrt(var_contrib / n_total)
-
-    # a draw's weight is D^2 = 1 / (gamma (1 + |beta| mu'))^2, so the density of
-    # draws is the energy density divided by it
-    analytic, count_density = _bin_averages(
-        lambda om, mu: rho_moving_mu(om, mu, v, t, Component.THERMAL, units),
-        lambda mu: inverse_doppler_factor(mu, v) ** 2,
-        om_edges, mu_edges,
-    )
-    expected_counts = n_total * (2.0 * np.pi / w_rest) * count_density * vol
 
     included = expected_counts >= 10.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -411,8 +445,8 @@ def run_identity_check(
     chi2_per_dof = chi2 / dof if dof else float("nan")
     max_abs_z = float(np.max(np.abs(z_inc))) if dof else 0.0
 
-    mean_w = s1 / n_total
-    var_w = max(s2 / n_total - mean_w**2, 0.0)
+    mean_w = 1.0 + s1 / n_total
+    var_w = max(s2 / n_total - (s1 / n_total) ** 2, 0.0)
     w_prime_est = w_rest * mean_w
     w_prime_se = w_rest * math.sqrt(var_w / n_total)
 
@@ -430,6 +464,8 @@ def run_identity_check(
             f"only {in_grid:.1%} of draws landed inside the omega' grid; "
             "consider raising omega_prime_max"
         )
+    _lap(times, "statistics", t0)
+    times.update((k, sum(p[5][k] for p in parts)) for k in ("sample", "boost", "bin"))
 
     return McReport(
         config=cfg,
@@ -455,4 +491,5 @@ def run_identity_check(
         in_grid_fraction=in_grid,
         warnings=tuple(warnings),
         n_threads=n_threads,
+        timings=times,
     )

@@ -178,28 +178,29 @@ def rho_moving_pullback_mu(
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
-def _direction_integrated_x_occupation(x, v: BoostVelocity):
-    """x integral_{-1}^{1} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0.
+def _direction_integrated_x_occupation(x, v: BoostVelocity, mu_a=-1.0, mu_b=1.0):
+    """x integral_{mu_a}^{mu_b} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0.
 
     2 ln(1 - e^{-D x}) is an antiderivative in D x, so the value is
     (2 / (gamma |beta|)) log1p(e^{-lo} (1 - e^{-2a}) / (1 - e^{-lo})) with
-    lo = gamma (1 - |beta|) x and a = gamma |beta| x: nothing cancels at small
-    beta or small x, the Wien tail underflows to 0, and the value tends to
+    lo = gamma (1 + |beta| mu_a) x and 2a = gamma |beta| (mu_b - mu_a) x:
+    nothing cancels at small beta, small x or a narrow interval, the Wien
+    tail underflows to 0, and on [-1, 1] the value tends to
     (2 / (gamma |beta|)) ln((1 + |beta|) / (1 - |beta|)) as x -> 0 without
     overflowing.  At rest, and where a underflows, the integrand is flat in
-    mu' and the value is 2 _x_occupation(x).  Vectorized.
+    mu' and the value is (mu_b - mu_a) _x_occupation(x).  Broadcasts.
     """
     x = np.asarray(x, dtype=float)
     if v.is_rest:
-        return 2.0 * _x_occupation(x)
-    neg_lo = -(v.gamma * (1.0 - v.beta_mag)) * x
-    a = v.gamma * v.beta_mag * x
+        return (mu_b - mu_a) * _x_occupation(x)
+    neg_lo = -(v.gamma * (1.0 + v.beta_mag * mu_a)) * x
+    a = v.gamma * v.beta_mag * (0.5 * (mu_b - mu_a)) * x
     # (1 - e^{-2a}) / (1 - e^{-lo}) with both signs flipped, which is exact
     log_ratio = np.log1p(np.exp(neg_lo) * np.expm1(-2.0 * a) / np.expm1(neg_lo))
     value = np.asarray(2.0 * log_ratio / (v.gamma * v.beta_mag))
     flat = a == 0.0
     if flat.any():
-        value[flat] = 2.0 * _x_occupation(x[flat])
+        value = np.where(flat, (mu_b - mu_a) * _x_occupation(x), value)
     return value
 
 

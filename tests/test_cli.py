@@ -353,6 +353,19 @@ class TestMcVerifyCommand:
         assert code2 == 0
         assert out2 == out
 
+    def test_beta_0_9_at_a_million_draws_passes(self, capsys):
+        # the exact mu' reference: the 3-node one read chi2/dof 1.77 here
+        code, out, err = run_cli(capsys, "mc-verify", "--beta", "0.9", "--n", "1000000")
+        assert code == 0, err
+        assert json.loads(out)["results"]["dof"] >= 90
+
+    def test_near_rest_states_a_nonzero_ratio_error(self, capsys):
+        # the weights' variance, 1.3e-18 at beta 1e-9, no longer cancels
+        code, out, _ = run_cli(capsys, "mc-verify", "--beta", "1e-9", "--n", "2000")
+        assert code == 0
+        se = json.loads(out)["results"]["ratio_std_error"]
+        assert se == pytest.approx(math.sqrt(4.0 / 3.0 * 1e-18 / 2000), rel=0.1)
+
     def test_sparse_run_fails_with_null_chi2(self, capsys):
         code, out, _ = run_cli(capsys, "mc-verify", "--beta", "0.6", "--n", "100")
         assert code == 1

@@ -64,6 +64,18 @@ error on W' and meet its tolerance.  Worst measured: 1.2e-15 on the grid,
 1.3e-15 on these 200 and 1.8e-15 on 100,000 random boosts
 (scripts/bound_sweep.py, seeds 1-5), with the actual error at most 0.16 of
 the estimate.
+
+The Monte Carlo reference, McReport.analytic: bin averages of the thermal
+rho' on mc-verify's default grid (32 x 16 bins, omega' up to
+15 gamma (1 + beta) k_B T / hbar) at T = 1 natural and 300 K SI, against a
+40-digit mpmath quadrature over omega' of the closed-form mu' integral, at
+beta 0, 1e-12, 0.6, 0.99 and 1 - 1e-9, each held to 1e-10 relative.  The
+closed form itself is held to mpmath's quadrature over mu' at one omega'
+per bin.  The bins are the populated ones; the worst measured elsewhere on
+these grids is 1.1e-8 in the first bin at 1 - 1e-9 (omega' from 0, mu'
+from -1 to -0.875, where D spans 8 decades and the density goes like
+omega'^2 ln omega' near 0) and 4e-10 in first omega' bins whose rule the
+reference cuts short.
 """
 
 import mpmath
@@ -73,6 +85,7 @@ import pytest
 from relplanck import (
     NATURAL,
     Component,
+    McConfig,
     UnitSystem,
     boost_mu,
     effective_temperature_mu,
@@ -80,6 +93,7 @@ from relplanck import (
     energy_density_moving_spectral,
     make_boost,
     rho_moving_mu,
+    run_identity_check,
     rho_rest,
     spectral_prefactor,
     temperature_multipoles,
@@ -268,3 +282,55 @@ def test_energy_ratio_routes_match_mpmath(cases):
             assert abs(corr - want) <= CORRELATION_BOUND * want, (v.beta_mag, corr)
             checked += 1
     assert checked >= 88
+
+
+# (omega' bin, mu' bin) per beta on mc-verify's default 32 x 16 grid
+MC_REFERENCE_BINS = {
+    0.0: [(0, 0), (5, 0), (2, 7), (0, 15), (10, 3)],
+    1e-12: [(0, 0), (5, 0), (2, 7), (0, 15), (10, 3)],
+    0.6: [(0, 0), (5, 0), (2, 7), (0, 15), (10, 3)],
+    0.99: [(0, 0), (1, 0), (5, 0)],
+    1.0 - 1e-9: [(1, 0), (5, 0)],
+}
+MC_REFERENCE_BOUND = 1e-10
+
+
+def _bin_average_oracle(v, x_lo, x_hi, mu_a, mu_b):
+    """The average of x^3 2 / (e^{D x} - 1) over [x_lo, x_hi] x [mu_a, mu_b] at 40 digits."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(v.beta_mag)
+        gamma = 1 / mpmath.sqrt(1 - b * b)
+        lo, hi, a, c = map(mpmath.mpf, (x_lo, x_hi, mu_a, mu_b))
+        d_a, d_b = gamma * (1 + b * a), gamma * (1 + b * c)
+
+        def ln_1m_exp(u):  # ln(1 - e^{-u}) without cancellation at either end
+            return mpmath.log(-mpmath.expm1(-u)) if u < 1 else mpmath.log1p(-mpmath.exp(-u))
+
+        def mu_integral(x):  # x^3 integral of 2 / (e^{D x} - 1) over [mu_a, mu_b]
+            if b == 0:
+                return x**3 * 2 / mpmath.expm1(x) * (c - a)
+            return x**2 * 2 * (ln_1m_exp(d_b * x) - ln_1m_exp(d_a * x)) / (gamma * b)
+
+        mid = (lo + hi) / 2
+        direct = mid**3 * mpmath.quad(lambda m: 2 / mpmath.expm1(gamma * (1 + b * m) * mid), [a, c])
+        # at beta 1e-12 the log difference cancels 12 of the 40 digits
+        assert abs(mu_integral(mid) - direct) <= mpmath.mpf(10) ** -20 * direct
+        # the integrand falls off like e^{-D x}: split where it has fallen
+        cuts = sorted({p for d in (d_a, d_b) for p in (lo + k / d for k in (1, 4, 16, 64))
+                       if lo < p < hi})
+        return mpmath.quad(mu_integral, [lo, *cuts, hi]) / ((hi - lo) * (c - a))
+
+
+@pytest.mark.parametrize("beta", MC_REFERENCE_BINS, ids=repr)
+def test_monte_carlo_reference_matches_mpmath(beta):
+    v = make_boost([0.0, 0.0, beta])
+    for t, units in ((1.0, NATURAL), (300.0, UnitSystem.si())):
+        s = units.k_B * t / units.hbar
+        cfg = McConfig(n_samples=1000, seed=1, omega_prime_max=15.0 * v.gamma * (1.0 + beta) * s)
+        rep = run_identity_check(t, v, cfg, units)
+        x_edges = rep.omega_edges / s
+        for i, j in MC_REFERENCE_BINS[beta]:
+            want = spectral_prefactor(units) * s**3 * _bin_average_oracle(
+                v, x_edges[i], x_edges[i + 1], rep.mu_edges[j], rep.mu_edges[j + 1])
+            got = rep.analytic[i, j]
+            assert abs(got - want) <= MC_REFERENCE_BOUND * want, (t, i, j, got, float(want))

@@ -51,3 +51,15 @@ def test_bound_sweep_writes_every_ratio_within_its_bound(tmp_path):
         "integrate_semi_infinite", "integrate_semi_infinite.estimate",
     ]
     assert all(0.0 <= r["max_ratio"] <= 1.0 for r in report["results"].values())
+
+
+def test_mc_convergence_prints_the_failed_share_over_seeds():
+    proc = run_script("mc_convergence.py", "--seeds", "1-3", "--n-max", "2000")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    verdicts = [ln.split()[1] for ln in lines[1:4]]
+    assert [ln.split()[0] for ln in lines[1:4]] == ["1", "2", "3"]
+    assert set(verdicts) <= {"PASS", "FAIL"}
+    failed = verdicts.count("FAIL")
+    assert lines[-1] == (f"{failed} of 3 seeds fail mc-identity at N = 2000: "
+                         f"share {failed / 3:.3f}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import SEED_RANGE
-from relplanck import kinematics, radiometry, selfcheck, spectrum
+from relplanck import kinematics, montecarlo, radiometry, selfcheck, spectrum
 from relplanck.cli import main
 from relplanck.core import NATURAL, Component, PhotonMode
 from relplanck.selfcheck import run_selfcheck
@@ -166,8 +166,8 @@ def test_a_1e_10_closed_form_fault_fails_the_quick_battery(monkeypatch, capsys, 
 
 def test_unseeded_generator_fails_the_quick_battery(monkeypatch, capsys):
     # chunks that ignore their seed give two reports for one seed
-    philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda seed=None: philox())
+    monkeypatch.setattr(montecarlo, "_chunk_rng",
+                        lambda seed_seq: np.random.Generator(np.random.SFC64()))
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL  mc-determinism") for line in out.splitlines())

@@ -271,6 +271,25 @@ class TestDirectionIntegrated:
         assert np.array_equal(got[2:], 2.0 * log_ratio / (v.gamma * v.beta_mag))
         assert [float(_direction_integrated_x_occupation(xi, v)) for xi in x] == got.tolist()
 
+    def test_kernel_on_an_interval_adds_up_to_the_whole(self):
+        # the mu' integral over 8 equal bins, each by its own closed form,
+        # sums to the one over [-1, 1], the default, at rest and where the
+        # boost underflows (x 1e-300 at beta 1e-150) too; the cold bins'
+        # Wien tails underflow to 0
+        edges = np.linspace(-1.0, 1.0, 9)
+        for beta in (0.0, 1e-150, 1e-12, 0.6, 0.99, 1.0 - 1e-9):
+            x = np.geomspace(1e-120, 300.0, 60)
+            if beta == 1e-150:
+                x = np.concatenate(([1e-300], x))
+            v = make_boost([0.0, 0.0, beta])
+            whole = _direction_integrated_x_occupation(x, v)
+            assert np.array_equal(_direction_integrated_x_occupation(x, v, -1.0, 1.0), whole)
+            parts = _direction_integrated_x_occupation(x[:, None], v, edges[:-1], edges[1:])
+            assert parts.shape == (x.size, 8) and np.all(parts >= 0.0)
+            # a rounding of D x moves e^{-D x} by D x times as much
+            bound = 8.0 * 2.0**-52 * (1.0 + v.gamma * (1.0 + v.beta_mag) * x) * whole
+            assert np.all(np.abs(parts.sum(axis=1) - whole) <= bound), beta
+
     def test_temperature_and_unit_scaling(self):
         # u'(omega') = (k_B T / hbar)^3 hbar / c^3 f(hbar omega' / k_B T)
         si = UnitSystem.si()

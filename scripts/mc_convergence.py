@@ -5,7 +5,8 @@ freedom settling near 1, the number of usable bins growing, and the
 standard error of the W'/W estimate shrinking like 1/sqrt(N).  With
 --seeds it runs each seed once at --n-max instead and prints the share of
 seeds whose mc-identity check fails: a gate's false-alarm rate, read over
-many seeds rather than seed by seed.
+many seeds rather than seed by seed.  The runs use every CPU in the
+process's affinity set; run under taskset to use fewer.
 
     python3 scripts/mc_convergence.py
     python3 scripts/mc_convergence.py --beta 0.9 --omega-prime-max 65 --seed 7
@@ -25,7 +26,7 @@ def seed_share(args, v, omega_max):
     failed = 0
     for seed in args.seeds:
         cfg = McConfig(n_samples=args.n_max, seed=seed, omega_prime_max=omega_max)
-        check = run_identity_check(args.temperature, v, cfg, n_threads=args.threads).check
+        check = run_identity_check(args.temperature, v, cfg).check
         failed += not check.passed
         print(f"{seed:>9d}  {'PASS' if check.passed else 'FAIL'}  {check.detail}")
     print(f"\n{failed} of {len(args.seeds)} seeds fail mc-identity at N = {args.n_max}: "
@@ -42,8 +43,6 @@ def main():
     ap.add_argument("--omega-prime-max", type=float, default=None,
                     help="default: 15 gamma (1 + beta) T, as mc-verify")
     ap.add_argument("--n-max", type=int, default=1_000_000)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: every usable CPU)")
     args = ap.parse_args()
 
     v = make_boost([0.0, 0.0, args.beta])
@@ -68,7 +67,7 @@ def main():
     for n in sizes:
         cfg = McConfig(n_samples=n, seed=args.seed, omega_prime_max=omega_max)
         t0 = time.perf_counter()
-        rep = run_identity_check(args.temperature, v, cfg, n_threads=args.threads)
+        rep = run_identity_check(args.temperature, v, cfg)
         dt = time.perf_counter() - t0
         if rep.ratio_std_error > 0.0:
             pull = (rep.ratio_estimate - rep.ratio_expected) / rep.ratio_std_error

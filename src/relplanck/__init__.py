@@ -8,35 +8,10 @@ identities by quadrature and Monte Carlo.  Temperature always means the
 rest-frame temperature; it is never transformed.
 """
 
-from .core import (
-    NATURAL,
-    BoostVelocity,
-    CheckResult,
-    Component,
-    PhotonMode,
-    UnitSystem,
-    make_boost,
-    temperature_value,
-)
-from .kinematics import (
-    ModeTransformResult,
-    aberrate_mu,
-    boost_mode,
-    boost_mu,
-    direction_with_cosine,
-    doppler_factor,
-    inverse_doppler_factor,
-)
-from .spectrum import (
-    MultipoleCoefficients,
-    effective_temperature_mu,
-    rho_moving_mu,
-    rho_moving_pullback_mu,
-    rho_rest,
-    spectral_prefactor,
-    temperature_multipoles,
-    u_moving,
-)
+from . import core, kinematics, spectrum
+from .core import *  # noqa: F403
+from .kinematics import *  # noqa: F403
+from .spectrum import *  # noqa: F403
 
 __version__ = "0.1.0"
 
@@ -67,19 +42,4 @@ def __dir__():
 
 
 # the names `from relplanck import *` binds: the public API, not the submodules
-__all__ = [
-    "NATURAL", "BoostVelocity", "CheckResult", "Component", "PhotonMode", "UnitSystem",
-    "make_boost", "temperature_value",
-    "ModeTransformResult", "aberrate_mu", "boost_mode", "boost_mu",
-    "direction_with_cosine", "doppler_factor", "inverse_doppler_factor",
-    "PLANCK_ENERGY_MEAN_X", "PLANCK_ENERGY_MEDIAN_X", "McConfig", "McReport",
-    "run_identity_check", "sample_rest_modes",
-    "EnergyDensityReport", "QuadratureResult",
-    "energy_density_moving_correlation", "energy_density_moving_spectral",
-    "energy_density_rest", "expected_energy_ratio", "integrate_semi_infinite",
-    "thermal_energy_density_closed_form",
-    "run_selfcheck",
-    "MultipoleCoefficients", "effective_temperature_mu", "rho_moving_mu",
-    "rho_moving_pullback_mu", "rho_rest", "spectral_prefactor", "temperature_multipoles",
-    "u_moving",
-]
+__all__ = [*core.__all__, *kinematics.__all__, *spectrum.__all__, *_LAZY]

@@ -252,13 +252,10 @@ def _cmd_energy_density(args) -> _Output:
     units = _units_from(args)
     t = temperature_value(args.temperature)
     v = _boost_from(args)
-    routes = {"spectral": energy_density_moving_spectral,
-              "correlation": energy_density_moving_correlation}
-    names = list(routes) if args.method == "both" else [args.method]
-    reports = [routes[name](t, v, units=units) for name in names]
+    reports = [route(t, v, units=units)
+               for route in (energy_density_moving_spectral, energy_density_moving_correlation)]
     expected = expected_energy_ratio(v)
-    inputs = {"temperature": t, "beta": _beta_list(v), "method": args.method,
-              "units": args.units}
+    inputs = {"temperature": t, "beta": _beta_list(v), "units": args.units}
     rows = [
         {"method": r.method, "w_rest": r.W_rest, "w_moving": r.W_moving,
          "ratio": r.ratio, "ratio_minus_expected": r.ratio - expected,
@@ -311,7 +308,7 @@ def _cmd_mc_verify(args) -> _Output:
         omega_max = 15.0 * v.gamma * (1.0 + v.beta_mag) * t * units.k_B / units.hbar
     cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
                    n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
-    rep = run_identity_check(t, v, cfg, units=units, n_threads=args.threads)
+    rep = run_identity_check(t, v, cfg, units=units)
     inputs = {"temperature": t, "beta": _beta_list(v), "n": args.n, "seed": args.seed,
               "bins_omega": args.bins_omega, "bins_mu": args.bins_mu,
               "omega_prime_max": omega_max, "threads": rep.n_threads, "units": args.units}
@@ -385,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy-density",
                        help="thermal energy density in both frames, two routes")
     p.add_argument("--temperature", type=float, required=True)
-    p.add_argument("--method", choices=["spectral", "correlation", "both"], default="both")
     _add_boost_flags(p)
     _add_units_flag(p)
     _add_format_flag(p, "csv")
@@ -411,9 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins-mu", type=int, default=16)
     p.add_argument("--omega-prime-max", type=float, default=None,
                    help="upper edge of the moving-frame frequency grid")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the sample chunks, at most one per chunk "
-                        "(default: every usable CPU)")
     _add_boost_flags(p)
     _add_units_flag(p)
     _add_format_flag(p, "json")

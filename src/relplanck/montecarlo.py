@@ -15,16 +15,17 @@ Frequency sampling is exact and rejection-free: expanding x^3/(e^x - 1) =
 sum_k x^3 e^{-k x} gives a mixture in which the integer k carries weight
 k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  Each fixed-size chunk
 draws from SFC64 (named in _chunk_rng only) on its own child of
-SeedSequence(seed).spawn.  By default the chunks run on every CPU the
-process may use, on plain threads that take the chunks in turn (of n
-threads, thread k runs chunks k, k + n, ...); each chunk's sums are
-reduced in chunk order, so a run is reproducible bit for bit for a given
-seed whatever the number of threads.  A chunk draws all its frequencies
-and cosines at once, then boosts and bins them in blocks of _BLOCK draws:
-each block's weight D^2 overwrites its spent frequencies and its flat bin
-index its spent cosines.  So a chunk holds two arrays of _CHUNK doubles
-plus one block's temporaries, which fit in a core's L2 cache, and its sums
-run over the whole chunk as one pass would.
+SeedSequence(seed).spawn.  The chunks run on plain threads, one per CPU
+in the process's affinity set (run under taskset to use fewer) and at
+most one per chunk, never on the calling thread; the threads take the
+chunks in turn (of n threads, thread k runs chunks k, k + n, ...).  Each
+chunk's sums are reduced in chunk order, so a run is reproducible bit for
+bit for a given seed whatever the number of threads.  A chunk draws all
+its frequencies and cosines at once, then boosts and bins them in blocks
+of _BLOCK draws: each block's weight D^2 overwrites its spent frequencies
+and its flat bin index its spent cosines.  So a chunk holds two arrays
+of _CHUNK doubles plus one block's temporaries, which fit in a core's L2
+cache, and its sums run over the whole chunk as one pass would.
 
 The reference bin averages are exact in mu', by u_moving's kernel on each
 bin's [mu_a, mu_b], and take 20-node Gauss-Legendre in omega': 1.1e-8
@@ -214,17 +215,15 @@ class McReport:
         """The gate, mc-identity: residual |chi2/dof - 1| <= 0.5 (inf without bins), max|z| < 6,
         and |z_ratio| < 6 for W'/W against gamma^2 (1 + beta^2/3).
 
-        Near rest the standard error falls below the rounding of W'/W (it
-        is 0 at rest), so z_ratio divides by at least the standard error of
-        a variance of 64 eps mean^2.
+        At rest every weight is 1 and the standard error is 0, so z_ratio
+        divides by at least 2 ulps of the expected W'/W, its rounding.
         """
         residual = abs(self.chi2_per_dof - 1.0) if self.dof else math.inf
-        n = self.config.n_samples
-        se = max(self.ratio_std_error, 8.0 * self.ratio_estimate * math.sqrt(math.ulp(1.0) / n))
+        se = max(self.ratio_std_error, 2.0 * math.ulp(self.ratio_expected))
         z_ratio = (self.ratio_estimate - self.ratio_expected) / se
         detail = (f"chi2/dof = {self.chi2_per_dof:.4f} (dof {self.dof}), "
                   f"max|z| = {self.max_abs_z:.2f}, W'/W = {self.ratio_estimate:.6f} "
-                  f"+- {self.ratio_std_error:.6f} (expected {self.ratio_expected:.6f}), "
+                  f"+- {self.ratio_std_error:.3g} (expected {self.ratio_expected:.6f}), "
                   f"z_ratio = {z_ratio:.2f}")
         passed = residual <= 0.5 and self.max_abs_z < 6.0 and abs(z_ratio) < 6.0
         return CheckResult("mc-identity", bool(passed), residual, 0.5, detail)
@@ -342,10 +341,11 @@ def run_identity_check(
     variance of the per-draw contributions, expected bin occupancies from
     the analytic push-forward of the sampling density.
 
-    Chunks run on n_threads threads, None meaning every CPU this process
-    may use; either is capped at the chunk count.  The report is the same
-    bit for bit whatever the thread count.  An exception in a chunk is
-    raised here once every thread has ended.
+    Chunks run on n_threads worker threads, None meaning every CPU this
+    process may use; either is capped at the chunk count, and no chunk runs
+    on the calling thread.  The report is the same bit for bit whatever the
+    thread count.  An exception in a chunk is raised here once every thread
+    has ended: the one of the lowest failed chunk.
     """
     t = temperature_value(T)
     if n_threads is not None and n_threads < 1:
@@ -398,30 +398,28 @@ def run_identity_check(
         _lap(chunk_times, "bin", t0)
         return h1, h2, counts, s1, s2, chunk_times
 
-    if n_threads == 1:
-        parts = [run_chunk(i) for i in range(n_chunks)]
-    else:
-        parts, failed = [None] * n_chunks, {}
+    parts, failed = [None] * n_chunks, {}
 
-        def run_share(k: int):
-            # chunks k, k + n_threads, ...: each slot of parts has one writer
-            for i in range(k, n_chunks, n_threads):
-                try:
-                    parts[i] = run_chunk(i)
-                except BaseException as exc:  # re-raised in the caller
-                    failed[i] = exc
-                    return
+    def run_share(k: int):
+        # chunks k, k + n_threads, ...: each slot of parts has one writer
+        for i in range(k, n_chunks, n_threads):
+            try:
+                parts[i] = run_chunk(i)
+            except BaseException as exc:  # re-raised in the caller
+                failed[i] = exc
+                return
 
-        threads = [threading.Thread(target=run_share, args=(k,)) for k in range(n_threads)]
-        try:
-            for th in threads:
-                th.start()
-        finally:
-            for th in threads:
-                if th.ident is not None:
-                    th.join()
-        if failed:
-            raise failed[min(failed)]
+    # a single chunk too runs on a thread of its own, never on the caller's
+    threads = [threading.Thread(target=run_share, args=(k,)) for k in range(n_threads)]
+    try:
+        for th in threads:
+            th.start()
+    finally:
+        for th in threads:
+            if th.ident is not None:
+                th.join()
+    if failed:
+        raise failed[min(failed)]
     t0 = time.perf_counter()
     # reduce in chunk order: the result must not depend on thread scheduling
     h1 = sum(p[0] for p in parts)

@@ -222,14 +222,13 @@ def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
 
 
 def expected_energy_ratio(v: BoostVelocity) -> float:
-    """Closed-form W'/W for the thermal component: gamma^2 (1 + beta^2/3)."""
-    return v.gamma**2 * (1.0 + v.beta_mag**2 / 3.0)
+    """Closed-form W'/W for the thermal component: gamma^2 (1 + beta^2/3), correctly rounded.
 
-
-def _report(w_rest: float, ratio: float, method: str, *quadrature) -> EnergyDensityReport:
-    """The report for W' = W ratio."""
-    w_moving = w_rest * ratio
-    return EnergyDensityReport(w_rest, w_moving, w_moving / w_rest, method, *quadrature)
+    With beta = p / q exactly, it is (3 q^2 + p^2) / (3 (q^2 - p^2)), and
+    Python's int true division rounds that quotient correctly.
+    """
+    p, q = v.beta_mag.as_integer_ratio()
+    return (3 * q * q + p * p) / (3 * (q * q - p * p))
 
 
 def energy_density_rest(T, units: UnitSystem = NATURAL) -> float:
@@ -275,9 +274,9 @@ def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATU
         lambda x: x**2 * _direction_integrated_x_occupation(x, v), scale=hottest
     )
     per_ratio = 15.0 / (4.0 * math.pi**4)
-    to_w = w_rest * per_ratio
-    return _report(
-        w_rest, per_ratio * moving.value, "spectral",
+    ratio, to_w = per_ratio * moving.value, w_rest * per_ratio
+    return EnergyDensityReport(
+        w_rest, w_rest * ratio, ratio, "spectral",
         to_w * moving.error_estimate, moving.n_panels, moving.n_evaluations,
         to_w * moving.tolerance,
     )
@@ -299,4 +298,5 @@ def energy_density_moving_correlation(
     """
     w_rest = thermal_energy_density_closed_form(T, units)
     boost = kinematics._field_boost_matrix(v)
-    return _report(w_rest, math.fsum((boost * boost).ravel().tolist()) / 6.0, "correlation")
+    ratio = math.fsum((boost * boost).ravel().tolist()) / 6.0
+    return EnergyDensityReport(w_rest, w_rest * ratio, ratio, "correlation")

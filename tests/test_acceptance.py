@@ -234,8 +234,7 @@ def test_cli_contract(capsys, monkeypatch):
     # a quadrature that misses its tolerance (0 here) fails its record
     monkeypatch.setattr(radiometry, "_REL_TOL", 0.0)
     monkeypatch.setattr(radiometry, "_ABS_TOL", 0.0)
-    assert cli_main(["energy-density", "--temperature", "1", "--beta", "0.6",
-                     "--method", "spectral"]) == 1
+    assert cli_main(["energy-density", "--temperature", "1", "--beta", "0.6"]) == 1
     fails = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL  quadrature ")
     elapsed = time.perf_counter() - t0

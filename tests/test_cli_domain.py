@@ -334,8 +334,6 @@ REJECTED_FLAGS = {
     "boost-mode-mu-nan": (["boost-mode", "--omega", "1", "--mu", "nan"],
                           "cosine must lie in [-1, 1]"),
     "energy-density-T-0": (["energy-density", "--temperature", "0"], "T > 0 required"),
-    "mc-verify-threads-0": (["mc-verify", "--n", "2000", "--threads", "0"],
-                            "n_threads must be >= 1"),
 }
 
 

@@ -352,7 +352,7 @@ class TestIdentityCheck:
         assert stages["reference"] + stages["statistics"] <= wall
 
     def test_thread_count_is_capped_at_the_chunk_count(self):
-        # one chunk runs on the calling thread, however many threads are asked for
+        # one chunk runs on one worker thread, however many are asked for
         v = make_boost([0, 0, 0.6])
         cfg = McConfig(n_samples=1000, seed=3, omega_prime_max=30.0)
         rep = run_identity_check(1.0, v, cfg, n_threads=100_000)
@@ -492,6 +492,27 @@ class TestEnergyRatioGate:
         assert rep.check.passed is False
         assert rep.check.detail.endswith("z_ratio = 16.08")
 
+    def test_a_near_rest_weight_fault_fails(self, monkeypatch):
+        # at beta 1e-9 the standard error of W'/W is 1.8e-12, and D^2 x
+        # (1 + 1e-10) puts W'/W 55 of them off; a floor on the standard error
+        # far above its true value would pass this run
+        exact = montecarlo.boost_mu
+
+        def heavy(omega, mu, v):
+            om_p, mu_p, jac_freq, d2 = exact(omega, mu, v)
+            return om_p, mu_p, jac_freq, d2 * (1.0 + 1e-10)
+
+        monkeypatch.setattr(montecarlo, "boost_mu", heavy)
+        rep = run_identity_check(1.0, make_boost([0, 0, 1e-9]), CFG_4E5)
+        assert rep.check.residual <= 0.5 and rep.max_abs_z < 6.0
+        assert rep.check.passed is False
+        assert float(rep.check.detail.rsplit("= ", 1)[1]) > 50.0
+
+    def test_the_detail_states_a_near_rest_standard_error(self):
+        rep = run_identity_check(1.0, make_boost([0, 0, 1e-9]), CFG_4E5)
+        assert f"+- {rep.ratio_std_error:.3g} " in rep.check.detail
+        assert "+- 0.000000" not in rep.check.detail
+
     @pytest.mark.parametrize("beta", [0.0, 1e-9, 1e-8])
     def test_a_rounded_away_variance_still_passes(self, beta):
         # at rest every weight is 1; at 1e-9 the weights' variance, 1.3e-18,
@@ -550,6 +571,28 @@ class TestPlainThreads:
         assert set(threading.enumerate()) == before
         assert threading.current_thread() not in threads_used
         assert len(threads_used) == 2
+
+    @pytest.mark.parametrize("n, n_threads", [(1000, None), (3 * _CHUNK + 10, 1)],
+                             ids=["one-chunk", "four-chunks-one-thread"])
+    def test_no_chunk_runs_on_the_calling_thread(self, monkeypatch, n, n_threads):
+        # every chunk runs on a worker thread, so a run has one path whatever
+        # its chunk and thread counts
+        cfg = McConfig(n_samples=n, seed=11, omega_prime_max=24.0)
+        sample = montecarlo.sample_rest_modes
+        threads_used = []
+
+        def recorded(t, n, rng, units):
+            threads_used.append(threading.current_thread())
+            return sample(t, n, rng, units)
+
+        monkeypatch.setattr(montecarlo, "sample_rest_modes", recorded)
+        before = set(threading.enumerate())
+        rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), cfg, n_threads=n_threads)
+        assert set(threading.enumerate()) == before
+        assert rep.n_threads == 1
+        assert len(threads_used) == -(-n // _CHUNK)
+        assert len(set(threads_used)) == 1
+        assert threading.current_thread() not in threads_used
 
     def test_more_threads_than_cores_switching_often_give_the_serial_report(self):
         # every thread writes its own slots of one shared list; a lost or

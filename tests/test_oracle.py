@@ -91,6 +91,7 @@ from relplanck import (
     effective_temperature_mu,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
+    expected_energy_ratio,
     make_boost,
     rho_moving_mu,
     run_identity_check,
@@ -282,6 +283,23 @@ def test_energy_ratio_routes_match_mpmath(cases):
             assert abs(corr - want) <= CORRELATION_BOUND * want, (v.beta_mag, corr)
             checked += 1
     assert checked >= 88
+
+
+def test_expected_ratio_is_correctly_rounded():
+    # the grid's boosts and 2,000 random |beta|: uniform, 1 - 10^U(-9, 0) and
+    # 10^U(-12, 0), along random axes; 50 digits round to the nearest double
+    rng = np.random.default_rng(3901)
+    u = rng.random(2000)
+    betas = np.concatenate((u[:700], 1.0 - 10.0 ** (-9.0 * u[700:1400]),
+                            10.0 ** (-12.0 * u[1400:])))
+    axes = rng.normal(size=(betas.size, 3))
+    boosts = [v for v, _, _ in _boosts()]
+    boosts += [make_boost(b * a / np.linalg.norm(a)) for b, a in zip(betas, axes)]
+    with mpmath.workdps(50):
+        for v in boosts:
+            b = mpmath.mpf(v.beta_mag)
+            want = float((3 + b * b) / (3 * (1 - b * b)))
+            assert expected_energy_ratio(v) == want, v.beta_mag
 
 
 # (omega' bin, mu' bin) per beta on mc-verify's default 32 x 16 grid

@@ -1,5 +1,6 @@
-"""The public names of the package, pinned so that adding or dropping one is a visible change."""
+"""The public names and CLI options, pinned so that adding or dropping one is a visible change."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -42,6 +43,30 @@ def test_star_import_binds_the_public_names_and_no_submodule():
     exec("from relplanck import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
     assert sorted(relplanck.__all__) == PUBLIC_NAMES
+
+
+# every subcommand's flags, -h/--help aside
+CLI_OPTIONS = {
+    "spectrum": ["--beta", "--beta-vec", "--component", "--format", "--frame", "--grid", "--mu",
+                 "--omega-max", "--omega-min", "--points", "--temperature", "--units"],
+    "boost-mode": ["--azimuth", "--beta", "--beta-vec", "--format", "--mu", "--omega"],
+    "energy-density": ["--beta", "--beta-vec", "--format", "--temperature", "--units"],
+    "anisotropy": ["--beta", "--beta-vec", "--format", "--lmax", "--map-points",
+                   "--temperature", "--units"],
+    "mc-verify": ["--beta", "--beta-vec", "--bins-mu", "--bins-omega", "--format", "--n",
+                  "--omega-prime-max", "--seed", "--temperature", "--units"],
+    "selftest": ["--format", "--quick", "--seed"],
+}
+
+
+def test_cli_options_are_pinned():
+    parser = relplanck.cli._build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 # the modules only some commands run; `import relplanck` loads none of them

@@ -196,19 +196,20 @@ class TestMovingSpectral:
         assert rep.ratio == pytest.approx(1.0, abs=1e-14)
 
     def test_ratio_sweep_matches_closed_form(self):
-        # gamma^2 (1 + beta^2/3) at the four sample speeds
+        # gamma^2 (1 + beta^2/3) at the four sample speeds, correctly rounded
+        # at each double beta (by exact rational arithmetic)
         frozen = {
-            0.1: 1.0134680134680135,
-            0.3: 1.1318681318681319,
+            0.1: 1.0134680134680134,
+            0.3: 1.1318681318681318,
             0.6: 1.75,
-            0.9: 6.684210526315789,
+            0.9: 6.684210526315791,
         }
         for beta, want in frozen.items():
             v = make_boost([0.0, 0.0, beta])
-            assert expected_energy_ratio(v) == pytest.approx(want, rel=1e-15)
+            assert expected_energy_ratio(v) == want
             rep = energy_density_moving_spectral(1.0, v)
             assert rep.ratio == pytest.approx(want, rel=1e-9)
-            assert rep.ratio == rep.W_moving / rep.W_rest
+            assert rep.W_moving == rep.W_rest * rep.ratio
             assert rep.ratio > 1.0
 
     def test_moving_density_scales_as_t_fourth(self):

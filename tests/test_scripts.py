@@ -31,7 +31,6 @@ def test_cmb_dipole_prints_the_dipole():
 
 
 @pytest.mark.parametrize("argv", [
-    ("energy_ratio_scan.py",),
     ("mc_convergence.py", "--n-max", "20000"),
 ])
 def test_script_exits_cleanly(argv):

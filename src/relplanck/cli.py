@@ -117,12 +117,10 @@ def _add_units_flag(p: argparse.ArgumentParser):
                    help="natural (hbar=c=k_B=1) or SI constants")
 
 
-def _add_boost_flags(p: argparse.ArgumentParser):
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float, default=None,
-                       help="boost speed along +z, |beta| <= 1 - 1e-9")
-    group.add_argument("--beta-vec", metavar="BX,BY,BZ", default=None,
-                       help="boost velocity as three comma-separated components")
+def _add_beta_flag(p: argparse.ArgumentParser):
+    # the physics sees only |beta| and cosines to the velocity, so a speed along z loses nothing
+    p.add_argument("--beta", type=float, default=None,
+                   help="boost velocity along +z, |beta| <= 1 - 1e-9; negative points along -z")
 
 
 def _units_from(args) -> UnitSystem:
@@ -130,19 +128,7 @@ def _units_from(args) -> UnitSystem:
 
 
 def _boost_from(args):
-    if args.beta_vec is not None:
-        parts = args.beta_vec.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"--beta-vec wants three components, got {args.beta_vec!r}")
-        try:
-            vec = [float(s) for s in parts]
-        except ValueError:
-            raise UsageError(f"--beta-vec components must be numbers, got {args.beta_vec!r}")
-    elif args.beta is not None:
-        vec = [0.0, 0.0, args.beta]
-    else:
-        vec = [0.0, 0.0, 0.0]
-    return make_boost(vec)
+    return make_boost([0.0, 0.0, args.beta or 0.0])
 
 
 def _beta_list(v) -> list:
@@ -196,7 +182,7 @@ def _cmd_spectrum(args) -> _Output:
     if args.frame == "rest":
         if args.mu is not None:
             raise UsageError("--mu only applies to --frame moving")
-        if args.beta is not None or args.beta_vec is not None:
+        if args.beta is not None:
             raise UsageError("a boost only applies to --frame moving")
         columns = {"omega": omega, "rho": rho_rest(omega, t, component, units)}
         t_z = t
@@ -272,7 +258,6 @@ def _cmd_energy_density(args) -> _Output:
 
 
 def _cmd_anisotropy(args) -> _Output:
-    units = _units_from(args)
     t = temperature_value(args.temperature)
     _check_size("--lmax", args.lmax, 0, _MAX_LMAX)
     if args.map_points is not None:
@@ -280,7 +265,7 @@ def _cmd_anisotropy(args) -> _Output:
     v = _boost_from(args)
     coeffs = temperature_multipoles(v, t, args.lmax)
     inputs = {"temperature": t, "beta": _beta_list(v), "lmax": args.lmax,
-              "map_points": args.map_points, "units": args.units}
+              "map_points": args.map_points}
     results = {"l": list(range(args.lmax + 1)), "a": coeffs.a.tolist(),
                "convention": coeffs.convention, "method": coeffs.method,
                "n_evaluations": coeffs.n_evaluations}
@@ -311,7 +296,7 @@ def _cmd_mc_verify(args) -> _Output:
     rep = run_identity_check(t, v, cfg, units=units)
     inputs = {"temperature": t, "beta": _beta_list(v), "n": args.n, "seed": args.seed,
               "bins_omega": args.bins_omega, "bins_mu": args.bins_mu,
-              "omega_prime_max": omega_max, "threads": rep.n_threads, "units": args.units}
+              "omega_prime_max": omega_max, "units": args.units}
     results = {k: getattr(rep, k) for k in (
         "chi2", "dof", "max_abs_z", "n_excluded", "in_grid_fraction", "w_prime_estimate",
         "w_prime_std_error", "w_prime_expected", "ratio_estimate", "ratio_std_error",
@@ -365,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--grid", choices=["linear", "log"], default="linear")
-    _add_boost_flags(p)
+    _add_beta_flag(p)
     _add_units_flag(p)
     _add_format_flag(p, "csv")
     p.set_defaults(func=_cmd_spectrum)
@@ -375,14 +360,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True,
                    help="rest-frame propagation cosine vs the boost axis")
     p.add_argument("--azimuth", type=float, default=0.0)
-    _add_boost_flags(p)
+    _add_beta_flag(p)
     _add_format_flag(p, "csv")
     p.set_defaults(func=_cmd_boost_mode)
 
     p = sub.add_parser("energy-density",
                        help="thermal energy density in both frames, two routes")
     p.add_argument("--temperature", type=float, required=True)
-    _add_boost_flags(p)
+    _add_beta_flag(p)
     _add_units_flag(p)
     _add_format_flag(p, "csv")
     p.set_defaults(func=_cmd_energy_density)
@@ -393,8 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--map-points", type=int, default=None,
                    help="also tabulate T_eff on a uniform mu' grid")
-    _add_boost_flags(p)
-    _add_units_flag(p)
+    _add_beta_flag(p)
     _add_format_flag(p, "csv")
     p.set_defaults(func=_cmd_anisotropy)
 
@@ -407,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins-mu", type=int, default=16)
     p.add_argument("--omega-prime-max", type=float, default=None,
                    help="upper edge of the moving-frame frequency grid")
-    _add_boost_flags(p)
+    _add_beta_flag(p)
     _add_units_flag(p)
     _add_format_flag(p, "json")
     p.set_defaults(func=_cmd_mc_verify)

@@ -164,9 +164,11 @@ def rho_moving_pullback_mu(
 
     rho'(omega', mu') = rho(D omega') / D^3 with D = gamma (1 + |beta| mu'):
     the rest-frame density at the pulled-back frequency, divided by the
-    cubed frequency ratio.  Agrees with rho_moving_mu identically; the two
-    are kept as separate code paths on purpose.  The rest-frame density is
-    rho_rest's assembly, without its check of the pulled-back frequency,
+    cubed frequency ratio, kept apart from rho_moving_mu on purpose.  Its
+    thermal part is within the same 4 eps (1 + z), z = hbar D omega' / k_B T,
+    where it is a normal double and z < 708 (tests/test_oracle.py): it is
+    rho_rest's assembly with pref / D^3, so no intermediate is subnormal
+    where the density is normal, without rho_rest's check of D omega',
     which may lie above the domain's omega where omega' does not.
     """
     om = np.asarray(omega_prime, dtype=float)
@@ -174,7 +176,7 @@ def rho_moving_pullback_mu(
     mu = _check_mu(mu_prime)
     s = units.k_B * temperature_value(T) / units.hbar
     d = inverse_doppler_factor(mu, v)
-    out = _density(d * om, s, _x_occupation, component, spectral_prefactor(units)) / d**3
+    out = _density(d * om, s, _x_occupation, component, spectral_prefactor(units) / d**3)
     return _maybe_scalar(out, omega_prime, mu_prime)
 
 
@@ -328,9 +330,9 @@ def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoeffici
       atanh(beta)/beta -> 1 gives a_l = T delta_l0 exactly.
 
     Memory is O(l_max) on both.  Against 40-digit mpmath every a_l at
-    l_max 16 is within 1e-15 relative up to beta = 0.9, 2e-15 at 0.99,
-    1e-14 on either side of the switch and 1e-15 from 0.999 to 1 - 1e-9
-    (tests/test_oracle.py).
+    l_max 16 is within 4e-15 relative up to beta = 0.9, 1e-14 up to 0.99
+    and 3e-14 below the switch on the backward branch, and 4e-15 on the
+    forward one, from the switch to 1 - 1e-9 (tests/test_oracle.py).
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")

@@ -1,13 +1,13 @@
 """The accepted input domain (README, "Domain"): finite answers at its corners, one error outside.
 
 At the corners, T 0, 1e-3 and 1e5 in both unit systems, beta 0 and
-1 - 1e-9 along z and along an oblique axis, mu' = +-1, and omega 0, 1e-300
-and 1e30, every command exits 0 with only finite numbers in its JSON
-output, and every public entry point returns finite values.  Two
-exceptions are by design: energy-density and mc-verify compare thermal
-densities and exit 2 at T = 0, and mc-verify may exit 1 with its
-`FAIL  mc-identity` verdict on stderr, the gate's known defect near
-beta = 1 (ROADMAP item 1).
+1 - 1e-9 along +z and -z (the library also along an oblique axis),
+mu' = +-1, and omega 0, 1e-300 and 1e30, every command exits 0 with only
+finite numbers in its JSON output, and every public entry point returns
+finite values.  Two exceptions are by design: energy-density and
+mc-verify compare thermal densities and exit 2 at T = 0, and mc-verify
+may exit 1 with its `FAIL  mc-identity` verdict on stderr, the gate's
+known defect near beta = 1 (ROADMAP item 1).
 Just outside, each input raises one ValueError that names the input and
 its range, and the CLI exits 2 with one ``error:`` line and nothing on
 stdout.  A RuntimeWarning is an error throughout, and README's domain
@@ -65,9 +65,10 @@ COMMANDS = [
 CORNER_TEMPERATURES = ["0", "1e-3", "1e5"]
 UNITS = {"natural": NATURAL, "si": UnitSystem.si()}
 BETA_MAX = 1.0 - 1e-9
+# the CLI's boost is a signed speed along z
+CORNER_BETAS = {"rest": 0.0, "z": BETA_MAX, "minus-z": -BETA_MAX}
 CORNER_BOOSTS = {
-    "rest": [0.0, 0.0, 0.0],
-    "z": [0.0, 0.0, BETA_MAX],
+    **{name: [0.0, 0.0, beta] for name, beta in CORNER_BETAS.items()},
     "oblique": (BETA_MAX * np.array([1.0, -2.0, 2.0]) / 3.0).tolist(),
 }
 # both grids end at 1e30; the linear one starts at 0, the log one at 1e-300
@@ -98,19 +99,16 @@ def _argv(command, t):
     return ["boost-mode", "--omega", t, "--mu", "-0.5"]
 
 
-def _boost_flags(boost):
-    return ["--beta-vec", ",".join(map(repr, CORNER_BOOSTS[boost]))]
-
-
 def _corner_argv(command, t, units, boost):
-    common = ["--temperature", t, "--units", units, *_boost_flags(boost)]
+    common = ["--temperature", t, "--beta", repr(CORNER_BETAS[boost])]
     if command == "energy-density":
-        return ["energy-density", *common]
+        return ["energy-density", *common, "--units", units]
     if command == "mc-verify":
-        return ["mc-verify", *common, "--n", "2000"]
+        return ["mc-verify", *common, "--units", units, "--n", "2000"]
     if command == "anisotropy":
-        return ["anisotropy", *common, "--map-points", "3"]  # mu' = -1, 0 and 1
-    return ["spectrum", "--frame", "moving", *common, *SPECTRA[command]]
+        # T_eff is linear in T and takes no units; mu' = -1, 0 and 1
+        return ["anisotropy", *common, "--map-points", "3"]
+    return ["spectrum", "--frame", "moving", *common, "--units", units, *SPECTRA[command]]
 
 
 def _numbers(node):
@@ -182,10 +180,16 @@ def test_mc_verify_names_the_temperature_when_its_default_grid_is_not_finite(cap
     assert "omega_prime_max" not in err
 
 
-@pytest.mark.parametrize("boost", CORNER_BOOSTS)
-@pytest.mark.parametrize("units", UNITS)
-@pytest.mark.parametrize("t", CORNER_TEMPERATURES)
-@pytest.mark.parametrize("command", CORNER_COMMANDS)
+# anisotropy takes no --units, so it runs once per temperature and boost
+CORNER_RUNS = [
+    pytest.param(command, t, units, id="-".join(filter(None, (command, t, units))))
+    for command in CORNER_COMMANDS for t in CORNER_TEMPERATURES
+    for units in ([None] if command == "anisotropy" else UNITS)
+]
+
+
+@pytest.mark.parametrize("boost", CORNER_BETAS)
+@pytest.mark.parametrize(("command", "t", "units"), CORNER_RUNS)
 def test_commands_are_finite_at_the_corners(capsys, command, t, units, boost):
     argv = _corner_argv(command, t, units, boost)
     if t == "0" and command == "energy-density":
@@ -203,15 +207,16 @@ def test_rest_spectrum_is_finite_at_the_corners(capsys, t, units, grid):
     _assert_finite(capsys, ["spectrum", "--temperature", t, "--units", units, *GRIDS[grid]])
 
 
-@pytest.mark.parametrize("boost", CORNER_BOOSTS)
+@pytest.mark.parametrize("boost", CORNER_BETAS)
 @pytest.mark.parametrize("mu", ["-1", "1"])
 @pytest.mark.parametrize("omega", ["0", "1e-300", "1e30"])
 def test_boost_mode_is_finite_at_the_corners(capsys, omega, mu, boost):
-    _assert_finite(capsys, ["boost-mode", "--omega", omega, "--mu", mu, *_boost_flags(boost)])
+    _assert_finite(capsys, ["boost-mode", "--omega", omega, "--mu", mu,
+                            "--beta", repr(CORNER_BETAS[boost])])
 
 
 def test_the_corner_boosts_are_at_the_bound():
-    assert [make_boost(b).beta_mag for b in CORNER_BOOSTS.values()] == [0.0, BETA_MAX, BETA_MAX]
+    assert [make_boost(b).beta_mag for b in CORNER_BOOSTS.values()] == [0.0, *[BETA_MAX] * 3]
 
 
 @pytest.mark.parametrize("boost", CORNER_BOOSTS)
@@ -318,9 +323,8 @@ REJECTED_FLAGS = {
     "mc-verify-T-2e5": (["mc-verify", "--temperature", "2e5", "--n", "2000"], T_RANGE),
     "energy-density-beta-1-5e-10": (
         ["energy-density", "--temperature", "1", "--beta", "0.9999999995"], BETA_RANGE),
-    "spectrum-beta-vec-1-5e-10": (
-        ["spectrum", "--temperature", "1", "--frame", "moving", "--beta-vec",
-         ",".join(map(repr, ((1.0 - 5e-10) * np.array([1.0, -2.0, 2.0]) / 3.0).tolist()))],
+    "spectrum-beta-minus-1-5e-10": (
+        ["spectrum", "--temperature", "1", "--frame", "moving", "--beta", "-0.9999999995"],
         BETA_RANGE),
     "spectrum-omega-2e30": (["spectrum", "--temperature", "1", "--omega-max", "2e30"],
                             OMEGA_RANGE),

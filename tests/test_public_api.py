@@ -47,14 +47,13 @@ def test_star_import_binds_the_public_names_and_no_submodule():
 
 # every subcommand's flags, -h/--help aside
 CLI_OPTIONS = {
-    "spectrum": ["--beta", "--beta-vec", "--component", "--format", "--frame", "--grid", "--mu",
-                 "--omega-max", "--omega-min", "--points", "--temperature", "--units"],
-    "boost-mode": ["--azimuth", "--beta", "--beta-vec", "--format", "--mu", "--omega"],
-    "energy-density": ["--beta", "--beta-vec", "--format", "--temperature", "--units"],
-    "anisotropy": ["--beta", "--beta-vec", "--format", "--lmax", "--map-points",
-                   "--temperature", "--units"],
-    "mc-verify": ["--beta", "--beta-vec", "--bins-mu", "--bins-omega", "--format", "--n",
-                  "--omega-prime-max", "--seed", "--temperature", "--units"],
+    "spectrum": ["--beta", "--component", "--format", "--frame", "--grid", "--mu", "--omega-max",
+                 "--omega-min", "--points", "--temperature", "--units"],
+    "boost-mode": ["--azimuth", "--beta", "--format", "--mu", "--omega"],
+    "energy-density": ["--beta", "--format", "--temperature", "--units"],
+    "anisotropy": ["--beta", "--format", "--lmax", "--map-points", "--temperature"],
+    "mc-verify": ["--beta", "--bins-mu", "--bins-omega", "--format", "--n", "--omega-prime-max",
+                  "--seed", "--temperature", "--units"],
     "selftest": ["--format", "--quick", "--seed"],
 }
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_oracle import MULTIPOLE_BACKWARD_BOUNDS, MULTIPOLE_FORWARD_BOUND
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,8 +50,14 @@ def test_bound_sweep_writes_every_ratio_within_its_bound(tmp_path):
     assert sorted(report["results"]) == [
         "energy_density_moving_correlation", "energy_density_moving_spectral",
         "integrate_semi_infinite", "integrate_semi_infinite.estimate",
+        "rho_moving_pullback_mu", "temperature_multipoles",
     ]
     assert all(0.0 <= r["max_ratio"] <= 1.0 for r in report["results"].values())
+    # the sweep holds the multipoles to the oracle test's bounds
+    assert report["bounds"]["temperature_multipoles"] == {
+        "backward": [list(band) for band in MULTIPOLE_BACKWARD_BOUNDS],
+        "forward": MULTIPOLE_FORWARD_BOUND,
+    }
 
 
 def test_mc_convergence_prints_the_failed_share_over_seeds():

@@ -8,22 +8,24 @@ log-uniform on [1e-3, 1e3] or SI with T on [1, 1e4] K, each half the time.
 Each route's W'/W is compared with gamma^2 (1 + beta^2 / 3) at 50 digits
 (mpmath, from the library's |beta|).  At each boost a second stream,
 seeded by (seed, 1), draws a cosine mu' uniform on [-1, 1] and
-x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, 708) each half the time,
-for the pull-back density.  Each ratio below is error over bound:
+x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, z_max) each half the time,
+for the pull-back density.  Each ratio below is error over the function's
+bound in relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py
+reads:
 
-  energy_density_moving_spectral     relative error of W'/W over 2e-15
-  energy_density_moving_correlation  relative error of W'/W over 8e-16
+  energy_density_moving_spectral     relative error of W'/W
+  energy_density_moving_correlation  relative error of W'/W
   integrate_semi_infinite            the spectral W's error over the
                                      integral's reported estimate
   integrate_semi_infinite.estimate   that estimate over its tolerance
   rho_moving_pullback_mu             relative error of the thermal part
-                                     over 4 eps (1 + z), z = D x, where
-                                     it is a normal double and z < 708
+                                     over its bound times 1 + z, z = D x,
+                                     where it is a normal double and z is
+                                     below the bound's z_max
   temperature_multipoles             largest relative error of a_0 ..
-                                     a_16 against mpmath.legenq over the
-                                     bound of its branch and |beta| band
-                                     (tests/test_oracle.py states the same
-                                     bounds; edit the two together)
+                                     a_16 against mpmath.legenq, over the
+                                     bound of the branch that ran and the
+                                     |beta| band
 
 A ratio above 1 is a bound that does not hold.  The JSON gives each
 function's largest ratio and the point where it peaked; the exit status is
@@ -48,16 +50,8 @@ from relplanck import (
     spectral_prefactor,
     temperature_multipoles,
 )
+from relplanck.core import _ERROR_BOUNDS as BOUNDS
 
-# the relative bounds the functions' docstrings state: the two routes', the
-# pull-back's in eps (1 + z), and the multipoles': the backward branch's by
-# |beta| band, each up to and including its upper edge, and the forward
-# branch's, where 2 l_max acosh(1/beta) <= 2
-SPECTRAL_BOUND = 2e-15
-CORRELATION_BOUND = 8e-16
-PULLBACK_BOUND = 4 * 2.0**-52
-MULTIPOLE_BACKWARD_BOUNDS = ((0.9, 4e-15), (0.99, 1e-14), (1.0, 3e-14))
-MULTIPOLE_FORWARD_BOUND = 4e-15
 L_MAX = 16
 TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
 UNITS = {"natural": (UnitSystem(), -3.0, 3.0), "si": (UnitSystem.si(), 0.0, 4.0)}
@@ -70,12 +64,6 @@ def draw(rng: np.random.Generator) -> tuple:
     name = "natural" if rng.random() < 0.5 else "si"
     _, lo, hi = UNITS[name]
     return beta * axis / np.linalg.norm(axis), name, 10.0 ** rng.uniform(lo, hi)
-
-
-def multipole_bound(beta: float) -> float:
-    if 2 * L_MAX * math.acosh(1.0 / beta) <= 2.0:  # the forward branch
-        return MULTIPOLE_FORWARD_BOUND
-    return next(bound for edge, bound in MULTIPOLE_BACKWARD_BOUNDS if beta <= edge)
 
 
 def ratio(error, bound) -> float:
@@ -107,43 +95,47 @@ def sweep(seed: int, count: int) -> dict:
             corr = energy_density_moving_correlation(t, v, units)
             spec_err = abs(mpmath.mpf(spec.ratio) - want)
             record("energy_density_moving_spectral",
-                   ratio(spec_err / want, SPECTRAL_BOUND), point)
+                   ratio(spec_err / want, BOUNDS["energy_density_moving_spectral"]), point)
             record("energy_density_moving_correlation",
-                   ratio(abs(mpmath.mpf(corr.ratio) - want) / want, CORRELATION_BOUND), point)
+                   ratio(abs(mpmath.mpf(corr.ratio) - want) / want,
+                         BOUNDS["energy_density_moving_correlation"]), point)
             record("integrate_semi_infinite",
                    ratio(spec_err * spec.W_rest, spec.error_estimate), point)
             record("integrate_semi_infinite.estimate",
                    ratio(spec.error_estimate, spec.tolerance), point)
 
+            bound = BOUNDS["rho_moving_pullback_mu"]
             mu = aux.uniform(-1.0, 1.0)
-            x = 10.0 ** aux.uniform(-300.0, 0.0) if aux.random() < 0.5 else aux.uniform(0.0, 708.0)
+            x = (10.0 ** aux.uniform(-300.0, 0.0) if aux.random() < 0.5
+                 else aux.uniform(0.0, bound["z_max"]))
             om = x * units.k_B * t / units.hbar
             got = rho_moving_pullback_mu(om, mu, v, t, Component.THERMAL, units)
             om_mp = mpmath.mpf(om)
             # z = D hbar omega' / k_B T with D = gamma (1 + |beta| mu')
             z = (1 + b * mu) * om_mp * units.hbar / (mpmath.sqrt(1 - b * b) * units.k_B * t)
             rho = spectral_prefactor(units) * om_mp**3 * 2 / mpmath.expm1(z)
-            if TINY <= rho <= HUGE and z < 708:
+            if TINY <= rho <= HUGE and z < bound["z_max"]:
                 record("rho_moving_pullback_mu",
-                       ratio(abs(got - rho) / rho, PULLBACK_BOUND * (1 + z)),
+                       ratio(abs(got - rho) / rho, bound["times_1_plus_z"] * (1 + z)),
                        {**point, "mu_prime": mu, "x": x})
 
             if b > 0:
                 # a_l = (-1)^l (2l + 1) T Q_l(1/beta) / (gamma beta)
                 scale = t * mpmath.sqrt(1 - b * b) / b
-                got = temperature_multipoles(v, t, L_MAX).a
+                got = temperature_multipoles(v, t, L_MAX)
                 err = max(abs(g / ((-1) ** l * (2 * l + 1) * scale
                                    * mpmath.legenq(l, 0, 1 / b, type=3).real) - 1)
-                          for l, g in enumerate(got))
-                record("temperature_multipoles", ratio(err, multipole_bound(v.beta_mag)), point)
+                          for l, g in enumerate(got.a))
+                # the band of the branch that ran
+                bound = next(limit for edge, limit in BOUNDS["temperature_multipoles"][got.method]
+                             if v.beta_mag <= edge)
+                record("temperature_multipoles", ratio(err, bound), point)
+    swept = ("energy_density_moving_spectral", "energy_density_moving_correlation",
+             "rho_moving_pullback_mu", "temperature_multipoles")
     return {"seed": seed, "count": count,
-            "bounds": {"energy_density_moving_spectral": SPECTRAL_BOUND,
-                       "energy_density_moving_correlation": CORRELATION_BOUND,
+            "bounds": {**{name: BOUNDS[name] for name in swept},
                        "integrate_semi_infinite": "reported error estimate",
-                       "integrate_semi_infinite.estimate": "tolerance",
-                       "rho_moving_pullback_mu": "4 eps (1 + z)",
-                       "temperature_multipoles": {"backward": MULTIPOLE_BACKWARD_BOUNDS,
-                                                  "forward": MULTIPOLE_FORWARD_BOUND}},
+                       "integrate_semi_infinite.estimate": "tolerance"},
             "results": worst}
 
 

@@ -34,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    NATURAL, CheckResult, Component, PhotonMode, UnitSystem, make_boost, temperature_value,
+    NATURAL, CheckResult, Component, PhotonMode, UnitSystem, _EPS, _ERROR_BOUNDS, make_boost,
+    temperature_value,
 )
 from .kinematics import boost_mode, direction_with_cosine
 from .spectrum import (
@@ -57,10 +58,6 @@ _SCHEMA_VERSION = "1"
 # allocating until the process dies
 _MAX_POINTS = 10**6
 _MAX_LMAX = 10**4
-# the thermal densities' docstrings state a 4 eps (1 + z) relative bound
-# where z < 708 and the value is a normal double; past z = 708 e^{-z} is
-# subnormal and the thermal part loses digits
-_BOUND_Z_MAX = 708.0
 
 
 class UsageError(Exception):
@@ -149,17 +146,19 @@ def _thermal_bound_warnings(label: str, omega, t_z: float, units: UnitSystem, th
     row evaluates (the hottest direction's for u').  Rows are named by
     their frequency, in runs of consecutive rows.
     """
+    bound = _ERROR_BOUNDS["rho_rest"]  # the four thermal densities state one bound
     mag = np.abs(thermal)
     z = units.hbar * omega / (units.k_B * t_z)
-    rows = np.flatnonzero((z >= _BOUND_Z_MAX) | ((mag > 0.0) & (mag < np.finfo(float).tiny)))
+    rows = np.flatnonzero((z >= bound["z_max"]) | ((mag > 0.0) & (mag < np.finfo(float).tiny)))
     if not rows.size:
         return ()
     cut = np.flatnonzero(np.diff(rows) > 1) + 1
     runs = ", ".join(_cell(omega[r[0]]) + ("" if r.size == 1 else f" to {_cell(omega[r[-1]])}")
                      for r in np.split(rows, cut))
-    return (f"{rows.size} of {len(omega)} rows lie outside the thermal density's 4 eps (1 + z) "
-            f"relative bound, which holds for z = hbar {label} / k_B T_eff < 708 and a "
-            f"normal double: {label} {runs}",)
+    return (f"{rows.size} of {len(omega)} rows lie outside the thermal density's "
+            f"{bound['times_1_plus_z'] / _EPS:g} eps (1 + z) relative bound, which holds for "
+            f"z = hbar {label} / k_B T_eff < {bound['z_max']:g} and a normal double: "
+            f"{label} {runs}",)
 
 
 def _cmd_spectrum(args) -> _Output:

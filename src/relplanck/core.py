@@ -31,6 +31,24 @@ _BETA_MAX = 1.0 - 1e-9
 _OMEGA_MAX = 1e30
 _SI_CONSTANTS = (1.054571817e-34, 299792458.0, 1.380649e-23)
 
+# The error bounds the functions state, each cited by its docstring and held by
+# tests/test_oracle.py and scripts/bound_sweep.py: relative (eps = 2^-52) but
+# boost_mu's mu'; the thermal parts' times 1 + z where z < z_max and the part is
+# normal; the multipoles' by method, (upper |beta| edge, bound) bands closed above.
+_EPS = 2.0**-52
+_ERROR_BOUNDS = {
+    **dict.fromkeys(("rho_rest", "rho_moving_mu", "rho_moving_pullback_mu", "u_moving"),
+                    {"times_1_plus_z": 4 * _EPS, "z_max": 708.0}),
+    "effective_temperature_mu": 3 * _EPS,
+    "boost_mu": {"omega_prime": 3 * _EPS, "jac_freq": 3 * _EPS, "jac_solid_angle": 5 * _EPS,
+                 "mu_prime_absolute": 3 * _EPS},
+    "energy_density_moving_spectral": 2e-15,
+    "energy_density_moving_correlation": 8e-16,
+    "temperature_multipoles": {"recurrence": ((0.9, 4e-15), (0.99, 1e-14), (1.0, 3e-14)),
+                               "forward-recurrence": ((1.0, 4e-15),)},
+    "run_identity_check": 1e-10,
+}
+
 __all__ = [
     "Component",
     "UnitSystem",

@@ -89,9 +89,9 @@ def boost_mu(omega, mu, v: BoostVelocity):
     Returns (omega', mu', jac_freq, jac_solid_angle) as arrays broadcast
     against each other.  Both Jacobians come from the rest-frame cosine,
     jac_freq = 1 / D and jac_solid_angle = D^2 with D = doppler_factor(mu, v),
-    so no rounding of mu' enters them.  With eps = 2^-52, omega', jac_freq
-    and D^2 are within 3, 3 and 5 eps relative where normal, and mu' within
-    3 eps absolute, as mu - |beta| cancels (tests/test_oracle.py).  Raises
+    so no rounding of mu' enters them.  omega', jac_freq and D^2 hold the
+    relative bounds of core._ERROR_BOUNDS["boost_mu"] where normal, and mu'
+    its absolute one, as mu - |beta| cancels (tests/test_oracle.py).  Raises
     ValueError for a frequency outside the domain (README, "Domain").
     """
     omega = np.asarray(omega, dtype=float)

@@ -336,10 +336,10 @@ def run_identity_check(
 
     The estimator in each moving-frame bin is W <w 1_bin> / (N vol 2 pi)
     with w = gamma^2 (1 - khat . beta)^2 and W the closed-form thermal
-    energy density; its expectation is the bin average of the boosted
-    thermal spectral density.  Standard errors come from the empirical
-    variance of the per-draw contributions, expected bin occupancies from
-    the analytic push-forward of the sampling density.
+    energy density; its expectation is McReport.analytic, the bin average
+    of the boosted thermal density (core._ERROR_BOUNDS["run_identity_check"],
+    tests/test_oracle.py).  Standard errors come from the per-draw variance,
+    expected bin occupancies from the push-forward of the sampling density.
 
     Chunks run on n_threads worker threads, None meaning every CPU this
     process may use; either is capped at the chunk count, and no chunk runs

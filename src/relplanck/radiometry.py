@@ -52,7 +52,7 @@ from functools import cache
 import numpy as np
 
 from . import kinematics
-from .core import NATURAL, BoostVelocity, CheckResult, UnitSystem, temperature_value
+from .core import NATURAL, BoostVelocity, CheckResult, UnitSystem, _EPS, temperature_value
 from .spectrum import _direction_integrated_x_occupation, _x_occupation, spectral_prefactor
 
 __all__ = [
@@ -75,7 +75,6 @@ _ABS_TOL = 1e-14
 # direction-integrated moving one up to beta = 1 - 1e-9, are right to rounding
 _S_LO, _S_HI = -13.0, 4.5
 _N_PANELS = 4
-_EPS = 2.0**-52
 _PI2_15 = math.pi**2 / 15.0
 
 
@@ -265,8 +264,8 @@ def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATU
     so W'/W = 15 I / (4 pi^4) at any temperature and in any unit system.
     W' = W W'/W with W the Stefan-Boltzmann closed form, and the error
     estimate and tolerance are the integral's, carried to W' the same way.
-    W'/W is within 2e-15 relative of gamma^2 (1 + beta^2 / 3) at every
-    beta up to 1 - 1e-9 (tests/test_oracle.py).
+    W'/W is within core._ERROR_BOUNDS["energy_density_moving_spectral"] of
+    gamma^2 (1 + beta^2 / 3) up to 1 - 1e-9 (tests/test_oracle.py).
     """
     w_rest = thermal_energy_density_closed_form(T, units)
     hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
@@ -293,8 +292,8 @@ def energy_density_moving_correlation(
     8 pi in either frame.  C = (8 pi / 3) I_6, so the ratio is the sum of
     L's 36 squared entries over 6, summed correctly rounded.  No boosted
     spectrum is evaluated on this route, and no quadrature: W is the
-    Stefan-Boltzmann closed form.  W'/W is within 8e-16 relative of
-    gamma^2 (1 + beta^2 / 3) (tests/test_oracle.py).
+    Stefan-Boltzmann closed form.  W'/W matches gamma^2 (1 + beta^2 / 3) to
+    core._ERROR_BOUNDS["energy_density_moving_correlation"] (tests/test_oracle.py).
     """
     w_rest = thermal_energy_density_closed_form(T, units)
     boost = kinematics._field_boost_matrix(v)

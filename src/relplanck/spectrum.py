@@ -114,9 +114,9 @@ def rho_rest(omega, T, component: Component = Component.TOTAL, units: UnitSystem
     """Rest-frame spectral density; isotropic, so no direction argument.
 
     Vectorized over omega.  The total is exactly zero-point + thermal.
-    The thermal part is within 4 eps (1 + z) relative, z = hbar omega / k_B T,
-    wherever it is a normal double and z < 708 (tests/test_oracle.py).
-    Raises ValueError for an omega or T outside the domain (README, "Domain").
+    The thermal part holds core._ERROR_BOUNDS["rho_rest"], z = hbar omega /
+    k_B T (tests/test_oracle.py).  Raises ValueError for an omega or T
+    outside the domain (README, "Domain").
     """
     om = np.asarray(omega, dtype=float)
     _check_omega(om, "omega")
@@ -137,8 +137,8 @@ def rho_moving_mu(
 
     Broadcasts omega_prime against mu_prime.  The zero-point part is
     unchanged by the boost; the thermal part is the rest-frame Planck law
-    at T_eff = T / (gamma (1 + |beta| mu')), within 4 eps (1 + z) relative,
-    z = hbar omega' / k_B T_eff, wherever it is a normal double and z < 708
+    at T_eff = T / (gamma (1 + |beta| mu')), within
+    core._ERROR_BOUNDS["rho_moving_mu"], z = hbar omega' / k_B T_eff
     (tests/test_oracle.py).  Raises ValueError for an omega' or T outside
     the domain (README, "Domain").
     """
@@ -165,9 +165,9 @@ def rho_moving_pullback_mu(
     rho'(omega', mu') = rho(D omega') / D^3 with D = gamma (1 + |beta| mu'):
     the rest-frame density at the pulled-back frequency, divided by the
     cubed frequency ratio, kept apart from rho_moving_mu on purpose.  Its
-    thermal part is within the same 4 eps (1 + z), z = hbar D omega' / k_B T,
-    where it is a normal double and z < 708 (tests/test_oracle.py): it is
-    rho_rest's assembly with pref / D^3, so no intermediate is subnormal
+    thermal part holds core._ERROR_BOUNDS["rho_moving_pullback_mu"], z =
+    hbar D omega' / k_B T (tests/test_oracle.py): it is rho_rest's assembly
+    with pref / D^3, so below that z limit no intermediate is subnormal
     where the density is normal, without rho_rest's check of D omega',
     which may lie above the domain's omega where omega' does not.
     """
@@ -228,10 +228,9 @@ def u_moving(
     with x = hbar omega' / (k_B T), and 4 pi (hbar / (2 pi c)^3) omega'^3
     2 / (e^x - 1) at rest.  It is exactly 0 at omega' = 0, at T = 0, and
     where the hottest direction's z = gamma (1 - |beta|) x is 0 or past
-    745.2, where e^{-z} is 0; within 4 eps (1 + z) relative wherever it is
-    a normal double and z < 708 (tests/test_oracle.py).  Raises ValueError
-    for an omega' or T outside the domain (README, "Domain").  Vectorized
-    over omega_prime.
+    745.2, where e^{-z} is 0; it holds core._ERROR_BOUNDS["u_moving"] with
+    that z (tests/test_oracle.py).  Raises ValueError for an omega' or T
+    outside the domain (README, "Domain").  Vectorized over omega_prime.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_omega(om, "omega_prime")
@@ -249,8 +248,8 @@ def u_moving(
 
 def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     """T / (gamma (1 + |beta| mu')): the rest-frame temperature whose Planck law
-    equals the moving-frame thermal spectrum at cosine mu'.  Within 3 eps
-    relative, eps = 2^-52, wherever T_eff is a normal double
+    equals the moving-frame thermal spectrum at cosine mu', within
+    core._ERROR_BOUNDS["effective_temperature_mu"] where T_eff is normal
     (tests/test_oracle.py).  Vectorized; raises ValueError unless mu' is
     finite and in [-1, 1], and for a T outside the domain (README, "Domain")."""
     mu = _check_mu(mu_prime)
@@ -330,9 +329,8 @@ def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoeffici
       atanh(beta)/beta -> 1 gives a_l = T delta_l0 exactly.
 
     Memory is O(l_max) on both.  Against 40-digit mpmath every a_l at
-    l_max 16 is within 4e-15 relative up to beta = 0.9, 1e-14 up to 0.99
-    and 3e-14 below the switch on the backward branch, and 4e-15 on the
-    forward one, from the switch to 1 - 1e-9 (tests/test_oracle.py).
+    l_max 16 is within core._ERROR_BOUNDS["temperature_multipoles"] for its
+    branch and |beta| band (tests/test_oracle.py).
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")

@@ -5,14 +5,9 @@ are a_l = (-1)^l (2l + 1) T Q_l(1/beta) / (gamma beta), with Q_l the Legendre
 function of the second kind: mpmath.legenq, type 3, on the rows below, and
 on 200 random beta from a fixed seed between them its forward recurrence,
 run with enough extra digits and held to legenq on the rows.  Each
-coefficient is held to a relative bound that depends on beta only: on the
-backward branch by band, up to and including each band's upper edge, and
-on the forward branch one bound:
-
-    beta       0 .. 0.9    .. 0.99    .. s        s .. 1 - 1e-9
-    branch     backward    backward   backward    forward
-    bound      4e-15       1e-14      3e-14       4e-15
-
+coefficient is held to the relative bound that
+core._ERROR_BOUNDS["temperature_multipoles"] states for the branch that ran
+(MultipoleCoefficients.method) and the |beta| band, each band closed above.
 The rows are 1e-12, 0.3, 0.9, 0.99, s -+ 1e-6, 0.999, 0.999999 and
 1 - 1e-9, with s = 1/cosh(1/16) = 0.99805 the l_max 16 switch between the
 two branches of the recurrence: the backward one below it, the forward one
@@ -24,8 +19,8 @@ gives a_l, so the error of the l >= 1 coefficients grows towards the
 switch.  On 12,400 random beta, weighted to the top of each band, the
 worst measured is 2.5e-15 up to 0.9 (at 0.8958), 7.0e-15 up to 0.99 (at
 0.9892), 1.5e-14 below the switch (at 0.99797), 3.5e-15 above it and
-2.2e-15 from 0.999 on (at 0.99914); scripts/bound_sweep.py holds the same
-bounds.  The oracle takes the library's own |beta|, so only the
+2.2e-15 from 0.999 on (at 0.99914); scripts/bound_sweep.py reads the same
+entry.  The oracle takes the library's own |beta|, so only the
 evaluation is tested, not the input's rounding.
 
 rho_rest, rho_moving_mu, rho_moving_pullback_mu and u_moving (thermal
@@ -34,14 +29,12 @@ pref omega^3 2 / (e^z - 1), with z = hbar D omega / (k_B T), and of its
 closed-form integral over mu', on T = 1e-3, 1 and 1e3 in natural units and
 300 K in SI, beta in {0, 0.6, 0.999999, 1 - 1e-9}, mu' in
 {+-1, +-(1 - 1e-12), 0} and x = hbar omega / (k_B T) from 1e-300 to 700.
-Each value is held to the bound its function states,
-
-    relative error <= 4 eps (1 + z),   eps = 2^-52,
-
-wherever the density is a normal double and z < 708, so that e^{-z} is one
-too; for u_moving z is the hottest direction's gamma (1 - |beta|) x.  The
-factor 1 + z is the condition number of the Planck law: a rounding of
-hbar omega / k_B T moves the density by z times as much.  The worst
+Each value is held to its function's entry of core._ERROR_BOUNDS, a
+relative bound times 1 + z, wherever the density is a normal double and z
+is below the entry's z_max, so that e^{-z} is one too; for u_moving z is
+the hottest direction's gamma (1 - |beta|) x.  The factor 1 + z is the
+condition number of the Planck law: a rounding of hbar omega / k_B T
+moves the density by z times as much.  With eps = 2^-52, the worst
 measured on this grid is 2.2 eps (1 + z) for rho_rest and rho_moving_mu,
 3.0 for rho_moving_pullback_mu and 2.5 for u_moving (3.0 on 40,000 random
 points).  The pull-back divides its prefactor by D^3 before the assembly:
@@ -54,27 +47,22 @@ The oracle takes the library's pref, k_B, hbar and |beta|.
 effective_temperature_mu, boost_mu and the correlation route's W'/W: on
 the same temperatures and cosines (mu' for the first, the rest-frame mu
 for boost_mu), at the betas of both grids above, each along z and along
-the oblique axis (1, -2, 2) / 3.  boost_mu
-takes the frequencies of the density grid.  The bounds, each stated by its function, in eps = 2^-52:
-
-    T_eff, omega', jac_freq = 1 / D     3 eps relative
-    D^2                                 5 eps relative
-    mu'                                 3 eps absolute
-    W'/W = gamma^2 (1 + beta^2 / 3)     8e-16 relative
-
-mu' is held absolutely because mu - |beta| cancels near mu = |beta|.  The
-worst measured on 20,000 random points is 1.9, 2.1, 2.1, 3.7 and 1.5 eps
-for T_eff, omega', jac_freq, D^2 and mu'.  The correlation W'/W reads 3.9e-16 at worst on this
-grid and 7.5e-16 (3.4 eps) on 140,000 random boosts: the ratio is a
+the oblique axis (1, -2, 2) / 3; boost_mu takes the frequencies of the
+density grid.  Each is held to its function's entry of core._ERROR_BOUNDS:
+boost_mu's holds omega', jac_freq = 1 / D and D^2 relatively and mu'
+absolutely, because mu - |beta| cancels near mu = |beta|.  The worst
+measured on 20,000 random points is 1.9, 2.1, 2.1, 3.7 and 1.5 eps
+(eps = 2^-52) for T_eff, omega', jac_freq, D^2 and mu'.  The correlation
+W'/W reads 3.9e-16 at worst on this grid and 7.5e-16 (3.4 eps) on 140,000 random boosts: the ratio is a
 correctly rounded sum of the field boost's squared entries, so what is
 left is the rounding of gamma, which W'/W doubles.
 
 Both W'/W routes, against 50-digit gamma^2 (1 + beta^2 / 3): on every boost
 above at the four density temperatures, and on 200 random boosts from a
 fixed seed (uniform axis; |beta| uniform or 1 - 10^U(-9, 0); natural units
-at T in [1e-3, 1e3] or SI at [1, 1e4] K).  The spectral route is held to
-2e-15 relative, and its reported error estimate must cover its actual
-error on W' and meet its tolerance.  Worst measured: 1.2e-15 on the grid,
+at T in [1e-3, 1e3] or SI at [1, 1e4] K).  Each route is held to its
+entry of core._ERROR_BOUNDS, and the spectral route's reported error
+estimate must cover its actual error on W' and meet its tolerance.  Worst measured: 1.2e-15 on the grid,
 1.3e-15 on these 200 and 1.8e-15 on 100,000 random boosts
 (scripts/bound_sweep.py, seeds 1-5), with the actual error at most 0.16 of
 the estimate.
@@ -83,7 +71,8 @@ The Monte Carlo reference, McReport.analytic: bin averages of the thermal
 rho' on mc-verify's default grid (32 x 16 bins, omega' up to
 15 gamma (1 + beta) k_B T / hbar) at T = 1 natural and 300 K SI, against a
 40-digit mpmath quadrature over omega' of the closed-form mu' integral, at
-beta 0, 1e-12, 0.6, 0.99 and 1 - 1e-9, each held to 1e-10 relative.  The
+beta 0, 1e-12, 0.6, 0.99 and 1 - 1e-9, each held to
+core._ERROR_BOUNDS["run_identity_check"].  The
 closed form itself is held to mpmath's quadrature over mu' at one omega'
 per bin.  The bins are the populated ones; the worst measured elsewhere on
 these grids is 1.1e-8 in the first bin at 1 - 1e-9 (omega' from 0, mu'
@@ -91,8 +80,6 @@ from -1 to -0.875, where D spans 8 decades and the density goes like
 omega'^2 ln omega' near 0) and 4e-10 in first omega' bins whose rule the
 reference cuts short.
 """
-
-import math
 
 import mpmath
 import numpy as np
@@ -117,24 +104,14 @@ from relplanck import (
     temperature_multipoles,
     u_moving,
 )
+from relplanck.core import _ERROR_BOUNDS as BOUNDS
 
 pytestmark = pytest.mark.filterwarnings("error")
 
 L_MAX = 16
 L_MAX_SWITCH = 1.0 / np.cosh(1.0 / L_MAX)
-# the backward branch's (upper edge of the |beta| band, relative bound), each
-# band closed above, and the forward branch's bound; scripts/bound_sweep.py
-# states the same, which tests/test_scripts.py checks
-MULTIPOLE_BACKWARD_BOUNDS = ((0.9, 4e-15), (0.99, 1e-14), (1.0, 3e-14))
-MULTIPOLE_FORWARD_BOUND = 4e-15
 MULTIPOLE_BETAS = [1e-12, 0.3, 0.9, 0.99, L_MAX_SWITCH - 1e-6, L_MAX_SWITCH + 1e-6, 0.999,
                    0.999999, 1.0 - 1e-9]
-
-
-def _multipole_bound(beta: float) -> float:
-    if beta > 0.0 and 2 * L_MAX * math.acosh(1.0 / beta) <= 2.0:  # the forward branch
-        return MULTIPOLE_FORWARD_BOUND
-    return next(bound for edge, bound in MULTIPOLE_BACKWARD_BOUNDS if beta <= edge)
 
 
 def _random_multipole_betas(n=200, seed=4001) -> np.ndarray:
@@ -175,12 +152,14 @@ def _recurrence_over_t(beta: float) -> list:
 
 
 def _assert_multipoles_match(v, want, temperatures):
-    bound = _multipole_bound(v.beta_mag)
     for t in temperatures:
-        got = temperature_multipoles(v, t, L_MAX).a
+        got = temperature_multipoles(v, t, L_MAX)
+        # the band of the branch that ran
+        bound = next(b for edge, b in BOUNDS["temperature_multipoles"][got.method]
+                     if v.beta_mag <= edge)
         for l in range(L_MAX + 1):
             exact = t * want[l]
-            assert abs(got[l] - exact) <= bound * abs(exact), (v.beta_mag, t, l)
+            assert abs(got.a[l] - exact) <= bound * abs(exact), (v.beta_mag, t, l)
 
 
 @pytest.mark.parametrize("beta", MULTIPOLE_BETAS, ids=repr)
@@ -206,16 +185,16 @@ DENSITY_MUS = [-1.0, -(1.0 - 1e-12), 0.0, 1.0 - 1e-12, 1.0]
 DENSITY_X = np.concatenate(
     [np.geomspace(1e-300, 1e-3, 11), np.geomspace(3e-3, 50.0, 18), np.arange(100.0, 701.0, 50.0)]
 )
-EPS = 2.0**-52
 TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
-def _check(got, want, z):
-    """1 if got is within 4 eps (1 + z) of want; 0, unchecked, unless want is
-    a normal double and z < 708."""
-    if not (TINY <= want <= HUGE and z < 708.0):
+def _check(route, got, want, z):
+    """1 if got is within route's bound, times 1 + z, of want; 0, unchecked,
+    unless want is a normal double and z is below the bound's z_max."""
+    bound = BOUNDS[route.__name__]
+    if not (TINY <= want <= HUGE and z < bound["z_max"]):
         return 0
-    assert abs(float(got) - want) <= 4 * EPS * (1 + z) * want, (float(got), want, z)
+    assert abs(float(got) - want) <= bound["times_1_plus_z"] * (1 + z) * want, (float(got), want, z)
     return 1
 
 
@@ -232,7 +211,7 @@ def test_densities_match_mpmath(t, units):
         cube = [pref_mp * mpmath.mpf(o) ** 3 for o in om]
         got = rho_rest(om, t, Component.THERMAL, units)
         for g, xi, p in zip(got, x, cube):
-            checked += _check(g, p * 2 / mpmath.expm1(xi), float(xi))
+            checked += _check(rho_rest, g, p * 2 / mpmath.expm1(xi), float(xi))
         for beta in DENSITY_BETAS:
             v = make_boost([0.0, 0.0, beta])
             b = mpmath.mpf(v.beta_mag)
@@ -242,7 +221,7 @@ def test_densities_match_mpmath(t, units):
                 for route in (rho_moving_mu, rho_moving_pullback_mu):
                     got = route(om, mu, v, t, Component.THERMAL, units)
                     for g, xi, p in zip(got, x, cube):
-                        checked += _check(g, p * 2 / mpmath.expm1(d * xi), float(d * xi))
+                        checked += _check(route, g, p * 2 / mpmath.expm1(d * xi), float(d * xi))
             got = u_moving(om, v, t, Component.THERMAL, units)
             for g, xi, p in zip(got, x, cube):
                 lo = gamma * (1 - b) * xi
@@ -253,7 +232,7 @@ def test_densities_match_mpmath(t, units):
                     hi = gamma * (1 + b) * xi
                     log_ratio = mpmath.log1p(-mpmath.exp(-hi)) - mpmath.log1p(-mpmath.exp(-lo))
                     want = 2 * mpmath.pi * p * 2 / (gamma * b * xi) * log_ratio
-                checked += _check(g, want, float(lo))
+                checked += _check(u_moving, g, want, float(lo))
     assert checked >= 800
 
 
@@ -272,6 +251,7 @@ def _boosts():
 
 @pytest.mark.parametrize("t,units", DENSITY_CASES, ids=["1e-3", "1", "1e3", "si-300K"])
 def test_effective_temperature_and_boost_match_mpmath(t, units):
+    bound = BOUNDS["boost_mu"]
     om = DENSITY_X * units.k_B * t / units.hbar
     checked = 0
     with mpmath.workdps(50):
@@ -280,22 +260,19 @@ def test_effective_temperature_and_boost_match_mpmath(t, units):
             for mu in DENSITY_MUS:
                 m = mpmath.mpf(mu)
                 want = t / (gamma * (1 + b * m))
-                assert abs(effective_temperature_mu(mu, v, t) - want) <= 3 * EPS * want
+                got = effective_temperature_mu(mu, v, t)
+                assert abs(got - want) <= BOUNDS["effective_temperature_mu"] * want
                 d = gamma * (1 - b * m)
                 om_p, mu_p, jac_freq, d2 = boost_mu(om, mu, v)
-                assert abs(float(mu_p) - (m - b) / (1 - b * m)) <= 3 * EPS
-                assert abs(float(jac_freq) - 1 / d) <= 3 * EPS / d
-                assert abs(float(d2) - d * d) <= 5 * EPS * d * d
+                assert abs(float(mu_p) - (m - b) / (1 - b * m)) <= bound["mu_prime_absolute"]
+                assert abs(float(jac_freq) - 1 / d) <= bound["jac_freq"] / d
+                assert abs(float(d2) - d * d) <= bound["jac_solid_angle"] * d * d
                 for g, o in zip(om_p, om_mp):
                     exact = o * d
                     if exact >= TINY:
-                        assert abs(g - exact) <= 3 * EPS * exact, (float(o), mu)
+                        assert abs(g - exact) <= bound["omega_prime"] * exact, (float(o), mu)
                         checked += 1
     assert checked >= 3000
-
-
-SPECTRAL_BOUND = 2e-15
-CORRELATION_BOUND = 8e-16
 
 
 def test_correlation_ratio_matches_mpmath():
@@ -303,7 +280,8 @@ def test_correlation_ratio_matches_mpmath():
         for v, b, gamma in _boosts():
             want = gamma**2 * (1 + b * b / 3)
             got = energy_density_moving_correlation(1.0, v).ratio
-            assert abs(got - want) <= CORRELATION_BOUND * want, (v.beta_mag, got)
+            assert abs(got - want) <= BOUNDS["energy_density_moving_correlation"] * want, (
+                v.beta_mag, got)
 
 
 def _grid_cases():
@@ -338,10 +316,11 @@ def test_energy_ratio_routes_match_mpmath(cases):
             want = (1 + b * b / 3) / (1 - b * b)
             spec = energy_density_moving_spectral(t, v, units)
             err = abs(spec.ratio - want)
-            assert err <= SPECTRAL_BOUND * want, (v.beta_mag, spec.ratio)
+            assert err <= BOUNDS["energy_density_moving_spectral"] * want, (v.beta_mag, spec.ratio)
             assert float(err) * spec.W_rest <= spec.error_estimate <= spec.tolerance, v.beta_mag
             corr = energy_density_moving_correlation(t, v, units).ratio
-            assert abs(corr - want) <= CORRELATION_BOUND * want, (v.beta_mag, corr)
+            assert abs(corr - want) <= BOUNDS["energy_density_moving_correlation"] * want, (
+                v.beta_mag, corr)
             checked += 1
     assert checked >= 88
 
@@ -371,7 +350,6 @@ MC_REFERENCE_BINS = {
     0.99: [(0, 0), (1, 0), (5, 0)],
     1.0 - 1e-9: [(1, 0), (5, 0)],
 }
-MC_REFERENCE_BOUND = 1e-10
 
 
 def _bin_average_oracle(v, x_lo, x_hi, mu_a, mu_b):
@@ -412,4 +390,5 @@ def test_monte_carlo_reference_matches_mpmath(beta):
             want = spectral_prefactor(units) * s**3 * _bin_average_oracle(
                 v, x_edges[i], x_edges[i + 1], rep.mu_edges[j], rep.mu_edges[j + 1])
             got = rep.analytic[i, j]
-            assert abs(got - want) <= MC_REFERENCE_BOUND * want, (t, i, j, got, float(want))
+            assert abs(got - want) <= BOUNDS["run_identity_check"] * want, (
+                t, i, j, got, float(want))

@@ -23,6 +23,7 @@ from relplanck import (
     temperature_multipoles,
     u_moving,
 )
+from relplanck.core import _ERROR_BOUNDS
 from relplanck.selfcheck import _projected_multipoles
 from relplanck.spectrum import _direction_integrated_x_occupation, _x_occupation
 
@@ -68,13 +69,13 @@ class TestThermalOccupation:
         assert np.max(np.abs(ratios / math.exp(0.1) - 1.0)) < 1e-12
 
     def test_subnormal_tail_falls_to_zero(self):
-        # strictly falling while e^{-z} is normal; past z = 708 its subnormal
-        # rounding can hold it flat over a step while z grows, so the
-        # product may rise there, by a subnormal ulp or two
+        # strictly falling while e^{-z} is normal, below the densities' z_max;
+        # past it its subnormal rounding can hold it flat over a step while z
+        # grows, so the product may rise there, by a subnormal ulp or two
         z = np.linspace(700.0, 760.0, 301)
         occ = _x_occupation(z)
         step = np.diff(occ)
-        assert np.all(step[z[1:] < 708.0] < 0.0)
+        assert np.all(step[z[1:] < _ERROR_BOUNDS["rho_rest"]["z_max"]] < 0.0)
         assert np.all(step <= 2.0 * np.finfo(float).smallest_subnormal)
         assert occ[0] > 0.0
         assert occ[-1] == 0.0

@@ -10,7 +10,8 @@ workload and seed the script runs
     python3 bench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
 once in each checkout, the parent first in even-numbered pairs and the
-change first in odd-numbered ones, and writes BENCH_<N>.json: every run's
+change first in odd-numbered ones, with PYTHONDONTWRITEBYTECODE=1, and
+writes BENCH_<N>.json: every run's
 raw last stdout line and '# environment' line, and per workload and metric
 the medians, the quartiles and the pairs the change won.  Each metric gets
 one verdict, with the bounds and directions of the parent's BENCHMARK.json:
@@ -30,6 +31,11 @@ one verdict, with the bounds and directions of the parent's BENCHMARK.json:
 
 A claim (--claim WORKLOAD:METRIC) is met when that metric is improved and
 no seed fails more ops on the change than on the parent.
+
+The script refuses to start while either checkout's src/ holds a
+__pycache__: a bytecode cache on one side only moves every start-up time
+(cli_session read 11.88 against 11.02 ops/s, worse in 10 of 10 pairs, for
+a change that touched no import), and no run writes one.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 RUN_TIMEOUT_S = 600
 WIN_SHARE = 0.9
@@ -129,7 +136,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+                          timeout=RUN_TIMEOUT_S, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv[1:])} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
@@ -166,6 +173,11 @@ def main() -> int:
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     ap.add_argument("--out", default=None, help="output path (default BENCH_<PR>.json)")
     args = ap.parse_args()
+    caches = sorted(str(p) for side in (args.parent, args.change)
+                    for p in Path(side, "src").rglob("__pycache__"))
+    if caches:
+        raise SystemExit("remove the bytecode caches under src/ first (module docstring):\n"
+                         + "\n".join(caches))
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
     claim = args.claim.split(":") if args.claim else None
@@ -191,8 +203,10 @@ def main() -> int:
             "pairs (the parent runs first in even-numbered pairs), each run 'python3 bench/run.py "
             f"--workload W --seed S --seconds {args.seconds:g} --trace 0' in its own checkout, "
             "written by scripts/bench_pairs.py. last_line is each run's raw last stdout line and "
-            "environment its '# environment' line. Each metric's verdict follows the rule in "
-            "the script's docstring, with the bounds of BENCHMARK.json."
+            "environment its '# environment' line. Every run had PYTHONDONTWRITEBYTECODE=1 set, "
+            "and the script refuses to start while either checkout's src/ holds a __pycache__, "
+            "so no run reads a bytecode cache. Each metric's verdict follows the rule in the "
+            "script's docstring, with the bounds of BENCHMARK.json."
         ),
         "parent_commit": git_head(args.parent),
         "claim": claim_result(summary, *claim) if claim else None,

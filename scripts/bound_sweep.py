@@ -9,9 +9,12 @@ Each route's W'/W is compared with gamma^2 (1 + beta^2 / 3) at 50 digits
 (mpmath, from the library's |beta|).  At each boost a second stream,
 seeded by (seed, 1), draws a cosine mu' uniform on [-1, 1] and
 x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, z_max) each half the time,
-for the pull-back density.  Each ratio below is error over the function's
-bound in relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py
-reads:
+for the pull-back density.  A third, seeded by (seed, 2), draws a cosine
+mu, uniform on [-1, 1] or +-(1 - 10^U(-16, 0)) each half the time, and a
+frequency omega = 10^U(-300, 30) in the unit system's own unit: boost_mu
+takes (omega, mu) as rest-frame values, effective_temperature_mu takes mu
+as mu'.  Each ratio below is error over the function's bound in
+relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py reads:
 
   energy_density_moving_spectral     relative error of W'/W
   energy_density_moving_correlation  relative error of W'/W
@@ -26,6 +29,10 @@ reads:
                                      a_16 against mpmath.legenq, over the
                                      bound of the branch that ran and the
                                      |beta| band
+  effective_temperature_mu           relative error of T_eff
+  boost_mu.omega_prime, .jac_freq,   relative error of omega', 1 / D and
+  .jac_solid_angle                   D^2, where omega' is normal
+  boost_mu.mu_prime                  absolute error of mu'
 
 A ratio above 1 is a bound that does not hold.  The JSON gives each
 function's largest ratio and the point where it peaked; the exit status is
@@ -43,6 +50,8 @@ import numpy as np
 from relplanck import (
     Component,
     UnitSystem,
+    boost_mu,
+    effective_temperature_mu,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
     make_boost,
@@ -75,8 +84,10 @@ def ratio(error, bound) -> float:
 
 def sweep(seed: int, count: int) -> dict:
     rng = np.random.default_rng(seed)
-    # a separate stream, so that each seed draws the same boosts as the W'/W sweep alone
+    # separate streams, so that each seed's boosts and pull-back points stay
+    # the same whatever is drawn after them
     aux = np.random.default_rng([seed, 1])
+    kin = np.random.default_rng([seed, 2])
     worst = {}
 
     def record(name, value, point):
@@ -130,8 +141,31 @@ def sweep(seed: int, count: int) -> dict:
                 bound = next(limit for edge, limit in BOUNDS["temperature_multipoles"][got.method]
                              if v.beta_mag <= edge)
                 record("temperature_multipoles", ratio(err, bound), point)
+
+            mu = kin.uniform(-1.0, 1.0) if kin.random() < 0.5 else (
+                kin.choice([-1.0, 1.0]) * (1.0 - 10.0 ** kin.uniform(-16.0, 0.0)))
+            om = 10.0 ** kin.uniform(-300.0, 30.0)
+            at = {**point, "mu": mu, "omega": om}
+            m = mpmath.mpf(mu)
+            gamma = 1 / mpmath.sqrt(1 - b * b)
+            t_eff = t / (gamma * (1 + b * m))
+            record("effective_temperature_mu",
+                   ratio(abs(effective_temperature_mu(mu, v, t) - t_eff) / t_eff,
+                         BOUNDS["effective_temperature_mu"]), at)
+            bound = BOUNDS["boost_mu"]
+            d = gamma * (1 - b * m)
+            om_p, mu_p, jac_freq, d2 = map(float, boost_mu(om, mu, v))
+            exact = {"omega_prime": mpmath.mpf(om) * d, "jac_freq": 1 / d, "jac_solid_angle": d * d}
+            for key, got in (("omega_prime", om_p), ("jac_freq", jac_freq),
+                             ("jac_solid_angle", d2)):
+                if exact[key] >= TINY:
+                    record(f"boost_mu.{key}",
+                           ratio(abs(got - exact[key]) / exact[key], bound[key]), at)
+            record("boost_mu.mu_prime", ratio(abs(mu_p - (m - b) / (1 - b * m)),
+                                              bound["mu_prime_absolute"]), at)
     swept = ("energy_density_moving_spectral", "energy_density_moving_correlation",
-             "rho_moving_pullback_mu", "temperature_multipoles")
+             "rho_moving_pullback_mu", "temperature_multipoles", "effective_temperature_mu",
+             "boost_mu")
     return {"seed": seed, "count": count,
             "bounds": {**{name: BOUNDS[name] for name in swept},
                        "integrate_semi_infinite": "reported error estimate",

@@ -33,8 +33,8 @@ _SI_CONSTANTS = (1.054571817e-34, 299792458.0, 1.380649e-23)
 
 # The error bounds the functions state, each cited by its docstring and held by
 # tests/test_oracle.py and scripts/bound_sweep.py: relative (eps = 2^-52) but
-# boost_mu's mu'; the thermal parts' times 1 + z where z < z_max and the part is
-# normal; the multipoles' by method, (upper |beta| edge, bound) bands closed above.
+# boost_mu's absolute mu'; the thermal parts' times 1 + z where z < z_max and the
+# part is normal; the multipoles' by method, (upper |beta| edge, bound) bands closed above.
 _EPS = 2.0**-52
 _ERROR_BOUNDS = {
     **dict.fromkeys(("rho_rest", "rho_moving_mu", "rho_moving_pullback_mu", "u_moving"),

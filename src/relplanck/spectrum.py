@@ -32,9 +32,10 @@ multiplied left to right, with D = 1 at rest and x_occ(x) = 2 x / (e^x - 1)
 omega^3 nor the occupation is formed on its own, so the thermal part
 survives where omega^3 underflows and where the occupation overflows.  Left
 to right, an intermediate is subnormal only where the density is below
-twice the smallest normal double.  Inside the input domain of core (README,
-"Domain") no density overflows; every public function here rejects inputs
-outside it.
+twice the smallest normal double or z = hbar D omega / k_B T is past the
+z_max of core._ERROR_BOUNDS["rho_rest"], where e^{-z} is subnormal (ROADMAP
+item 22 is the fix).  Inside the domain of core (README, "Domain") no
+density overflows; every public function here rejects inputs outside it.
 """
 
 from __future__ import annotations

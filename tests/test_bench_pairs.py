@@ -1,6 +1,8 @@
 """The verdicts of scripts/bench_pairs.py on synthetic paired runs, with no benchmark run."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,35 @@ def test_a_claim_with_more_failed_ops_on_the_change_is_not_met():
 def test_seed_ranges_and_lists():
     assert bench_pairs.seed_list("3001-3003") == [3001, 3002, 3003]
     assert bench_pairs.seed_list("1,5,9") == [1, 5, 9]
+
+
+@pytest.mark.parametrize("cached", ["parent", "change"])
+def test_a_bytecode_cache_in_either_checkout_stops_the_script_before_any_run(
+        tmp_path, monkeypatch, cached):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "relplanck").mkdir(parents=True)
+    (tmp_path / cached / "src" / "relplanck" / "__pycache__").mkdir()
+
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    out = tmp_path / "BENCH_0.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--pr", "0", "--workload", "mc_verify", "--seeds", "1-2", "--out", str(out)])
+    with pytest.raises(SystemExit, match=f"{cached}/src/relplanck/__pycache__"):
+        bench_pairs.main()
+    assert not out.exists()
+
+
+def test_each_run_writes_no_bytecode_cache(monkeypatch):
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(argv, 0, '# environment {}\n{"metrics": {}}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once("checkout", "mc_verify", 1, 5.0) == ({}, {"metrics": {}})
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

@@ -62,19 +62,18 @@ above at the four density temperatures, and on 200 random boosts from a
 fixed seed (uniform axis; |beta| uniform or 1 - 10^U(-9, 0); natural units
 at T in [1e-3, 1e3] or SI at [1, 1e4] K).  Each route is held to its
 entry of core._ERROR_BOUNDS, and the spectral route's reported error
-estimate must cover its actual error on W' and meet its tolerance.  Worst measured: 1.2e-15 on the grid,
-1.3e-15 on these 200 and 1.8e-15 on 100,000 random boosts
-(scripts/bound_sweep.py, seeds 1-5), with the actual error at most 0.16 of
-the estimate.
+estimate must cover its actual error on W' and meet its tolerance.  Worst
+measured: 1.2e-15 on the grid, 1.3e-15 on these 200 and 1.8e-15 on
+100,000 random boosts (scripts/bound_sweep.py, seeds 1-5), with the
+actual error at most 0.16 of the estimate.
 
 The Monte Carlo reference, McReport.analytic: bin averages of the thermal
 rho' on mc-verify's default grid (32 x 16 bins, omega' up to
 15 gamma (1 + beta) k_B T / hbar) at T = 1 natural and 300 K SI, against a
 40-digit mpmath quadrature over omega' of the closed-form mu' integral, at
 beta 0, 1e-12, 0.6, 0.99 and 1 - 1e-9, each held to
-core._ERROR_BOUNDS["run_identity_check"].  The
-closed form itself is held to mpmath's quadrature over mu' at one omega'
-per bin.  The bins are the populated ones; the worst measured elsewhere on
+core._ERROR_BOUNDS["run_identity_check"].  The closed form itself is held
+to mpmath's quadrature over mu' at one omega' per bin.  The bins are the populated ones; the worst measured elsewhere on
 these grids is 1.1e-8 in the first bin at 1 - 1e-9 (omega' from 0, mu'
 from -1 to -0.875, where D spans 8 decades and the density goes like
 omega'^2 ln omega' near 0) and 4e-10 in first omega' bins whose rule the

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import relplanck
 import relplanck.cli
+from relplanck.core import _ERROR_BOUNDS
 
 PUBLIC_NAMES = [
     "BoostVelocity", "CheckResult", "Component", "EnergyDensityReport",
@@ -43,6 +45,24 @@ def test_star_import_binds_the_public_names_and_no_submodule():
     exec("from relplanck import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
     assert sorted(relplanck.__all__) == PUBLIC_NAMES
+
+
+def _numbers(entry) -> list:
+    """Every number in a bound table entry, through its dicts and tuples."""
+    if isinstance(entry, dict):
+        entry = tuple(entry.values())
+    if isinstance(entry, tuple):
+        return [x for part in entry for x in _numbers(part)]
+    return [entry]
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_BOUNDS))
+def test_each_stated_bound_belongs_to_a_public_function_that_cites_it(name):
+    # an entry cannot outlive its function or drift from its docstring
+    assert name in PUBLIC_NAMES and callable(getattr(relplanck, name))
+    assert f'_ERROR_BOUNDS["{name}"]' in getattr(relplanck, name).__doc__
+    numbers = _numbers(_ERROR_BOUNDS[name])
+    assert numbers and all(math.isfinite(x) and x > 0.0 for x in numbers)
 
 
 # every subcommand's flags, -h/--help aside

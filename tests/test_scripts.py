@@ -46,6 +46,8 @@ def test_bound_sweep_writes_every_ratio_within_its_bound(tmp_path):
     report = json.loads(out.read_text())
     assert (report["seed"], report["count"]) == (0, 5)
     assert sorted(report["results"]) == [
+        "boost_mu.jac_freq", "boost_mu.jac_solid_angle", "boost_mu.mu_prime",
+        "boost_mu.omega_prime", "effective_temperature_mu",
         "energy_density_moving_correlation", "energy_density_moving_spectral",
         "integrate_semi_infinite", "integrate_semi_infinite.estimate",
         "rho_moving_pullback_mu", "temperature_multipoles",

@@ -119,7 +119,8 @@ def test_a_bytecode_cache_in_either_checkout_stops_the_script_before_any_run(
     out = tmp_path / "BENCH_0.json"
     monkeypatch.setattr(sys, "argv", [
         "bench_pairs.py", "--parent", str(tmp_path / "parent"),
-        "--change", str(tmp_path / "change"), "--pr", "0", "--workload", "mc_verify", "--seeds", "1-2", "--out", str(out)])
+        "--change", str(tmp_path / "change"), "--pr", "0", "--workload", "mc_verify",
+        "--seeds", "1-2", "--out", str(out)])
     with pytest.raises(SystemExit, match=f"{cached}/src/relplanck/__pycache__"):
         bench_pairs.main()
     assert not out.exists()

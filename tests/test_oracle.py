@@ -51,11 +51,12 @@ the oblique axis (1, -2, 2) / 3; boost_mu takes the frequencies of the
 density grid.  Each is held to its function's entry of core._ERROR_BOUNDS:
 boost_mu's holds omega', jac_freq = 1 / D and D^2 relatively and mu'
 absolutely, because mu - |beta| cancels near mu = |beta|.  The worst
-measured on 20,000 random points is 1.9, 2.1, 2.1, 3.7 and 1.5 eps
-(eps = 2^-52) for T_eff, omega', jac_freq, D^2 and mu'.  The correlation
-W'/W reads 3.9e-16 at worst on this grid and 7.5e-16 (3.4 eps) on 140,000 random boosts: the ratio is a
-correctly rounded sum of the field boost's squared entries, so what is
-left is the rounding of gamma, which W'/W doubles.
+that scripts/bound_sweep.py measures on 20,000 random points (seeds 0
+and 1, 10^4 each) is 2.2, 2.0, 1.9, 3.8 and 1.6 eps (eps = 2^-52) for
+T_eff, omega', jac_freq, D^2 and mu'.  The correlation W'/W reads 3.9e-16
+at worst on this grid and 7.5e-16 (3.4 eps) on 140,000 random boosts:
+the ratio is a correctly rounded sum of the field boost's squared
+entries, so what is left is the rounding of gamma, which W'/W doubles.
 
 Both W'/W routes, against 50-digit gamma^2 (1 + beta^2 / 3): on every boost
 above at the four density temperatures, and on 200 random boosts from a
@@ -73,11 +74,11 @@ rho' on mc-verify's default grid (32 x 16 bins, omega' up to
 40-digit mpmath quadrature over omega' of the closed-form mu' integral, at
 beta 0, 1e-12, 0.6, 0.99 and 1 - 1e-9, each held to
 core._ERROR_BOUNDS["run_identity_check"].  The closed form itself is held
-to mpmath's quadrature over mu' at one omega' per bin.  The bins are the populated ones; the worst measured elsewhere on
-these grids is 1.1e-8 in the first bin at 1 - 1e-9 (omega' from 0, mu'
-from -1 to -0.875, where D spans 8 decades and the density goes like
-omega'^2 ln omega' near 0) and 4e-10 in first omega' bins whose rule the
-reference cuts short.
+to mpmath's quadrature over mu' at one omega' per bin.  The bins are the
+populated ones; the worst measured elsewhere on these grids is 1.1e-8 in
+the first bin at 1 - 1e-9 (omega' from 0, mu' from -1 to -0.875, where D
+spans 8 decades and the density goes like omega'^2 ln omega' near 0) and
+4e-10 in first omega' bins whose rule the reference cuts short.
 """
 
 import mpmath

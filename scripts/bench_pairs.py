@@ -11,10 +11,10 @@ workload and seed the script runs
 
 once in each checkout, the parent first in even-numbered pairs and the
 change first in odd-numbered ones, with PYTHONDONTWRITEBYTECODE=1, and
-writes BENCH_<N>.json: every run's
-raw last stdout line and '# environment' line, and per workload and metric
-the medians, the quartiles and the pairs the change won.  Each metric gets
-one verdict, with the bounds and directions of the parent's BENCHMARK.json:
+writes BENCH_<N>.json: every run's raw last stdout line and '# environment'
+line, and per workload and metric the medians, the quartiles and the pairs
+the change won.  Each metric gets one verdict, with the bounds and
+directions of the parent's BENCHMARK.json:
 
   improved                 the change is better in at least nine tenths of
                            the pairs (ties count for neither) and its median beats
@@ -33,9 +33,10 @@ A claim (--claim WORKLOAD:METRIC) is met when that metric is improved and
 no seed fails more ops on the change than on the parent.
 
 The script refuses to start while either checkout's src/ holds a
-__pycache__: a bytecode cache on one side only moves every start-up time
-(cli_session read 11.88 against 11.02 ops/s, worse in 10 of 10 pairs, for
-a change that touched no import), and no run writes one.
+__pycache__, and no run writes one: a bytecode cache on one side only
+moves every start-up time (on a 2-core host, cli_session read 11.88
+against 11.02 ops/s, worse in 10 of 10 pairs, for a change that touched
+no import).
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ log-uniform on [1e-3, 1e3] or SI with T on [1, 1e4] K, each half the time.
 Each route's W'/W is compared with gamma^2 (1 + beta^2 / 3) at 50 digits
 (mpmath, from the library's |beta|).  At each boost a second stream,
 seeded by (seed, 1), draws a cosine mu' uniform on [-1, 1] and
-x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, z_max) each half the time,
-for the pull-back density.  A third, seeded by (seed, 2), draws a cosine
-mu, uniform on [-1, 1] or +-(1 - 10^U(-16, 0)) each half the time, and a
-frequency omega = 10^U(-300, 30) in the unit system's own unit: boost_mu
-takes (omega, mu) as rest-frame values, effective_temperature_mu takes mu
-as mu'.  Each ratio below is error over the function's bound in
+x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, 800) each half the time,
+for the four thermal densities, each against its 50-digit value.  The
+multipoles are held to tests/test_oracle.py's 40-digit recurrence, which
+that test holds to mpmath.legenq.  A third stream, seeded by (seed, 2),
+draws a cosine mu, uniform on [-1, 1] or +-(1 - 10^U(-16, 0)) each half
+the time, and a frequency omega = 10^U(-300, 30) in the unit system's own
+unit: boost_mu takes (omega, mu) as rest-frame values,
+effective_temperature_mu takes mu as mu'.  Each ratio below is error over the function's bound in
 relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py reads:
 
   energy_density_moving_spectral     relative error of W'/W
@@ -21,12 +23,14 @@ relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py reads:
   integrate_semi_infinite            the spectral W's error over the
                                      integral's reported estimate
   integrate_semi_infinite.estimate   that estimate over its tolerance
-  rho_moving_pullback_mu             relative error of the thermal part
-                                     over its bound times 1 + z, z = D x,
-                                     where it is a normal double and z is
-                                     below the bound's z_max
+  rho_rest, rho_moving_mu,           relative error of the thermal part
+  rho_moving_pullback_mu, u_moving   over its bound times 1 + z, where it
+                                     is a normal double: z = x at rest,
+                                     D x with D = gamma (1 + |beta| mu'),
+                                     and the hottest direction's
+                                     gamma (1 - |beta|) x for u_moving
   temperature_multipoles             largest relative error of a_0 ..
-                                     a_16 against mpmath.legenq, over the
+                                     a_16 against the recurrence, over the
                                      bound of the branch that ran and the
                                      |beta| band
   effective_temperature_mu           relative error of T_eff
@@ -43,6 +47,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -55,11 +60,17 @@ from relplanck import (
     energy_density_moving_correlation,
     energy_density_moving_spectral,
     make_boost,
+    rho_moving_mu,
     rho_moving_pullback_mu,
+    rho_rest,
     spectral_prefactor,
     temperature_multipoles,
+    u_moving,
 )
 from relplanck.core import _ERROR_BOUNDS as BOUNDS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_oracle import _recurrence_over_t, _u_moving_over_cube  # noqa: E402
 
 L_MAX = 16
 TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -84,7 +95,7 @@ def ratio(error, bound) -> float:
 
 def sweep(seed: int, count: int) -> dict:
     rng = np.random.default_rng(seed)
-    # separate streams, so that each seed's boosts and pull-back points stay
+    # separate streams, so that each seed's boosts and density points stay
     # the same whatever is drawn after them
     aux = np.random.default_rng([seed, 1])
     kin = np.random.default_rng([seed, 2])
@@ -100,6 +111,7 @@ def sweep(seed: int, count: int) -> dict:
             units = UNITS[name][0]
             v = make_boost(beta)
             b = mpmath.mpf(v.beta_mag)
+            gamma = 1 / mpmath.sqrt(1 - b * b)
             want = (1 + b * b / 3) / (1 - b * b)
             point = {"beta": beta.tolist(), "units": name, "T": t}
             spec = energy_density_moving_spectral(t, v, units)
@@ -115,28 +127,29 @@ def sweep(seed: int, count: int) -> dict:
             record("integrate_semi_infinite.estimate",
                    ratio(spec.error_estimate, spec.tolerance), point)
 
-            bound = BOUNDS["rho_moving_pullback_mu"]
             mu = aux.uniform(-1.0, 1.0)
-            x = (10.0 ** aux.uniform(-300.0, 0.0) if aux.random() < 0.5
-                 else aux.uniform(0.0, bound["z_max"]))
+            x = 10.0 ** aux.uniform(-300.0, 0.0) if aux.random() < 0.5 else aux.uniform(0.0, 800.0)
             om = x * units.k_B * t / units.hbar
-            got = rho_moving_pullback_mu(om, mu, v, t, Component.THERMAL, units)
             om_mp = mpmath.mpf(om)
-            # z = D hbar omega' / k_B T with D = gamma (1 + |beta| mu')
-            z = (1 + b * mu) * om_mp * units.hbar / (mpmath.sqrt(1 - b * b) * units.k_B * t)
-            rho = spectral_prefactor(units) * om_mp**3 * 2 / mpmath.expm1(z)
-            if TINY <= rho <= HUGE and z < bound["z_max"]:
-                record("rho_moving_pullback_mu",
-                       ratio(abs(got - rho) / rho, bound["times_1_plus_z"] * (1 + z)),
-                       {**point, "mu_prime": mu, "x": x})
+            x_mp = om_mp * units.hbar / (mpmath.mpf(units.k_B) * t)
+            cube = spectral_prefactor(units) * om_mp**3
+            d = gamma * (1 + b * mu)
+            at = {**point, "mu_prime": mu, "x": x}
+            for route, args, z, want in (
+                    (rho_rest, (), x_mp, cube * 2 / mpmath.expm1(x_mp)),
+                    (rho_moving_mu, (mu, v), d * x_mp, cube * 2 / mpmath.expm1(d * x_mp)),
+                    (rho_moving_pullback_mu, (mu, v), d * x_mp, cube * 2 / mpmath.expm1(d * x_mp)),
+                    (u_moving, (v,), gamma * (1 - b) * x_mp,
+                     cube * _u_moving_over_cube(x_mp, b, gamma))):
+                if TINY <= want <= HUGE:
+                    got = route(om, *args, t, Component.THERMAL, units)
+                    bound = BOUNDS[route.__name__]["times_1_plus_z"] * (1 + z)
+                    record(route.__name__, ratio(abs(got - want) / want, bound), at)
 
             if b > 0:
-                # a_l = (-1)^l (2l + 1) T Q_l(1/beta) / (gamma beta)
-                scale = t * mpmath.sqrt(1 - b * b) / b
                 got = temperature_multipoles(v, t, L_MAX)
-                err = max(abs(g / ((-1) ** l * (2 * l + 1) * scale
-                                   * mpmath.legenq(l, 0, 1 / b, type=3).real) - 1)
-                          for l, g in enumerate(got.a))
+                want = _recurrence_over_t(v.beta_mag)  # a_l / T
+                err = max(abs(g / (t * w) - 1) for g, w in zip(got.a, want))
                 # the band of the branch that ran
                 bound = next(limit for edge, limit in BOUNDS["temperature_multipoles"][got.method]
                              if v.beta_mag <= edge)
@@ -147,7 +160,6 @@ def sweep(seed: int, count: int) -> dict:
             om = 10.0 ** kin.uniform(-300.0, 30.0)
             at = {**point, "mu": mu, "omega": om}
             m = mpmath.mpf(mu)
-            gamma = 1 / mpmath.sqrt(1 - b * b)
             t_eff = t / (gamma * (1 + b * m))
             record("effective_temperature_mu",
                    ratio(abs(effective_temperature_mu(mu, v, t) - t_eff) / t_eff,
@@ -163,9 +175,9 @@ def sweep(seed: int, count: int) -> dict:
                            ratio(abs(got - exact[key]) / exact[key], bound[key]), at)
             record("boost_mu.mu_prime", ratio(abs(mu_p - (m - b) / (1 - b * m)),
                                               bound["mu_prime_absolute"]), at)
-    swept = ("energy_density_moving_spectral", "energy_density_moving_correlation",
-             "rho_moving_pullback_mu", "temperature_multipoles", "effective_temperature_mu",
-             "boost_mu")
+    swept = ("energy_density_moving_spectral", "energy_density_moving_correlation", "rho_rest",
+             "rho_moving_mu", "rho_moving_pullback_mu", "u_moving", "temperature_multipoles",
+             "effective_temperature_mu", "boost_mu")
     return {"seed": seed, "count": count,
             "bounds": {**{name: BOUNDS[name] for name in swept},
                        "integrate_semi_infinite": "reported error estimate",

@@ -22,7 +22,7 @@ _LAZY = {
                      "run_identity_check", "sample_rest_modes"], "montecarlo"),
     **dict.fromkeys(["EnergyDensityReport", "QuadratureResult",
                      "energy_density_moving_correlation", "energy_density_moving_spectral",
-                     "energy_density_rest", "expected_energy_ratio", "integrate_semi_infinite",
+                     "expected_energy_ratio", "integrate_semi_infinite",
                      "thermal_energy_density_closed_form"], "radiometry"),
     "run_selfcheck": "selfcheck",
 }

@@ -139,26 +139,19 @@ def _check_size(flag: str, value: int, low: int, high: int):
         raise UsageError(f"{flag} must be <= {high}, got {value}")
 
 
-def _thermal_bound_warnings(label: str, omega, t_z: float, units: UnitSystem, thermal) -> tuple:
-    """One warning naming the rows where the thermal part's stated bound does not hold.
-
-    z = hbar omega / k_B t_z, with t_z the temperature of the Planck law the
-    row evaluates (the hottest direction's for u').  Rows are named by
-    their frequency, in runs of consecutive rows.
-    """
-    bound = _ERROR_BOUNDS["rho_rest"]  # the four thermal densities state one bound
-    mag = np.abs(thermal)
-    z = units.hbar * omega / (units.k_B * t_z)
-    rows = np.flatnonzero((z >= bound["z_max"]) | ((mag > 0.0) & (mag < np.finfo(float).tiny)))
+def _thermal_bound_warnings(columns: dict) -> tuple:
+    """One warning naming the rows where the one bound of the four thermal densities does
+    not hold, the subnormal values, by their frequency in runs of consecutive rows."""
+    (label, omega), (_, thermal) = list(columns.items())[:2]
+    rows = np.flatnonzero((thermal > 0.0) & (thermal < np.finfo(float).tiny))
     if not rows.size:
         return ()
     cut = np.flatnonzero(np.diff(rows) > 1) + 1
     runs = ", ".join(_cell(omega[r[0]]) + ("" if r.size == 1 else f" to {_cell(omega[r[-1]])}")
                      for r in np.split(rows, cut))
     return (f"{rows.size} of {len(omega)} rows lie outside the thermal density's "
-            f"{bound['times_1_plus_z'] / _EPS:g} eps (1 + z) relative bound, which holds for "
-            f"z = hbar {label} / k_B T_eff < {bound['z_max']:g} and a normal double: "
-            f"{label} {runs}",)
+            f"{_ERROR_BOUNDS['rho_rest']['times_1_plus_z'] / _EPS:g} eps (1 + z) relative "
+            f"bound, which holds where it is a normal double: {label} {runs}",)
 
 
 def _cmd_spectrum(args) -> _Output:
@@ -184,30 +177,23 @@ def _cmd_spectrum(args) -> _Output:
         if args.beta is not None:
             raise UsageError("a boost only applies to --frame moving")
         columns = {"omega": omega, "rho": rho_rest(omega, t, component, units)}
-        t_z = t
     else:
         v = _boost_from(args)
         if args.mu is None:
             columns = {"omega_prime": omega, "u_prime": u_moving(omega, v, t, component, units)}
-            t_z = effective_temperature_mu(-1.0, v, t)
         else:
             if not -1.0 <= args.mu <= 1.0:
                 raise UsageError(f"--mu must lie in [-1, 1], got {args.mu}")
             inputs["mu"] = args.mu
-            t_z = effective_temperature_mu(args.mu, v, t)
             columns = {
                 "omega_prime": omega,
                 "rho_prime": rho_moving_mu(omega, args.mu, v, t, component, units),
-                "t_eff": np.full(len(omega), t_z),
+                "t_eff": np.full(len(omega), effective_temperature_mu(args.mu, v, t)),
             }
         inputs["beta"] = _beta_list(v)
     inputs.update(omega_min=args.omega_min, omega_max=args.omega_max,
                   points=args.points, grid=args.grid, units=args.units)
-    columns = {name: np.atleast_1d(col) for name, col in columns.items()}
-    (label, freq), (_, density) = list(columns.items())[:2]
-    warnings = ()
-    if component is Component.THERMAL and t > 0.0:
-        warnings = _thermal_bound_warnings(label, freq, t_z, units, density)
+    warnings = _thermal_bound_warnings(columns) if component is Component.THERMAL else ()
     return _Output(inputs, {name: col.tolist() for name, col in columns.items()}, [columns],
                    warnings)
 

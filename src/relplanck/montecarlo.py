@@ -56,7 +56,10 @@ from .core import (
 )
 from .kinematics import boost_mu
 from .radiometry import _GL20_HALF, expected_energy_ratio, thermal_energy_density_closed_form
-from .spectrum import _direction_integrated_x_occupation, effective_temperature_mu, spectral_prefactor
+from .spectrum import (
+    _direction_integrated_x_occupation, _x_occupation, effective_temperature_mu,
+    spectral_prefactor,
+)
 
 __all__ = [
     "PLANCK_ENERGY_MEAN_X",
@@ -246,13 +249,15 @@ def _reference(om_edges, mu_edges, v: BoostVelocity, t: float, units: UnitSystem
     width = np.diff(om_edges)[:, None]
     span = np.minimum(width, _SPAN_OMEGA * s / d_a)
     y = (om_edges[:-1, None] + span * x) / s
-    rho_mu = y * y * _direction_integrated_x_occupation(y, v, mu_a, mu_b)
-    # over pref s^3, rho' D^2 over mu' is integral u^2 2 / (e^u - 1) du / (gamma |beta|)
+    f, h = _direction_integrated_x_occupation(y, v, mu_a, mu_b)
+    rho_mu = y * y * f * h * h
+    # over pref s^3, rho' D^2 over mu' is integral u^2 2 / (e^u - 1) du / (gamma |beta|),
+    # with u^2 / (e^u - 1) = u f h h / 2 from u's pair (f, h)
     g_b = v.gamma * v.beta_mag
     u_a, du = d_a * y, np.minimum(g_b * (mu_b - mu_a) * y, _SPAN_MU)
     nodes = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
-    with np.errstate(over="ignore"):  # the Wien tail's occupation is 0
-        occ = sum(u * u / np.expm1(u) for u in (u_a + node * du for node in nodes))
+    occ = sum(u * f * h * h / 2.0 for u in (u_a + node * du for node in nodes)
+              for f, h in [_x_occupation(u)])
     rho_d2 = occ * (du / g_b if g_b else y * (mu_b - mu_a))
     scale = spectral_prefactor(units) * s**3 * span[..., 0].T / width / np.diff(mu_edges)
     return np.einsum("bai,i->ab", rho_mu, w) * scale, np.einsum("bai,i->ab", rho_d2, w) * scale

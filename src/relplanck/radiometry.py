@@ -23,10 +23,13 @@ any unit system.
 
 The rest-frame thermal energy density W is the Stefan-Boltzmann closed form
 pi^2 (k_B T)^4 / (15 hbar^3 c^3) of thermal_energy_density_closed_form in
-both routes below; energy_density_rest is its quadrature check.  Each
-route computes the scale-free ratio W'/W and reports W' = W W'/W; inside
-the input domain of core (README, "Domain") W and W' are normal doubles.
-The two routes are genuinely different and must agree:
+both routes below; at rest the spectral route is its quadrature check (the
+selftest's stefan-boltzmann).  No zero-point energy is computed: its
+spectral density grows as omega^3 and integrates to infinity without a
+cutoff.  Each route computes the scale-free ratio W'/W and reports
+W' = W W'/W; inside the input domain of core (README, "Domain") W and W'
+are normal doubles.  The two routes are genuinely different and must
+agree:
 
   * spectral: integrate the boosted thermal spectral density, analytically
     over direction (the closed-form u'(omega') of spectrum.u_moving) and by
@@ -53,13 +56,12 @@ import numpy as np
 
 from . import kinematics
 from .core import NATURAL, BoostVelocity, CheckResult, UnitSystem, _EPS, temperature_value
-from .spectrum import _direction_integrated_x_occupation, _x_occupation, spectral_prefactor
+from .spectrum import _direction_integrated_x_occupation
 
 __all__ = [
     "QuadratureResult",
     "integrate_semi_infinite",
     "EnergyDensityReport",
-    "energy_density_rest",
     "energy_density_moving_spectral",
     "energy_density_moving_correlation",
     "thermal_energy_density_closed_form",
@@ -209,10 +211,10 @@ class EnergyDensityReport:
 def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
     """pi^2 (k_B T)^4 / (15 hbar^3 c^3), the closed-form thermal energy density.
 
-    Both W' routes take it as W, energy_density_rest must reproduce it by
-    quadrature, and the Monte Carlo sampler uses it as the normalization of
-    the thermal spectrum.  Raises ValueError at T = 0, where W = 0 cannot
-    normalize a ratio, and for a T outside the domain (README, "Domain").
+    Both W' routes take it as W, the spectral route reproduces it at rest,
+    and the Monte Carlo sampler normalizes the thermal spectrum with it.
+    Raises ValueError at T = 0, where W = 0 cannot normalize a ratio, and
+    for a T outside the domain (README, "Domain").
     """
     t = temperature_value(T)
     if t == 0.0:
@@ -228,29 +230,6 @@ def expected_energy_ratio(v: BoostVelocity) -> float:
     """
     p, q = v.beta_mag.as_integer_ratio()
     return (3 * q * q + p * p) / (3 * (q * q - p * p))
-
-
-def energy_density_rest(T, units: UnitSystem = NATURAL) -> float:
-    """Thermal energy density of the rest-frame field, by quadrature.
-
-    It is the quadrature check of the Stefan-Boltzmann closed form
-    thermal_energy_density_closed_form, which both W' routes take as W.
-    The integral runs in x = hbar omega / (k_B T), where the kernel is O(1)
-    at any temperature and in any unit system, and is scaled by
-    (k_B T / hbar)^4 after.  No zero-point energy is computed: its spectral
-    density grows as omega^3 and integrates to infinity, and a cutoff would
-    make it depend on the cutoff, not on T.  The zero-point part's frame
-    independence is checked pointwise instead, by spectrum.rho_moving_mu
-    and u_moving.  Only the value is returned; the selftest holds it to
-    the closed form.
-    """
-    t = temperature_value(T)
-    if t == 0.0:
-        return 0.0
-    # integral x^3 2 / (e^x - 1) dx, as x^2 times x times the occupation
-    freq = integrate_semi_infinite(lambda x: x**2 * _x_occupation(x)).value
-    s = units.k_B * t / units.hbar
-    return 4.0 * np.pi * spectral_prefactor(units) * s**4 * freq
 
 
 def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATURAL) -> EnergyDensityReport:
@@ -269,9 +248,12 @@ def energy_density_moving_spectral(T, v: BoostVelocity, units: UnitSystem = NATU
     """
     w_rest = thermal_energy_density_closed_form(T, units)
     hottest = 1.0 / (v.gamma * (1.0 - v.beta_mag))
-    moving = integrate_semi_infinite(
-        lambda x: x**2 * _direction_integrated_x_occupation(x, v), scale=hottest
-    )
+
+    def integrand(x):
+        f, h = _direction_integrated_x_occupation(x, v)
+        return x**2 * f * h * h
+
+    moving = integrate_semi_infinite(integrand, scale=hottest)
     per_ratio = 15.0 / (4.0 * math.pi**4)
     ratio, to_w = per_ratio * moving.value, w_rest * per_ratio
     return EnergyDensityReport(

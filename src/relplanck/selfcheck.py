@@ -260,13 +260,15 @@ def _check_multipoles(rng) -> CheckResult:
 
 
 def _check_stefan_boltzmann(rng) -> CheckResult:
+    # the spectral route's W' at rest, against pi^2 (k_B T)^4 / (15 hbar^3 c^3)
+    # formed here, so that a fault in radiometry's W cannot cancel
     worst = 0.0
     for t, units in ((0.5, NATURAL), (1.0, NATURAL), (3.0, NATURAL), (300.0, UnitSystem.si())):
-        w = radiometry.energy_density_rest(t, units)
-        exact = radiometry.thermal_energy_density_closed_form(t, units)
-        worst = max(worst, abs(w - exact) / exact)
-    # the residual is 2.7e-16; a 1e-10 fault in pi^2/15 must fail
-    return _result("stefan-boltzmann", worst, 1e-13, "thermal quadrature vs pi^2 T^4/15")
+        rep = radiometry.energy_density_moving_spectral(t, make_boost([0.0, 0.0, 0.0]), units)
+        exact = math.pi**2 * (units.k_B * t) ** 4 / (15.0 * units.hbar**3 * units.c**3)
+        worst = max(worst, abs(rep.ratio - 1.0), abs(rep.W_moving - exact) / exact)
+    # the residual is 5.5e-16; a 1e-10 fault in pi^2/15 must fail
+    return _result("stefan-boltzmann", worst, 1e-13, "spectral W' at rest vs pi^2 T^4/15")
 
 
 def _check_route_agreement(rng) -> CheckResult:
@@ -289,11 +291,14 @@ def _check_route_agreement(rng) -> CheckResult:
 
 
 def _check_quadrature_honesty(rng) -> CheckResult:
-    # x^n / (e^x - 1) as x^(n - 1) times x times the occupation, halved
+    def planck(om, n):  # om^n / (e^om - 1), as om^(n - 1) times the pair's f h h, halved
+        f, h = spectrum._x_occupation(om)
+        return om ** (n - 1) * f * h * h / 2.0
+
     cases = [
-        (lambda om: om**2 * spectrum._x_occupation(om) / 2.0, math.pi**4 / 15.0),
+        (lambda om: planck(om, 3), math.pi**4 / 15.0),
         (lambda om: om**3 * np.exp(-om), 6.0),
-        (lambda om: om**3 * spectrum._x_occupation(om) / 2.0, 24.886266123440878),
+        (lambda om: planck(om, 4), 24.886266123440878),
     ]
     worst = 0.0
     honest = True

@@ -25,17 +25,18 @@ rest-frame one at every beta.
 All three densities go through one assembly, _density: the zero-point
 part pref omega omega omega and the thermal part
 
-    pref * s * omega * omega * x_occ(omega / s),   s = k_B T / (hbar D),
+    pref * s * omega * omega * f * h * h,   s = k_B T / (hbar D),
 
-multiplied left to right, with D = 1 at rest and x_occ(x) = 2 x / (e^x - 1)
-<= 2 (u_moving passes 4 pi pref and the mean of x_occ over mu').  Neither
-omega^3 nor the occupation is formed on its own, so the thermal part
-survives where omega^3 underflows and where the occupation overflows.  Left
-to right, an intermediate is subnormal only where the density is below
-twice the smallest normal double or z = hbar D omega / k_B T is past the
-z_max of core._ERROR_BOUNDS["rho_rest"], where e^{-z} is subnormal (ROADMAP
-item 22 is the fix).  Inside the domain of core (README, "Domain") no
-density overflows; every public function here rejects inputs outside it.
+multiplied left to right, with D = 1 at rest, f = 2 x / (1 - e^{-x}) and
+h = e^{-x/2} at x = omega / s, so f h h = 2 x / (e^x - 1) <= 2 (u_moving
+passes 4 pi pref and the pair's mean over mu').  Neither omega^3 nor the
+occupation nor e^{-x} is formed on its own, so the thermal part survives
+where omega^3 underflows, where the occupation overflows and where e^{-x}
+is subnormal.  Left to right, an intermediate is subnormal only where the
+density is below twice the smallest normal double: every factor after f is
+at most 1, and pref s omega omega is subnormal only where f is at most 2.
+Inside the domain of core (README, "Domain") no density overflows; every
+public function here rejects inputs outside it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 _SMALLEST = np.finfo(float).smallest_subnormal
+_TINY = np.finfo(float).tiny
 
 
 def spectral_prefactor(units: UnitSystem = NATURAL) -> float:
@@ -79,27 +81,27 @@ def _check_mu(mu) -> np.ndarray:
 
 
 def _x_occupation(x):
-    """x times the occupation, 2 e^{-x} (x / (1 - e^{-x})), for x > 0: at most 2,
-    finite for subnormal x and an exact 0 deep in the Wien tail."""
-    return 2.0 * np.exp(-x) * (x / -np.expm1(-x))
+    """x times the occupation, 2 x / (e^x - 1), for x > 0 as the pair (f, h) with
+    f h h its value: f = 2 x / (1 - e^{-x}), 2 for subnormal x, and h = e^{-x/2}."""
+    return 2.0 * x / -np.expm1(-x), np.exp(-0.5 * x)
 
 
 def _density(om, s, x_occ, component, pref):
     """pref om^3 {1, occupation, coth}, assembled as the module docstring says.
 
-    om / s is taken as at least the smallest subnormal, where x_occ has
-    reached its limit.  The thermal part is exactly 0 at om = 0, at T = 0
-    (s = 0, where om / s is inf or NaN) and wherever x_occ is 0 or NaN.
-    The zero-point part is pref * om * om * om, left to right like the
-    thermal part.
+    x_occ maps x = om / s, at least the smallest subnormal, where the
+    occupation has reached its limit, to a pair (f, h) like _x_occupation.
+    The thermal part is exactly 0 at om = 0, at T = 0 (s = 0, where om / s
+    is inf or NaN) and wherever h is 0 or the product NaN.  The zero-point part is
+    pref * om * om * om, left to right like the thermal part.
     """
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")
     if component is Component.ZERO_POINT:
         return pref * om * om * om
     with np.errstate(divide="ignore", invalid="ignore"):
-        occ = x_occ(np.maximum(om / s, _SMALLEST))
-        out = np.where(occ > 0.0, pref * s * om * om * occ, 0.0)
+        f, h = x_occ(np.maximum(om / s, _SMALLEST))
+        out = np.fmax(pref * s * om * om * f * h * h, 0.0)
     if component is Component.TOTAL:
         out = pref * om * om * om + out
     return out
@@ -168,9 +170,9 @@ def rho_moving_pullback_mu(
     cubed frequency ratio, kept apart from rho_moving_mu on purpose.  Its
     thermal part holds core._ERROR_BOUNDS["rho_moving_pullback_mu"], z =
     hbar D omega' / k_B T (tests/test_oracle.py): it is rho_rest's assembly
-    with pref / D^3, so below that z limit no intermediate is subnormal
-    where the density is normal, without rho_rest's check of D omega',
-    which may lie above the domain's omega where omega' does not.
+    with pref / D^3, so no intermediate is subnormal where the density is
+    normal, without rho_rest's check of D omega', which may lie above the
+    domain's omega where omega' does not.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_omega(om, "omega_prime")
@@ -182,29 +184,36 @@ def rho_moving_pullback_mu(
 
 
 def _direction_integrated_x_occupation(x, v: BoostVelocity, mu_a=-1.0, mu_b=1.0):
-    """x integral_{mu_a}^{mu_b} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0.
+    """x integral_{mu_a}^{mu_b} 2 / (e^{D x} - 1) d mu' with D = gamma (1 + |beta| mu'), for x > 0,
+    as the pair (f, h) of _x_occupation, with f h h its value.
 
     2 ln(1 - e^{-D x}) is an antiderivative in D x, so the value is
-    (2 / (gamma |beta|)) log1p(e^{-lo} (1 - e^{-2a}) / (1 - e^{-lo})) with
-    lo = gamma (1 + |beta| mu_a) x and 2a = gamma |beta| (mu_b - mu_a) x:
-    nothing cancels at small beta, small x or a narrow interval, the Wien
-    tail underflows to 0, and on [-1, 1] the value tends to
-    (2 / (gamma |beta|)) ln((1 + |beta|) / (1 - |beta|)) as x -> 0 without
-    overflowing.  At rest, and where a underflows, the integrand is flat in
-    mu' and the value is (mu_b - mu_a) _x_occupation(x).  Broadcasts.
+    (2 / (gamma |beta|)) log1p(h h r) with h = e^{-lo/2}, lo = gamma (1 +
+    |beta| mu_a) x, r = (1 - e^{-2a}) / (1 - e^{-lo}) and 2a = gamma |beta|
+    (mu_b - mu_a) x; f = (2 / (gamma |beta|)) r log1p(y) / y with y = h h r
+    taken as at least the smallest normal double, below which log1p(y) / y
+    is exactly 1, so that f is exact where h h underflows.  Nothing cancels
+    at small beta, small x or a narrow interval, and on [-1, 1] the value
+    tends to (2 / (gamma |beta|)) ln((1 + |beta|) / (1 - |beta|)) as x -> 0.
+    At rest, and where a underflows, the integrand is flat in mu' and the
+    pair is _x_occupation(x), f times mu_b - mu_a.  Broadcasts.
     """
     x = np.asarray(x, dtype=float)
     if v.is_rest:
-        return (mu_b - mu_a) * _x_occupation(x)
+        f, h = _x_occupation(x)
+        return (mu_b - mu_a) * f, h
     neg_lo = -(v.gamma * (1.0 + v.beta_mag * mu_a)) * x
-    a = v.gamma * v.beta_mag * (0.5 * (mu_b - mu_a)) * x
+    neg_2a = -(v.gamma * v.beta_mag * (mu_b - mu_a)) * x
+    h = np.exp(0.5 * neg_lo)
     # (1 - e^{-2a}) / (1 - e^{-lo}) with both signs flipped, which is exact
-    log_ratio = np.log1p(np.exp(neg_lo) * np.expm1(-2.0 * a) / np.expm1(neg_lo))
-    value = np.asarray(2.0 * log_ratio / (v.gamma * v.beta_mag))
-    flat = a == 0.0
+    r = np.expm1(neg_2a) / np.expm1(neg_lo)
+    y = np.maximum(h * h * r, _TINY)
+    f = 2.0 / (v.gamma * v.beta_mag) * r * np.log1p(y) / y
+    flat = neg_2a == 0.0
     if flat.any():
-        value = np.where(flat, (mu_b - mu_a) * _x_occupation(x), value)
-    return value
+        f_flat, h_flat = _x_occupation(x)
+        f, h = np.where(flat, (mu_b - mu_a) * f_flat, f), np.where(flat, h_flat, h)
+    return f, h
 
 
 def u_moving(
@@ -227,21 +236,19 @@ def u_moving(
             ln[(1 - e^{-gamma (1 + |beta|) x}) / (1 - e^{-gamma (1 - |beta|) x})]
 
     with x = hbar omega' / (k_B T), and 4 pi (hbar / (2 pi c)^3) omega'^3
-    2 / (e^x - 1) at rest.  It is exactly 0 at omega' = 0, at T = 0, and
-    where the hottest direction's z = gamma (1 - |beta|) x is 0 or past
-    745.2, where e^{-z} is 0; it holds core._ERROR_BOUNDS["u_moving"] with
-    that z (tests/test_oracle.py).  Raises ValueError for an omega' or T
+    2 / (e^x - 1) at rest.  It is exactly 0 at omega' = 0, at T = 0 and
+    where the hottest direction's z = gamma (1 - |beta|) x is 0, and holds
+    core._ERROR_BOUNDS["u_moving"] with that z wherever it is a normal
+    double (tests/test_oracle.py).  Raises ValueError for an omega' or T
     outside the domain (README, "Domain").  Vectorized over omega_prime.
     """
     om = np.asarray(omega_prime, dtype=float)
     _check_omega(om, "omega_prime")
     s = units.k_B * temperature_value(T) / units.hbar
 
-    def mean_x_occ(x):
-        lo = v.gamma * (1.0 - v.beta_mag) * x
-        live = lo > 0.0
-        kernel = _direction_integrated_x_occupation(np.where(live, x, 1.0), v)
-        return np.where(live, 0.5 * kernel, 0.0)
+    def mean_x_occ(x):  # f is NaN only where gamma (1 - |beta|) x and the density underflow
+        f, h = _direction_integrated_x_occupation(x, v)
+        return 0.5 * f, h
 
     out = _density(om, s, mean_x_occ, component, 4.0 * np.pi * spectral_prefactor(units))
     return _maybe_scalar(out, omega_prime)

@@ -689,8 +689,10 @@ def test_only_emit_writes_and_only_main_picks_the_exit_code():
     assert "code" not in fields and "checks" in fields
 
 
-WIEN_TAIL = ["spectrum", "--temperature", "1", "--component", "thermal",
-             "--omega-min", "700", "--omega-max", "750", "--points", "6"]
+# z = hbar omega / k_B T from 700 to 755 at T 1e5 (natural units): e^{-z} is
+# subnormal past 708 and 0 past 745.2, but every thermal value is a normal double
+WIEN_TAIL = ["spectrum", "--temperature", "100000", "--component", "thermal",
+             "--omega-min", "7e7", "--omega-max", "7.55e7", "--points", "8"]
 
 
 def _warnings(err):
@@ -699,19 +701,18 @@ def _warnings(err):
 
 
 class TestThermalBoundWarning:
-    def test_wien_tail_rows_are_named_once_in_csv_and_json(self, capsys):
+    def test_wien_tail_rows_are_normal_and_unwarned_in_csv_and_json(self, capsys):
         code, out, err = run_cli(capsys, *WIEN_TAIL)
         assert code == 0
-        (warning,) = _warnings(err)
-        # z = omega here: 710 to 750 lie past 708, where e^{-z} is subnormal
-        assert warning.startswith("5 of 6 rows ") and warning.endswith(": omega 710 to 750")
-        omega = np.linspace(700.0, 750.0, 6)
+        assert _warnings(err) == []
+        omega = np.linspace(7e7, 7.55e7, 8)
         rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
         assert rows[:, 0].tolist() == omega.tolist()
-        assert rows[:, 1].tolist() == rho_rest(omega, 1.0, Component.THERMAL).tolist()
+        assert rows[:, 1].tolist() == rho_rest(omega, 1e5, Component.THERMAL).tolist()
+        assert np.all(rows[:, 1] >= np.finfo(float).tiny)
         code, out, err = run_cli(capsys, *WIEN_TAIL, "--format", "json")
         assert code == 0
-        assert json.loads(out)["warnings"] == [warning]
+        assert json.loads(out)["warnings"] == []
 
     @pytest.mark.parametrize("frame, grid", [
         ([], (707.0, 709.0)),
@@ -719,18 +720,35 @@ class TestThermalBoundWarning:
         (["--frame", "moving", "--beta", "0.6", "--mu", "1"], (353.0, 355.0)),
         # u' is bounded by its hottest direction, D = gamma (1 - beta) = 0.5
         (["--frame", "moving", "--beta", "0.6"], (1414.0, 1418.0)),
-        # the thermal value at omega 1e-160 is subnormal, at z far below 708
-        (["--grid", "log"], (1e-160, 1.0)),
-    ], ids=["rest", "moving-mu", "moving-u", "subnormal"])
-    def test_the_warning_names_the_row_past_z_708_or_subnormal(self, capsys, frame, grid):
-        lo, hi = grid
-        code, _, err = run_cli(capsys, "spectrum", "--temperature", "1", "--component", "thermal",
-                               *frame, "--omega-min", repr(lo), "--omega-max", repr(hi),
-                               "--points", "2")
+    ], ids=["rest", "moving-mu", "moving-u"])
+    def test_no_warning_past_z_708_where_the_value_is_normal(self, capsys, frame, grid):
+        # at T 1e5 the value at z 709 is a normal double; its bound holds
+        lo, hi = (1e5 * g for g in grid)
+        code, out, err = run_cli(capsys, "spectrum", "--temperature", "100000", "--component",
+                                 "thermal", *frame, "--omega-min", repr(lo), "--omega-max",
+                                 repr(hi), "--points", "2")
+        assert code == 0
+        assert _warnings(err) == []
+        assert float(out.splitlines()[-1].split(",")[1]) >= np.finfo(float).tiny
+
+    def test_the_warning_names_the_subnormal_rows_once_in_csv_and_json(self, capsys):
+        # the thermal value at omega 1e-160 is subnormal, and so are those at
+        # T 1 from omega 723.3 on: no double carries them to their bound
+        argv = ["spectrum", "--temperature", "1", "--component", "thermal", "--grid", "log",
+                "--omega-min", "1e-160", "--omega-max", "1", "--points", "2"]
+        code, _, err = run_cli(capsys, *argv)
         assert code == 0
         (warning,) = _warnings(err)
-        named = lo if lo < 1e-100 else hi
-        assert warning.startswith("1 of 2 rows ") and warning.endswith(f" {named:.17g}")
+        assert warning.startswith("1 of 2 rows ") and warning.endswith(f" {1e-160:.17g}")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["warnings"] == [warning]
+        code, _, err = run_cli(capsys, "spectrum", "--temperature", "1", "--component",
+                               "thermal", "--omega-min", "700", "--omega-max", "750",
+                               "--points", "6")
+        assert code == 0
+        (warning,) = _warnings(err)
+        assert warning.startswith("3 of 6 rows ") and warning.endswith(": omega 730 to 750")
 
     @pytest.mark.parametrize("argv", [
         # the benchmark's spectra reach z = 12 gamma (1 + beta) < 540

@@ -532,11 +532,11 @@ class TestPlainThreads:
         # a fresh interpreter, so no other test has loaded either module
         code = (
             "import sys\n"
-            "from relplanck import (McConfig, energy_density_moving_spectral,\n"
-            "                       energy_density_rest, make_boost, run_identity_check)\n"
+            "from relplanck import (McConfig, energy_density_moving_spectral, make_boost,\n"
+            "                       run_identity_check)\n"
             "from relplanck.montecarlo import _CHUNK\n"
             "v = make_boost([0.0, 0.0, 0.6])\n"
-            "energy_density_rest(1.0)\n"
+            "energy_density_moving_spectral(1.0, make_boost([0.0, 0.0, 0.0]))\n"
             "energy_density_moving_spectral(1.0, v)\n"
             "cfg = McConfig(n_samples=_CHUNK + 1000, seed=3, omega_prime_max=24.0)\n"
             "assert run_identity_check(1.0, v, cfg, n_threads=2).n_threads == 2\n"

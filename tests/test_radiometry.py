@@ -12,7 +12,6 @@ from relplanck import (
     UnitSystem,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
-    energy_density_rest,
     expected_energy_ratio,
     integrate_semi_infinite,
     make_boost,
@@ -30,6 +29,13 @@ PI4_OVER_15 = math.pi**4 / 15.0
 ZETA5_INTEGRAL = 24.886266123440878
 
 W_THERMAL_NATURAL_T1 = math.pi**2 / 15.0
+REST = make_boost([0.0, 0.0, 0.0])
+
+
+def _x3_occupation(x):
+    """x^3 2 / (e^x - 1), as x^2 times the split pair's f h h."""
+    f, h = _x_occupation(x)
+    return x**2 * f * h * h
 
 
 def _gl128_reference(f, scale, n_panels=8):
@@ -96,7 +102,7 @@ class TestIntegrator:
         assert not res.error_estimate <= res.tolerance
 
     def test_against_a_fixed_rule_on_another_map(self):
-        f = lambda x: x**2 * _x_occupation(x) / (1.0 + 0.25 * x**2)
+        f = lambda x: _x3_occupation(x) / (1.0 + 0.25 * x**2)
         res = integrate_semi_infinite(f)
         ref = _gl128_reference(f, 1.0)
         assert res.value == pytest.approx(ref, rel=1e-11)
@@ -125,9 +131,9 @@ class TestIntegrator:
 
     def test_node_table_is_built_once_and_read_only(self):
         rule = radiometry._log_rule
-        first = integrate_semi_infinite(lambda x: x**2 * _x_occupation(x))
+        first = integrate_semi_infinite(_x3_occupation)
         misses = rule.cache_info().misses
-        again = integrate_semi_infinite(lambda x: x**2 * _x_occupation(x))
+        again = integrate_semi_infinite(_x3_occupation)
         assert rule.cache_info().misses == misses
         assert (again.value, again.error_estimate) == (first.value, first.error_estimate)
         for table in rule():
@@ -146,10 +152,12 @@ class TestIntegrator:
         # on the scales the energy-density routes use, converge on the
         # rule in one call
         v = make_boost([0.0, 0.0, beta])
-        kernels = [
-            (lambda x: x**2 * _x_occupation(x), 1.0),
-            (lambda x: x**2 * _direction_integrated_x_occupation(x, v), 1.0 / (v.gamma * (1.0 - v.beta_mag))),
-        ]
+
+        def moving(x):
+            f, h = _direction_integrated_x_occupation(x, v)
+            return x**2 * f * h * h
+
+        kernels = [(_x3_occupation, 1.0), (moving, 1.0 / (v.gamma * (1.0 - v.beta_mag)))]
         counts = []
         for kernel, scale in kernels:
             f, sizes = _counting(kernel)
@@ -168,22 +176,22 @@ class TestIntegrator:
             integrate_semi_infinite(f, scale=math.nan)
 
 class TestRestEnergyDensity:
+    """At rest the spectral route's W' is the quadrature of the Stefan-Boltzmann W."""
+
     def test_thermal_matches_closed_form(self):
-        w = energy_density_rest(1.0)
+        w = energy_density_moving_spectral(1.0, REST).W_moving
         assert w == pytest.approx(W_THERMAL_NATURAL_T1, rel=1e-11)
         assert thermal_energy_density_closed_form(1.0) == W_THERMAL_NATURAL_T1
 
     def test_fourth_power_scaling(self):
-        ratios = [energy_density_rest(t) / t**4 for t in (0.5, 1.0, 2.725, 7.0)]
+        ratios = [energy_density_moving_spectral(t, REST).W_moving / t**4
+                  for t in (0.5, 1.0, 2.725, 7.0)]
         assert np.max(np.abs(np.asarray(ratios) / ratios[0] - 1.0)) <= 1e-10
-
-    def test_zero_temperature_thermal_vanishes(self):
-        assert energy_density_rest(0.0) == 0.0
 
     def test_si_radiation_constant(self):
         si = UnitSystem.si()
         t = 2.725
-        w = energy_density_rest(t, units=si)
+        w = energy_density_moving_spectral(t, REST, si).W_moving
         sigma = 5.670374419e-8  # W m^-2 K^-4
         assert w == pytest.approx(4.0 * sigma / si.c * t**4, rel=1e-9)
         assert w == pytest.approx(thermal_energy_density_closed_form(t, si), rel=1e-10)
@@ -302,8 +310,7 @@ class TestCorrelations:
 
 class TestRouteAgreement:
     def test_one_adaptive_quadrature_per_op(self, monkeypatch):
-        # W is the closed form on both routes: only the spectral W' and the
-        # rest-frame quadrature check run the integrator
+        # W is the closed form on both routes: only the spectral W' runs the integrator
         calls = []
         integrate = radiometry.integrate_semi_infinite
 
@@ -314,8 +321,7 @@ class TestRouteAgreement:
         monkeypatch.setattr(radiometry, "integrate_semi_infinite", counted)
         v = make_boost([0.0, 0.0, 0.6])
         for route, want in ((lambda: energy_density_moving_spectral(1.0, v), 1),
-                            (lambda: energy_density_moving_correlation(1.0, v), 0),
-                            (lambda: energy_density_rest(1.0), 1)):
+                            (lambda: energy_density_moving_correlation(1.0, v), 0)):
             calls.clear()
             route()
             assert len(calls) == want
@@ -340,10 +346,9 @@ class TestRouteAgreement:
 
         monkeypatch.setattr(radiometry, "integrate_semi_infinite", counted)
         u = UNIT_SYSTEMS[units]
-        energy_density_rest(t, units=u)
         for beta in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1.0 - 1e-9):
             energy_density_moving_spectral(t, make_boost([0.0, 0.0, beta]), units=u)
-        assert sizes == [[4 * (32 + 20)]] * 10
+        assert sizes == [[4 * (32 + 20)]] * 9
 
     def test_reports_carry_the_quadrature_diagnostics(self):
         v = make_boost([0.0, 0.0, 0.999])
@@ -417,7 +422,7 @@ class TestAcrossTheDomain:
 
     def test_rest_density_on_closed_form(self, units, t):
         u = UNIT_SYSTEMS[units]
-        w = energy_density_rest(t, units=u)
+        w = energy_density_moving_spectral(t, REST, u).W_moving
         # relative, not pytest.approx: its 1e-12 absolute floor exceeds W(1e-3)
         assert abs(w / thermal_energy_density_closed_form(t, u) - 1.0) <= 1e-12
 

@@ -50,7 +50,8 @@ def test_bound_sweep_writes_every_ratio_within_its_bound(tmp_path):
         "boost_mu.omega_prime", "effective_temperature_mu",
         "energy_density_moving_correlation", "energy_density_moving_spectral",
         "integrate_semi_infinite", "integrate_semi_infinite.estimate",
-        "rho_moving_pullback_mu", "temperature_multipoles",
+        "rho_moving_mu", "rho_moving_pullback_mu", "rho_rest", "temperature_multipoles",
+        "u_moving",
     ]
     assert all(0.0 <= r["max_ratio"] <= 1.0 for r in report["results"].values())
 

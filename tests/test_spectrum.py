@@ -23,7 +23,6 @@ from relplanck import (
     temperature_multipoles,
     u_moving,
 )
-from relplanck.core import _ERROR_BOUNDS
 from relplanck.selfcheck import _projected_multipoles
 from relplanck.spectrum import _direction_integrated_x_occupation, _x_occupation
 
@@ -42,43 +41,52 @@ def _runs_forward(beta: float, l_max: int) -> bool:
 RHO_REST_TOTAL_AT_1_1 = 0.008723852254378968
 
 
+def _value(pair, scale=1.0):
+    """scale f h h, left to right: the value of a split kernel's pair (f, h), scaled."""
+    f, h = pair
+    return scale * f * h * h
+
+
 class TestThermalOccupation:
-    """x times the thermal factor 2 / (e^x - 1), the form every density integrates."""
+    """x times the thermal factor 2 / (e^x - 1), the form every density integrates,
+    as the pair (f, h) = (2 x / (1 - e^{-x}), e^{-x/2})."""
 
     def test_matches_definition_midrange(self):
         for z in (0.1, 0.5, 1.0, 3.0, 10.0):
-            assert _x_occupation(z) == pytest.approx(2.0 * z / math.expm1(z), rel=1e-14)
+            assert _value(_x_occupation(z)) == pytest.approx(2.0 * z / math.expm1(z), rel=1e-14)
 
     def test_small_z_series(self):
         z = 1e-8
         # 2 z/(e^z - 1) = 2 (1 - z/2 + z^2/12 - ...)
         expected = 2.0 * (1.0 - z / 2.0 + z**2 / 12.0)
-        assert _x_occupation(z) == pytest.approx(expected, rel=1e-12)
+        assert _value(_x_occupation(z)) == pytest.approx(expected, rel=1e-12)
+        # f is exactly 2 and h exactly 1 at a subnormal x
+        assert _x_occupation(5e-324) == (2.0, 1.0)
 
     def test_wien_tail_no_overflow(self):
-        assert _x_occupation(100.0) == pytest.approx(200.0 * math.exp(-100.0), rel=1e-12)
-        assert _x_occupation(800.0) == 0.0  # graceful underflow, no warning
+        assert _value(_x_occupation(100.0)) == pytest.approx(200.0 * math.exp(-100.0), rel=1e-12)
+        # e^{-x} is 0 from x = 745.2 on; h = e^{-x/2} is normal up to 1416 and 0 from 1490
+        f, h = _x_occupation(1400.0)
+        assert (f, h) == (2800.0, math.exp(-700.0))
+        assert _x_occupation(1e30) == (2e30, 0.0)
 
     def test_no_branch_discontinuity(self):
         # relative step between adjacent arguments, less the factor z, stays
         # smooth through the region where a naive guard would switch
-        # formulas; stay below z ~ 708 where e^{-z} leaves the normal range
-        z = np.linspace(600.0, 650.0, 501)
-        occ = _x_occupation(z)
+        # formulas, and through z = 708, where e^{-z} leaves the normal range:
+        # a scale of 1e300 keeps the value normal up to z 760
+        z = np.linspace(600.0, 760.0, 1601)
+        occ = _value(_x_occupation(z), 1e300)
         ratios = occ[:-1] / occ[1:] * (z[1:] / z[:-1])
         assert np.max(np.abs(ratios / math.exp(0.1) - 1.0)) < 1e-12
 
-    def test_subnormal_tail_falls_to_zero(self):
-        # strictly falling while e^{-z} is normal, below the densities' z_max;
-        # past it its subnormal rounding can hold it flat over a step while z
-        # grows, so the product may rise there, by a subnormal ulp or two
+    def test_scaled_tail_falls_strictly(self):
+        # multiplied in last, h h keeps a scaled value falling at every step
+        # where it is normal, past z = 708 too
         z = np.linspace(700.0, 760.0, 301)
-        occ = _x_occupation(z)
-        step = np.diff(occ)
-        assert np.all(step[z[1:] < _ERROR_BOUNDS["rho_rest"]["z_max"]] < 0.0)
-        assert np.all(step <= 2.0 * np.finfo(float).smallest_subnormal)
-        assert occ[0] > 0.0
-        assert occ[-1] == 0.0
+        occ = _value(_x_occupation(z), 1e300)
+        assert np.all(np.diff(occ) < 0.0)
+        assert np.all(occ >= np.finfo(float).tiny)
 
 
 class TestRhoRest:
@@ -264,13 +272,33 @@ class TestDirectionIntegrated:
         # the rest value, the rest the logarithm, in one array or one by one
         v = make_boost([0.0, 0.0, 1e-150])
         x = np.array([1e-300, 1e-200, 1e-170, 0.5, 3.0])
-        rest = _direction_integrated_x_occupation(x, make_boost([0, 0, 0]))
-        got = _direction_integrated_x_occupation(x, v)
-        assert np.array_equal(got[:2], rest[:2])
+        rest = np.array(_direction_integrated_x_occupation(x, make_boost([0, 0, 0])))
+        got = np.array(_direction_integrated_x_occupation(x, v))
+        assert np.array_equal(got[:, :2], rest[:, :2])
         lo, a = v.gamma * (1.0 - v.beta_mag) * x[2:], v.gamma * v.beta_mag * x[2:]
-        log_ratio = np.log1p(np.exp(-lo) * -np.expm1(-2.0 * a) / -np.expm1(-lo))
-        assert np.array_equal(got[2:], 2.0 * log_ratio / (v.gamma * v.beta_mag))
-        assert [float(_direction_integrated_x_occupation(xi, v)) for xi in x] == got.tolist()
+        h = np.exp(-0.5 * lo)
+        r = np.expm1(-2.0 * a) / np.expm1(-lo)
+        f = 2.0 / (v.gamma * v.beta_mag) * r * np.log1p(h * h * r) / (h * h * r)
+        assert np.array_equal(got[:, 2:], [f, h])
+        one_by_one = [list(map(float, _direction_integrated_x_occupation(xi, v))) for xi in x]
+        assert one_by_one == got.T.tolist()
+
+    def test_split_value_is_the_logarithm_and_survives_past_z_708(self):
+        # f h h is (2 / (gamma |beta|)) log1p(e^{-lo} r) while e^{-lo} is
+        # normal; past lo = 708, where e^{-lo} is subnormal and then 0, a scale
+        # of 1e300 keeps the value normal and its ratio to the next one smooth
+        v = make_boost([0.0, 0.0, 0.6])
+        x = np.geomspace(1e-3, 700.0, 50) / (v.gamma * (1.0 - v.beta_mag))
+        lo, a = v.gamma * (1.0 - v.beta_mag) * x, v.gamma * v.beta_mag * x
+        want = 2.0 / (v.gamma * v.beta_mag) * np.log1p(
+            np.exp(-lo) * np.expm1(-2.0 * a) / np.expm1(-lo))
+        got = _value(_direction_integrated_x_occupation(x, v))
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        lo = np.linspace(700.0, 760.0, 601)
+        tail = _value(_direction_integrated_x_occupation(lo / 0.5, v), 1e300)
+        assert np.all(tail >= np.finfo(float).tiny)
+        # e^{-lo} falls by e^{-0.1} a step, and the rest of the value barely moves
+        assert np.allclose(tail[1:] / tail[:-1], math.exp(-0.1), rtol=1e-3, atol=0.0)
 
     def test_kernel_on_an_interval_adds_up_to_the_whole(self):
         # the mu' integral over 8 equal bins, each by its own closed form,
@@ -283,9 +311,11 @@ class TestDirectionIntegrated:
             if beta == 1e-150:
                 x = np.concatenate(([1e-300], x))
             v = make_boost([0.0, 0.0, beta])
-            whole = _direction_integrated_x_occupation(x, v)
-            assert np.array_equal(_direction_integrated_x_occupation(x, v, -1.0, 1.0), whole)
-            parts = _direction_integrated_x_occupation(x[:, None], v, edges[:-1], edges[1:])
+            whole = _value(_direction_integrated_x_occupation(x, v))
+            assert np.array_equal(_value(_direction_integrated_x_occupation(x, v, -1.0, 1.0)),
+                                  whole)
+            parts = _value(_direction_integrated_x_occupation(x[:, None], v, edges[:-1],
+                                                              edges[1:]))
             assert parts.shape == (x.size, 8) and np.all(parts >= 0.0)
             # a rounding of D x moves e^{-D x} by D x times as much
             bound = 8.0 * 2.0**-52 * (1.0 + v.gamma * (1.0 + v.beta_mag) * x) * whole

@@ -92,8 +92,8 @@ def _density(om, s, x_occ, component, pref):
     x_occ maps x = om / s, at least the smallest subnormal, where the
     occupation has reached its limit, to a pair (f, h) like _x_occupation.
     The thermal part is exactly 0 at om = 0, at T = 0 (s = 0, where om / s
-    is inf or NaN) and wherever h is 0 or the product NaN.  The zero-point part is
-    pref * om * om * om, left to right like the thermal part.
+    is inf or NaN) and where h is 0 or the product NaN; the zero-point
+    part is pref * om * om * om, left to right like the thermal part.
     """
     if not isinstance(component, Component):
         raise TypeError(f"component must be a Component, got {component!r}")

@@ -44,8 +44,9 @@ seeds 0 and 1, 10^4 each) the worst is 2.9, 2.6, 3.3 and 3.5 eps (1 + z)
 in the same order.  The pull-back divides its prefactor by D^3 before
 the assembly: dividing the assembled density instead reads 3.1e6 eps
 (1 + z) at T = 1, beta 1 - 1e-9, mu' = -1, x = 3e-152, where
-pref s (D omega')^2 is subnormal.  The points at x = 600 .. 700 in SI hold u_moving to a density
-near 1e-294, which an assembly with a subnormal intermediate flushes to 0.
+pref s (D omega')^2 is subnormal.  The points at x = 600 .. 700 in SI
+hold u_moving to a density near 1e-294, which an assembly with a
+subnormal intermediate flushes to 0.
 The oracle takes the library's pref, k_B, hbar and |beta|.
 
 effective_temperature_mu, boost_mu and the correlation route's W'/W: on
@@ -144,7 +145,7 @@ def _recurrence_over_t(beta: float) -> list:
 
     The recurrence loses (2 l + 1) log10 rho digits to the growing solution,
     so it runs with that many more; a hundred times faster than legenq.
-    scripts/bound_sweep.py imports it, and _u_moving_over_cube.
+    scripts/bound_sweep.py imports it, as it does _u_moving_over_cube.
     """
     rho = (1.0 + np.sqrt(1.0 - beta * beta)) / beta
     with mpmath.workdps(40 + int(np.ceil((2 * L_MAX + 1) * np.log10(rho)))):
@@ -202,8 +203,8 @@ def _ln_1m_exp(u):
 
 def _u_moving_over_cube(x, b, gamma):
     """u_moving's thermal part over pref omega'^3, at x = hbar omega' / k_B T:
-    4 pi 2 / (e^x - 1) at rest, else
-    2 pi (2 / (gamma beta x)) ln[(1 - e^{-gamma (1 + beta) x}) / (1 - e^{-gamma (1 - beta) x})]."""
+    4 pi 2 / (e^x - 1) at rest, else 2 pi (2 / (gamma beta x))
+    ln[(1 - e^{-gamma (1 + beta) x}) / (1 - e^{-gamma (1 - beta) x})]."""
     if b == 0:
         return 4 * mpmath.pi * 2 / mpmath.expm1(x)
     log_ratio = _ln_1m_exp(gamma * (1 + b) * x) - _ln_1m_exp(gamma * (1 - b) * x)

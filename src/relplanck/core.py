@@ -9,8 +9,9 @@ ever boosts a temperature, only the spectrum.
 
 The accepted input domain is stated here once (README, "Domain"): T = 0 or
 1e-3 <= T <= 1e5, |beta| <= 1 - 1e-9, 0 <= omega <= 1e30 in the unit
-system's own frequency unit, and the natural or SI unit system.
-temperature_value, BoostVelocity, UnitSystem and _check_omega reject
+system's own frequency unit, the natural or SI unit system, a cosine in
+[-1, 1] up to 1e-12 and an integer 0 <= l_max <= 10^4.  temperature_value,
+BoostVelocity, UnitSystem, _check_omega, _check_mu and _check_count reject
 anything outside it with a ValueError naming the input and its range, so
 no density, energy density or multipole inside the package can overflow.
 """
@@ -29,6 +30,8 @@ _T_MIN = 1e-3
 _T_MAX = 1e5
 _BETA_MAX = 1.0 - 1e-9
 _OMEGA_MAX = 1e30
+_MU_SLACK = 1e-12
+_L_MAX_CAP = 10**4
 _SI_CONSTANTS = (1.054571817e-34, 299792458.0, 1.380649e-23)
 
 # The error bounds the functions state, each cited by its docstring and held by
@@ -46,7 +49,7 @@ _ERROR_BOUNDS = {
     "energy_density_moving_correlation": 8e-16,
     "temperature_multipoles": {"recurrence": ((0.9, 4e-15), (0.99, 1e-14), (1.0, 3e-14)),
                                "forward-recurrence": ((1.0, 4e-15),)},
-    "run_identity_check": 1e-10,
+    "run_identity_check": 1e-10,  # McReport.analytic in the included bins only
 }
 
 __all__ = [
@@ -207,13 +210,28 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_seed(seed):
-    """Raise ValueError unless the seed is an integer >= 0 and not a bool, as SeedSequence needs."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def _check_count(n, label: str, cap: float = math.inf):
+    """Raise ValueError unless n is an integer in [0, cap] and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= cap:
+        span = ">= 0" if cap == math.inf else f"in [0, {cap}]"
+        raise ValueError(f"{label} must be an integer {span}, got {n!r}")
 
 
-def _check_omega(om, label: str):
-    """Raise ValueError unless every frequency in om lies in [0, 1e30]; NaN fails too."""
+def _check_omega(om, label: str) -> np.ndarray:
+    """om as a float array; raises ValueError unless every frequency lies in [0, 1e30]; NaN fails."""
+    om = np.asarray(om, dtype=float)
     if not np.all((om >= 0.0) & (om <= _OMEGA_MAX)):
         raise ValueError(f"{label} must be finite and lie in [0, 1e30]")
+    return om
+
+
+def _check_mu(mu, label: str) -> np.ndarray:
+    """mu as a float array; raises ValueError unless every cosine is within 1e-12 of [-1, 1].
+
+    The slack admits cosines that aberrate_mu or unit vectors carry past +-1 by a few ulps; far
+    below 1 - |beta| >= 1e-9, it keeps every Doppler factor positive.  min and max carry a NaN
+    through, in one pass each with no temporary array."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.size and not (-1.0 - _MU_SLACK <= mu.min() and mu.max() <= 1.0 + _MU_SLACK):
+        raise ValueError(f"{label} must be finite and lie in [-1, 1]")
+    return mu

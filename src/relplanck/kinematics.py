@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoostVelocity, PhotonMode, _check_omega
+from .core import BoostVelocity, PhotonMode, _check_mu, _check_omega
 
 __all__ = [
     "ModeTransformResult",
@@ -63,22 +63,25 @@ def _doppler_sum(one_pm_mu, b: float):
 
 
 def doppler_factor(mu, v: BoostVelocity):
-    """gamma (1 - |beta| mu) = omega'/omega at rest-frame cosine mu.  Vectorized."""
-    d = _doppler_sum(1.0 - np.asarray(mu, dtype=float), v.beta_mag)
+    """gamma (1 - |beta| mu) = omega'/omega at rest-frame cosine mu.  Vectorized; raises
+    ValueError for a cosine outside the domain (README, "Domain")."""
+    d = _doppler_sum(1.0 - _check_mu(mu, "mu"), v.beta_mag)
     d *= v.gamma
     return d
 
 
 def inverse_doppler_factor(mu_prime, v: BoostVelocity):
-    """gamma (1 + |beta| mu') = omega/omega' at moving-frame cosine mu'.  Vectorized."""
-    d = _doppler_sum(1.0 + np.asarray(mu_prime, dtype=float), v.beta_mag)
+    """gamma (1 + |beta| mu') = omega/omega' at moving-frame cosine mu'.  Vectorized; raises
+    ValueError for a cosine outside the domain (README, "Domain")."""
+    d = _doppler_sum(1.0 + _check_mu(mu_prime, "mu_prime"), v.beta_mag)
     d *= v.gamma
     return d
 
 
 def aberrate_mu(mu, v: BoostVelocity):
-    """Boosted propagation cosine (mu - |beta|) / (1 - |beta| mu).  Vectorized."""
-    mu = np.asarray(mu, dtype=float)
+    """Boosted propagation cosine (mu - |beta|) / (1 - |beta| mu).  Vectorized; raises
+    ValueError for a cosine outside the domain (README, "Domain")."""
+    mu = _check_mu(mu, "mu")
     b = v.beta_mag
     return (mu - b) / _doppler_sum(1.0 - mu, b)
 
@@ -92,10 +95,9 @@ def boost_mu(omega, mu, v: BoostVelocity):
     so no rounding of mu' enters them.  omega', jac_freq and D^2 hold the
     relative bounds of core._ERROR_BOUNDS["boost_mu"] where normal, and mu'
     its absolute one, as mu - |beta| cancels (tests/test_oracle.py).  Raises
-    ValueError for a frequency outside the domain (README, "Domain").
+    ValueError for an omega or a mu outside the domain (README, "Domain").
     """
-    omega = np.asarray(omega, dtype=float)
-    _check_omega(omega, "omega")
+    omega = _check_omega(omega, "omega")
     mu_p = aberrate_mu(mu, v)
     d = doppler_factor(mu, v)
     omega_p = omega * d
@@ -157,10 +159,9 @@ def _field_boost_matrix(v: BoostVelocity) -> np.ndarray:
 
 
 def direction_with_cosine(mu, v: BoostVelocity, azimuth: float = 0.0) -> np.ndarray:
-    """A unit vector whose cosine with v.vhat is mu, at the given azimuth."""
-    mu = float(mu)
-    if not -1.0 <= mu <= 1.0:
-        raise ValueError(f"cosine must lie in [-1, 1], got {mu}")
+    """A unit vector whose cosine with v.vhat is mu, at the given azimuth; raises
+    ValueError for a cosine outside the domain (README, "Domain")."""
+    mu = float(_check_mu(mu, "cosine"))
     if not math.isfinite(azimuth):
         raise ValueError(f"azimuth must be finite, got {azimuth!r}")
     vh = v.vhat

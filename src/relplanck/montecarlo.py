@@ -51,7 +51,7 @@ from functools import cache
 import numpy as np
 
 from .core import (
-    NATURAL, BoostVelocity, CheckResult, UnitSystem, _check_omega, _check_seed,
+    NATURAL, BoostVelocity, CheckResult, UnitSystem, _check_count, _check_omega,
     temperature_value,
 )
 from .kinematics import boost_mu
@@ -162,7 +162,7 @@ class McConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        _check_seed(self.seed)
+        _check_count(self.seed, "seed")
         _check_omega(self.omega_prime_max, "omega_prime_max")
         if self.omega_prime_max == 0.0:
             raise ValueError("omega_prime_max must be > 0")
@@ -177,8 +177,10 @@ class McConfig:
 class McReport:
     """Per-bin comparison of the weighted histogram against the analytic density.
 
-    Bins with expected occupancy below 10 are excluded from the chi-square;
-    z_scores holds NaN there.  chi2_per_dof is NaN when every bin is
+    Bins with expected occupancy below 10 are excluded from the chi-square:
+    z_scores holds NaN there, and core._ERROR_BOUNDS["run_identity_check"]
+    does not cover analytic there, which may be subnormal or 0 (2.2e-320 at
+    beta 0.99, N 1e6, seed 42).  chi2_per_dof is NaN when every bin is
     excluded, and the check then fails.  n_threads is the number of threads
     the chunks ran on.  timings holds each stage's seconds, which vary run to
     run; sample, boost and bin (index and sums) are summed over the chunks.

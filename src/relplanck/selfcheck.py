@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from . import kinematics, montecarlo, radiometry, spectrum
-from .core import NATURAL, CheckResult, Component, UnitSystem, _check_seed, make_boost
+from .core import NATURAL, CheckResult, Component, UnitSystem, _check_count, make_boost
 
 __all__ = ["CheckResult", "run_selfcheck"]
 
@@ -375,6 +375,6 @@ def run_selfcheck(quick: bool = False, seed: int = 1234) -> list[CheckResult]:
     battery that runs in well under a second.  Raises ValueError unless
     the seed is an integer >= 0.
     """
-    _check_seed(seed)
+    _check_count(seed, "seed")
     checks = _QUICK_CHECKS if quick else _QUICK_CHECKS + _HEAVY_CHECKS
     return [c(np.random.default_rng([seed, *c.__name__.encode()])) for c in checks]

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NATURAL, BoostVelocity, Component, UnitSystem, _check_omega, temperature_value
+from .core import (_L_MAX_CAP, NATURAL, BoostVelocity, Component, UnitSystem, _check_count,
+                   _check_omega, temperature_value)
 from .kinematics import inverse_doppler_factor
 
 __all__ = [
@@ -67,17 +68,6 @@ _TINY = np.finfo(float).tiny
 def spectral_prefactor(units: UnitSystem = NATURAL) -> float:
     """hbar / (2 pi c)^3, the overall scale of the spectral density."""
     return units.hbar / (2.0 * np.pi * units.c) ** 3
-
-
-def _check_mu(mu) -> np.ndarray:
-    """mu_prime as a float array; raises unless every cosine is finite and in [-1, 1].
-
-    The 1e-12 slack admits cosines computed from unit vectors.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)) or np.any(np.abs(mu) > 1.0 + 1e-12):
-        raise ValueError("mu_prime must be finite and lie in [-1, 1]")
-    return mu
 
 
 def _x_occupation(x):
@@ -121,8 +111,7 @@ def rho_rest(omega, T, component: Component = Component.TOTAL, units: UnitSystem
     k_B T (tests/test_oracle.py).  Raises ValueError for an omega or T
     outside the domain (README, "Domain").
     """
-    om = np.asarray(omega, dtype=float)
-    _check_omega(om, "omega")
+    om = _check_omega(omega, "omega")
     s = units.k_B * temperature_value(T) / units.hbar
     out = _density(om, s, _x_occupation, component, spectral_prefactor(units))
     return _maybe_scalar(out, omega)
@@ -142,15 +131,12 @@ def rho_moving_mu(
     unchanged by the boost; the thermal part is the rest-frame Planck law
     at T_eff = T / (gamma (1 + |beta| mu')), within
     core._ERROR_BOUNDS["rho_moving_mu"], z = hbar omega' / k_B T_eff
-    (tests/test_oracle.py).  Raises ValueError for an omega' or T outside
-    the domain (README, "Domain").
+    (tests/test_oracle.py).  Raises ValueError for an omega', mu' or T
+    outside the domain (README, "Domain").
     """
-    om = np.asarray(omega_prime, dtype=float)
-    _check_omega(om, "omega_prime")
-    mu = _check_mu(mu_prime)
-    t = temperature_value(T)
-    om_b, d_b = np.broadcast_arrays(om, inverse_doppler_factor(mu, v))
-    s = units.k_B * t / units.hbar / d_b
+    om = _check_omega(omega_prime, "omega_prime")
+    om_b, d_b = np.broadcast_arrays(om, inverse_doppler_factor(mu_prime, v))
+    s = units.k_B * temperature_value(T) / units.hbar / d_b
     out = _density(om_b, s, _x_occupation, component, spectral_prefactor(units))
     return _maybe_scalar(out, omega_prime, mu_prime)
 
@@ -174,11 +160,9 @@ def rho_moving_pullback_mu(
     normal, without rho_rest's check of D omega', which may lie above the
     domain's omega where omega' does not.
     """
-    om = np.asarray(omega_prime, dtype=float)
-    _check_omega(om, "omega_prime")
-    mu = _check_mu(mu_prime)
+    om = _check_omega(omega_prime, "omega_prime")
+    d = inverse_doppler_factor(mu_prime, v)
     s = units.k_B * temperature_value(T) / units.hbar
-    d = inverse_doppler_factor(mu, v)
     out = _density(d * om, s, _x_occupation, component, spectral_prefactor(units) / d**3)
     return _maybe_scalar(out, omega_prime, mu_prime)
 
@@ -242,8 +226,7 @@ def u_moving(
     double (tests/test_oracle.py).  Raises ValueError for an omega' or T
     outside the domain (README, "Domain").  Vectorized over omega_prime.
     """
-    om = np.asarray(omega_prime, dtype=float)
-    _check_omega(om, "omega_prime")
+    om = _check_omega(omega_prime, "omega_prime")
     s = units.k_B * temperature_value(T) / units.hbar
 
     def mean_x_occ(x):  # f is NaN only where gamma (1 - |beta|) x and the density underflow
@@ -260,9 +243,8 @@ def effective_temperature_mu(mu_prime, v: BoostVelocity, T):
     core._ERROR_BOUNDS["effective_temperature_mu"] where T_eff is normal
     (tests/test_oracle.py).  Vectorized; raises ValueError unless mu' is
     finite and in [-1, 1], and for a T outside the domain (README, "Domain")."""
-    mu = _check_mu(mu_prime)
-    out = temperature_value(T) / inverse_doppler_factor(mu, v)
-    return _maybe_scalar(out, mu_prime)
+    d = inverse_doppler_factor(mu_prime, v)
+    return _maybe_scalar(temperature_value(T) / d, mu_prime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,10 +320,10 @@ def temperature_multipoles(v: BoostVelocity, T, l_max: int) -> MultipoleCoeffici
 
     Memory is O(l_max) on both.  Against 40-digit mpmath every a_l at
     l_max 16 is within core._ERROR_BOUNDS["temperature_multipoles"] for its
-    branch and |beta| band (tests/test_oracle.py).
+    branch and |beta| band (tests/test_oracle.py).  Raises ValueError for a
+    T or an l_max outside the domain (README, "Domain").
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    _check_count(l_max, "l_max", _L_MAX_CAP)
     t = temperature_value(T)
     beta = v.beta_mag
     if l_max >= 1 and beta > 0.0 and 2 * l_max * math.acosh(1.0 / beta) <= 2.0:

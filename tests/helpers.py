@@ -24,3 +24,5 @@ BETA_RANGE = "|beta| must lie in [0, 1 - 1e-9]"
 OMEGA_RANGE = "must be finite and lie in [0, 1e30]"
 UNITS_RANGE = "units must be natural (hbar, c, k_B) = (1, 1, 1) or SI"
 SEED_RANGE = "seed must be an integer >= 0"
+MU_RANGE = "must be finite and lie in [-1, 1]"
+L_MAX_RANGE = "l_max must be an integer in [0, 10000]"

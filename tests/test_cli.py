@@ -571,13 +571,11 @@ def test_every_csv_cell_equals_the_json_value(capsys, argv):
          "--points must be <= 1000000, got 1000001"),
         (("anisotropy", "--temperature", "1", "--map-points", "1000001"),
          "--map-points must be <= 1000000, got 1000001"),
-        (("anisotropy", "--temperature", "1", "--lmax", "10001"),
-         "--lmax must be <= 10000, got 10001"),
         # 2^16 + 1 is prime: 4 x 16385 is the least bin count over 2^16
         (("mc-verify", "--n", "100", "--bins-omega", "4", "--bins-mu", "16385"),
          "need at most 65536 bins in all, got 4 x 16385"),
     ],
-    ids=["points", "map-points", "lmax", "bins"],
+    ids=["points", "map-points", "bins"],
 )
 def test_size_flags_over_their_limit_exit_2_before_computing(capsys, monkeypatch, argv, message):
     def boom(*args, **kwargs):

@@ -23,20 +23,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BETA_RANGE, OMEGA_RANGE, SEED_RANGE, T_RANGE, UNITS_RANGE
+from helpers import (
+    BETA_RANGE, L_MAX_RANGE, MU_RANGE, OMEGA_RANGE, SEED_RANGE, T_RANGE, UNITS_RANGE,
+)
 from relplanck import (
     NATURAL,
     Component,
     McConfig,
     PhotonMode,
     UnitSystem,
+    aberrate_mu,
     boost_mode,
     boost_mu,
     core,
     direction_with_cosine,
+    doppler_factor,
     effective_temperature_mu,
     energy_density_moving_correlation,
     energy_density_moving_spectral,
+    inverse_doppler_factor,
     make_boost,
     rho_moving_mu,
     rho_moving_pullback_mu,
@@ -251,6 +256,24 @@ def test_library_is_finite_at_the_corners(t, units, boost):
         assert np.all(np.isfinite(value))
 
 
+@pytest.mark.parametrize("mu", [-1.0 - 1e-13, 1.0 + 1e-13])
+def test_cosines_within_the_slack_are_accepted(mu):
+    # unit vectors give cosines a few ulps past +-1; at the fastest boost every
+    # public cosine entry still returns finite values and positive Doppler factors
+    v = make_boost(CORNER_BOOSTS["z"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dopplers = [doppler_factor(mu, v), inverse_doppler_factor(mu, v),
+                    1.0 / boost_mu(1.0, mu, v)[2]]
+        values = [
+            *dopplers, aberrate_mu(mu, v), *boost_mu(1.0, mu, v), direction_with_cosine(mu, v),
+            effective_temperature_mu(mu, v, 1.0), rho_moving_mu(1.0, mu, v, 1.0),
+            rho_moving_pullback_mu(1.0, mu, v, 1.0),
+        ]
+    assert all(np.all(np.isfinite(value)) for value in values)
+    assert all(d > 0.0 for d in dopplers)
+
+
 V06 = make_boost([0.0, 0.0, 0.6])
 SI = UnitSystem.si()
 
@@ -304,6 +327,24 @@ REJECTED = {
         lambda: run_identity_check(1e77, V06, McConfig(1000, 1, 1.0)), T_RANGE),
     "McConfig-omega_prime_max-1e300": (lambda: McConfig(20_000, 1, 1e300), OMEGA_RANGE),
     "McConfig-omega_prime_max-1.7e308": (lambda: McConfig(20_000, 1, 1.7e308), OMEGA_RANGE),
+    # cosines just outside the slack and NaN, which earlier versions turned into
+    # mu' = 9 and a negative Doppler factor, or passed through
+    **{
+        f"{name}-{label}-{mu!r}": (lambda call=call, mu=mu: call(mu), f"{label} {MU_RANGE}")
+        for name, label, call in (
+            ("boost_mu", "mu", lambda mu: boost_mu(1.0, mu, V06)),
+            ("doppler_factor", "mu", lambda mu: doppler_factor(mu, V06)),
+            ("inverse_doppler_factor", "mu_prime", lambda mu: inverse_doppler_factor(mu, V06)),
+            ("aberrate_mu", "mu", lambda mu: aberrate_mu(mu, V06)),
+        )
+        for mu in (1.5, -1.0 - 1e-11, math.nan)
+    },
+    # the cap that only the CLI held, and the float and bool that raised TypeError or ran
+    **{
+        f"temperature_multipoles-l_max-{l_max!r}": (
+            lambda l_max=l_max: temperature_multipoles(V06, 1.0, l_max), L_MAX_RANGE)
+        for l_max in (10001, 2.5, True)
+    },
 }
 
 
@@ -333,9 +374,13 @@ REJECTED_FLAGS = {
     # inputs the library alone rejects, with its own message
     "boost-mode-omega-negative": (["boost-mode", "--omega", "-1", "--mu", "0"],
                                   "omega must be finite and >= 0"),
-    "boost-mode-mu-2": (["boost-mode", "--omega", "1", "--mu", "2"], "cosine must lie in [-1, 1]"),
-    "boost-mode-mu-nan": (["boost-mode", "--omega", "1", "--mu", "nan"],
-                          "cosine must lie in [-1, 1]"),
+    "boost-mode-mu-2": (["boost-mode", "--omega", "1", "--mu", "2"], f"cosine {MU_RANGE}"),
+    "boost-mode-mu-nan": (["boost-mode", "--omega", "1", "--mu", "nan"], f"cosine {MU_RANGE}"),
+    "spectrum-mu-1.5": (
+        ["spectrum", "--temperature", "1", "--frame", "moving", "--beta", "0.5", "--mu", "1.5"],
+        f"mu_prime {MU_RANGE}"),
+    "anisotropy-lmax-10001": (["anisotropy", "--temperature", "1", "--lmax", "10001"],
+                              f"{L_MAX_RANGE}, got 10001"),
     "energy-density-T-0": (["energy-density", "--temperature", "0"], "T > 0 required"),
 }
 
@@ -352,13 +397,18 @@ def test_readme_states_the_domain_of_core():
     t_min, t_max = re.search(r"`(\S+) <= T <= (\S+)`", section).groups()
     beta = re.search(r"`\|beta\| <= 1 - (\S+)`", section).group(1)
     omega = re.search(r"`0 <= omega <= (\S+)`", section).group(1)
+    slack = re.search(r"`-1 <= mu <= 1` up to a slack of `(\S+)`", section).group(1)
+    l_max = re.search(r"`0 <= l_max <= (\S+)`", section).group(1)
     assert (float(t_min), float(t_max)) == (core._T_MIN, core._T_MAX)
     assert 1.0 - float(beta) == core._BETA_MAX
     assert float(omega) == core._OMEGA_MAX
+    assert float(slack) == core._MU_SLACK
+    assert int(l_max) == core._L_MAX_CAP
     # the edge checks' messages quote the same numbers
     assert T_RANGE.endswith(f"[{t_min}, {t_max}]")
     assert BETA_RANGE.endswith(f"[0, 1 - {beta}]")
     assert OMEGA_RANGE.endswith(f"[0, {omega}]")
+    assert L_MAX_RANGE.endswith(f"[0, {l_max}]")
 
 
 @pytest.mark.parametrize("command", ["selftest", "mc-verify"])

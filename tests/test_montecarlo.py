@@ -310,6 +310,17 @@ class TestIdentityCheck:
         assert abs(z) <= 4.0
         assert rep.in_grid_fraction > 0.999
 
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.99, 0.999999])
+    def test_included_bins_hold_normal_analytic_values(self, beta):
+        # run_identity_check's bound covers the included bins only; an excluded
+        # bin's analytic may be subnormal, 2.2e-320 at beta 0.99 on this grid
+        v = make_boost([0.0, 0.0, beta])
+        cfg = McConfig(n_samples=1_000_000, seed=42,
+                       omega_prime_max=15.0 * v.gamma * (1.0 + beta))
+        rep = run_identity_check(1.0, v, cfg)
+        assert rep.dof > 0
+        assert np.all(rep.analytic[rep.included] >= np.finfo(float).tiny)
+
     def test_report_internal_coherence(self):
         rep = run_identity_check(1.0, make_boost([0, 0, 0.6]), CFG_4E5)
         w_rest = rep.w_prime_expected / rep.ratio_expected

@@ -40,13 +40,13 @@ as much.  With eps = 2^-52, the worst measured on this grid is 1.8 eps
 (1 + z) for rho_rest, 2.5 for rho_moving_mu, 3.0 for
 rho_moving_pullback_mu and 2.8 for u_moving, and 0.72 on the rows past
 z = 708.  On 20,000 random points up to z = 800 (scripts/bound_sweep.py,
-seeds 0 and 1, 10^4 each) the worst is 2.9, 2.6, 3.3 and 3.5 eps (1 + z)
-in the same order.  The pull-back divides its prefactor by D^3 before
-the assembly: dividing the assembled density instead reads 3.1e6 eps
-(1 + z) at T = 1, beta 1 - 1e-9, mu' = -1, x = 3e-152, where
-pref s (D omega')^2 is subnormal.  The points at x = 600 .. 700 in SI
-hold u_moving to a density near 1e-294, which an assembly with a
-subnormal intermediate flushes to 0.
+seeds 0 and 1, 10^4 each, T over the whole domain) the worst is 2.6, 2.7,
+3.3 and 3.7 eps (1 + z) in the same order.  The pull-back divides its
+prefactor by D^3 before the assembly: dividing the assembled density
+instead reads 3.1e6 eps (1 + z) at T = 1, beta 1 - 1e-9, mu' = -1,
+x = 3e-152, where pref s (D omega')^2 is subnormal.  The points at
+x = 600 .. 700 in SI hold u_moving to a density near 1e-294, which an
+assembly with a subnormal intermediate flushes to 0.
 The oracle takes the library's pref, k_B, hbar and |beta|.
 
 effective_temperature_mu, boost_mu and the correlation route's W'/W: on
@@ -57,7 +57,7 @@ density grid.  Each is held to its function's entry of core._ERROR_BOUNDS:
 boost_mu's holds omega', jac_freq = 1 / D and D^2 relatively and mu'
 absolutely, because mu - |beta| cancels near mu = |beta|.  The worst
 that scripts/bound_sweep.py measures on 20,000 random points (seeds 0
-and 1, 10^4 each) is 2.2, 2.0, 1.9, 3.8 and 1.6 eps (eps = 2^-52) for
+and 1, 10^4 each) is 2.1, 2.0, 1.9, 3.8 and 1.6 eps (eps = 2^-52) for
 T_eff, omega', jac_freq, D^2 and mu'.  The correlation W'/W reads 3.9e-16
 at worst on this grid and 7.5e-16 (3.4 eps) on 140,000 random boosts:
 the ratio is a correctly rounded sum of the field boost's squared

@@ -1,6 +1,7 @@
 """The public names and CLI options, pinned so that adding or dropping one is a visible change."""
 
 import argparse
+import inspect
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 
 import relplanck
 import relplanck.cli
+from relplanck import core
 from relplanck.core import _ERROR_BOUNDS
 
 PUBLIC_NAMES = [
@@ -63,6 +65,53 @@ def test_each_stated_bound_belongs_to_a_public_function_that_cites_it(name):
     assert f'_ERROR_BOUNDS["{name}"]' in getattr(relplanck, name).__doc__
     numbers = _numbers(_ERROR_BOUNDS[name])
     assert numbers and all(math.isfinite(x) and x > 0.0 for x in numbers)
+
+
+# a valid value for every other required parameter of a cosine or l_max entry
+VALID_ARGUMENTS = {"omega": 1.0, "omega_prime": 1.0, "v": relplanck.make_boost([0.0, 0.0, 0.6]),
+                   "T": 1.0}
+CHECKED = {"mu": math.nan, "mu_prime": math.nan, "l_max": 10001}
+
+
+def _checked_entries() -> dict:
+    """Each public callable with a parameter named mu, mu_prime or l_max, by name."""
+    entries = {}
+    for name in relplanck.__all__:
+        obj = getattr(relplanck, name)
+        if callable(obj) and not isinstance(obj, type):
+            params = inspect.signature(obj).parameters
+            if CHECKED.keys() & params:
+                entries[name] = (obj, params)
+    return entries
+
+
+def _core_message(check, value) -> str:
+    with pytest.raises(ValueError) as err:
+        check(value)
+    return str(err.value)
+
+
+def test_the_cosine_and_l_max_entries_are_pinned():
+    assert sorted(_checked_entries()) == [
+        "aberrate_mu", "boost_mu", "direction_with_cosine", "doppler_factor",
+        "effective_temperature_mu", "inverse_doppler_factor", "rho_moving_mu",
+        "rho_moving_pullback_mu", "temperature_multipoles",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_checked_entries()))
+def test_each_cosine_and_l_max_entry_raises_cores_message(name):
+    # a new public entry taking a cosine or an l_max cannot skip core's check
+    func, params = _checked_entries()[name]
+    args = {p: CHECKED.get(p, VALID_ARGUMENTS.get(p)) for p, spec in params.items()
+            if spec.default is inspect.Parameter.empty}
+    assert None not in args.values(), f"no valid value for a parameter of {name}: {args}"
+    if "l_max" in params:
+        message = _core_message(lambda n: core._check_count(n, "l_max", core._L_MAX_CAP), 10001)
+    else:  # the label is the entry's; the range is core's
+        message = _core_message(lambda mu: core._check_mu(mu, ""), math.nan)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        func(**args)
 
 
 # every subcommand's flags, -h/--help aside

@@ -78,6 +78,7 @@ def _checked_entries() -> dict:
     entries = {}
     for name in relplanck.__all__:
         obj = getattr(relplanck, name)
+        # a class here is a record: MultipoleCoefficients carries l_max as an output
         if callable(obj) and not isinstance(obj, type):
             params = inspect.signature(obj).parameters
             if CHECKED.keys() & params:

@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    NATURAL, CheckResult, Component, PhotonMode, UnitSystem, _EPS, _ERROR_BOUNDS, make_boost,
-    temperature_value,
+    NATURAL, CheckResult, Component, PhotonMode, UnitSystem, _EPS, _ERROR_BOUNDS, _check_count,
+    _check_omega, _thermal_temperature, make_boost, temperature_value,
 )
 from .kinematics import boost_mode, direction_with_cosine
 from .spectrum import (
@@ -131,13 +131,6 @@ def _beta_list(v) -> list:
     return [float(b) for b in v.beta]
 
 
-def _check_size(flag: str, value: int, low: int, high: int):
-    if value < low:
-        raise UsageError(f"{flag} must be >= {low}, got {value}")
-    if value > high:
-        raise UsageError(f"{flag} must be <= {high}, got {value}")
-
-
 def _thermal_bound_warnings(columns: dict) -> tuple:
     """One warning naming the rows where the one bound of the four thermal densities does
     not hold, the subnormal values, by their frequency in runs of consecutive rows."""
@@ -157,11 +150,11 @@ def _cmd_spectrum(args) -> _Output:
     units = _units_from(args)
     t = temperature_value(args.temperature)
     component = Component(args.component)
-    _check_size("--points", args.points, 1, _MAX_POINTS)
-    if not (np.isfinite(args.omega_min) and np.isfinite(args.omega_max)):
-        raise UsageError("--omega-min and --omega-max must be finite")
-    if args.omega_min < 0.0 or args.omega_max < args.omega_min:
-        raise UsageError("need 0 <= omega-min <= omega-max")
+    _check_count(args.points, "--points", _MAX_POINTS, low=1)
+    _check_omega(args.omega_min, "--omega-min")
+    _check_omega(args.omega_max, "--omega-max")
+    if args.omega_max < args.omega_min:
+        raise UsageError("need --omega-min <= --omega-max")
     if args.grid == "log" and args.omega_min <= 0.0:
         raise UsageError("log spacing requires omega-min > 0")
     if args.grid == "log":
@@ -242,7 +235,7 @@ def _cmd_energy_density(args) -> _Output:
 def _cmd_anisotropy(args) -> _Output:
     t = temperature_value(args.temperature)
     if args.map_points is not None:
-        _check_size("--map-points", args.map_points, 2, _MAX_POINTS)
+        _check_count(args.map_points, "--map-points", _MAX_POINTS, low=2)
     v = _boost_from(args)
     coeffs = temperature_multipoles(v, t, args.lmax)
     inputs = {"temperature": t, "beta": _beta_list(v), "lmax": args.lmax,
@@ -263,9 +256,8 @@ def _cmd_mc_verify(args) -> _Output:
     from .montecarlo import McConfig, run_identity_check
 
     units = _units_from(args)
-    t = temperature_value(args.temperature)
-    if t == 0.0:
-        raise UsageError("mc-verify samples the thermal spectrum; temperature must be > 0")
+    # before the default grid edge, which is 0 at T = 0
+    t = _thermal_temperature(args.temperature)
     v = _boost_from(args)
     omega_max = args.omega_prime_max
     if omega_max is None:

@@ -8,12 +8,14 @@ means the temperature in the radiation rest frame; nothing in this package
 ever boosts a temperature, only the spectrum.
 
 The accepted input domain is stated here once (README, "Domain"): T = 0 or
-1e-3 <= T <= 1e5, |beta| <= 1 - 1e-9, 0 <= omega <= 1e30 in the unit
-system's own frequency unit, the natural or SI unit system, a cosine in
-[-1, 1] up to 1e-12 and an integer 0 <= l_max <= 10^4.  temperature_value,
-BoostVelocity, UnitSystem, _check_omega, _check_mu and _check_count reject
-anything outside it with a ValueError naming the input and its range, so
-no density, energy density or multipole inside the package can overflow.
+1e-3 <= T <= 1e5 (T > 0 where the thermal spectrum is normalized or
+sampled), |beta| <= 1 - 1e-9, 0 <= omega <= 1e30 in the unit system's own
+frequency unit, the natural or SI unit system, a cosine in [-1, 1] up to
+1e-12, and integer counts up to caps of time or memory.  temperature_value,
+_thermal_temperature, BoostVelocity, UnitSystem, _check_omega, _check_mu
+and _check_count reject anything outside it with a ValueError naming the
+input and its range, so no density, energy density or multipole inside
+the package can overflow.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ _BETA_MAX = 1.0 - 1e-9
 _OMEGA_MAX = 1e30
 _MU_SLACK = 1e-12
 _L_MAX_CAP = 10**4
+# Monte Carlo draws, in chunks of fixed memory: 0.057 s per 10^6 on 2 cores, a minute at the cap
+_N_SAMPLES_CAP = 10**9
+# modes sample_rest_modes draws at once: it peaks at 2.1 arrays of n doubles, 1.7 GB at the cap
+_N_MODES_CAP = 10**8
 _SI_CONSTANTS = (1.054571817e-34, 299792458.0, 1.380649e-23)
 
 # The error bounds the functions state, each cited by its docstring and held by
@@ -199,6 +205,13 @@ def temperature_value(T) -> float:
     return t
 
 
+def _thermal_temperature(T) -> float:
+    """temperature_value(T) where the thermal spectrum is normalized or sampled: not 0."""
+    if (t := temperature_value(T)) == 0.0:
+        raise ValueError(f"the thermal spectrum is 0 at T = 0; T > 0 required, got {T!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One verdict: a residual against a tolerance, and what was checked."""
@@ -210,10 +223,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_count(n, label: str, cap: float = math.inf):
-    """Raise ValueError unless n is an integer in [0, cap] and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= cap:
-        span = ">= 0" if cap == math.inf else f"in [0, {cap}]"
+def _check_count(n, label: str, cap: float = math.inf, low: int = 0):
+    """Raise ValueError unless n is an integer in [low, cap] and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= cap:
+        span = f">= {low}" if cap == math.inf else f"in [{low}, {cap}]"
         raise ValueError(f"{label} must be an integer {span}, got {n!r}")
 
 

@@ -51,8 +51,8 @@ from functools import cache
 import numpy as np
 
 from .core import (
-    NATURAL, BoostVelocity, CheckResult, UnitSystem, _check_count, _check_omega,
-    temperature_value,
+    _N_MODES_CAP, _N_SAMPLES_CAP, NATURAL, BoostVelocity, CheckResult, UnitSystem, _check_count,
+    _check_omega, _thermal_temperature,
 )
 from .kinematics import boost_mu
 from .radiometry import _GL20_HALF, expected_energy_ratio, thermal_energy_density_closed_form
@@ -134,13 +134,10 @@ def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = N
     of each direction to a fixed axis, uniform on [-1, 1] as for isotropic
     directions.  mu is drawn where _isotropic_directions draws its z
     cosine, so it equals that z component on the same stream.  Requires
-    T > 0.
+    T > 0 and an integer 1 <= n <= 10^8 (README, "Domain").
     """
-    t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("thermal sampling requires T > 0")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    t = _thermal_temperature(T)
+    _check_count(n, "n", _N_MODES_CAP, low=1)
     omega = _sample_planck_x(rng, n)
     omega *= units.k_B * t / units.hbar
     mu = rng.random(n)
@@ -151,7 +148,7 @@ def sample_rest_modes(T, n: int, rng: np.random.Generator, units: UnitSystem = N
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, seed, and moving-frame binning for the identity check."""
+    """Sample count, seed, and moving-frame binning for the identity check (README, "Domain")."""
 
     n_samples: int
     seed: int
@@ -160,14 +157,13 @@ class McConfig:
     n_mu_bins: int = 16
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        _check_count(self.n_samples, "n_samples", _N_SAMPLES_CAP, low=1)
         _check_count(self.seed, "seed")
         _check_omega(self.omega_prime_max, "omega_prime_max")
         if self.omega_prime_max == 0.0:
             raise ValueError("omega_prime_max must be > 0")
-        if self.n_omega_bins < 4 or self.n_mu_bins < 4:
-            raise ValueError("need at least 4 bins per axis")
+        _check_count(self.n_omega_bins, "n_omega_bins", low=4)
+        _check_count(self.n_mu_bins, "n_mu_bins", low=4)
         if self.n_omega_bins * self.n_mu_bins > _MAX_BINS:
             raise ValueError(f"need at most {_MAX_BINS} bins in all, "
                              f"got {self.n_omega_bins} x {self.n_mu_bins}")
@@ -354,16 +350,16 @@ def run_identity_check(
     thread count.  An exception in a chunk is raised here once every thread
     has ended: the one of the lowest failed chunk.
     """
-    t = temperature_value(T)
-    if n_threads is not None and n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    t = _thermal_temperature(T)
+    if n_threads is not None:
+        _check_count(n_threads, "n_threads", low=1)
 
     n_total = cfg.n_samples
     om_edges = np.linspace(0.0, cfg.omega_prime_max, cfg.n_omega_bins + 1)
     mu_edges = np.linspace(-1.0, 1.0, cfg.n_mu_bins + 1)
     shape = (cfg.n_omega_bins, cfg.n_mu_bins)
     n_flat = shape[0] * shape[1]
-    w_rest = thermal_energy_density_closed_form(t, units)  # raises at T = 0, before sampling
+    w_rest = thermal_energy_density_closed_form(t, units)
     ratio_expected = expected_energy_ratio(v)
     # no draw enters the reference; before the chunks its caches are warm
     times, t0 = {}, time.perf_counter()

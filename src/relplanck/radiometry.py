@@ -55,7 +55,7 @@ from functools import cache
 import numpy as np
 
 from . import kinematics
-from .core import NATURAL, BoostVelocity, CheckResult, UnitSystem, _EPS, temperature_value
+from .core import NATURAL, BoostVelocity, CheckResult, UnitSystem, _EPS, _thermal_temperature
 from .spectrum import _direction_integrated_x_occupation
 
 __all__ = [
@@ -216,9 +216,7 @@ def thermal_energy_density_closed_form(T, units: UnitSystem = NATURAL) -> float:
     Raises ValueError at T = 0, where W = 0 cannot normalize a ratio, and
     for a T outside the domain (README, "Domain").
     """
-    t = temperature_value(T)
-    if t == 0.0:
-        raise ValueError("the thermal energy density W is 0 at T = 0; T > 0 required")
+    t = _thermal_temperature(T)
     return _PI2_15 * (units.k_B * t) ** 4 / (units.hbar * units.c) ** 3
 
 

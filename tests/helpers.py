@@ -18,6 +18,13 @@ def random_modes(rng, n, omega_lo=1e-2, omega_hi=1e2):
     return [PhotonMode(w, d) for w, d in zip(omega, dirs)]
 
 
+class NoDraws:
+    """A generator stand-in that fails any draw, so no rejected count is ever sampled."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
 # the edge checks' messages, each naming its input and range (README, "Domain")
 T_RANGE = "temperature must be 0 or lie in [1e-3, 1e5]"
 BETA_RANGE = "|beta| must lie in [0, 1 - 1e-9]"
@@ -26,3 +33,6 @@ UNITS_RANGE = "units must be natural (hbar, c, k_B) = (1, 1, 1) or SI"
 SEED_RANGE = "seed must be an integer >= 0"
 MU_RANGE = "must be finite and lie in [-1, 1]"
 L_MAX_RANGE = "l_max must be an integer in [0, 10000]"
+THERMAL_T_RANGE = "the thermal spectrum is 0 at T = 0; T > 0 required"
+N_SAMPLES_RANGE = "n_samples must be an integer in [1, 1000000000]"
+N_MODES_RANGE = "n must be an integer in [1, 100000000]"

@@ -568,14 +568,16 @@ def test_every_csv_cell_equals_the_json_value(capsys, argv):
     "argv, message",
     [
         (("spectrum", "--temperature", "1", "--points", "1000001"),
-         "--points must be <= 1000000, got 1000001"),
+         "--points must be an integer in [1, 1000000], got 1000001"),
         (("anisotropy", "--temperature", "1", "--map-points", "1000001"),
-         "--map-points must be <= 1000000, got 1000001"),
+         "--map-points must be an integer in [2, 1000000], got 1000001"),
         # 2^16 + 1 is prime: 4 x 16385 is the least bin count over 2^16
         (("mc-verify", "--n", "100", "--bins-omega", "4", "--bins-mu", "16385"),
          "need at most 65536 bins in all, got 4 x 16385"),
+        (("mc-verify", "--n", "1000000001"),
+         "n_samples must be an integer in [1, 1000000000], got 1000000001"),
     ],
-    ids=["points", "map-points", "bins"],
+    ids=["points", "map-points", "bins", "n"],
 )
 def test_size_flags_over_their_limit_exit_2_before_computing(capsys, monkeypatch, argv, message):
     def boom(*args, **kwargs):

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    BETA_RANGE, L_MAX_RANGE, MU_RANGE, OMEGA_RANGE, SEED_RANGE, T_RANGE, UNITS_RANGE,
+    BETA_RANGE, L_MAX_RANGE, NoDraws, MU_RANGE, N_MODES_RANGE, N_SAMPLES_RANGE, OMEGA_RANGE, SEED_RANGE,
+    T_RANGE, THERMAL_T_RANGE, UNITS_RANGE,
 )
 from relplanck import (
     NATURAL,
@@ -47,6 +48,7 @@ from relplanck import (
     rho_moving_pullback_mu,
     rho_rest,
     run_identity_check,
+    sample_rest_modes,
     selfcheck,
     temperature_multipoles,
     temperature_value,
@@ -196,10 +198,8 @@ CORNER_RUNS = [
 @pytest.mark.parametrize(("command", "t", "units"), CORNER_RUNS)
 def test_commands_are_finite_at_the_corners(capsys, command, t, units, boost):
     argv = _corner_argv(command, t, units, boost)
-    if t == "0" and command == "energy-density":
-        _assert_rejected(capsys, argv, "T > 0 required")  # the library's W = 0 check
-    elif t == "0" and command == "mc-verify":
-        _assert_rejected(capsys, argv, "temperature must be > 0")
+    if t == "0" and command in ("energy-density", "mc-verify"):
+        _assert_rejected(capsys, argv, THERMAL_T_RANGE)  # the library's thermal T > 0 rule
     else:
         _assert_finite(capsys, argv)
 
@@ -275,6 +275,7 @@ def test_cosines_within_the_slack_are_accepted(mu):
 
 
 V06 = make_boost([0.0, 0.0, 0.6])
+
 SI = UnitSystem.si()
 
 # each call raises one ValueError naming its input's range.  The first block
@@ -345,6 +346,28 @@ REJECTED = {
             lambda l_max=l_max: temperature_multipoles(V06, 1.0, l_max), L_MAX_RANGE)
         for l_max in (10001, 2.5, True)
     },
+    # counts that ran as one draw, raised TypeError, or ran on a bool thread count
+    **{
+        f"McConfig-n_samples-{n!r}": (lambda n=n: McConfig(n, 1, 1.0), N_SAMPLES_RANGE)
+        for n in (True, 2.5, 0, 10**9 + 1)
+    },
+    **{
+        f"McConfig-{field}-{n!r}": (lambda field=field, n=n: McConfig(1000, 1, 1.0, **{field: n}),
+                                    f"{field} must be an integer >= 4")
+        for field in ("n_omega_bins", "n_mu_bins") for n in (True, 4.5, 3)
+    },
+    **{
+        f"sample_rest_modes-n-{n!r}": (lambda n=n: sample_rest_modes(1.0, n, NoDraws()),
+                                       N_MODES_RANGE)
+        for n in (True, 2.5, 0, 10**8 + 1)
+    },
+    "sample_rest_modes-T-0": (lambda: sample_rest_modes(0.0, 10, NoDraws()), THERMAL_T_RANGE),
+    **{
+        f"run_identity_check-n_threads-{n!r}": (
+            lambda n=n: run_identity_check(1.0, V06, McConfig(1000, 1, 1.0), n_threads=n),
+            "n_threads must be an integer >= 1")
+        for n in (True, 2.5, 0)
+    },
 }
 
 
@@ -382,6 +405,23 @@ REJECTED_FLAGS = {
     "anisotropy-lmax-10001": (["anisotropy", "--temperature", "1", "--lmax", "10001"],
                               f"{L_MAX_RANGE}, got 10001"),
     "energy-density-T-0": (["energy-density", "--temperature", "0"], "T > 0 required"),
+    "mc-verify-T-0": (["mc-verify", "--temperature", "0"], THERMAL_T_RANGE),
+    "mc-verify-n-0": (["mc-verify", "--n", "0"], f"{N_SAMPLES_RANGE}, got 0"),
+    "mc-verify-bins-omega-3": (["mc-verify", "--bins-omega", "3"],
+                               "n_omega_bins must be an integer >= 4, got 3"),
+    "mc-verify-bins-mu-3": (["mc-verify", "--bins-mu", "3"], "n_mu_bins must be an integer >= 4, got 3"),
+    # the CLI's own bounds, in core's words
+    "spectrum-points-0": (["spectrum", "--temperature", "1", "--points", "0"],
+                          "--points must be an integer in [1, 1000000], got 0"),
+    "anisotropy-map-points-1": (["anisotropy", "--temperature", "1", "--map-points", "1"],
+                                "--map-points must be an integer in [2, 1000000], got 1"),
+    # one omega rule, one text
+    **{
+        f"spectrum-{flag[2:]}-{value}": (
+            ["spectrum", "--temperature", "1", "--omega-min", "0", flag, value], f"{flag} {OMEGA_RANGE}")
+        for flag, value in (("--omega-min", "-1"), ("--omega-min", "nan"), ("--omega-max", "inf"),
+                            ("--omega-max", "2e30"))
+    },
 }
 
 

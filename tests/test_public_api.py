@@ -13,6 +13,7 @@ import pytest
 
 import relplanck
 import relplanck.cli
+from helpers import NoDraws
 from relplanck import core
 from relplanck.core import _ERROR_BOUNDS
 
@@ -113,6 +114,56 @@ def test_each_cosine_and_l_max_entry_raises_cores_message(name):
         message = _core_message(lambda mu: core._check_mu(mu, ""), math.nan)
     with pytest.raises(ValueError, match=re.escape(message)):
         func(**args)
+
+
+# each count parameter's (low, cap) in core; the bin counts' cap is McConfig's joint rule
+COUNTS = {"n": (1, core._N_MODES_CAP), "n_samples": (1, core._N_SAMPLES_CAP),
+          "n_omega_bins": (4, math.inf), "n_mu_bins": (4, math.inf), "n_threads": (1, math.inf),
+          "l_max": (0, core._L_MAX_CAP), "seed": (0, math.inf)}
+VALID_COUNT_ARGUMENTS = {
+    **VALID_ARGUMENTS, "n_samples": 1000, "seed": 1, "omega_prime_max": 1.0, "n": 10,
+    "rng": NoDraws(), "cfg": relplanck.McConfig(1000, 1, 1.0), "l_max": 4,
+}
+
+
+def _count_entries() -> dict:
+    """Each public callable with a count parameter, by name, and those parameters.
+
+    A class here is a record, as MultipoleCoefficients, whose l_max is an
+    output, but for McConfig, the identity check's input."""
+    entries = {}
+    for name in relplanck.__all__:
+        obj = getattr(relplanck, name)
+        if callable(obj) and (not isinstance(obj, type) or obj is relplanck.McConfig):
+            params = inspect.signature(obj).parameters
+            if counts := sorted(COUNTS.keys() & params):
+                entries[name] = (obj, params, counts)
+    return entries
+
+
+def test_the_count_entries_are_pinned():
+    assert {name: counts for name, (_, _, counts) in _count_entries().items()} == {
+        "McConfig": ["n_mu_bins", "n_omega_bins", "n_samples", "seed"],
+        "run_identity_check": ["n_threads"],
+        "run_selfcheck": ["seed"],
+        "sample_rest_modes": ["n"],
+        "temperature_multipoles": ["l_max"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_count_entries()))
+def test_each_count_rejects_a_bool_a_float_and_its_bounds_with_cores_message(name):
+    # a new public entry taking a count cannot skip core's check
+    func, params, counts = _count_entries()[name]
+    required = {p: VALID_COUNT_ARGUMENTS.get(p) for p, spec in params.items()
+                if spec.default is inspect.Parameter.empty}
+    assert None not in required.values(), f"no valid value for a parameter of {name}"
+    for label in counts:
+        low, cap = COUNTS[label]
+        for bad in (True, 2.5, low - 1, *([cap + 1] if cap < math.inf else [])):
+            message = _core_message(lambda n: core._check_count(n, label, cap, low), bad)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                func(**{**required, label: bad})
 
 
 # every subcommand's flags, -h/--help aside

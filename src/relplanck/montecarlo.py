@@ -14,13 +14,15 @@ W'/W = gamma^2 (1 + beta^2/3).
 Frequency sampling is exact and rejection-free: expanding x^3/(e^x - 1) =
 sum_k x^3 e^{-k x} gives a mixture in which the integer k carries weight
 k^{-4}/zeta(4) and x | k is Gamma(shape 4, rate k).  Each fixed-size chunk
-draws from SFC64 (named in _chunk_rng only) on its own child of
-SeedSequence(seed).spawn.  The chunks run on plain threads, one per CPU
-in the process's affinity set (run under taskset to use fewer) and at
-most one per chunk, never on the calling thread; the threads take the
-chunks in turn (of n threads, thread k runs chunks k, k + n, ...).  Each
-chunk's sums are reduced in chunk order, so a run is reproducible bit for
-bit for a given seed whatever the number of threads.  A chunk draws all
+draws from SFC64 (named in _chunk_rng only) on its own seed, built when
+the chunk starts: chunk i's SeedSequence(seed, spawn_key=(i,)) is
+SeedSequence(seed).spawn(n)[i].  The chunks run on plain threads, one per
+CPU in the process's affinity set (run under taskset to use fewer) and at
+most one per chunk, never on the calling thread; each thread takes the
+lowest chunk not yet taken.  As the chunks finish, their sums are folded
+into running sums in chunk order, so memory does not grow with N and a
+run is reproducible bit for bit for a given seed whatever the number of
+threads.  A chunk draws all
 its frequencies and cosines at once, then boosts and bins them in blocks
 of _BLOCK draws: each block's weight D^2 overwrites its spent frequencies
 and its flat bin index its spent cosines.  So a chunk holds two arrays
@@ -362,15 +364,13 @@ def run_identity_check(
     w_rest = thermal_energy_density_closed_form(t, units)
     ratio_expected = expected_energy_ratio(v)
     # no draw enters the reference; before the chunks its caches are warm
-    times, t0 = {}, time.perf_counter()
+    times, t0 = dict.fromkeys(("sample", "boost", "bin"), 0.0), time.perf_counter()
     vol = np.diff(om_edges)[:, None] * np.diff(mu_edges)[None, :]
     analytic, count_density = _reference(om_edges, mu_edges, v, t, units)
     expected_counts = n_total * (2.0 * np.pi / w_rest) * count_density * vol
     _lap(times, "reference", t0)
 
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, n_total - i * _CHUNK) for i in range(n_chunks)]
-    children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     # at most one thread per chunk
     n_threads = min(_usable_cpus() if n_threads is None else n_threads, n_chunks)
 
@@ -379,13 +379,16 @@ def run_identity_check(
 
     def run_chunk(i: int):
         chunk_times, t0 = {}, time.perf_counter()
-        omega, mu = sample_rest_modes(t, sizes[i], _chunk_rng(children[i]), units)
+        size = min(_CHUNK, n_total - i * _CHUNK)
+        # SeedSequence(seed).spawn(n_chunks)[i], built when the chunk starts
+        rng = _chunk_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        omega, mu = sample_rest_modes(t, size, rng, units)
         t0 = _lap(chunk_times, "sample", t0)
         # each block's weight overwrites its spent omega and its bin index its
         # spent mu; int64 has float64's itemsize on every platform, intp not
         wgt, idx = omega, mu.view(np.int64)
         s1 = s2 = 0.0
-        for lo in range(0, sizes[i], _BLOCK):
+        for lo in range(0, size, _BLOCK):
             blk = slice(lo, lo + _BLOCK)
             # the weight gamma^2 (1 - khat . beta)^2 is the solid-angle Jacobian D^2
             om_p, mu_p, _, wgt[blk] = boost_mu(omega[blk], mu[blk], v)
@@ -401,19 +404,40 @@ def run_identity_check(
         _lap(chunk_times, "bin", t0)
         return h1, h2, counts, s1, s2, chunk_times
 
-    parts, failed = [None] * n_chunks, {}
+    lock = threading.Lock()
+    taken = 0
+    # finished[i] holds chunk i's sums until every chunk before it is folded
+    finished, failed = {}, {}
+    hists, s1s, s2s = [0, 0, 0], [], []
 
-    def run_share(k: int):
-        # chunks k, k + n_threads, ...: each slot of parts has one writer
-        for i in range(k, n_chunks, n_threads):
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if taken == n_chunks:
+                    return
+                i, taken = taken, taken + 1
             try:
-                parts[i] = run_chunk(i)
+                part = run_chunk(i)
             except BaseException as exc:  # re-raised in the caller
-                failed[i] = exc
+                with lock:
+                    failed[i] = exc
                 return
+            with lock:
+                if failed:  # the run raises; a chunk not yet taken lies above the failed one
+                    return
+                finished[i] = part
+                # fold in chunk order: the sums must not depend on thread scheduling
+                while len(s1s) in finished:
+                    *sums, s1, s2, chunk_times = finished.pop(len(s1s))
+                    hists[:] = [h + p for h, p in zip(hists, sums)]
+                    s1s.append(s1)
+                    s2s.append(s2)
+                    for stage, seconds in chunk_times.items():
+                        times[stage] += seconds
 
     # a single chunk too runs on a thread of its own, never on the caller's
-    threads = [threading.Thread(target=run_share, args=(k,)) for k in range(n_threads)]
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
     try:
         for th in threads:
             th.start()
@@ -424,12 +448,8 @@ def run_identity_check(
     if failed:
         raise failed[min(failed)]
     t0 = time.perf_counter()
-    # reduce in chunk order: the result must not depend on thread scheduling
-    h1 = sum(p[0] for p in parts)
-    h2 = sum(p[1] for p in parts)
-    counts = sum(p[2] for p in parts)
-    s1 = math.fsum(p[3] for p in parts)
-    s2 = math.fsum(p[4] for p in parts)
+    h1, h2, counts = hists
+    s1, s2 = math.fsum(s1s), math.fsum(s2s)
 
     mean_contrib = h1 / n_total
     estimated = w_rest * mean_contrib / (vol * 2.0 * np.pi)
@@ -466,7 +486,6 @@ def run_identity_check(
             "consider raising omega_prime_max"
         )
     _lap(times, "statistics", t0)
-    times.update((k, sum(p[5][k] for p in parts)) for k in ("sample", "boost", "bin"))
 
     return McReport(
         config=cfg,

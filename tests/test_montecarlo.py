@@ -388,6 +388,39 @@ class TestIdentityCheck:
             tracemalloc.stop()
         assert peak < 3.5e6
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, n_threads):
+        # each chunk builds its seed when it starts and its sums are folded as
+        # it finishes, so 40 chunks hold what 8 do; a seed and a part per chunk
+        # kept to the end added 0.4 MB here.  On two threads the peak is two
+        # chunks' working sets at whatever phase the scheduler gives them (6.25
+        # to 6.38 MB at 40 chunks), so there only the memory held once every
+        # thread has ended, when the statistics are done, is compared
+        v = make_boost([0, 0, 0.6])
+        run_identity_check(1.0, v, McConfig(n_samples=10, seed=1, omega_prime_max=30.0))
+        lap, held = montecarlo._lap, []
+
+        def recording_lap(times, stage, since):
+            if stage == "statistics":
+                held.append(tracemalloc.get_traced_memory()[0])
+            return lap(times, stage, since)
+
+        monkeypatch.setattr(montecarlo, "_lap", recording_lap)
+
+        def traced(n_chunks):
+            cfg = McConfig(n_samples=n_chunks * _CHUNK, seed=3, omega_prime_max=30.0)
+            tracemalloc.start()
+            try:
+                run_identity_check(1.0, v, cfg, n_threads=n_threads)
+                return held[-1], tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (held_8, peak_8), (held_40, peak_40) = traced(8), traced(40)
+        assert abs(held_40 - held_8) < 0.05e6
+        if n_threads == 1:
+            assert abs(peak_40 - peak_8) < 0.05e6
+
     @pytest.mark.parametrize("beta, n", [
         ([0.0, 0.0, 0.6], 3 * _CHUNK + 17),
         ([0.3, -0.5, 0.6], 3 * _CHUNK + 17),

@@ -9,7 +9,8 @@ ever boosts a temperature, only the spectrum.
 
 The accepted input domain is stated here once (README, "Domain"): T = 0 or
 1e-3 <= T <= 1e5 (T > 0 where the thermal spectrum is normalized or
-sampled), |beta| <= 1 - 1e-9, 0 <= omega <= 1e30 in the unit system's own
+sampled), |beta| = 0 or 2^-1022 <= |beta| <= 1 - 1e-9, 0 <= omega <= 1e30
+in the unit system's own
 frequency unit, the natural or SI unit system, a cosine in [-1, 1] up to
 1e-12, and integer counts up to caps of time or memory.  temperature_value,
 _thermal_temperature, BoostVelocity, UnitSystem, _check_omega, _check_mu
@@ -31,6 +32,8 @@ import numpy as np
 _T_MIN = 1e-3
 _T_MAX = 1e5
 _BETA_MAX = 1.0 - 1e-9
+# the smallest normal double: below it 2 / (gamma |beta|) in the direction integral overflows
+_BETA_MIN = 2.0**-1022
 _OMEGA_MAX = 1e30
 _MU_SLACK = 1e-12
 _L_MAX_CAP = 10**4
@@ -116,10 +119,12 @@ NATURAL = UnitSystem()
 
 @dataclass(frozen=True, eq=False)
 class BoostVelocity:
-    """Dimensionless frame velocity beta = v/c with |beta| <= 1 - 1e-9.
+    """Dimensionless frame velocity beta = v/c with |beta| = 0 or 2^-1022 <= |beta| <= 1 - 1e-9.
 
-    gamma is computed once at construction as 1/sqrt((1 - |b|)(1 + |b|));
-    the factored form loses no precision as |beta| approaches 1.  ``vhat``
+    |beta| is sqrt(b . b), or math.hypot of the components where b . b is
+    below the smallest normal double; either is exact along an axis.  gamma is
+    computed once at construction as 1/sqrt((1 - |b|)(1 + |b|)); the
+    factored form loses no precision as |beta| approaches 1.  ``vhat``
     is the unit vector along beta; at beta = 0 it is a fixed placeholder
     (+z) that no formula depends on.
     """
@@ -135,10 +140,14 @@ class BoostVelocity:
             raise ValueError(f"beta must be a 3-vector, got shape {b.shape}")
         if not all(map(math.isfinite, b.tolist())):
             raise ValueError("beta components must be finite")
-        # np.linalg.norm's own formula for a vector, without its dispatch
-        bmag = math.sqrt(b.dot(b))
+        # np.linalg.norm's own formula for a vector, without its dispatch; b.dot(b)
+        # loses digits below |beta| 1.5e-154 and is 0 below 1.5e-162, where hypot is not
+        dot = b.dot(b)
+        bmag = math.sqrt(dot) if dot >= _BETA_MIN else math.hypot(*b.tolist())
         if not bmag <= _BETA_MAX:
             raise ValueError(f"|beta| must lie in [0, 1 - 1e-9], got {bmag!r}")
+        if 0.0 < bmag < _BETA_MIN:
+            raise ValueError(f"|beta| must be 0 or at least 2^-1022 = {_BETA_MIN!r}, got {bmag!r}")
         vhat = b / bmag if bmag > 0.0 else np.array([0.0, 0.0, 1.0])
         gamma = 1.0 / math.sqrt((1.0 - bmag) * (1.0 + bmag))
         b.setflags(write=False)
@@ -158,7 +167,7 @@ class BoostVelocity:
 
 
 def make_boost(beta) -> BoostVelocity:
-    """Build a BoostVelocity from any 3-sequence; rejects |beta| > 1 - 1e-9."""
+    """Build a BoostVelocity from any 3-sequence; rejects a |beta| outside the domain."""
     return BoostVelocity(np.asarray(beta, dtype=float))
 
 

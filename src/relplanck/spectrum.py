@@ -179,8 +179,10 @@ def _direction_integrated_x_occupation(x, v: BoostVelocity, mu_a=-1.0, mu_b=1.0)
     is exactly 1, so that f is exact where h h underflows.  Nothing cancels
     at small beta, small x or a narrow interval, and on [-1, 1] the value
     tends to (2 / (gamma |beta|)) ln((1 + |beta|) / (1 - |beta|)) as x -> 0.
-    At rest, and where a underflows, the integrand is flat in mu' and the
-    pair is _x_occupation(x), f times mu_b - mu_a.  Broadcasts.
+    At rest, and where 2a is below the smallest normal double, so that r
+    would have lost digits, the pair is the rest value _x_occupation(x), f
+    times mu_b - mu_a: the integrand varies over [mu_a, mu_b] by about 2a
+    relative, far below an ulp.  Broadcasts.
     """
     x = np.asarray(x, dtype=float)
     if v.is_rest:
@@ -193,7 +195,7 @@ def _direction_integrated_x_occupation(x, v: BoostVelocity, mu_a=-1.0, mu_b=1.0)
     r = np.expm1(neg_2a) / np.expm1(neg_lo)
     y = np.maximum(h * h * r, _TINY)
     f = 2.0 / (v.gamma * v.beta_mag) * r * np.log1p(y) / y
-    flat = neg_2a == 0.0
+    flat = neg_2a > -_TINY
     if flat.any():
         f_flat, h_flat = _x_occupation(x)
         f, h = np.where(flat, (mu_b - mu_a) * f_flat, f), np.where(flat, h_flat, h)

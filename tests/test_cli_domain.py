@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    BETA_RANGE, L_MAX_RANGE, NoDraws, MU_RANGE, N_MODES_RANGE, N_SAMPLES_RANGE, OMEGA_RANGE, SEED_RANGE,
+    BETA_FLOOR, BETA_RANGE, L_MAX_RANGE, NoDraws, MU_RANGE, N_MODES_RANGE, N_SAMPLES_RANGE, OMEGA_RANGE, SEED_RANGE,
     T_RANGE, THERMAL_T_RANGE, UNITS_RANGE,
 )
 from relplanck import (
@@ -286,6 +286,9 @@ REJECTED = {
     "temperature_value-T-2e5": (lambda: temperature_value(2e5), T_RANGE),
     "temperature_value-T-nan": (lambda: temperature_value(math.nan), T_RANGE),
     "make_boost-beta-1-5e-10": (lambda: make_boost([0.0, 0.0, 1.0 - 5e-10]), BETA_RANGE),
+    # a subnormal |beta|, which earlier versions read as rest
+    "make_boost-beta-1e-310": (lambda: make_boost([0.0, 0.0, 1e-310]), BETA_FLOOR),
+    "make_boost-beta-oblique-1e-320": (lambda: make_boost([1e-320, -2e-320, 2e-320]), BETA_FLOOR),
     "rho_rest-omega-2e30": (lambda: rho_rest(2e30, 1.0), OMEGA_RANGE),
     "boost_mode-omega-2e30": (lambda: boost_mode(PhotonMode(2e30, [0.0, 0.0, 1.0]), V06),
                               OMEGA_RANGE),
@@ -384,6 +387,8 @@ REJECTED_FLAGS = {
     "spectrum-T-5e-4": (["spectrum", "--temperature", "5e-4"], T_RANGE),
     "anisotropy-T-2e5": (["anisotropy", "--temperature", "2e5"], T_RANGE),
     "mc-verify-T-2e5": (["mc-verify", "--temperature", "2e5", "--n", "2000"], T_RANGE),
+    "anisotropy-beta-1e-310": (["anisotropy", "--temperature", "1", "--beta", "1e-310"],
+                               BETA_FLOOR),
     "energy-density-beta-1-5e-10": (
         ["energy-density", "--temperature", "1", "--beta", "0.9999999995"], BETA_RANGE),
     "spectrum-beta-minus-1-5e-10": (

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from relplanck import (
     Component,
     PhotonMode,
     UnitSystem,
+    core,
     make_boost,
     temperature_value,
 )
@@ -22,6 +24,14 @@ class TestBoostVelocity:
         assert v.gamma == 1.0
         assert v.beta_mag == 0.0
         assert v.is_rest
+
+    def test_tiny_speed_keeps_its_length(self):
+        # sqrt(b.dot(b)) lost digits below 1.5e-154 and read rest below 1.5e-162
+        for beta in (1e-155, 1e-160, 1e-170, core._BETA_MIN):
+            assert make_boost([0.0, 0.0, -beta]).beta_mag == beta
+        v = make_boost([1e-200, -2e-200, 2e-200])
+        assert not v.is_rest
+        assert v.beta_mag == pytest.approx(3e-200, rel=3e-16, abs=0.0)
 
     def test_gamma_examples(self):
         assert make_boost([0.0, 0.0, 0.6]).gamma == pytest.approx(1.25, rel=1e-15)
@@ -62,7 +72,8 @@ class TestBoostVelocity:
 
     @given(
         st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3).filter(
-            lambda b: np.linalg.norm(b) < 0.999
+            # the domain's |beta|: 0, or from 2^-1022 to 0.999
+            lambda b: np.linalg.norm(b) < 0.999 and not 0.0 < math.hypot(*b) < core._BETA_MIN
         )
     )
     @settings(max_examples=200, deadline=None)

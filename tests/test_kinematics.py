@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_boosts, random_modes, random_unit_vectors
+from helpers import random_boosts, random_modes, random_unit_vectors, speeds
 from relplanck import (
     PhotonMode,
     aberrate_mu,
@@ -177,7 +177,7 @@ class TestRoundTrip:
         st.floats(1e-3, 1e3),
         st.floats(-1.0, 1.0),
         st.floats(0.0, 2 * math.pi),
-        st.floats(0.0, 0.99),
+        speeds(0.99),
     )
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_property(self, omega, mu, azimuth, beta):
@@ -327,7 +327,7 @@ class TestFieldBoost:
 
     @given(
         st.lists(st.floats(-5, 5), min_size=6, max_size=6),
-        st.floats(0.0, 0.98),
+        speeds(0.98),
         st.floats(-1.0, 1.0),
         st.floats(0.0, 2 * math.pi),
     )

@@ -278,6 +278,18 @@ def test_densities_match_mpmath_where_e_to_the_minus_z_is_subnormal(route, z):
         assert _check(route, got, want, float(d * x)) == 1
 
 
+def test_u_moving_matches_mpmath_at_a_tiny_beta():
+    # 2a = 2 gamma |beta| x is subnormal here: the logarithm of its lost digits
+    # missed the bound 6.1e4-fold.  40 + |log10 beta| + |log10 x| digits
+    beta, x = 9.52e-162, 2.38e-153
+    with mpmath.workdps(360):
+        b, xm = mpmath.mpf(beta), mpmath.mpf(x)
+        gamma = 1 / mpmath.sqrt(1 - b * b)
+        want = mpmath.mpf(spectral_prefactor()) * xm**3 * _u_moving_over_cube(xm, b, gamma)
+        got = u_moving(x, make_boost([0.0, 0.0, beta]), 1.0, Component.THERMAL)
+        assert _check(u_moving, got, want, float(gamma * (1 - b) * xm)) == 1
+
+
 ORACLE_BETAS = sorted(set(MULTIPOLE_BETAS) | set(DENSITY_BETAS))
 AXES = {"z": np.array([0.0, 0.0, 1.0]), "oblique": np.array([1.0, -2.0, 2.0]) / 3.0}
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OMEGA_RANGE, random_boosts, random_modes
+from helpers import OMEGA_RANGE, random_boosts, random_modes, speeds
 from relplanck import (
     Component,
     UnitSystem,
@@ -267,21 +267,34 @@ class TestDirectionIntegrated:
         rest = u_moving(x, make_boost([0, 0, 0]), 1.0, Component.THERMAL)
         assert np.array_equal(u_moving(x, tiny_beta, 1.0, Component.THERMAL), rest)
 
-    def test_rest_value_only_where_the_boost_underflows(self):
-        # a = gamma |beta| x is 0 for the first two points only; those take
-        # the rest value, the rest the logarithm, in one array or one by one
+    def test_rest_value_wherever_2a_is_below_the_smallest_normal(self):
+        # 2a = 2 gamma |beta| x is 0 at the first two points and subnormal at the
+        # third, where expm1(-2a) keeps few digits: those take the rest value,
+        # which is the value to 2a relative, the rest the logarithm, in one
+        # array or one by one.  Each is within 4 eps of the closed form
+        # (2 / (gamma beta)) ln[(1 - e^{-gamma (1 + beta) x}) / (1 - e^{-gamma (1 - beta) x})]
         v = make_boost([0.0, 0.0, 1e-150])
-        x = np.array([1e-300, 1e-200, 1e-170, 0.5, 3.0])
+        x = np.array([1e-300, 1e-200, 1e-170, 1e-150, 0.5, 3.0])
+        assert list(2.0 * v.gamma * v.beta_mag * x < np.finfo(float).tiny) == [True] * 3 + [False] * 3
         rest = np.array(_direction_integrated_x_occupation(x, make_boost([0, 0, 0])))
         got = np.array(_direction_integrated_x_occupation(x, v))
-        assert np.array_equal(got[:, :2], rest[:, :2])
-        lo, a = v.gamma * (1.0 - v.beta_mag) * x[2:], v.gamma * v.beta_mag * x[2:]
+        assert np.array_equal(got[:, :3], rest[:, :3])
+        lo, a = v.gamma * (1.0 - v.beta_mag) * x[3:], v.gamma * v.beta_mag * x[3:]
         h = np.exp(-0.5 * lo)
         r = np.expm1(-2.0 * a) / np.expm1(-lo)
         f = 2.0 / (v.gamma * v.beta_mag) * r * np.log1p(h * h * r) / (h * h * r)
-        assert np.array_equal(got[:, 2:], [f, h])
+        assert np.array_equal(got[:, 3:], [f, h])
         one_by_one = [list(map(float, _direction_integrated_x_occupation(xi, v))) for xi in x]
         assert one_by_one == got.T.tolist()
+        with mpmath.workdps(500):
+            b = mpmath.mpf(v.beta_mag)
+
+            def ln_1m_exp(u):
+                return mpmath.log(-mpmath.expm1(-u))
+
+            for (fi, hi), xi in zip(got.T, map(mpmath.mpf, x)):
+                want = 2 / b * (ln_1m_exp((1 + b) * xi) - ln_1m_exp((1 - b) * xi))
+                assert abs(fi * hi * hi - want) <= 4 * 2.0**-52 * want, (xi, fi * hi * hi)
 
     def test_split_value_is_the_logarithm_and_survives_past_z_708(self):
         # f h h is (2 / (gamma |beta|)) log1p(e^{-lo} r) while e^{-lo} is
@@ -453,7 +466,7 @@ class TestEffectiveTemperature:
                 want = mpmath.mpf(2.725) / (g * (1 + b * mpmath.mpf(m)))
                 assert float(abs(got / want - 1)) <= 2e-15, m
 
-    @given(st.floats(-1.0, 1.0), st.floats(0.0, 0.99))
+    @given(st.floats(-1.0, 1.0), speeds(0.99))
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_extremes(self, mu, beta):
         v = make_boost([0.0, 0.0, beta])
@@ -546,6 +559,13 @@ class TestMultipoles:
         coeffs = temperature_multipoles(make_boost([0.0, 0.0, 1e-3]), 1.0, 1)
         assert coeffs.a[1] < 0.0
         assert abs(coeffs.a[1] + 1e-3) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [1e-170, 1e-160])
+    def test_dipole_at_a_tiny_beta(self, beta):
+        # a_1 = -T beta (1 + O(beta^2)); an underflowing b.dot(b) read 1e-170 as
+        # rest, a_1 = -0.0, and 1e-160 as 5.6e-6 relative off
+        a1 = temperature_multipoles(make_boost([0.0, 0.0, beta]), 2.725, 1).a[1]
+        assert a1 == pytest.approx(-2.725 * beta, rel=4e-15, abs=0.0)
 
     def test_dipole_scales_with_temperature(self):
         beta, T = 0.00123, 2.725

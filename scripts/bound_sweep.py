@@ -2,16 +2,18 @@
 
     python3 scripts/bound_sweep.py --seed 0 --count 10000 [--out sweep.json]
 
-Draws --count boosts: |beta| uniform on [0, 1) or 1 - 10^U(-9, 0), each
-half the time, along a uniformly random axis; natural units or SI, each
-half the time, with T log-uniform on the domain's [1e-3, 1e5] in either.
-Each route's W'/W is compared with gamma^2 (1 + beta^2 / 3) at 50 digits
+Draws --count boosts: |beta| uniform on [0, 1), log-uniform on the
+domain's [2^-1022, 1 - 1e-9], or 1 - 10^U(-9, 0), each a third of the
+time, along a uniformly random axis; natural units or SI, each half the
+time, with T log-uniform on the domain's [1e-3, 1e5] in either.  Each
+route's W'/W is compared with gamma^2 (1 + beta^2 / 3) at 50 digits
 (mpmath, from the library's |beta|).  At each boost a second stream,
 seeded by (seed, 1), draws a cosine mu' uniform on [-1, 1] and
 x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, 800) each half the time,
-for the four thermal densities, each against its 50-digit value.  The
-multipoles are held to tests/test_oracle.py's 40-digit recurrence, which
-that test holds to mpmath.legenq.  A third stream, seeded by (seed, 2),
+for the four thermal densities, each against its 50-digit value (u_moving's
+with |log10 beta| + |log10 x| more digits, which its logarithm of a ratio
+near 1 cancels).  The multipoles are held to tests/test_oracle.py's
+40-digit recurrence, which that test holds to mpmath.legenq.  A third stream, seeded by (seed, 2),
 draws a cosine mu, uniform on [-1, 1] or +-(1 - 10^U(-16, 0)) each half
 the time, and a frequency omega = 10^U(-300, 30) in the unit system's own
 unit: boost_mu takes (omega, mu) as rest-frame values,
@@ -30,7 +32,8 @@ relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py reads:
                                      and the hottest direction's
                                      gamma (1 - |beta|) x for u_moving
   temperature_multipoles             largest relative error of a_0 ..
-                                     a_16 against the recurrence, over the
+                                     a_16 against the recurrence, where
+                                     a_l is a normal double, over the
                                      bound of the branch that ran and the
                                      |beta| band
   effective_temperature_mu           relative error of T_eff
@@ -39,8 +42,8 @@ relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py reads:
   boost_mu.mu_prime                  absolute error of mu'
 
 A ratio above 1 is a bound that does not hold.  The JSON gives each
-function's largest ratio and the point where it peaked; the exit status is
-1 if any ratio exceeds 1.
+function's largest ratio, the point where it peaked and the number of
+points over 1; the exit status is 1 if any ratio exceeds 1.
 """
 
 import argparse
@@ -67,7 +70,7 @@ from relplanck import (
     temperature_multipoles,
     u_moving,
 )
-from relplanck.core import _ERROR_BOUNDS as BOUNDS, _T_MAX, _T_MIN
+from relplanck.core import _BETA_MAX, _BETA_MIN, _ERROR_BOUNDS as BOUNDS, _T_MAX, _T_MIN
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_oracle import _recurrence_over_t, _u_moving_over_cube  # noqa: E402
@@ -79,7 +82,13 @@ UNITS = {"natural": UnitSystem(), "si": UnitSystem.si()}
 
 def draw(rng: np.random.Generator) -> tuple:
     """(beta vector, units name, T) of one random boost."""
-    beta = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        beta = rng.random()
+    elif kind == 1:  # every exponent of the domain
+        beta = 2.0 ** rng.uniform(math.log2(_BETA_MIN), math.log2(_BETA_MAX))
+    else:
+        beta = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)
     axis = rng.normal(size=3)
     name = "natural" if rng.random() < 0.5 else "si"
     t = 10.0 ** rng.uniform(math.log10(_T_MIN), math.log10(_T_MAX))
@@ -102,8 +111,10 @@ def sweep(seed: int, count: int) -> dict:
     worst = {}
 
     def record(name, value, point):
-        if name not in worst or value > worst[name]["max_ratio"]:
-            worst[name] = {"max_ratio": value, "at": point}
+        entry = worst.setdefault(name, {"max_ratio": -math.inf, "at": None, "over": 0})
+        entry["over"] += value > 1.0
+        if value > entry["max_ratio"]:
+            entry.update(max_ratio=value, at=point)
 
     with mpmath.workdps(50):
         for _ in range(count):
@@ -135,12 +146,14 @@ def sweep(seed: int, count: int) -> dict:
             cube = spectral_prefactor(units) * om_mp**3
             d = gamma * (1 + b * mu)
             at = {**point, "mu_prime": mu, "x": x}
+            lost = int(-math.log10(v.beta_mag) - min(math.log10(x), 0.0)) if b > 0 else 0
+            with mpmath.workdps(50 + lost):
+                u_want = cube * _u_moving_over_cube(x_mp, b, 1 / mpmath.sqrt(1 - b * b))
             for route, args, z, want in (
                     (rho_rest, (), x_mp, cube * 2 / mpmath.expm1(x_mp)),
                     (rho_moving_mu, (mu, v), d * x_mp, cube * 2 / mpmath.expm1(d * x_mp)),
                     (rho_moving_pullback_mu, (mu, v), d * x_mp, cube * 2 / mpmath.expm1(d * x_mp)),
-                    (u_moving, (v,), gamma * (1 - b) * x_mp,
-                     cube * _u_moving_over_cube(x_mp, b, gamma))):
+                    (u_moving, (v,), gamma * (1 - b) * x_mp, u_want)):
                 if TINY <= want <= HUGE:
                     got = route(om, *args, t, Component.THERMAL, units)
                     bound = BOUNDS[route.__name__]["times_1_plus_z"] * (1 + z)
@@ -148,8 +161,11 @@ def sweep(seed: int, count: int) -> dict:
 
             if b > 0:
                 got = temperature_multipoles(v, t, L_MAX)
-                want = _recurrence_over_t(v.beta_mag)  # a_l / T
-                err = max(abs(g / (t * w) - 1) for g, w in zip(got.a, want))
+                # a_l is below T beta^l, subnormal past l = 313 / -log10(beta) at T 1e5
+                l_normal = min(L_MAX, int(313.0 / -math.log10(v.beta_mag)))
+                exact = [t * w for w in _recurrence_over_t(v.beta_mag, l_normal)]  # a_l
+                err = max((abs(g / e - 1) for g, e in zip(got.a, exact) if TINY <= abs(e) <= HUGE),
+                          default=0)
                 # the band of the branch that ran
                 bound = next(limit for edge, limit in BOUNDS["temperature_multipoles"][got.method]
                              if v.beta_mag <= edge)

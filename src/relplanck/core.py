@@ -10,13 +10,12 @@ ever boosts a temperature, only the spectrum.
 The accepted input domain is stated here once (README, "Domain"): T = 0 or
 1e-3 <= T <= 1e5 (T > 0 where the thermal spectrum is normalized or
 sampled), |beta| = 0 or 2^-1022 <= |beta| <= 1 - 1e-9, 0 <= omega <= 1e30
-in the unit system's own
-frequency unit, the natural or SI unit system, a cosine in [-1, 1] up to
-1e-12, and integer counts up to caps of time or memory.  temperature_value,
-_thermal_temperature, BoostVelocity, UnitSystem, _check_omega, _check_mu
-and _check_count reject anything outside it with a ValueError naming the
-input and its range, so no density, energy density or multipole inside
-the package can overflow.
+in the unit system's own frequency unit, the natural or SI unit system, a
+cosine in [-1, 1] up to 1e-12, and integer counts up to caps of time or
+memory.  temperature_value, _thermal_temperature, BoostVelocity,
+UnitSystem, _check_omega, _check_mu and _check_count reject anything
+outside it with a ValueError naming the input and its range, so no
+density, energy density or multipole inside the package can overflow.
 """
 
 from __future__ import annotations

@@ -444,16 +444,24 @@ def test_readme_states_the_domain_of_core():
     omega = re.search(r"`0 <= omega <= (\S+)`", section).group(1)
     slack = re.search(r"`-1 <= mu <= 1` up to a slack of `(\S+)`", section).group(1)
     l_max = re.search(r"`0 <= l_max <= (\S+)`", section).group(1)
+    beta_floor = re.search(r"`\|beta\| >= 2\^(-\d+)`", section).group(1)
+    n_samples = re.search(r"`1 <= n_samples <= 10\^(\d+)`", section).group(1)
+    n_modes = re.search(r"`1 <= n <= 10\^(\d+)`", section).group(1)
     assert (float(t_min), float(t_max)) == (core._T_MIN, core._T_MAX)
     assert 1.0 - float(beta) == core._BETA_MAX
     assert float(omega) == core._OMEGA_MAX
     assert float(slack) == core._MU_SLACK
     assert int(l_max) == core._L_MAX_CAP
+    assert 2.0 ** int(beta_floor) == core._BETA_MIN
+    assert (10 ** int(n_samples), 10 ** int(n_modes)) == (core._N_SAMPLES_CAP, core._N_MODES_CAP)
     # the edge checks' messages quote the same numbers
     assert T_RANGE.endswith(f"[{t_min}, {t_max}]")
     assert BETA_RANGE.endswith(f"[0, 1 - {beta}]")
     assert OMEGA_RANGE.endswith(f"[0, {omega}]")
     assert L_MAX_RANGE.endswith(f"[0, {l_max}]")
+    assert N_SAMPLES_RANGE.endswith(f"[1, {10 ** int(n_samples)}]")
+    assert N_MODES_RANGE.endswith(f"[1, {10 ** int(n_modes)}]")
+    assert BETA_FLOOR.endswith(f"2^{beta_floor}")
 
 
 @pytest.mark.parametrize("command", ["selftest", "mc-verify"])

@@ -139,8 +139,8 @@ def _legenq_over_t(beta: float) -> list:
         ]
 
 
-def _recurrence_over_t(beta: float) -> list:
-    """a_l / T for l = 0 .. L_MAX at 40 digits, from Q_0 = atanh(beta),
+def _recurrence_over_t(beta: float, l_max: int = L_MAX) -> list:
+    """a_l / T for l = 0 .. l_max at 40 digits, from Q_0 = atanh(beta),
     Q_1 = Q_0 / beta - 1 and the forward recurrence in 1/beta.
 
     The recurrence loses (2 l + 1) log10 rho digits to the growing solution,
@@ -148,13 +148,13 @@ def _recurrence_over_t(beta: float) -> list:
     scripts/bound_sweep.py imports it, as it does _u_moving_over_cube.
     """
     rho = (1.0 + np.sqrt(1.0 - beta * beta)) / beta
-    with mpmath.workdps(40 + int(np.ceil((2 * L_MAX + 1) * np.log10(rho)))):
+    with mpmath.workdps(40 + int(np.ceil((2 * l_max + 1) * np.log10(rho)))):
         b = mpmath.mpf(beta)
         q = [mpmath.atanh(b), mpmath.atanh(b) / b - 1]
-        for l in range(1, L_MAX):
+        for l in range(1, l_max):
             q.append(((2 * l + 1) * q[l] / b - l * q[l - 1]) / (l + 1))
         gamma_beta = b / mpmath.sqrt(1 - b * b)
-        return [(-1) ** l * (2 * l + 1) * q[l] / gamma_beta for l in range(L_MAX + 1)]
+        return [(-1) ** l * (2 * l + 1) * q[l] / gamma_beta for l in range(l_max + 1)]
 
 
 def _assert_multipoles_match(v, want, temperatures):

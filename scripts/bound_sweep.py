@@ -10,14 +10,15 @@ route's W'/W is compared with gamma^2 (1 + beta^2 / 3) at 50 digits
 (mpmath, from the library's |beta|).  At each boost a second stream,
 seeded by (seed, 1), draws a cosine mu' uniform on [-1, 1] and
 x = hbar omega' / k_B T, 10^U(-300, 0) or U(0, 800) each half the time,
-for the four thermal densities, each against its 50-digit value (u_moving's
-with |log10 beta| + |log10 x| more digits, which its logarithm of a ratio
-near 1 cancels).  The multipoles are held to tests/test_oracle.py's
-40-digit recurrence, which that test holds to mpmath.legenq.  A third stream, seeded by (seed, 2),
-draws a cosine mu, uniform on [-1, 1] or +-(1 - 10^U(-16, 0)) each half
-the time, and a frequency omega = 10^U(-300, 30) in the unit system's own
-unit: boost_mu takes (omega, mu) as rest-frame values,
-effective_temperature_mu takes mu as mu'.  Each ratio below is error over the function's bound in
+for the four thermal densities, each against its 50-digit value
+(u_moving's with |log10 beta| + |log10 x| more digits, which its logarithm
+of a ratio near 1 cancels).  The multipoles are held to
+tests/test_oracle.py's 40-digit recurrence, which that test holds to
+mpmath.legenq.  A third stream, seeded by (seed, 2), draws a cosine mu,
+uniform on [-1, 1] or +-(1 - 10^U(-16, 0)) each half the time, and a
+frequency omega = 10^U(-300, 30) in the unit system's own unit: boost_mu
+takes (omega, mu) as rest-frame values, effective_temperature_mu takes mu
+as mu'.  Each ratio below is error over the function's bound in
 relplanck.core._ERROR_BOUNDS, the table that tests/test_oracle.py reads:
 
   energy_density_moving_spectral     relative error of W'/W

@@ -371,6 +371,9 @@ def run_identity_check(
     _lap(times, "reference", t0)
 
     n_chunks = (n_total + _CHUNK - 1) // _CHUNK
+    # on the calling thread, which so imports numpy.random before any chunk's thread
+    # does; an import there grew that thread's malloc arena (0.8 MB of peak RSS)
+    root = np.random.SeedSequence(cfg.seed)
     # at most one thread per chunk
     n_threads = min(_usable_cpus() if n_threads is None else n_threads, n_chunks)
 
@@ -380,8 +383,8 @@ def run_identity_check(
     def run_chunk(i: int):
         chunk_times, t0 = {}, time.perf_counter()
         size = min(_CHUNK, n_total - i * _CHUNK)
-        # SeedSequence(seed).spawn(n_chunks)[i], built when the chunk starts
-        rng = _chunk_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        # root.spawn(n_chunks)[i], built as spawn builds it, when the chunk starts
+        rng = _chunk_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
         omega, mu = sample_rest_modes(t, size, rng, units)
         t0 = _lap(chunk_times, "sample", t0)
         # each block's weight overwrites its spent omega and its bin index its

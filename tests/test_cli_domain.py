@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    BETA_FLOOR, BETA_RANGE, L_MAX_RANGE, NoDraws, MU_RANGE, N_MODES_RANGE, N_SAMPLES_RANGE, OMEGA_RANGE, SEED_RANGE,
-    T_RANGE, THERMAL_T_RANGE, UNITS_RANGE,
+    BETA_FLOOR, BETA_RANGE, L_MAX_RANGE, MU_RANGE, N_MODES_RANGE, N_SAMPLES_RANGE, OMEGA_RANGE,
+    SEED_RANGE, T_RANGE, THERMAL_T_RANGE, UNITS_RANGE, NoDraws,
 )
 from relplanck import (
     NATURAL,
@@ -275,7 +275,6 @@ def test_cosines_within_the_slack_are_accepted(mu):
 
 
 V06 = make_boost([0.0, 0.0, 0.6])
-
 SI = UnitSystem.si()
 
 # each call raises one ValueError naming its input's range.  The first block
@@ -414,7 +413,8 @@ REJECTED_FLAGS = {
     "mc-verify-n-0": (["mc-verify", "--n", "0"], f"{N_SAMPLES_RANGE}, got 0"),
     "mc-verify-bins-omega-3": (["mc-verify", "--bins-omega", "3"],
                                "n_omega_bins must be an integer >= 4, got 3"),
-    "mc-verify-bins-mu-3": (["mc-verify", "--bins-mu", "3"], "n_mu_bins must be an integer >= 4, got 3"),
+    "mc-verify-bins-mu-3": (["mc-verify", "--bins-mu", "3"],
+                            "n_mu_bins must be an integer >= 4, got 3"),
     # the CLI's own bounds, in core's words
     "spectrum-points-0": (["spectrum", "--temperature", "1", "--points", "0"],
                           "--points must be an integer in [1, 1000000], got 0"),
@@ -423,7 +423,8 @@ REJECTED_FLAGS = {
     # one omega rule, one text
     **{
         f"spectrum-{flag[2:]}-{value}": (
-            ["spectrum", "--temperature", "1", "--omega-min", "0", flag, value], f"{flag} {OMEGA_RANGE}")
+            ["spectrum", "--temperature", "1", "--omega-min", "0", flag, value],
+            f"{flag} {OMEGA_RANGE}")
         for flag, value in (("--omega-min", "-1"), ("--omega-min", "nan"), ("--omega-max", "inf"),
                             ("--omega-max", "2e30"))
     },

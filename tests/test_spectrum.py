@@ -275,7 +275,8 @@ class TestDirectionIntegrated:
         # (2 / (gamma beta)) ln[(1 - e^{-gamma (1 + beta) x}) / (1 - e^{-gamma (1 - beta) x})]
         v = make_boost([0.0, 0.0, 1e-150])
         x = np.array([1e-300, 1e-200, 1e-170, 1e-150, 0.5, 3.0])
-        assert list(2.0 * v.gamma * v.beta_mag * x < np.finfo(float).tiny) == [True] * 3 + [False] * 3
+        two_a = 2.0 * v.gamma * v.beta_mag * x
+        assert list(two_a < np.finfo(float).tiny) == [True] * 3 + [False] * 3
         rest = np.array(_direction_integrated_x_occupation(x, make_boost([0, 0, 0])))
         got = np.array(_direction_integrated_x_occupation(x, v))
         assert np.array_equal(got[:, :3], rest[:, :3])
@@ -288,12 +289,8 @@ class TestDirectionIntegrated:
         assert one_by_one == got.T.tolist()
         with mpmath.workdps(500):
             b = mpmath.mpf(v.beta_mag)
-
-            def ln_1m_exp(u):
-                return mpmath.log(-mpmath.expm1(-u))
-
             for (fi, hi), xi in zip(got.T, map(mpmath.mpf, x)):
-                want = 2 / b * (ln_1m_exp((1 + b) * xi) - ln_1m_exp((1 - b) * xi))
+                want = 2 / b * mpmath.log(mpmath.expm1(-(1 + b) * xi) / mpmath.expm1(-(1 - b) * xi))
                 assert abs(fi * hi * hi - want) <= 4 * 2.0**-52 * want, (xi, fi * hi * hi)
 
     def test_split_value_is_the_logarithm_and_survives_past_z_708(self):

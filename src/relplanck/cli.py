@@ -114,9 +114,9 @@ def _add_units_flag(p: argparse.ArgumentParser):
 
 
 def _add_beta_flag(p: argparse.ArgumentParser):
-    # the physics sees only |beta| and cosines to the velocity, so a speed along z loses nothing
+    # the library's boost is the same signed speed along z: the physics sees only |beta|
     p.add_argument("--beta", type=float, default=None,
-                   help="boost velocity along +z, |beta| <= 1 - 1e-9; negative points along -z")
+                   help="signed boost speed along z, |beta| <= 1 - 1e-9; negative points along -z")
 
 
 def _units_from(args) -> UnitSystem:
@@ -125,10 +125,6 @@ def _units_from(args) -> UnitSystem:
 
 def _boost_from(args):
     return make_boost([0.0, 0.0, args.beta or 0.0])
-
-
-def _beta_list(v) -> list:
-    return [float(b) for b in v.beta]
 
 
 def _thermal_bound_warnings(columns: dict) -> tuple:
@@ -180,7 +176,7 @@ def _cmd_spectrum(args) -> _Output:
                 "rho_prime": rho_moving_mu(omega, args.mu, v, t, component, units),
                 "t_eff": np.full(len(omega), effective_temperature_mu(args.mu, v, t)),
             }
-        inputs["beta"] = _beta_list(v)
+        inputs["beta"] = [0.0, 0.0, v.beta]
     inputs.update(omega_min=args.omega_min, omega_max=args.omega_max,
                   points=args.points, grid=args.grid, units=args.units)
     warnings = _thermal_bound_warnings(columns) if component is Component.THERMAL else ()
@@ -193,7 +189,7 @@ def _cmd_boost_mode(args) -> _Output:
     khat = direction_with_cosine(args.mu, v, args.azimuth)
     res = boost_mode(PhotonMode(args.omega, khat), v)
     inputs = {"omega": args.omega, "mu": args.mu, "azimuth": args.azimuth,
-              "beta": _beta_list(v)}
+              "beta": [0.0, 0.0, v.beta]}
     results = {
         "omega_prime": res.mode_prime.omega,
         "mu_prime": float(res.mode_prime.khat @ v.vhat),
@@ -216,7 +212,7 @@ def _cmd_energy_density(args) -> _Output:
     reports = [route(t, v, units=units)
                for route in (energy_density_moving_spectral, energy_density_moving_correlation)]
     expected = expected_energy_ratio(v)
-    inputs = {"temperature": t, "beta": _beta_list(v), "units": args.units}
+    inputs = {"temperature": t, "beta": [0.0, 0.0, v.beta], "units": args.units}
     rows = [
         {"method": r.method, "w_rest": r.W_rest, "w_moving": r.W_moving,
          "ratio": r.ratio, "ratio_minus_expected": r.ratio - expected,
@@ -238,7 +234,7 @@ def _cmd_anisotropy(args) -> _Output:
         _check_count(args.map_points, "--map-points", _MAX_POINTS, low=2)
     v = _boost_from(args)
     coeffs = temperature_multipoles(v, t, args.lmax)
-    inputs = {"temperature": t, "beta": _beta_list(v), "lmax": args.lmax,
+    inputs = {"temperature": t, "beta": [0.0, 0.0, v.beta], "lmax": args.lmax,
               "map_points": args.map_points}
     results = {"l": list(range(args.lmax + 1)), "a": coeffs.a.tolist(),
                "convention": coeffs.convention, "method": coeffs.method,
@@ -267,7 +263,7 @@ def _cmd_mc_verify(args) -> _Output:
     cfg = McConfig(n_samples=args.n, seed=args.seed, omega_prime_max=omega_max,
                    n_omega_bins=args.bins_omega, n_mu_bins=args.bins_mu)
     rep = run_identity_check(t, v, cfg, units=units)
-    inputs = {"temperature": t, "beta": _beta_list(v), "n": args.n, "seed": args.seed,
+    inputs = {"temperature": t, "beta": [0.0, 0.0, v.beta], "n": args.n, "seed": args.seed,
               "bins_omega": args.bins_omega, "bins_mu": args.bins_mu,
               "omega_prime_max": omega_max, "units": args.units}
     results = {k: getattr(rep, k) for k in (

@@ -118,42 +118,31 @@ NATURAL = UnitSystem()
 
 @dataclass(frozen=True, eq=False)
 class BoostVelocity:
-    """Dimensionless frame velocity beta = v/c with |beta| = 0 or 2^-1022 <= |beta| <= 1 - 1e-9.
+    """Dimensionless frame velocity beta = v/c, a signed speed along z, with
+    |beta| = 0 or 2^-1022 <= |beta| <= 1 - 1e-9.
 
-    |beta| is sqrt(b . b), or math.hypot of the components where b . b is
-    below the smallest normal double; either is exact along an axis.  gamma is
-    computed once at construction as 1/sqrt((1 - |b|)(1 + |b|)); the
-    factored form loses no precision as |beta| approaches 1.  ``vhat``
-    is the unit vector along beta; at beta = 0 it is a fixed placeholder
-    (+z) that no formula depends on.
+    -0.0 is stored as 0.0.  gamma is computed once at construction as
+    1/sqrt((1 - |b|)(1 + |b|)), which loses no precision as |beta| approaches 1.
+    ``vhat``, the unit vector along beta, is -z for a negative beta and +z otherwise.
     """
 
-    beta: np.ndarray
+    beta: float
     beta_mag: float = field(init=False)
     gamma: float = field(init=False)
     vhat: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        b = np.array(self.beta, dtype=float, copy=True)
-        if b.shape != (3,):
-            raise ValueError(f"beta must be a 3-vector, got shape {b.shape}")
-        if not all(map(math.isfinite, b.tolist())):
-            raise ValueError("beta components must be finite")
-        # np.linalg.norm's own formula for a vector, without its dispatch; b.dot(b)
-        # loses digits below |beta| 1.5e-154 and is 0 below 1.5e-162, where hypot is not
-        dot = b.dot(b)
-        bmag = math.sqrt(dot) if dot >= _BETA_MIN else math.hypot(*b.tolist())
-        if not bmag <= _BETA_MAX:
+        b = float(self.beta) + 0.0  # -0.0 + 0.0 is 0.0
+        bmag = abs(b)
+        if not bmag <= _BETA_MAX:  # NaN fails
             raise ValueError(f"|beta| must lie in [0, 1 - 1e-9], got {bmag!r}")
         if 0.0 < bmag < _BETA_MIN:
             raise ValueError(f"|beta| must be 0 or at least 2^-1022 = {_BETA_MIN!r}, got {bmag!r}")
-        vhat = b / bmag if bmag > 0.0 else np.array([0.0, 0.0, 1.0])
-        gamma = 1.0 / math.sqrt((1.0 - bmag) * (1.0 + bmag))
-        b.setflags(write=False)
+        vhat = np.array([0.0, 0.0, -1.0 if b < 0.0 else 1.0])
         vhat.setflags(write=False)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "beta_mag", bmag)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", 1.0 / math.sqrt((1.0 - bmag) * (1.0 + bmag)))
         object.__setattr__(self, "vhat", vhat)
 
     @property
@@ -166,8 +155,10 @@ class BoostVelocity:
 
 
 def make_boost(beta) -> BoostVelocity:
-    """Build a BoostVelocity from any 3-sequence; rejects a |beta| outside the domain."""
-    return BoostVelocity(np.asarray(beta, dtype=float))
+    """BoostVelocity(b) from [0, 0, b]; a ValueError for any other form or b out of domain."""
+    if np.shape(beta) != (3,) or beta[0] != 0.0 or beta[1] != 0.0:
+        raise ValueError(f"beta must be a velocity [0, 0, b] along z, got {beta!r}")
+    return BoostVelocity(beta[2])
 
 
 _KHAT_NORM_TOL = 1e-9

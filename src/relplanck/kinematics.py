@@ -1,10 +1,10 @@
 """Lorentz transformation of photon modes and electromagnetic fields.
 
-Conventions: primed quantities live in the frame moving with velocity
-``beta`` relative to the radiation rest frame, and mu = khat . vhat is the
-cosine between a propagation direction and the boost axis.  The mode map is
+Conventions: primed quantities live in the frame moving with the signed
+speed ``beta`` along z relative to the radiation rest frame, and
+mu = khat . vhat is the cosine to the boost axis vhat = +-z.  The mode map is
 
-    omega' = gamma (1 - khat . beta) omega
+    omega' = gamma (1 - |beta| mu) omega
     mu'    = (mu - |beta|) / (1 - |beta| mu)
 
 with frequency Jacobian d(omega)/d(omega') = gamma (1 + |beta| mu') and
@@ -135,40 +135,33 @@ def boost_mode(mode: PhotonMode, v: BoostVelocity) -> ModeTransformResult:
 def _field_boost_matrix(v: BoostVelocity) -> np.ndarray:
     """The 6x6 L with (E', B') = L (E, B): the one implementation of the field boost.
 
-        E' = (vhat.E) vhat + gamma [E - (vhat.E) vhat + beta x B]
-        B' = (vhat.B) vhat + gamma [B - (vhat.B) vhat - beta x E]
-
-    so L = [[A, gamma [beta]x], [-gamma [beta]x, A]] with
-    A = gamma I + (1 - gamma) vhat vhat^T and [beta]x the cross-product
-    matrix.  Built from Python floats in one np.array call, the cheapest
-    way to fill a 6x6 on this path; identity at beta = 0.
+    Along z, E' = (gamma (E_x - beta B_y), gamma (E_y + beta B_x), E_z) and
+    B' = (gamma (B_x + beta E_y), gamma (B_y - beta E_x), B_z); identity at beta = 0.
     """
     g = v.gamma
-    hx, hy, hz = v.vhat.tolist()
-    bx, by, bz = (g * b for b in v.beta.tolist())
-    p = 1.0 - g
-    ax, ay, az = p * hx, p * hy, p * hz
+    gb = g * v.beta
     return np.array([
-        [g + ax * hx, ax * hy, ax * hz, 0.0, -bz, by],
-        [ay * hx, g + ay * hy, ay * hz, bz, 0.0, -bx],
-        [az * hx, az * hy, g + az * hz, -by, bx, 0.0],
-        [0.0, bz, -by, g + ax * hx, ax * hy, ax * hz],
-        [-bz, 0.0, bx, ay * hx, g + ay * hy, ay * hz],
-        [by, -bx, 0.0, az * hx, az * hy, g + az * hz],
+        [g, 0.0, 0.0, 0.0, -gb, 0.0],
+        [0.0, g, 0.0, gb, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, gb, 0.0, g, 0.0, 0.0],
+        [-gb, 0.0, 0.0, 0.0, g, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
     ])
 
 
 def direction_with_cosine(mu, v: BoostVelocity, azimuth: float = 0.0) -> np.ndarray:
     """A unit vector whose cosine with v.vhat is mu, at the given azimuth; raises
-    ValueError for a cosine outside the domain (README, "Domain")."""
+    ValueError for a cosine outside the domain (README, "Domain").
+
+    With s = sqrt(1 - mu^2), e1 = vhat x x and e2 = -x it is mu vhat + s (cos e1 + sin e2) =
+    (-s sin, +-s cos, +-mu), summed term by term so that each zero keeps its sign.
+    """
     mu = float(_check_mu(mu, "cosine"))
     if not math.isfinite(azimuth):
         raise ValueError(f"azimuth must be finite, got {azimuth!r}")
-    vh = v.vhat
-    helper = np.array([1.0, 0.0, 0.0]) if abs(vh[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(vh, helper)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(vh, e1)
+    c = v.vhat[2]
+    e1, e2 = np.array([0.0, c, 0.0]), np.array([-1.0, 0.0 * c, 0.0 * c])
     s = np.sqrt(max(0.0, (1.0 - mu) * (1.0 + mu)))
-    k = mu * vh + s * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
+    k = mu * v.vhat + s * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
     return k / np.linalg.norm(k)

@@ -37,8 +37,8 @@ _N_MODES = 64
 
 
 def _random_boosts(rng: np.random.Generator, n: int, beta_max: float = 0.99):
-    b = beta_max * rng.random(n) ** 0.5
-    return [make_boost(bi * d) for bi, d in zip(b, montecarlo._isotropic_directions(rng, n))]
+    u = rng.uniform(-1.0, 1.0, n)  # |beta| = beta_max sqrt(|u|), signed as u
+    return [make_boost([0.0, 0.0, b]) for b in beta_max * np.copysign(np.sqrt(np.abs(u)), u)]
 
 
 def _mode_sweep(rng: np.random.Generator, beta_max: float = 0.99):

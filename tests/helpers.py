@@ -8,15 +8,15 @@ from relplanck.montecarlo import _isotropic_directions as random_unit_vectors
 
 
 def random_boosts(rng, n, beta_max=0.99):
+    """n signed speeds along z: |beta| = beta_max sqrt(U), either sign half the time."""
     mags = beta_max * rng.random(n) ** 0.5
-    dirs = random_unit_vectors(rng, n)
-    return [make_boost(b * d) for b, d in zip(mags, dirs)]
+    signs = rng.choice((-1.0, 1.0), n)
+    return [make_boost([0.0, 0.0, s * b]) for s, b in zip(signs, mags)]
 
 
 def speeds(hi):
-    """|beta| inside the domain: 0, or from twice its floor 2^-1022 up to hi, so
-    that a velocity built from rounded components keeps its length above the floor."""
-    return st.just(0.0) | st.floats(2.0 * core._BETA_MIN, hi)
+    """|beta| inside the domain: 0, or from its floor 2^-1022 up to hi."""
+    return st.just(0.0) | st.floats(core._BETA_MIN, hi)
 
 
 def random_modes(rng, n, omega_lo=1e-2, omega_hi=1e2):
@@ -36,6 +36,7 @@ class NoDraws:
 T_RANGE = "temperature must be 0 or lie in [1e-3, 1e5]"
 BETA_RANGE = "|beta| must lie in [0, 1 - 1e-9]"
 BETA_FLOOR = "|beta| must be 0 or at least 2^-1022"
+BETA_ALONG_Z = "beta must be a velocity [0, 0, b] along z"
 OMEGA_RANGE = "must be finite and lie in [0, 1e30]"
 UNITS_RANGE = "units must be natural (hbar, c, k_B) = (1, 1, 1) or SI"
 SEED_RANGE = "seed must be an integer >= 0"

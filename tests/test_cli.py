@@ -182,6 +182,47 @@ class TestBoostModeCommand:
                        "--beta", "1")[0] == 2
 
 
+# boost-mode --omega 2.5 at each (--beta, --mu, --azimuth): omega', mu', jac_freq, jac_solid_angle
+# and khat', each zero with its sign; a boost along -z turns the direction basis about x
+BOOST_MODE_GOLDEN = {
+    ("0.6", "-1", "0"):       (5.0, -1.0, 0.5, 4.0, [0.0, 0.0, -1.0]),
+    ("0.6", "-1", "-2.5"):    (5.0, -1.0, 0.5, 4.0, [0.0, 0.0, -1.0]),
+    ("0.6", "-0.0", "0"):     (3.125, -0.6, 0.8, 1.5625, [0.0, 0.8, -0.6]),
+    ("0.6", "-0.0", "-2.5"):  (3.125, -0.6, 0.8, 1.5625, [0.47877771528316526, -0.640914892437547, -0.6]),
+    ("0.6", "0", "0"):        (3.125, -0.6, 0.8, 1.5625, [0.0, 0.8, -0.6]),
+    ("0.6", "0", "-2.5"):     (3.125, -0.6, 0.8, 1.5625, [0.47877771528316526, -0.640914892437547, -0.6]),
+    ("0.6", "1", "0"):        (1.25, 1.0, 2.0, 0.25, [0.0, 0.0, 1.0]),
+    ("0.6", "1", "-2.5"):     (1.25, 1.0, 2.0, 0.25, [0.0, 0.0, 1.0]),
+    ("-0.6", "-1", "0"):      (5.0, -1.0, 0.5, 4.0, [0.0, 0.0, 1.0]),
+    ("-0.6", "-1", "-2.5"):   (5.0, -1.0, 0.5, 4.0, [0.0, 0.0, 1.0]),
+    ("-0.6", "-0.0", "0"):    (3.125, -0.6, 0.8, 1.5625, [0.0, -0.8, 0.6]),
+    ("-0.6", "-0.0", "-2.5"): (3.125, -0.6, 0.8, 1.5625, [0.47877771528316526, 0.640914892437547, 0.6]),
+    ("-0.6", "0", "0"):       (3.125, -0.6, 0.8, 1.5625, [0.0, -0.8, 0.6]),
+    ("-0.6", "0", "-2.5"):    (3.125, -0.6, 0.8, 1.5625, [0.47877771528316526, 0.640914892437547, 0.6]),
+    ("-0.6", "1", "0"):       (1.25, 1.0, 2.0, 0.25, [0.0, 0.0, -1.0]),
+    ("-0.6", "1", "-2.5"):    (1.25, 1.0, 2.0, 0.25, [0.0, 0.0, -1.0]),
+    ("0", "-1", "0"):         (2.5, -1.0, 1.0, 1.0, [0.0, 0.0, -1.0]),
+    ("0", "-1", "-2.5"):      (2.5, -1.0, 1.0, 1.0, [0.0, -0.0, -1.0]),
+    ("0", "-0.0", "0"):       (2.5, 0.0, 1.0, 1.0, [0.0, 1.0, 0.0]),
+    ("0", "-0.0", "-2.5"):    (2.5, 0.0, 1.0, 1.0, [0.5984721441039565, -0.8011436155469337, -0.0]),
+    ("0", "0", "0"):          (2.5, 0.0, 1.0, 1.0, [0.0, 1.0, 0.0]),
+    ("0", "0", "-2.5"):       (2.5, 0.0, 1.0, 1.0, [0.5984721441039565, -0.8011436155469337, 0.0]),
+    ("0", "1", "0"):          (2.5, 1.0, 1.0, 1.0, [0.0, 0.0, 1.0]),
+    ("0", "1", "-2.5"):       (2.5, 1.0, 1.0, 1.0, [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("beta,mu,azimuth", BOOST_MODE_GOLDEN)
+def test_boost_mode_json_is_golden(capsys, beta, mu, azimuth):
+    code, out, _ = run_cli(capsys, "boost-mode", "--omega", "2.5", "--mu", mu, "--beta", beta,
+                           "--azimuth", azimuth, "--format", "json")
+    res = json.loads(out)["results"]
+    got = tuple(res[k] for k in (
+        "omega_prime", "mu_prime", "jac_freq", "jac_solid_angle", "khat_prime"))
+    # repr tells -0.0 from 0.0, which == does not
+    assert code == 0 and repr(got) == repr(BOOST_MODE_GOLDEN[beta, mu, azimuth])
+
+
 class TestEnergyDensityCommand:
     def test_both_routes_csv(self, capsys):
         code, out, _ = run_cli(capsys, "energy-density", "--temperature", "1",

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import BETA_ALONG_Z, BETA_RANGE
 from relplanck import (
     NATURAL,
     BoostVelocity,
@@ -26,41 +28,38 @@ class TestBoostVelocity:
         assert v.is_rest
 
     def test_tiny_speed_keeps_its_length(self):
-        # sqrt(b.dot(b)) lost digits below 1.5e-154 and read rest below 1.5e-162
         for beta in (1e-155, 1e-160, 1e-170, core._BETA_MIN):
             assert make_boost([0.0, 0.0, -beta]).beta_mag == beta
-        v = make_boost([1e-200, -2e-200, 2e-200])
-        assert not v.is_rest
-        assert v.beta_mag == pytest.approx(3e-200, rel=3e-16, abs=0.0)
 
     def test_gamma_examples(self):
         assert make_boost([0.0, 0.0, 0.6]).gamma == pytest.approx(1.25, rel=1e-15)
-        assert make_boost([0.8, 0.0, 0.0]).gamma == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert make_boost([0.0, 0.0, -0.8]).gamma == pytest.approx(5.0 / 3.0, rel=1e-15)
 
-    def test_vhat_is_unit(self):
-        v = make_boost([0.3, -0.4, 0.0])
-        assert np.linalg.norm(v.vhat) == pytest.approx(1.0, abs=1e-15)
-        assert v.beta_mag == pytest.approx(0.5, rel=1e-15)
+    def test_vhat_is_the_signed_axis(self):
+        assert np.array_equal(make_boost([0.0, 0.0, -0.5]).vhat, [0.0, 0.0, -1.0])
+        for beta in (0.5, 0.0):
+            assert np.array_equal(make_boost([0.0, 0.0, beta]).vhat, [0.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("beta", [[1.0, 0, 0], [0, 0, -1.0], [0.8, 0.8, 0.8]])
-    def test_superluminal_rejected(self, beta):
-        with pytest.raises(ValueError, match="beta"):
+    def test_negative_zero_is_rest_along_plus_z(self):
+        v = BoostVelocity(-0.0)
+        assert math.copysign(1.0, v.beta) == 1.0 and v.beta == 0.0
+        assert np.array_equal(v.vhat, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.0 - 5e-10, np.nan, np.inf, -np.inf])
+    def test_speed_outside_the_domain_rejected(self, beta):
+        with pytest.raises(ValueError, match=re.escape(BETA_RANGE)):
+            make_boost([0.0, 0.0, beta])
+
+    @pytest.mark.parametrize("beta", [0.6, [0.1, 0.2], [0.3, 0.0, 0.5], [0.0, 1e-300, 0.5]])
+    def test_anything_but_a_velocity_along_z_rejected(self, beta):
+        # a ValueError naming the form, not a TypeError from unpacking
+        with pytest.raises(ValueError, match=re.escape(BETA_ALONG_Z)):
             make_boost(beta)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            make_boost([np.nan, 0, 0])
-        with pytest.raises(ValueError):
-            make_boost([np.inf, 0, 0])
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            make_boost([0.1, 0.2])
-
     def test_reversed(self):
-        v = make_boost([0.1, 0.2, -0.3])
+        v = make_boost([0.0, 0.0, -0.3])
         r = v.reversed()
-        assert np.array_equal(r.beta, -v.beta)
+        assert r.beta == 0.3 and np.array_equal(r.vhat, -v.vhat)
         assert r.gamma == v.gamma
 
     def test_immutable(self):
@@ -68,17 +67,12 @@ class TestBoostVelocity:
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.gamma = 2.0
         with pytest.raises(ValueError):
-            v.beta[0] = 0.9
+            v.vhat[2] = -1.0
 
-    @given(
-        st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3).filter(
-            # the domain's |beta|: 0, or from 2^-1022 to 0.999
-            lambda b: np.linalg.norm(b) < 0.999 and not 0.0 < math.hypot(*b) < core._BETA_MIN
-        )
-    )
+    @given(st.floats(-0.999, 0.999).filter(lambda b: not 0.0 < abs(b) < core._BETA_MIN))
     @settings(max_examples=200, deadline=None)
     def test_gamma_identity(self, beta):
-        v = make_boost(beta)
+        v = make_boost([0.0, 0.0, beta])
         assert abs(v.gamma**2 * (1.0 - v.beta_mag**2) - 1.0) <= 1e-12
 
 

@@ -1,6 +1,7 @@
 """The public names and CLI options, pinned so that adding or dropping one is a visible change."""
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import relplanck
@@ -164,6 +166,51 @@ def test_each_count_rejects_a_bool_a_float_and_its_bounds_with_cores_message(nam
             message = _core_message(lambda n: core._check_count(n, label, cap, low), bad)
             with pytest.raises(ValueError, match=re.escape(message)):
                 func(**{**required, label: bad})
+
+
+# every public function of a boost reads only |beta| and cosines to its axis, so the sign
+# of beta changes none of its values; boost_mode and direction_with_cosine return directions
+SIGN_EXEMPT = ["boost_mode", "direction_with_cosine"]
+SIGN_ARGUMENTS = {**VALID_COUNT_ARGUMENTS, "mu": 0.3, "mu_prime": -0.4}
+
+
+def _boost_entries() -> dict:
+    """Each public function with a boost parameter v, by name."""
+    return {name: obj for name in relplanck.__all__
+            if callable(obj := getattr(relplanck, name)) and not isinstance(obj, type)
+            and "v" in inspect.signature(obj).parameters}
+
+
+def _exact(x):
+    """x as nested tuples of shapes, bytes and reprs, its wall-clock timings aside."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _exact(getattr(x, f.name)))
+                     for f in dataclasses.fields(x) if f.name != "timings")
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_exact, x))
+    return repr(x)
+
+
+def test_the_boost_entries_are_pinned():
+    assert sorted(_boost_entries()) == [
+        "aberrate_mu", "boost_mode", "boost_mu", "direction_with_cosine", "doppler_factor",
+        "effective_temperature_mu", "energy_density_moving_correlation",
+        "energy_density_moving_spectral", "expected_energy_ratio", "inverse_doppler_factor",
+        "rho_moving_mu", "rho_moving_pullback_mu", "run_identity_check",
+        "temperature_multipoles", "u_moving",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(set(_boost_entries()) - set(SIGN_EXEMPT)))
+def test_the_sign_of_beta_changes_no_value(name):
+    func = _boost_entries()[name]
+    args = {p: SIGN_ARGUMENTS.get(p) for p, spec in inspect.signature(func).parameters.items()
+            if spec.default is inspect.Parameter.empty}
+    assert None not in args.values(), f"no valid value for a parameter of {name}: {args}"
+    plus, minus = (func(**{**args, "v": relplanck.make_boost([0.0, 0.0, b])}) for b in (0.6, -0.6))
+    assert _exact(plus) == _exact(minus)
 
 
 # every subcommand's flags, -h/--help aside

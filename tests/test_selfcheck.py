@@ -70,7 +70,7 @@ def test_injected_field_boost_error_fails_both_field_checks(monkeypatch, capsys)
     exact = kinematics._field_boost_matrix
 
     def wrong_gamma(v):
-        return exact(types.SimpleNamespace(beta=v.beta, vhat=v.vhat, gamma=v.gamma * (1.0 + 1e-6)))
+        return exact(types.SimpleNamespace(beta=v.beta, gamma=v.gamma * (1.0 + 1e-6)))
 
     monkeypatch.setattr(kinematics, "_field_boost_matrix", wrong_gamma)
     results = {r.name: r for r in run_selfcheck(quick=True)}
